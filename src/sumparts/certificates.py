@@ -3,28 +3,31 @@
 For a monomial (product of all features) the best possible total deletion
 error over the whole powerset, and for a three-part binomial the best
 possible total insertion error, are each the optimum of an L1-minimization
-problem over attributions.  This module builds those programs row by row
-from the powerset, solves them as linear programs, cross-checks the
-monomial family against an exact symmetry-reduced scan, verifies the
-zero-error grouped constructions exhaustively, and fits exponential growth
-curves to the resulting minima.
+problem over attributions.  The objective is convex and symmetric under
+permutations of the features (within each part, for the binomial), so
+some optimum is constant on each part and the program reduces to one
+weighted row per orbit of subsets: subset sizes for the monomial, size
+triples for the binomial.  These orbit programs are solved by HiGHS and
+every optimum is proven in exact rational arithmetic from the solver's
+primal and dual solutions; the monomial family is also cross-checked
+against an exact scan.  The full-powerset programs (:func:`build_program`,
+:func:`solve_l1`) are kept as the independent oracle for the orbit route.
+The zero-error grouped constructions are verified on the whole powerset
+in vectorised blocks, and exponential growth curves are fitted to the
+minima.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-
-from .faithfulness import (
-    grouped_deletion_error,
-    grouped_insertion_error,
-    total_powerset_error,
-)
 
 __all__ = [
     "PolynomialSpec",
@@ -44,6 +47,8 @@ LP_DIMENSION_LIMIT = 15
 SCAN_DIMENSION_LIMIT = 20
 GROUPED_DIMENSION_LIMIT = 12
 SCAN_AGREEMENT_RTOL = 1e-6
+# powerset rows verified per vectorised block, which bounds memory at d=20
+VERIFY_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -95,16 +100,19 @@ class PolynomialSpec:
             ),
         )
 
-    def evaluate(self, x) -> float:
+    def evaluate(self, x) -> float | np.ndarray:
+        """Value at one input of length d (a float), or at every row of a
+        (P, d) stack (a length-P array)."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
             raise ValueError(f"input must have length {self.d}")
         if self.kind == "monomial":
-            return float(np.prod(x))
-        s1, s2, s3 = self.partition
-        first = np.prod(x[list(s1 + s2)])
-        second = np.prod(x[list(s2 + s3)])
-        return float(first + second)
+            value = np.prod(x, axis=-1)
+        else:
+            s1, s2, s3 = self.partition
+            value = (np.prod(x[..., list(s1 + s2)], axis=-1)
+                     + np.prod(x[..., list(s2 + s3)], axis=-1))
+        return float(value) if x.ndim == 1 else value
 
 
 @dataclass(frozen=True)
@@ -136,8 +144,12 @@ class L1Program:
 
 def _powerset_matrix(d: int) -> np.ndarray:
     # Binary counting with bit i = feature i keeps programs byte-reproducible.
+    # Filled a column at a time so temporaries stay one column wide.
     rows = np.arange(1 << d, dtype=np.uint32)
-    return ((rows[:, None] >> np.arange(d)) & 1).astype(np.float64)
+    members = np.empty((rows.size, d), dtype=bool)
+    for i in range(d):
+        members[:, i] = (rows >> i) & 1
+    return members
 
 
 def build_program(spec: PolynomialSpec, kind: str) -> L1Program:
@@ -157,32 +169,30 @@ def build_program(spec: PolynomialSpec, kind: str) -> L1Program:
             f"powerset programs are capped at d={LP_DIMENSION_LIMIT}, got {spec.d}"
         )
     members = _powerset_matrix(spec.d)
-    ones = np.ones(spec.d)
-    full = spec.evaluate(ones)
-    targets = np.empty(members.shape[0])
-    for i, row in enumerate(members):
-        if kind == "deletion":
-            targets[i] = full - spec.evaluate(ones * (1.0 - row))
-        else:
-            targets[i] = spec.evaluate(row)
+    if kind == "deletion":
+        targets = spec.evaluate(np.ones(spec.d)) - spec.evaluate(~members)
+    else:
+        targets = spec.evaluate(members)
     return L1Program(coefficients=members, targets=targets)
 
 
-def solve_l1(program: L1Program) -> tuple[np.ndarray, float]:
-    """Minimize ``sum |targets - coefficients @ alpha|`` over alpha.
+def _solve_weighted_l1(counts, targets, weights):
+    """Minimize ``sum_r weights_r |targets_r - counts_r @ alpha|`` over alpha.
 
     Uses the standard lift with one slack per row (``t >= residual``,
-    ``t >= -residual``, minimize ``sum t``) solved by HiGHS.  Returns the
-    minimizer and the optimum.
+    ``t >= -residual``, minimize ``weights @ t``) solved by HiGHS.  Returns
+    the minimizer, the optimum and the row multipliers ``u`` of the dual
+    (maximize ``targets @ u`` subject to ``counts.T @ u = 0`` and
+    ``|u| <= weights``).
     """
-    M = sparse.csr_matrix(program.coefficients)
+    M = sparse.csr_matrix(counts)
     n, d = M.shape
     eye = sparse.identity(n, format="csr")
     a_ub = sparse.vstack(
         [sparse.hstack([M, -eye]), sparse.hstack([-M, -eye])], format="csr"
     )
-    b_ub = np.concatenate([program.targets, -program.targets])
-    objective = np.concatenate([np.zeros(d), np.ones(n)])
+    b_ub = np.concatenate([targets, -targets])
+    objective = np.concatenate([np.zeros(d), weights])
     result = linprog(
         objective,
         A_ub=a_ub,
@@ -194,7 +204,76 @@ def solve_l1(program: L1Program) -> tuple[np.ndarray, float]:
         raise RuntimeError(
             f"LP solve failed with status {result.status}: {result.message}"
         )
-    return result.x[:d], float(result.fun)
+    # HiGHS reports d(optimum)/d(b_ub) <= 0 for each lifted row; a residual
+    # row's multiplier is its upper row's minus its lower row's
+    marginals = result.ineqlin.marginals
+    return result.x[:d], float(result.fun), marginals[:n] - marginals[n:]
+
+
+def solve_l1(program: L1Program) -> tuple[np.ndarray, float]:
+    """Minimize ``sum |targets - coefficients @ alpha|`` over alpha.
+
+    Solves the program as given, one unit-weight row per subset; the
+    certificate functions use the orbit programs instead and keep this
+    full-powerset route as their test oracle.  Returns the minimizer and
+    the optimum.
+    """
+    alpha, value, _ = _solve_weighted_l1(
+        program.coefficients, program.targets, np.ones(program.targets.size)
+    )
+    return alpha, value
+
+
+def _monomial_orbits(d: int):
+    """Deletion program of the d-variable monomial on subset sizes k:
+    weight C(d,k), count k, target 1[k > 0]."""
+    sizes = range(d + 1)
+    return ([[k] for k in sizes], [int(k > 0) for k in sizes],
+            [comb(d, k) for k in sizes])
+
+
+def _binomial_orbits(m: int):
+    """Insertion program of the equal-thirds binomial with parts of size m
+    on the triples (k1, k2, k3) of a subset's part sizes: weight
+    C(m,k1) C(m,k2) C(m,k3), counts (k1, k2, k3), target
+    1[k1 = k2 = m] + 1[k2 = k3 = m]."""
+    triples = list(itertools.product(range(m + 1), repeat=3))
+    targets = [int(k1 == k2 == m) + int(k2 == k3 == m) for k1, k2, k3 in triples]
+    weights = [comb(m, k1) * comb(m, k2) * comb(m, k3) for k1, k2, k3 in triples]
+    return [list(t) for t in triples], targets, weights
+
+
+def _certified_optimum(d: int, counts, targets, weights) -> float:
+    """Optimum of an integer orbit program, proven in exact arithmetic.
+
+    The solver's primal ``a`` and row multipliers ``u`` are rationalised;
+    ``u`` must be dual feasible (``|u_r| <= w_r`` and
+    ``sum_r u_r c_r = 0``) with dual objective ``sum_r t_r u_r`` equal to
+    the primal objective ``sum_r w_r |t_r - c_r . a|``.  Spreading each
+    ``u_r`` evenly over its orbit's subsets certifies the full-powerset
+    program as well, so the value is its optimum too.
+    """
+    a, _, u = _solve_weighted_l1(
+        np.array(counts, dtype=np.float64),
+        np.array(targets, dtype=np.float64),
+        np.array(weights, dtype=np.float64),
+    )
+    a = [Fraction(v).limit_denominator() for v in a]
+    u = [Fraction(v).limit_denominator() for v in u]
+    primal = sum(
+        w * abs(t - sum(c * v for c, v in zip(row, a)))
+        for row, t, w in zip(counts, targets, weights)
+    )
+    dual = sum(t * y for t, y in zip(targets, u))
+    feasible = all(abs(y) <= w for y, w in zip(u, weights)) and all(
+        sum(y * c for y, c in zip(u, column)) == 0 for column in zip(*counts)
+    )
+    if not feasible or primal != dual:
+        raise RuntimeError(
+            f"no exact primal/dual certificate at d={d}: primal {primal}, "
+            f"dual {dual}, dual feasible {feasible}"
+        )
+    return float(primal)
 
 
 def monomial_scan_minimum(d: int) -> float:
@@ -204,42 +283,63 @@ def monomial_scan_minimum(d: int) -> float:
     The objective is convex and permutation-symmetric, so a uniform
     attribution ``alpha = a * ones`` attains the optimum; the reduced
     objective ``sum_k C(d,k) |1 - k a|`` is piecewise linear in ``a`` with
-    kinks at ``a = 1/k``, so scanning the kinks (plus 0) is exact.
+    kinks at ``a = 1/k``, so scanning the kinks (plus 0) is exact.  The
+    scan runs in rational arithmetic and returns the correctly rounded
+    float.
     """
     if not 1 <= d <= SCAN_DIMENSION_LIMIT:
         raise ValueError(f"scan supports 1 <= d <= {SCAN_DIMENSION_LIMIT}, got {d}")
-    candidates = [0.0] + [1.0 / k for k in range(1, d + 1)]
-    return min(
-        sum(comb(d, k) * abs(1.0 - k * a) for k in range(1, d + 1))
+    candidates = [Fraction(0)] + [Fraction(1, k) for k in range(1, d + 1)]
+    return float(min(
+        sum(comb(d, k) * abs(1 - k * a) for k in range(1, d + 1))
         for a in candidates
-    )
+    ))
 
 
 def min_deletion_error_monomial(d: int) -> float:
     """Least total powerset deletion error for the d-variable monomial.
 
-    Solves the LP for d up to the program cap and cross-checks it against
-    the exact scan; beyond the cap (up to the scan limit) the scan value is
-    returned directly.
+    Certified on the d + 1 subset-size orbits and cross-checked against
+    the exact scan, for 2 <= d <= ``SCAN_DIMENSION_LIMIT``.
     """
     if d < 2:
         raise ValueError("monomial certificates start at d=2")
     scan = monomial_scan_minimum(d)
-    if d <= LP_DIMENSION_LIMIT:
-        _, value = solve_l1(build_program(PolynomialSpec.monomial(d), "deletion"))
-        if abs(value - scan) > SCAN_AGREEMENT_RTOL * max(1.0, scan):
-            raise RuntimeError(
-                f"LP optimum {value} disagrees with the symmetric scan {scan} at d={d}"
-            )
-        return value
-    return scan
+    value = _certified_optimum(d, *_monomial_orbits(d))
+    if abs(value - scan) > SCAN_AGREEMENT_RTOL * max(1.0, scan):
+        raise RuntimeError(
+            f"LP optimum {value} disagrees with the symmetric scan {scan} at d={d}"
+        )
+    return value
 
 
 def min_insertion_error_binomial(d: int) -> float:
-    """Least total powerset insertion error for the equal-thirds binomial."""
+    """Least total powerset insertion error for the equal-thirds binomial,
+    certified on the (d/3 + 1)^3 part-size orbits, for
+    d <= ``LP_DIMENSION_LIMIT``."""
     spec = PolynomialSpec.binomial(d)
-    _, value = solve_l1(build_program(spec, "insertion"))
-    return value
+    if d > LP_DIMENSION_LIMIT:
+        raise ValueError(
+            f"binomial certificates are capped at d={LP_DIMENSION_LIMIT}, got {d}"
+        )
+    return _certified_optimum(d, *_binomial_orbits(spec.d // 3))
+
+
+def _powerset_blocks(d: int):
+    """Boolean membership rows of every subset, in blocks of
+    ``VERIFY_BLOCK_ROWS``."""
+    masks = _powerset_matrix(d)
+    for start in range(0, masks.shape[0], VERIFY_BLOCK_ROWS):
+        yield masks[start:start + VERIFY_BLOCK_ROWS]
+
+
+def _masked_sum(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row sums of ``values`` over each boolean mask row.
+
+    Not a matrix product: BLAS would run the large blocks on worker threads
+    that keep spinning after the call returns.
+    """
+    return np.where(masks, values, 0.0).sum(axis=1)
 
 
 def verify_lemma_monomial_insertion(d: int, x=None) -> float:
@@ -247,13 +347,22 @@ def verify_lemma_monomial_insertion(d: int, x=None) -> float:
 
     At the all-ones input only the full subset errs (by exactly 1); at any
     input with a zero feature every subset has zero model output, so the
-    total is 0.  Evaluated exhaustively.
+    total is 0.  Evaluated exhaustively, with the definition of
+    :func:`sumparts.faithfulness.insertion_error` applied to every subset.
     """
     if not 1 <= d <= SCAN_DIMENSION_LIMIT:
         raise ValueError(f"supported range is 1 <= d <= {SCAN_DIMENSION_LIMIT}, got {d}")
     spec = PolynomialSpec.monomial(d)
     x = np.ones(d) if x is None else np.asarray(x, dtype=np.float64)
-    return total_powerset_error(spec.evaluate, x, np.zeros(d), "insertion")
+    if x.shape != (d,):
+        raise ValueError(f"input must have length {d}, got shape {x.shape}")
+    alpha = np.zeros(d)
+    baseline = spec.evaluate(np.zeros(d))
+    total = 0.0
+    for masks in _powerset_blocks(d):
+        inserted = spec.evaluate(np.where(masks, x, 0.0))
+        total += float(np.abs(inserted - baseline - _masked_sum(masks, alpha)).sum())
+    return total
 
 
 def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
@@ -261,7 +370,9 @@ def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
 
     For a monomial the single group (all features, score 1) and for a
     binomial the two groups (each product's support, score 1 each) are
-    evaluated against every subset of the powerset at the all-ones input.
+    evaluated against every subset of the powerset at the all-ones input,
+    with the definitions of :func:`sumparts.faithfulness.grouped_deletion_error`
+    and :func:`sumparts.faithfulness.grouped_insertion_error`.
     Returns ``(max grouped deletion error, max grouped insertion error)``,
     both expected to be exactly 0.
     """
@@ -270,24 +381,31 @@ def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
             f"grouped verification is capped at d={GROUPED_DIMENSION_LIMIT}, got {spec.d}"
         )
     if spec.kind == "monomial":
-        groups = np.ones((1, spec.d))
-        scores = np.ones(1)
+        supports = np.ones((1, spec.d), dtype=bool)
     else:
         s1, s2, s3 = spec.partition
-        groups = np.zeros((2, spec.d))
-        groups[0, list(s1 + s2)] = 1.0
-        groups[1, list(s2 + s3)] = 1.0
-        scores = np.ones(2)
+        supports = np.zeros((2, spec.d), dtype=bool)
+        supports[0, list(s1 + s2)] = True
+        supports[1, list(s2 + s3)] = True
+    scores = np.ones(supports.shape[0])
     x = np.ones(spec.d)
+    full = spec.evaluate(x)
+    baseline = spec.evaluate(np.zeros(spec.d))
     max_del = 0.0
     max_ins = 0.0
-    for bits in range(1 << spec.d):
-        subset = [i for i in range(spec.d) if bits >> i & 1]
+    for masks in _powerset_blocks(spec.d):
+        # boolean products: a group is hit when its support meets the
+        # deleted subset, covered when no member lies outside the inserted one
+        hit = masks @ supports.T
+        covered = ~(~masks @ supports.T)
+        deleted = spec.evaluate(np.where(masks, 0.0, x))
+        inserted = spec.evaluate(np.where(masks, x, 0.0))
         max_del = max(
-            max_del, grouped_deletion_error(spec.evaluate, x, groups, scores, subset)
+            max_del, float(np.abs(full - deleted - _masked_sum(hit, scores)).max())
         )
         max_ins = max(
-            max_ins, grouped_insertion_error(spec.evaluate, x, groups, scores, subset)
+            max_ins,
+            float(np.abs(inserted - baseline - _masked_sum(covered, scores)).max()),
         )
     return max_del, max_ins
 

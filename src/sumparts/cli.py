@@ -5,17 +5,14 @@ Every command reads a strict JSON config (unknown keys rejected), takes
 config fields.  Artifacts are written atomically with sorted keys and
 fixed float formatting, so a rerun of the same config is byte-identical.
 Exit code 0 means every internal tolerance gate passed; diagnostics go to
-stderr.  The certificate solves respect ``SOP_THREADS`` as a cap on
-worker threads for the per-dimension runs.
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -103,23 +100,6 @@ def _load_config(command: str, path: str, overrides: dict) -> dict:
     return config
 
 
-def _worker_cap() -> int:
-    raw = os.environ.get("SOP_THREADS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SOP_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, cap)
-
-
-def _solve_per_dimension(solver, dimensions):
-    with ThreadPoolExecutor(max_workers=min(_worker_cap(), len(dimensions))) as pool:
-        values = list(pool.map(solver, dimensions))
-    return list(zip(dimensions, values))
-
-
 def cmd_certify(config: dict, out_dir: Path) -> int:
     family = config.get("family")
     gates: dict[str, bool] = {}
@@ -129,7 +109,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         d_min = int(config.get("d_min", 2))
         d_max = int(config.get("d_max", 14))
         dims = list(range(d_min, d_max + 1))
-        points = _solve_per_dimension(certificates.min_deletion_error_monomial, dims)
+        points = [(d, certificates.min_deletion_error_monomial(d)) for d in dims]
         fit = certificates.fit_exponential(points, with_offset=False)
         result["points"] = [[d, v] for d, v in points]
         result["fit"] = {
@@ -153,7 +133,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         )
     elif family == "binomial":
         dims = [int(d) for d in config.get("dimensions", [3, 6, 9, 12, 15])]
-        points = _solve_per_dimension(certificates.min_insertion_error_binomial, dims)
+        points = [(d, certificates.min_insertion_error_binomial(d)) for d in dims]
         fit = certificates.fit_exponential(points, with_offset=True)
         result["points"] = [[d, v] for d, v in points]
         result["fit"] = {

@@ -1,11 +1,16 @@
 """Certificate programs and solver against independent scan oracles and
-frozen two-route values."""
+frozen two-route values; the orbit route against the full-powerset LP, and
+the vectorised verifications against per-subset oracles."""
 
+import math
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sumparts import certificates
 from sumparts.certificates import (
     ExponentialFit,
     L1Program,
@@ -18,6 +23,11 @@ from sumparts.certificates import (
     solve_l1,
     verify_corollary_grouped,
     verify_lemma_monomial_insertion,
+)
+from sumparts.faithfulness import (
+    grouped_deletion_error,
+    grouped_insertion_error,
+    total_powerset_error,
 )
 
 # minima confirmed by two independent routes (LP optimum and symmetric scan)
@@ -40,6 +50,41 @@ def binomial_symmetric_scan(d, grid=np.arange(-0.5, 1.5, 0.002)):
     return float(total.min())
 
 
+def lemma_oracle(d, x=None):
+    """Per-subset reference for the lemma: the zero attribution's total
+    insertion error, one faithfulness call per subset."""
+    spec = PolynomialSpec.monomial(d)
+    x = np.ones(d) if x is None else np.asarray(x, dtype=np.float64)
+    return total_powerset_error(spec.evaluate, x, np.zeros(d), "insertion")
+
+
+def corollary_oracle(spec):
+    """Per-subset reference for the corollary: grouped error maxima of the
+    zero-error constructions at the all-ones input, one faithfulness call
+    per subset and direction."""
+    if spec.kind == "monomial":
+        groups = np.ones((1, spec.d))
+        scores = np.ones(1)
+    else:
+        s1, s2, s3 = spec.partition
+        groups = np.zeros((2, spec.d))
+        groups[0, list(s1 + s2)] = 1.0
+        groups[1, list(s2 + s3)] = 1.0
+        scores = np.ones(2)
+    x = np.ones(spec.d)
+    max_del = 0.0
+    max_ins = 0.0
+    for bits in range(1 << spec.d):
+        subset = [i for i in range(spec.d) if bits >> i & 1]
+        max_del = max(
+            max_del, grouped_deletion_error(spec.evaluate, x, groups, scores, subset)
+        )
+        max_ins = max(
+            max_ins, grouped_insertion_error(spec.evaluate, x, groups, scores, subset)
+        )
+    return max_del, max_ins
+
+
 class TestPolynomialSpec:
     def test_monomial_evaluate(self):
         spec = PolynomialSpec.monomial(3)
@@ -51,6 +96,16 @@ class TestPolynomialSpec:
         assert spec.evaluate([1.0, 1.0, 1.0]) == 2.0
         assert spec.evaluate([1.0, 1.0, 0.0]) == 1.0
         assert spec.evaluate([1.0, 0.0, 1.0]) == 0.0
+
+    def test_stack_matches_rows(self):
+        rng = np.random.default_rng(3)
+        for spec in (PolynomialSpec.monomial(4), PolynomialSpec.binomial(6)):
+            stack = rng.normal(size=(5, spec.d))
+            values = spec.evaluate(stack)
+            assert values.shape == (5,)
+            assert values.tolist() == [spec.evaluate(row) for row in stack]
+        with pytest.raises(ValueError):
+            PolynomialSpec.monomial(3).evaluate(np.ones((2, 4)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -160,6 +215,20 @@ class TestMonomialMinimum:
         values = [min_deletion_error_monomial(d) for d in range(2, 11)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_exact_minima(self):
+        # for d = 2..20 the exact minima equal C(d, floor(d/2)) - 1; the
+        # scan runs in exact arithmetic and the orbit LP value is proven by
+        # its dual
+        for d in range(2, 21):
+            expected = float(comb(d, d // 2) - 1)
+            assert monomial_scan_minimum(d) == expected
+            assert min_deletion_error_monomial(d) == expected
+
+    def test_orbit_route_matches_full_powerset_lp(self):
+        for d in range(2, 11):
+            _, full = solve_l1(build_program(PolynomialSpec.monomial(d), "deletion"))
+            assert min_deletion_error_monomial(d) == pytest.approx(full, rel=1e-6)
+
     def test_scan_extends_past_lp_capacity(self):
         assert monomial_scan_minimum(20) > monomial_scan_minimum(15)
 
@@ -180,9 +249,40 @@ class TestBinomialMinimum:
             assert value <= scan + 1e-9
             assert scan - value <= 0.05
 
+    def test_orbit_route_matches_full_powerset_lp(self):
+        for d in (3, 6, 9, 12):
+            _, full = solve_l1(build_program(PolynomialSpec.binomial(d), "insertion"))
+            assert min_insertion_error_binomial(d) == pytest.approx(full, rel=1e-6)
+
     def test_rejects_non_multiples(self):
         with pytest.raises(ValueError):
             min_insertion_error_binomial(4)
+
+    def test_capacity_guard(self):
+        with pytest.raises(ValueError):
+            min_insertion_error_binomial(18)
+
+
+class TestExactCertificate:
+    @pytest.mark.parametrize(
+        "perturb",
+        [lambda alpha, duals: (alpha, -duals),
+         lambda alpha, duals: (alpha + 0.5, duals)],
+        ids=["sign-flipped dual", "shifted primal"],
+    )
+    def test_bad_solver_output_is_rejected(self, monkeypatch, perturb):
+        solve = certificates._solve_weighted_l1
+
+        def perturbed(counts, targets, weights):
+            alpha, value, duals = solve(counts, targets, weights)
+            alpha, duals = perturb(alpha, duals)
+            return alpha, value, duals
+
+        monkeypatch.setattr(certificates, "_solve_weighted_l1", perturbed)
+        with pytest.raises(RuntimeError, match="d=5"):
+            min_deletion_error_monomial(5)
+        with pytest.raises(RuntimeError, match="d=6"):
+            min_insertion_error_binomial(6)
 
 
 class TestLemmaVerification:
@@ -198,6 +298,22 @@ class TestLemmaVerification:
     def test_capacity(self):
         with pytest.raises(ValueError):
             verify_lemma_monomial_insertion(21)
+        with pytest.raises(ValueError):
+            verify_lemma_monomial_insertion(3, np.ones(4))
+
+    def test_matches_per_subset_oracle(self):
+        for d in range(1, 13):
+            assert verify_lemma_monomial_insertion(d) == lemma_oracle(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.just(1.0),
+                              st.floats(-2.0, 2.0, allow_nan=False)),
+                    min_size=1, max_size=8))
+    def test_matches_per_subset_oracle_on_any_input(self, x):
+        assert math.isclose(
+            verify_lemma_monomial_insertion(len(x), x), lemma_oracle(len(x), x),
+            rel_tol=1e-12,
+        )
 
 
 class TestCorollaryVerification:
@@ -214,6 +330,12 @@ class TestCorollaryVerification:
     def test_capacity(self):
         with pytest.raises(ValueError):
             verify_corollary_grouped(PolynomialSpec.monomial(13))
+
+    def test_matches_per_subset_oracle(self):
+        specs = [PolynomialSpec.monomial(d) for d in range(1, 11)]
+        specs += [PolynomialSpec.binomial(d) for d in (3, 6, 9)]
+        for spec in specs:
+            assert verify_corollary_grouped(spec) == corollary_oracle(spec)
 
 
 class TestExponentialFit:

@@ -100,15 +100,6 @@ class TestCertify:
         assert abs(results["fit"]["slope"] - 0.2773) <= 0.002
         assert results["gates"]["slope_within_tolerance"] is False
 
-    def test_worker_cap_env(self, tmp_path, monkeypatch):
-        config = write_config(
-            tmp_path / "c.json", {"family": "monomial", "d_min": 2, "d_max": 4}
-        )
-        monkeypatch.setenv("SOP_THREADS", "2")
-        assert run(["certify", "--config", config, "--out", tmp_path / "out"]) == 0
-        monkeypatch.setenv("SOP_THREADS", "abc")
-        assert run(["certify", "--config", config, "--out", tmp_path / "out2"]) == 2
-
 
 class TestTrain:
     def test_checkpoint_reproducible(self, tmp_path):
