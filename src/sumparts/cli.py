@@ -4,13 +4,19 @@ Every command reads a strict JSON config (unknown keys rejected), takes
 ``--out`` for the artifact directory, and lets flags override scalar
 config fields.  Artifacts are written atomically with sorted keys and
 fixed float formatting, so a rerun of the same config is byte-identical.
-Exit code 0 means every internal tolerance gate passed; diagnostics go to
-stderr.
+Diagnostics go to stderr.  Exit codes:
+
+- 0: the command ran and every internal tolerance gate passed;
+- 1: a gate failed;
+- 2: a config, usage or input error (bad JSON, unknown keys, unreadable or
+  malformed dataset or checkpoint);
+- 3: a numerical failure, such as a training run whose loss diverges.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -100,6 +106,17 @@ def _load_config(command: str, path: str, overrides: dict) -> dict:
     return config
 
 
+def _fit_points(points, with_offset: bool, result: dict, out_dir: Path):
+    """Fit an exponential to certified ``(d, value)`` points, record both in
+    ``result`` and write the points with their fitted values to curves.csv."""
+    fit = certificates.fit_exponential(points, with_offset=with_offset)
+    result["points"] = [[d, v] for d, v in points]
+    result["fit"] = dataclasses.asdict(fit)
+    write_csv_atomic(out_dir / "curves.csv", ["d", "value", "fitted"],
+                     [(d, v, float(fit.predict(d))) for d, v in points])
+    return fit
+
+
 def cmd_certify(config: dict, out_dir: Path) -> int:
     family = config.get("family")
     gates: dict[str, bool] = {}
@@ -110,12 +127,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         d_max = int(config.get("d_max", 14))
         dims = list(range(d_min, d_max + 1))
         points = [(d, certificates.min_deletion_error_monomial(d)) for d in dims]
-        fit = certificates.fit_exponential(points, with_offset=False)
-        result["points"] = [[d, v] for d, v in points]
-        result["fit"] = {
-            "slope": fit.slope, "intercept": fit.intercept,
-            "offset": fit.offset, "relative_abs_error": fit.relative_abs_error,
-        }
+        fit = _fit_points(points, False, result, out_dir)
         # the published slope tolerance is calibrated on the d=2..14 window;
         # narrower runs report the fit without gating on it
         if d_min <= 2 and d_max >= 14:
@@ -127,27 +139,14 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
             gates["anchor_d2"] = abs(anchors[2] - 1.0) <= ANCHOR_TOLERANCE
         if 3 in anchors:
             gates["anchor_d3"] = abs(anchors[3] - 2.0) <= ANCHOR_TOLERANCE
-        write_csv_atomic(
-            out_dir / "curves.csv", ["d", "value", "fitted"],
-            [(d, v, float(fit.predict(d))) for d, v in points],
-        )
     elif family == "binomial":
         dims = [int(d) for d in config.get("dimensions", [3, 6, 9, 12, 15])]
         points = [(d, certificates.min_insertion_error_binomial(d)) for d in dims]
-        fit = certificates.fit_exponential(points, with_offset=True)
-        result["points"] = [[d, v] for d, v in points]
-        result["fit"] = {
-            "slope": fit.slope, "intercept": fit.intercept,
-            "offset": fit.offset, "relative_abs_error": fit.relative_abs_error,
-        }
+        fit = _fit_points(points, True, result, out_dir)
         if {3, 6, 9, 12, 15} <= set(dims):
             gates["slope_within_tolerance"] = (
                 abs(fit.slope - BINOMIAL_SLOPE) <= SLOPE_TOLERANCE
             )
-        write_csv_atomic(
-            out_dir / "curves.csv", ["d", "value", "fitted"],
-            [(d, v, float(fit.predict(d))) for d, v in points],
-        )
     elif family == "lemma":
         dims = [int(d) for d in config.get("dimensions", range(1, 17))]
         points = [(d, certificates.verify_lemma_monomial_insertion(d)) for d in dims]
@@ -233,34 +232,69 @@ def _checkpoint_dict(seg, gen, sel, backbone, config):
     }
 
 
+def _checkpoint_field(ckpt, path, key):
+    """The value at a dotted checkpoint key, or a ConfigError naming the key."""
+    value = ckpt
+    for part in key.split("."):
+        if not isinstance(value, dict) or part not in value:
+            raise ConfigError(f"checkpoint {path}: missing field {key!r}")
+        value = value[part]
+    return value
+
+
 def _restore_checkpoint(path):
     try:
         with open(path) as fh:
             ckpt = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-    d = ckpt["d"]
-    h = ckpt["h"]
-    m = ckpt["n_segments"]
-    k = ckpt["n_classes"]
-    seg = Segmentation(
-        assignment=np.array(ckpt["segment_assignment"], dtype=np.int64),
-        n_segments=m,
-    )
-    gen = GroupGenParams(
-        w_q=np.array(ckpt["w_q"], dtype=np.float64).reshape(ckpt["heads"], m, m),
-        w_k=np.array(ckpt["w_k"], dtype=np.float64).reshape(ckpt["heads"], m, m),
-    )
-    sel = GroupSelectParams(
-        w_q=np.array(ckpt["sel_w_q"], dtype=np.float64).reshape(h, h),
-        w_k=np.array(ckpt["sel_w_k"], dtype=np.float64).reshape(h, h),
-        classifier=np.array(ckpt["classifier"], dtype=np.float64).reshape(k, h),
-    )
-    if ckpt["backbone"]["kind"] != "identity":
-        raise ConfigError(f"unsupported backbone kind {ckpt['backbone']['kind']!r}")
-    backbone = identity_backbone(
-        np.array(ckpt["backbone"]["classifier"], dtype=np.float64).reshape(k, d)
-    )
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+
+    sizes = {}
+    for key in ("d", "h", "n_segments", "n_classes", "heads"):
+        value = _checkpoint_field(ckpt, path, key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(
+                f"checkpoint {path}: field {key!r} must be a positive integer, "
+                f"got {value!r}"
+            )
+        sizes[key] = value
+
+    def array(key, dims, dtype=np.float64):
+        shape = tuple(sizes[dim] for dim in dims)
+        try:
+            value = np.array(_checkpoint_field(ckpt, path, key), dtype=dtype)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"checkpoint {path}: field {key!r} is not a numeric array: {exc}"
+            ) from exc
+        if value.size != int(np.prod(shape)):
+            raise ConfigError(
+                f"checkpoint {path}: field {key!r} has {value.size} entries, expected "
+                f"{int(np.prod(shape))} for shape ({', '.join(dims)}) = {shape}"
+            )
+        return value.reshape(shape)
+
+    kind = _checkpoint_field(ckpt, path, "backbone.kind")
+    if kind != "identity":
+        raise ConfigError(f"checkpoint {path}: unsupported backbone kind {kind!r}")
+    if sizes["h"] != sizes["d"]:
+        raise ConfigError(f"checkpoint {path}: an identity backbone needs h == d, "
+                          f"got h={sizes['h']} and d={sizes['d']}")
+    assignment = array("segment_assignment", ("d",), np.int64)
+    gen_shape = ("heads", "n_segments", "n_segments")
+    w_q, w_k = array("w_q", gen_shape), array("w_k", gen_shape)
+    sel_w_q, sel_w_k = array("sel_w_q", ("h", "h")), array("sel_w_k", ("h", "h"))
+    classifier = array("classifier", ("n_classes", "h"))
+    backbone_classifier = array("backbone.classifier", ("n_classes", "d"))
+    try:
+        seg = Segmentation(assignment=assignment, n_segments=sizes["n_segments"])
+        gen = GroupGenParams(w_q=w_q, w_k=w_k)
+        sel = GroupSelectParams(w_q=sel_w_q, w_k=sel_w_k, classifier=classifier)
+        backbone = identity_backbone(backbone_classifier)
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from exc
     return seg, gen, sel, backbone
 
 
@@ -309,10 +343,11 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
     step = int(config.get("step", 1))
     classes = [int(c) for c in config.get("classes", [0])]
 
+    def probabilities(v):
+        return softmax(sop_forward(v, seg, gen, sel, backbone).prediction)
+
     def class_probability(k):
-        def prob(x):
-            return float(softmax(sop_forward(x, seg, gen, sel, backbone).prediction)[k])
-        return prob
+        return lambda v: float(probabilities(v)[k])
 
     report: dict = {"metadata": {
         "checkpoint": str(config["checkpoint"]),
@@ -364,16 +399,13 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
                 )
             if "comprehensiveness" in metrics or "sufficiency" in metrics:
                 rationale = (alpha > 0).astype(np.float64)
-                full_prob = lambda v: softmax(  # noqa: E731
-                    sop_forward(v, seg, gen, sel, backbone).prediction
-                )
                 if "comprehensiveness" in metrics:
                     aggregates["comprehensiveness"].append(
-                        faithfulness.comprehensiveness(full_prob, x, rationale, k)
+                        faithfulness.comprehensiveness(probabilities, x, rationale, k)
                     )
                 if "sufficiency" in metrics:
                     aggregates["sufficiency"].append(
-                        faithfulness.sufficiency(full_prob, x, rationale, k)
+                        faithfulness.sufficiency(probabilities, x, rationale, k)
                     )
 
     for name, values in aggregates.items():
@@ -459,6 +491,9 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out_dir)
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ops import attention_weights, sparsemax
+from .ops import sparsemax
 
 __all__ = [
     "Backbone",
@@ -276,6 +276,49 @@ def segment_pool(x: np.ndarray, seg: Segmentation) -> np.ndarray:
     return sums / counts
 
 
+def _generate(x, seg: Segmentation, params: GroupGenParams) -> dict:
+    """Generator intermediates, from the pooled input to the group masks."""
+    if params.n_segments != seg.n_segments:
+        raise ValueError(
+            f"params cover {params.n_segments} segments, segmentation has {seg.n_segments}"
+        )
+    pooled = segment_pool(x, seg)
+    queries = params.w_q * pooled                       # (heads, m, m)
+    keys = params.w_k * pooled
+    raw = queries @ np.swapaxes(keys, 1, 2) / np.sqrt(seg.n_segments)
+    seg_weights = sparsemax(raw).reshape(-1, seg.n_segments)   # (G, m)
+    return {"pooled": pooled, "queries": queries, "keys": keys, "raw": raw,
+            "seg_weights": seg_weights, "masks": seg_weights[:, seg.assignment]}
+
+
+def _select(z, params: GroupSelectParams) -> dict:
+    """Selector intermediates, from the group embeddings to the partial logits."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if z.shape[0] < 1:
+        raise ValueError("need at least one group embedding")
+    if z.shape[1] != params.h:
+        raise ValueError(f"embeddings have width {z.shape[1]}, expected {params.h}")
+    queries = params.classifier @ params.w_q.T          # (K, h)
+    keys = z @ params.w_k.T                             # (G, h)
+    affinities = keys @ queries.T / np.sqrt(params.h)   # (G, K)
+    return {"sel_queries": queries, "sel_keys": keys, "affinities": affinities,
+            "scores": sparsemax(affinities.T).T,
+            "partial_logits": z @ params.classifier.T}
+
+
+def _forward(x, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectParams,
+             backbone: Backbone) -> dict:
+    """The one forward pass: every intermediate that the backward pass reads,
+    keyed by name, ending with ``prediction``."""
+    x = np.asarray(x, dtype=np.float64)
+    cache = _generate(x, seg, gen)
+    cache["masked"] = cache["masks"] * x
+    cache["z"] = embed_groups(x, cache["masks"], backbone)
+    cache.update(_select(cache["z"], sel))
+    cache["prediction"] = (cache["scores"] * cache["partial_logits"]).sum(axis=0)
+    return cache
+
+
 def generate_groups(x, seg: Segmentation, params: GroupGenParams) -> np.ndarray:
     """Build sparse group masks from per-head attention over segments.
 
@@ -285,19 +328,7 @@ def generate_groups(x, seg: Segmentation, params: GroupGenParams) -> np.ndarray:
     ``n_segments * heads`` rows becomes one mask, with the segment weight
     broadcast to all features of that segment.
     """
-    if params.n_segments != seg.n_segments:
-        raise ValueError(
-            f"params cover {params.n_segments} segments, segmentation has {seg.n_segments}"
-        )
-    pooled = segment_pool(x, seg)
-    scale = float(np.sqrt(seg.n_segments))
-    rows = []
-    for head in range(params.heads):
-        queries = params.w_q[head] * pooled[None, :]
-        keys = params.w_k[head] * pooled[None, :]
-        rows.append(attention_weights(queries, keys, scale, "sparsemax"))
-    segment_weights = np.vstack(rows)
-    return segment_weights[:, seg.assignment]
+    return _generate(x, seg, params)["masks"]
 
 
 def embed_groups(x, masks, backbone: Backbone) -> np.ndarray:
@@ -326,19 +357,8 @@ def select_groups(z, params: GroupSelectParams) -> tuple[np.ndarray, np.ndarray]
     ``C_k . z_i``.  Returns ``(scores, partial_logits)``, both
     (G, n_classes).
     """
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.shape[0] < 1:
-        raise ValueError("need at least one group embedding")
-    if z.shape[1] != params.h:
-        raise ValueError(f"embeddings have width {z.shape[1]}, expected {params.h}")
-    queries = params.classifier @ params.w_q.T
-    keys = z @ params.w_k.T
-    affinities = keys @ queries.T / np.sqrt(params.h)
-    scores = np.column_stack(
-        [sparsemax(affinities[:, k]) for k in range(params.n_classes)]
-    )
-    partial_logits = z @ params.classifier.T
-    return scores, partial_logits
+    cache = _select(z, params)
+    return cache["scores"], cache["partial_logits"]
 
 
 def sop_forward(x, seg: Segmentation, gen_params: GroupGenParams,
@@ -348,13 +368,7 @@ def sop_forward(x, seg: Segmentation, gen_params: GroupGenParams,
     The returned attribution's prediction is exactly
     ``(scores * partial_logits).sum(axis=0)``.
     """
-    groups = generate_groups(x, seg, gen_params)
-    z = embed_groups(x, groups, backbone)
-    scores, partial_logits = select_groups(z, sel_params)
-    prediction = (scores * partial_logits).sum(axis=0)
-    return GroupedAttribution(
-        groups=groups,
-        scores=scores,
-        partial_logits=partial_logits,
-        prediction=prediction,
-    )
+    cache = _forward(x, seg, gen_params, sel_params, backbone)
+    return GroupedAttribution(groups=cache["masks"], scores=cache["scores"],
+                              partial_logits=cache["partial_logits"],
+                              prediction=cache["prediction"])

@@ -1,9 +1,11 @@
 """Dense numeric primitives: sparsemax, softmax, attention weights, and a
-finite-difference gradient oracle.
+central-difference gradient.
 
-All functions are pure and operate on float64 numpy arrays.  Inputs are
-validated at the boundary (shape, finiteness) and raise ``ValueError`` on
-contract violations.
+All functions are pure and operate on float64 numpy arrays.  ``sparsemax``,
+``sparsemax_vjp`` and ``softmax`` act on every row along the last axis of
+an array of one or more dimensions, so one call covers a whole stack of
+rows.  Inputs are validated at the boundary (shape, finiteness) and raise
+``ValueError`` on contract violations.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ __all__ = [
 ]
 
 
-def _as_vector(v, name: str) -> np.ndarray:
+def _as_rows(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {v.shape}")
-    if v.size == 0:
+    if v.ndim < 1:
+        raise ValueError(f"{name} must have at least one axis, got a scalar")
+    if v.shape[-1] == 0:
         raise ValueError(f"{name} must be non-empty")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -33,32 +35,33 @@ def _as_vector(v, name: str) -> np.ndarray:
 
 
 def sparsemax(v) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the probability simplex.
+    """Euclidean projection of each last-axis row of ``v`` onto the
+    probability simplex.
 
     Uses the O(n log n) sort-and-threshold algorithm: with ``u`` the entries
-    of ``v`` sorted descending, the support size is the largest ``k`` with
+    of a row sorted descending, the support size is the largest ``k`` with
     ``u_k > (sum(u_1..u_k) - 1) / k``, the threshold ``tau`` is
     ``(sum over the support - 1) / k``, and the output is
     ``max(v - tau, 0)``.  Unlike softmax, entries outside the support are
     exactly zero.
 
-    Returns a vector of the same length with entries in [0, 1] summing to 1.
+    Returns an array of the same shape whose rows have entries in [0, 1]
+    summing to 1.
     """
-    v = _as_vector(v, "v")
-    if v.size == 1:
-        return np.ones(1)
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    support = u - cssv / ind > 0
-    k = int(np.count_nonzero(support))
-    tau = cssv[k - 1] / k
-    out = np.clip(v - tau, 0.0, 1.0)
-    return out
+    v = _as_rows(v, "v")
+    if v.shape[-1] == 1:
+        return np.ones_like(v)
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    cssv = np.cumsum(u, axis=-1) - 1.0
+    ind = np.arange(1, v.shape[-1] + 1)
+    k = np.count_nonzero(u - cssv / ind > 0, axis=-1)[..., None]
+    tau = np.take_along_axis(cssv, k - 1, axis=-1) / k
+    return np.clip(v - tau, 0.0, 1.0)
 
 
 def sparsemax_vjp(v, upstream) -> np.ndarray:
-    """Apply the transposed sparsemax Jacobian at ``v`` to ``upstream``.
+    """Apply the transposed sparsemax Jacobian at each last-axis row of ``v``
+    to the matching row of ``upstream``.
 
     On the support set Q of ``sparsemax(v)`` the Jacobian is
     ``I_Q - (1/|Q|) 11^T`` and zero elsewhere, so the product subtracts the
@@ -67,28 +70,28 @@ def sparsemax_vjp(v, upstream) -> np.ndarray:
     differentiable; the Jacobian of the current support (a valid generalized
     Jacobian) is used.
     """
-    v = _as_vector(v, "v")
+    v = _as_rows(v, "v")
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != v.shape:
         raise ValueError(
             f"upstream shape {upstream.shape} does not match v shape {v.shape}"
         )
     support = sparsemax(v) > 0
-    out = np.zeros_like(v)
-    masked = upstream[support]
-    out[support] = masked - masked.mean()
-    return out
+    masked = np.where(support, upstream, 0.0)
+    mean = masked.sum(axis=-1, keepdims=True) / support.sum(axis=-1, keepdims=True)
+    return np.where(support, upstream - mean, 0.0)
 
 
 def softmax(v) -> np.ndarray:
-    """Numerically stable softmax (max-shifted before exponentiation).
+    """Numerically stable softmax of each last-axis row (max-shifted before
+    exponentiation).
 
-    Output entries are strictly positive and sum to 1; the result is
-    invariant to adding a constant to every entry.
+    Output entries are strictly positive and each row sums to 1; the result
+    is invariant to adding a constant to every entry of a row.
     """
-    v = _as_vector(v, "v")
-    shifted = np.exp(v - v.max())
-    return shifted / shifted.sum()
+    v = _as_rows(v, "v")
+    shifted = np.exp(v - v.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 _ROW_MODES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -115,15 +118,14 @@ def attention_weights(queries, keys, scale: float, mode: str) -> np.ndarray:
         raise ValueError(f"scale must be a positive real, got {scale}")
     if mode not in _ROW_MODES:
         raise ValueError(f"mode must be one of {sorted(_ROW_MODES)}, got {mode!r}")
-    row_fn = _ROW_MODES[mode]
-    scores = queries @ keys.T / scale
-    return np.vstack([row_fn(row) for row in scores])
+    return _ROW_MODES[mode](queries @ keys.T / scale)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function, used as a test oracle.
+    """Central-difference gradient of a scalar function.
 
-    Evaluates ``(f(x + step*e_i) - f(x - step*e_i)) / (2*step)`` per
+    Training uses it for backbones without an ``embed_vjp`` hook, and the
+    tests use it as a gradient oracle.  Evaluates ``(f(x + step*e_i) - f(x - step*e_i)) / (2*step)`` per
     coordinate.  Raises if ``f`` returns a non-finite value at any probe.
     """
     x = np.array(x, dtype=np.float64)  # private copy; probed in place below

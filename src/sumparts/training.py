@@ -2,10 +2,12 @@
 
 The backbone stays frozen; only the generator query/key weights, the
 selector query/key projections, and the value weights (initialized from
-the backbone classifier) are updated.  Gradients are derived by hand and
-flow through both sparsemax blocks via their exact generalized Jacobians.
-The backbone contributes through its ``embed_vjp`` hook when present,
-otherwise through central finite differences on ``embed``.
+the backbone classifier) are updated.  The forward pass is the model's
+own, so the loss is computed on the arithmetic path that ``sop_forward``
+explains.  Gradients are derived by hand and flow through both sparsemax
+blocks via their exact generalized Jacobians.  The backbone contributes
+through its ``embed_vjp`` hook when present, otherwise through central
+finite differences on ``embed``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from .model import (
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
-    segment_pool,
+    _forward,
+    sop_forward,
 )
-from .ops import softmax, sparsemax, sparsemax_vjp
+from .ops import finite_diff_grad, softmax, sparsemax_vjp
 
 __all__ = [
     "TrainConfig",
@@ -33,9 +36,6 @@ __all__ = [
     "pack_params",
     "unpack_params",
 ]
-
-_FD_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -75,93 +75,43 @@ def init_params(seg: Segmentation, backbone: Backbone,
 def _embed_vjp(backbone: Backbone, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     if backbone.embed_vjp is not None:
         return np.asarray(backbone.embed_vjp(x, upstream), dtype=np.float64)
-    grad = np.zeros_like(x)
-    probe = x.copy()
-    for j in range(x.size):
-        orig = probe[j]
-        probe[j] = orig + _FD_STEP
-        hi = upstream @ np.asarray(backbone.embed(probe), dtype=np.float64)
-        probe[j] = orig - _FD_STEP
-        lo = upstream @ np.asarray(backbone.embed(probe), dtype=np.float64)
-        probe[j] = orig
-        grad[j] = (hi - lo) / (2.0 * _FD_STEP)
-    return grad
-
-
-def _forward_one(x, seg, gen, sel, backbone):
-    """Forward pass keeping every intermediate needed by the backward pass."""
-    pooled = segment_pool(x, seg)
-    m = seg.n_segments
-    gen_scale = np.sqrt(m)
-    queries = gen.w_q * pooled[None, None, :]          # (heads, m, m)
-    keys = gen.w_k * pooled[None, None, :]
-    raw = queries @ np.swapaxes(keys, 1, 2) / gen_scale
-    seg_weights = np.vstack(
-        [np.vstack([sparsemax(row) for row in raw[a]]) for a in range(gen.heads)]
-    )                                                   # (G, m)
-    masks = seg_weights[:, seg.assignment]              # (G, d)
-    masked = masks * x[None, :]
-    z = np.vstack([np.asarray(backbone.embed(u), dtype=np.float64) for u in masked])
-    sel_queries = sel.classifier @ sel.w_q.T            # (K, h)
-    sel_keys = z @ sel.w_k.T                            # (G, h)
-    sel_scale = np.sqrt(sel.h)
-    affinities = sel_keys @ sel_queries.T / sel_scale   # (G, K)
-    scores = np.column_stack(
-        [sparsemax(affinities[:, k]) for k in range(sel.n_classes)]
-    )
-    partial_logits = z @ sel.classifier.T               # (G, K)
-    prediction = (scores * partial_logits).sum(axis=0)
-    return {
-        "pooled": pooled, "gen_scale": gen_scale, "queries": queries, "keys": keys,
-        "raw": raw, "seg_weights": seg_weights, "masks": masks, "masked": masked,
-        "z": z, "sel_queries": sel_queries, "sel_keys": sel_keys,
-        "sel_scale": sel_scale, "affinities": affinities, "scores": scores,
-        "partial_logits": partial_logits, "prediction": prediction,
-    }
+    return finite_diff_grad(lambda u: upstream @ backbone.embed(u), x)
 
 
 def _backward_one(x, seg, gen, sel, backbone, cache, d_pred):
-    """Hand-derived gradients of one example's loss w.r.t. all parameters."""
+    """Hand-derived gradients of one example's loss w.r.t. all parameters,
+    from the intermediates of :func:`sumparts.model._forward`."""
     m = seg.n_segments
     z = cache["z"]
-    scores = cache["scores"]
-    partial_logits = cache["partial_logits"]
-    affinities = cache["affinities"]
+    g = z.shape[0]
 
-    d_scores = d_pred[None, :] * partial_logits
-    d_logits = d_pred[None, :] * scores
-    d_aff = np.column_stack(
-        [sparsemax_vjp(affinities[:, k], d_scores[:, k]) for k in range(sel.n_classes)]
-    )
+    d_scores = d_pred * cache["partial_logits"]
+    d_logits = d_pred * cache["scores"]
+    d_aff = sparsemax_vjp(cache["affinities"].T, d_scores.T).T       # (G, K)
 
-    d_sel_keys = d_aff @ cache["sel_queries"] / cache["sel_scale"]   # (G, h)
-    d_sel_queries = d_aff.T @ cache["sel_keys"] / cache["sel_scale"]  # (K, h)
+    sel_scale = np.sqrt(sel.h)
+    d_sel_keys = d_aff @ cache["sel_queries"] / sel_scale            # (G, h)
+    d_sel_queries = d_aff.T @ cache["sel_keys"] / sel_scale          # (K, h)
     d_w_q_sel = d_sel_queries.T @ sel.classifier                      # (h, h)
     d_w_k_sel = d_sel_keys.T @ z                                      # (h, h)
     d_classifier = d_sel_queries @ sel.w_q + d_logits.T @ z           # (K, h)
     d_z = d_sel_keys @ sel.w_k + d_logits @ sel.classifier            # (G, h)
 
     d_masked = np.vstack(
-        [_embed_vjp(backbone, cache["masked"][g], d_z[g]) for g in range(z.shape[0])]
+        [_embed_vjp(backbone, u, upstream) for u, upstream in zip(cache["masked"], d_z)]
     )
-    d_masks = d_masked * x[None, :]
-    d_seg_weights = np.vstack(
-        [np.bincount(seg.assignment, weights=row, minlength=m) for row in d_masks]
-    )
-    d_raw = np.empty_like(cache["raw"])
-    for a in range(gen.heads):
-        for r in range(m):
-            d_raw[a, r] = sparsemax_vjp(
-                cache["raw"][a, r], d_seg_weights[a * m + r]
-            )
-    d_queries = d_raw @ cache["keys"] / cache["gen_scale"]
-    d_keys = np.swapaxes(d_raw, 1, 2) @ cache["queries"] / cache["gen_scale"]
+    d_masks = d_masked * x
+    # per-group sums over each segment's features, group g in bins g*m .. g*m+m-1
+    bins = (np.arange(g)[:, None] * m + seg.assignment).ravel()
+    d_seg_weights = np.bincount(bins, weights=d_masks.ravel(), minlength=g * m)
+    d_raw = sparsemax_vjp(cache["raw"], d_seg_weights.reshape(cache["raw"].shape))
+    gen_scale = np.sqrt(m)
+    d_queries = d_raw @ cache["keys"] / gen_scale
+    d_keys = np.swapaxes(d_raw, 1, 2) @ cache["queries"] / gen_scale
     pooled = cache["pooled"]
-    d_w_q_gen = d_queries * pooled[None, None, :]
-    d_w_k_gen = d_keys * pooled[None, None, :]
 
     return {
-        "gen_w_q": d_w_q_gen, "gen_w_k": d_w_k_gen,
+        "gen_w_q": d_queries * pooled, "gen_w_k": d_keys * pooled,
         "sel_w_q": d_w_q_sel, "sel_w_k": d_w_k_sel,
         "classifier": d_classifier,
     }
@@ -188,7 +138,7 @@ def loss_and_gradients(inputs, labels, seg: Segmentation, gen: GroupGenParams,
         "classifier": np.zeros_like(sel.classifier),
     }
     for x, label in zip(inputs, labels):
-        cache = _forward_one(x, seg, gen, sel, backbone)
+        cache = _forward(x, seg, gen, sel, backbone)
         probs = softmax(cache["prediction"])
         total_loss += -np.log(probs[label])
         d_pred = (probs - np.eye(sel.n_classes)[label]) / n
@@ -231,8 +181,6 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
 def training_accuracy(inputs, labels, seg: Segmentation, gen: GroupGenParams,
                       sel: GroupSelectParams, backbone: Backbone) -> float:
     """Fraction of examples whose argmax prediction matches the label."""
-    from .model import sop_forward
-
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     hits = 0

@@ -1,9 +1,11 @@
 """Shared oracles and fixtures.
 
-The oracles here are deliberately independent of the library's own
-algorithms: the simplex projection is solved by enumerating support sets
-of the underlying quadratic program, and training fixtures are plain
-numpy constructions.
+The projection oracles here are deliberately independent of the
+library's own algorithms: the simplex projection is solved by enumerating
+support sets of the underlying quadratic program, and training fixtures
+are plain numpy constructions.  The row oracles (``sparsemax_row``,
+``sparsemax_vjp_row``, ``softmax_row``) are the library's earlier
+one-vector-at-a-time ops, kept to check the last-axis versions against.
 """
 
 import numpy as np
@@ -62,6 +64,45 @@ def projection_boundary_margin(v):
     k = int(np.count_nonzero(u - cssv / ind > 0))
     tau = cssv[k - 1] / k
     return float(np.abs(v - tau).min())
+
+
+def sparsemax_row(v):
+    """Sparsemax of one 1-D vector by sort and threshold."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 1:
+        return np.ones(1)
+    u = np.sort(v)[::-1]
+    cssv = np.cumsum(u) - 1.0
+    ind = np.arange(1, v.size + 1)
+    k = int(np.count_nonzero(u - cssv / ind > 0))
+    tau = cssv[k - 1] / k
+    return np.clip(v - tau, 0.0, 1.0)
+
+
+def sparsemax_vjp_row(v, upstream):
+    """Sparsemax VJP of one 1-D vector: subtract the support mean on the
+    support, zero elsewhere."""
+    v = np.asarray(v, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    support = sparsemax_row(v) > 0
+    out = np.zeros_like(v)
+    masked = upstream[support]
+    out[support] = masked - masked.mean()
+    return out
+
+
+def softmax_row(v):
+    """Max-shifted softmax of one 1-D vector."""
+    v = np.asarray(v, dtype=np.float64)
+    shifted = np.exp(v - v.max())
+    return shifted / shifted.sum()
+
+
+def per_row(fn, *arrays):
+    """Apply a 1-D row oracle to every last-axis row of same-shaped arrays."""
+    shape = np.shape(arrays[0])
+    rows = [np.asarray(a, dtype=np.float64).reshape(-1, shape[-1]) for a in arrays]
+    return np.array([fn(*row) for row in zip(*rows)]).reshape(shape)
 
 
 def make_blobs(n_per_class=30, d=8, noise=0.5, seed=123):

@@ -157,6 +157,20 @@ class TestTrain:
         assert a["seed"] == 7 and b["seed"] == 8
         assert a["w_q"] != b["w_q"]
 
+    @pytest.mark.filterwarnings(
+        "ignore:overflow", "ignore:invalid value", "ignore:divide by zero"
+    )
+    def test_diverging_run_is_a_numerical_failure(self, tmp_path, capsys):
+        dataset = tmp_path / "blobs.csv"
+        write_blobs_csv(dataset, n_per_class=4, seed=3)
+        config = write_config(
+            tmp_path / "t.json",
+            {"dataset": str(dataset), "steps": 50, "learning_rate": 1e12,
+             "segments": 2, "seed": 4},
+        )
+        assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 3
+        assert capsys.readouterr().err.startswith("error: loss became non-finite")
+
     def test_malformed_dataset_is_reported(self, tmp_path):
         dataset = tmp_path / "bad.csv"
         dataset.write_text("1.0,2.0,0\n3.0,4.0,0.5\n")
@@ -227,6 +241,56 @@ class TestEval:
              "seed": 3},
         )
         assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
+
+
+def _without(ckpt, key):
+    return {k: v for k, v in ckpt.items() if k != key}
+
+
+class TestCheckpointValidation:
+    @pytest.fixture
+    def initial(self, tmp_path):
+        dataset = tmp_path / "blobs.csv"
+        write_blobs_csv(dataset, n_per_class=3)
+        config = write_config(
+            tmp_path / "t.json",
+            {"dataset": str(dataset), "steps": 0, "segments": 2, "seed": 7},
+        )
+        out = tmp_path / "train_out"
+        assert run(["train", "--config", config, "--out", out]) == 0
+        return dataset, json.loads((out / "checkpoint.json").read_text())
+
+    @pytest.mark.parametrize("mutate, expected", [
+        (lambda c: {"d": 2}, ["missing field 'h'"]),
+        (lambda c: _without(c, "w_k"), ["missing field 'w_k'"]),
+        (lambda c: _without(c, "backbone"), ["missing field 'backbone.kind'"]),
+        (lambda c: {**c, "backbone": {"kind": "identity"}},
+         ["missing field 'backbone.classifier'"]),
+        (lambda c: {**c, "heads": 1.5}, ["'heads' must be a positive integer"]),
+        (lambda c: {**c, "w_q": [c["w_q"][0][:-1]] + c["w_q"][1:]},
+         ["'w_q' is not a numeric array"]),
+        (lambda c: {**c, "sel_w_k": c["sel_w_k"][:-1]},
+         ["'sel_w_k' has 63 entries, expected 64", "(h, h)"]),
+        (lambda c: {**c, "segment_assignment": c["segment_assignment"][:-1]},
+         ["'segment_assignment' has 7 entries, expected 8", "(d)"]),
+        (lambda c: {**c, "segment_assignment": [0] * 4 + [5] * 4},
+         ["segment indices"]),
+    ], ids=["only_d", "no_w_k", "no_backbone", "no_backbone_classifier", "float_heads",
+            "ragged_w_q", "short_sel_w_k", "short_assignment", "assignment_range"])
+    def test_bad_checkpoint_names_the_field(self, tmp_path, capsys, initial,
+                                            mutate, expected):
+        dataset, ckpt = initial
+        checkpoint = tmp_path / "bad.json"
+        checkpoint.write_text(json.dumps(mutate(ckpt)))
+        config = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(checkpoint), "dataset": str(dataset), "seed": 3},
+        )
+        assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {checkpoint}")
+        for text in expected:
+            assert text in err
 
 
 class TestLabel:

@@ -1,6 +1,9 @@
-"""Smoke runs of the demos that are the only non-test callers of the
-per-subset ``total_powerset_error`` and the full-powerset
-``build_program``/``solve_l1``."""
+"""Smoke runs of the demos that reach code with no other non-test caller,
+or that drive a whole layer end to end: ``attention_weights`` and
+``sparsemax_vjp`` (demo 01), training and the exact reconstruction
+(demo 02), the per-subset ``total_powerset_error`` (demo 03), the
+full-powerset ``build_program``/``solve_l1`` (demo 04), and structure
+labeling (demo 05)."""
 
 import os
 import subprocess
@@ -12,9 +15,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "script", ["03_faithfulness_metrics.py", "04_error_certificates.py"]
-)
+@pytest.mark.parametrize("script", [
+    "01_sparse_attention.py",
+    "02_grouped_attribution_model.py",
+    "03_faithfulness_metrics.py",
+    "04_error_certificates.py",
+    "05_lensing_structures.py",
+])
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

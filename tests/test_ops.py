@@ -1,8 +1,12 @@
 """Core numeric primitives against independent projection and
-finite-difference oracles."""
+finite-difference oracles, and the last-axis ops against their per-row
+oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from sumparts.ops import (
     attention_weights,
@@ -15,8 +19,27 @@ from sumparts.ops import (
 from conftest import (
     brute_force_simplex_projection,
     grid_simplex_projection,
+    per_row,
     projection_boundary_margin,
+    softmax_row,
+    sparsemax_row,
+    sparsemax_vjp_row,
 )
+
+# 1-D to 3-D arrays whose entries often tie: a few repeated values mixed
+# with arbitrary floats
+_ENTRY = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]),
+                   st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False))
+_ROWS = arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=7),
+               elements=_ENTRY)
+
+
+@st.composite
+def _rows_and_upstream(draw):
+    v = draw(_ROWS)
+    upstream = draw(arrays(np.float64, v.shape,
+                           elements=st.floats(-3.0, 3.0, allow_nan=False)))
+    return v, upstream
 
 
 class TestSparsemax:
@@ -113,6 +136,68 @@ class TestSparsemaxVjp:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sparsemax_vjp([1.0, 2.0], [1.0])
+
+
+class TestLastAxis:
+    @settings(max_examples=150, deadline=None)
+    @given(_ROWS)
+    def test_sparsemax_and_softmax_equal_per_row_oracle(self, v):
+        np.testing.assert_array_equal(sparsemax(v), per_row(sparsemax_row, v))
+        np.testing.assert_array_equal(softmax(v), per_row(softmax_row, v))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_rows_and_upstream())
+    def test_vjp_matches_per_row_oracle(self, case):
+        v, upstream = case
+        # the support mean may be summed in another order than the oracle's
+        scale = max(1.0, float(np.abs(upstream).max()))
+        np.testing.assert_allclose(
+            sparsemax_vjp(v, upstream), per_row(sparsemax_vjp_row, v, upstream),
+            rtol=0.0, atol=1e-12 * scale,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ROWS)
+    def test_rows_on_simplex(self, v):
+        for p in (sparsemax(v), softmax(v)):
+            assert p.shape == v.shape
+            assert p.min() >= 0.0 and p.max() <= 1.0
+            np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ROWS, st.data())
+    def test_row_shift_invariance(self, v, data):
+        shift = data.draw(arrays(np.float64, v.shape[:-1] + (1,),
+                                 elements=st.floats(-10.0, 10.0, allow_nan=False)))
+        np.testing.assert_allclose(sparsemax(v + shift), sparsemax(v), atol=1e-9)
+        np.testing.assert_allclose(softmax(v + shift), softmax(v), atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rows_and_upstream())
+    def test_vjp_matches_finite_differences_off_boundaries(self, case):
+        v, upstream = case
+        rows = v.reshape(-1, v.shape[-1])
+        away = np.array([projection_boundary_margin(r) >= 1e-4 for r in rows])
+        numeric = finite_diff_grad(
+            lambda w: float((sparsemax(w) * upstream).sum()), v, 1e-6
+        ).reshape(rows.shape)
+        analytic = sparsemax_vjp(v, upstream).reshape(rows.shape)
+        np.testing.assert_allclose(analytic[away], numeric[away], atol=1e-5)
+
+    def test_errors_on_stacks(self):
+        for fn in (sparsemax, softmax):
+            with pytest.raises(ValueError, match="non-empty"):
+                fn(np.empty((3, 0)))
+            with pytest.raises(ValueError, match="non-finite"):
+                fn([[1.0, 2.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="non-empty"):
+            sparsemax_vjp(np.empty((2, 0)), np.empty((2, 0)))
+        with pytest.raises(ValueError, match="non-finite"):
+            sparsemax_vjp([[1.0, 2.0], [np.nan, 0.0]], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="does not match"):
+            sparsemax_vjp(np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="scalar"):
+            sparsemax(1.0)
 
 
 class TestSoftmax:

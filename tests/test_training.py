@@ -1,10 +1,19 @@
-"""Training loop: analytic gradients against finite differences,
-determinism, and convergence on the separable blobs fixture."""
+"""Training loop: analytic gradients against finite differences and
+against the earlier per-row forward/backward pass, determinism, and
+convergence on the separable blobs fixture."""
 
 import numpy as np
 import pytest
 
-from sumparts.model import Backbone, GroupGenParams, GroupSelectParams, Segmentation
+from sumparts.model import (
+    Backbone,
+    GroupGenParams,
+    GroupSelectParams,
+    Segmentation,
+    segment_pool,
+    sop_forward,
+)
+from sumparts.ops import softmax
 from sumparts.ops import finite_diff_grad
 from sumparts.training import (
     TrainConfig,
@@ -16,7 +25,12 @@ from sumparts.training import (
     unpack_params,
 )
 
-from conftest import class_mean_identity_backbone, make_blobs
+from conftest import (
+    class_mean_identity_backbone,
+    make_blobs,
+    sparsemax_row,
+    sparsemax_vjp_row,
+)
 
 
 def d4_fixture():
@@ -37,6 +51,139 @@ def d4_fixture():
     inputs = rng.normal(size=(5, 4))
     labels = np.array([0, 1, 0, 1, 1])
     return seg, backbone, weights, gen, sel, inputs, labels
+
+
+def blobs_fixture():
+    """Eight one-feature segments and a wide init, so that both sparsemax
+    blocks see rows of 8 and 16 entries with partial supports."""
+    features, labels = make_blobs(n_per_class=5, seed=9)
+    seg = Segmentation.contiguous(8, 8)
+    backbone = class_mean_identity_backbone(features, labels)
+    config = TrainConfig(steps=0, learning_rate=0.1, seed=3, heads=2, init_std=1.0)
+    gen, sel = init_params(seg, backbone, config)
+    return seg, backbone, gen, sel, features, labels
+
+
+def forward_oracle(x, seg, gen, sel, backbone):
+    """The earlier training forward pass, one sparsemax row at a time."""
+    pooled = segment_pool(x, seg)
+    m = seg.n_segments
+    gen_scale = np.sqrt(m)
+    queries = gen.w_q * pooled[None, None, :]          # (heads, m, m)
+    keys = gen.w_k * pooled[None, None, :]
+    raw = queries @ np.swapaxes(keys, 1, 2) / gen_scale
+    seg_weights = np.vstack(
+        [np.vstack([sparsemax_row(row) for row in raw[a]]) for a in range(gen.heads)]
+    )                                                   # (G, m)
+    masks = seg_weights[:, seg.assignment]              # (G, d)
+    masked = masks * x[None, :]
+    z = np.vstack([np.asarray(backbone.embed(u), dtype=np.float64) for u in masked])
+    sel_queries = sel.classifier @ sel.w_q.T            # (K, h)
+    sel_keys = z @ sel.w_k.T                            # (G, h)
+    sel_scale = np.sqrt(sel.h)
+    affinities = sel_keys @ sel_queries.T / sel_scale   # (G, K)
+    scores = np.column_stack(
+        [sparsemax_row(affinities[:, k]) for k in range(sel.n_classes)]
+    )
+    partial_logits = z @ sel.classifier.T               # (G, K)
+    prediction = (scores * partial_logits).sum(axis=0)
+    return {
+        "pooled": pooled, "gen_scale": gen_scale, "queries": queries, "keys": keys,
+        "raw": raw, "seg_weights": seg_weights, "masks": masks, "masked": masked,
+        "z": z, "sel_queries": sel_queries, "sel_keys": sel_keys,
+        "sel_scale": sel_scale, "affinities": affinities, "scores": scores,
+        "partial_logits": partial_logits, "prediction": prediction,
+    }
+
+
+def backward_oracle(x, seg, gen, sel, backbone, cache, d_pred):
+    """The earlier hand-derived backward pass, one VJP row at a time.
+    Needs a backbone with an ``embed_vjp`` hook."""
+    m = seg.n_segments
+    z = cache["z"]
+    scores = cache["scores"]
+    partial_logits = cache["partial_logits"]
+    affinities = cache["affinities"]
+
+    d_scores = d_pred[None, :] * partial_logits
+    d_logits = d_pred[None, :] * scores
+    d_aff = np.column_stack(
+        [sparsemax_vjp_row(affinities[:, k], d_scores[:, k])
+         for k in range(sel.n_classes)]
+    )
+
+    d_sel_keys = d_aff @ cache["sel_queries"] / cache["sel_scale"]   # (G, h)
+    d_sel_queries = d_aff.T @ cache["sel_keys"] / cache["sel_scale"]  # (K, h)
+    d_w_q_sel = d_sel_queries.T @ sel.classifier                      # (h, h)
+    d_w_k_sel = d_sel_keys.T @ z                                      # (h, h)
+    d_classifier = d_sel_queries @ sel.w_q + d_logits.T @ z           # (K, h)
+    d_z = d_sel_keys @ sel.w_k + d_logits @ sel.classifier            # (G, h)
+
+    d_masked = np.vstack(
+        [backbone.embed_vjp(cache["masked"][g], d_z[g]) for g in range(z.shape[0])]
+    )
+    d_masks = d_masked * x[None, :]
+    d_seg_weights = np.vstack(
+        [np.bincount(seg.assignment, weights=row, minlength=m) for row in d_masks]
+    )
+    d_raw = np.empty_like(cache["raw"])
+    for a in range(gen.heads):
+        for r in range(m):
+            d_raw[a, r] = sparsemax_vjp_row(
+                cache["raw"][a, r], d_seg_weights[a * m + r]
+            )
+    d_queries = d_raw @ cache["keys"] / cache["gen_scale"]
+    d_keys = np.swapaxes(d_raw, 1, 2) @ cache["queries"] / cache["gen_scale"]
+    pooled = cache["pooled"]
+    return {
+        "gen_w_q": d_queries * pooled[None, None, :],
+        "gen_w_k": d_keys * pooled[None, None, :],
+        "sel_w_q": d_w_q_sel, "sel_w_k": d_w_k_sel,
+        "classifier": d_classifier,
+    }
+
+
+def loss_and_gradients_oracle(inputs, labels, seg, gen, sel, backbone):
+    n = inputs.shape[0]
+    total_loss = 0.0
+    grads = None
+    for x, label in zip(inputs, labels):
+        cache = forward_oracle(x, seg, gen, sel, backbone)
+        probs = softmax(cache["prediction"])
+        total_loss += -np.log(probs[label])
+        d_pred = (probs - np.eye(sel.n_classes)[label]) / n
+        g = backward_oracle(x, seg, gen, sel, backbone, cache, d_pred)
+        grads = g if grads is None else {key: grads[key] + g[key] for key in g}
+    return total_loss / n, grads
+
+
+class TestSingleForwardPath:
+    @pytest.mark.parametrize("fixture", ["d4", "blobs"])
+    def test_matches_per_row_oracle(self, fixture):
+        if fixture == "d4":
+            seg, backbone, _, gen, sel, inputs, labels = d4_fixture()
+        else:
+            seg, backbone, gen, sel, inputs, labels = blobs_fixture()
+        loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
+        loss_ref, grads_ref = loss_and_gradients_oracle(
+            inputs, labels, seg, gen, sel, backbone
+        )
+        assert loss == loss_ref
+        for key, ref in grads_ref.items():
+            scale = max(1.0, float(np.abs(ref).max()))
+            np.testing.assert_allclose(grads[key], ref, rtol=0.0, atol=1e-12 * scale)
+        for x in inputs:
+            attribution = sop_forward(x, seg, gen, sel, backbone)
+            cache = forward_oracle(x, seg, gen, sel, backbone)
+            np.testing.assert_array_equal(attribution.groups, cache["masks"])
+            np.testing.assert_array_equal(attribution.scores, cache["scores"])
+            np.testing.assert_array_equal(attribution.prediction, cache["prediction"])
+
+    def test_blobs_fixture_has_partial_supports(self):
+        seg, backbone, gen, sel, inputs, _ = blobs_fixture()
+        cache = forward_oracle(inputs[0], seg, gen, sel, backbone)
+        assert 0 < np.count_nonzero(cache["seg_weights"] == 0.0) < cache["seg_weights"].size
+        assert 0 < np.count_nonzero(cache["scores"] == 0.0) < cache["scores"].size
 
 
 class TestGradients:
