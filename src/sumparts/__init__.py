@@ -12,6 +12,7 @@ from .model import (
     generate_groups,
     identity_backbone,
     linear_backbone,
+    predict,
     select_groups,
     sop_forward,
 )

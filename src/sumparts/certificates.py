@@ -29,6 +29,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .ops import powerset_blocks, powerset_matrix
+
 __all__ = [
     "PolynomialSpec",
     "L1Program",
@@ -47,8 +49,6 @@ LP_DIMENSION_LIMIT = 15
 SCAN_DIMENSION_LIMIT = 20
 GROUPED_DIMENSION_LIMIT = 12
 SCAN_AGREEMENT_RTOL = 1e-6
-# powerset rows verified per vectorised block, which bounds memory at d=20
-VERIFY_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -142,16 +142,6 @@ class L1Program:
         return self.coefficients.shape[1]
 
 
-def _powerset_matrix(d: int) -> np.ndarray:
-    # Binary counting with bit i = feature i keeps programs byte-reproducible.
-    # Filled a column at a time so temporaries stay one column wide.
-    rows = np.arange(1 << d, dtype=np.uint32)
-    members = np.empty((rows.size, d), dtype=bool)
-    for i in range(d):
-        members[:, i] = (rows >> i) & 1
-    return members
-
-
 def build_program(spec: PolynomialSpec, kind: str) -> L1Program:
     """L1 program whose optimum is the least total deletion or insertion
     error any per-feature attribution can achieve on ``spec``.
@@ -168,7 +158,7 @@ def build_program(spec: PolynomialSpec, kind: str) -> L1Program:
         raise ValueError(
             f"powerset programs are capped at d={LP_DIMENSION_LIMIT}, got {spec.d}"
         )
-    members = _powerset_matrix(spec.d)
+    members = powerset_matrix(spec.d)
     if kind == "deletion":
         targets = spec.evaluate(np.ones(spec.d)) - spec.evaluate(~members)
     else:
@@ -325,14 +315,6 @@ def min_insertion_error_binomial(d: int) -> float:
     return _certified_optimum(d, *_binomial_orbits(spec.d // 3))
 
 
-def _powerset_blocks(d: int):
-    """Boolean membership rows of every subset, in blocks of
-    ``VERIFY_BLOCK_ROWS``."""
-    masks = _powerset_matrix(d)
-    for start in range(0, masks.shape[0], VERIFY_BLOCK_ROWS):
-        yield masks[start:start + VERIFY_BLOCK_ROWS]
-
-
 def _masked_sum(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Row sums of ``values`` over each boolean mask row.
 
@@ -359,7 +341,7 @@ def verify_lemma_monomial_insertion(d: int, x=None) -> float:
     alpha = np.zeros(d)
     baseline = spec.evaluate(np.zeros(d))
     total = 0.0
-    for masks in _powerset_blocks(d):
+    for masks in powerset_blocks(d):
         inserted = spec.evaluate(np.where(masks, x, 0.0))
         total += float(np.abs(inserted - baseline - _masked_sum(masks, alpha)).sum())
     return total
@@ -393,7 +375,7 @@ def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
     baseline = spec.evaluate(np.zeros(spec.d))
     max_del = 0.0
     max_ins = 0.0
-    for masks in _powerset_blocks(spec.d):
+    for masks in powerset_blocks(spec.d):
         # boolean products: a group is hit when its support meets the
         # deleted subset, covered when no member lies outside the inserted one
         hit = masks @ supports.T

@@ -29,6 +29,7 @@ from .model import (
     GroupSelectParams,
     Segmentation,
     identity_backbone,
+    predict,
     sop_forward,
 )
 from .ops import softmax
@@ -70,6 +71,7 @@ REPORT_SCHEMA = {
     },
     "additionalProperties": False,
 }
+EVAL_METRICS = tuple(name for name in REPORT_SCHEMA["properties"] if name != "metadata")
 
 _CONFIG_KEYS = {
     "certify": {"seed", "family", "d_min", "d_max", "dimensions", "kind"},
@@ -340,14 +342,17 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
         ["accuracy", "insertion", "deletion", "grouped_insertion",
          "grouped_deletion", "sparsity"],
     )
+    unknown = [m for m in metrics if m not in EVAL_METRICS]
+    if unknown:
+        raise ConfigError(f"unknown eval metrics {unknown}; known: {list(EVAL_METRICS)}")
     step = int(config.get("step", 1))
     classes = [int(c) for c in config.get("classes", [0])]
-
-    def probabilities(v):
-        return softmax(sop_forward(v, seg, gen, sel, backbone).prediction)
-
-    def class_probability(k):
-        return lambda v: float(probabilities(v)[k])
+    for k in classes:
+        if not 0 <= k < sel.n_classes:
+            raise ConfigError(
+                f"eval class index {k} is out of range for a checkpoint with "
+                f"{sel.n_classes} classes"
+            )
 
     report: dict = {"metadata": {
         "checkpoint": str(config["checkpoint"]),
@@ -365,48 +370,47 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
     for index, x in enumerate(features):
         attribution = sop_forward(x, seg, gen, sel, backbone)
         for k in classes:
-            prob = class_probability(k)
-            alpha = faithfulness.flatten_grouped(
-                attribution.groups, attribution.scores[:, k]
-            )
+            groups, scores = attribution.groups, attribution.scores[:, k]
+            alpha = faithfulness.flatten_grouped(groups, scores)
             ranking = faithfulness.ranking_from_attribution(alpha)
-            per_curve = {}
+            # every probe of this (example, class) is one row of one keep matrix
+            curves = {}
             if "insertion" in metrics:
-                per_curve["insertion"] = faithfulness.insertion_curve(
-                    prob, x, ranking, step
-                )
+                curves["insertion"] = faithfulness.ranked_keep(ranking, step, "insertion")
             if "deletion" in metrics:
-                per_curve["deletion"] = faithfulness.deletion_curve(
-                    prob, x, ranking, step
-                )
+                curves["deletion"] = faithfulness.ranked_keep(ranking, step, "deletion")
             if "grouped_insertion" in metrics:
-                per_curve["grouped_insertion"] = faithfulness.grouped_curve(
-                    prob, x, attribution.groups, attribution.scores[:, k], "insertion"
-                )
+                curves["grouped_insertion"] = faithfulness.grouped_keep(
+                    groups, scores, "insertion")
             if "grouped_deletion" in metrics:
-                per_curve["grouped_deletion"] = faithfulness.grouped_curve(
-                    prob, x, attribution.groups, attribution.scores[:, k], "deletion"
+                curves["grouped_deletion"] = faithfulness.grouped_keep(
+                    groups, scores, "deletion")
+            keeps = [keep for _, keep in curves.values()]
+            if "comprehensiveness" in metrics or "sufficiency" in metrics:
+                # the full input, the input without the rationale, the rationale only
+                keeps.append(faithfulness.rationale_keep(alpha > 0))
+            values = []
+            if keeps:
+                keep = np.vstack(keeps)
+                probed = softmax(predict(np.where(keep, x, 0.0), seg, gen, sel, backbone))
+                values = probed[:, k].tolist()
+            start = 0
+            for name, (fractions, rows) in curves.items():
+                curve = faithfulness.PerturbationReport.from_curve(
+                    name, fractions, values[start:start + len(rows)]
                 )
-            for name, curve in per_curve.items():
+                start += len(rows)
                 aggregates[name].append(curve.auc)
                 curve_rows.extend(
                     (name, index, k, float(f), float(p))
                     for f, p in zip(curve.fractions, curve.probabilities)
                 )
             if "sparsity" in metrics:
-                aggregates["sparsity"].append(
-                    faithfulness.sparsity(attribution.groups, attribution.scores[:, k])
-                )
-            if "comprehensiveness" in metrics or "sufficiency" in metrics:
-                rationale = (alpha > 0).astype(np.float64)
-                if "comprehensiveness" in metrics:
-                    aggregates["comprehensiveness"].append(
-                        faithfulness.comprehensiveness(probabilities, x, rationale, k)
-                    )
-                if "sufficiency" in metrics:
-                    aggregates["sufficiency"].append(
-                        faithfulness.sufficiency(probabilities, x, rationale, k)
-                    )
+                aggregates["sparsity"].append(faithfulness.sparsity(groups, scores))
+            if "comprehensiveness" in metrics:
+                aggregates["comprehensiveness"].append(values[start] - values[start + 1])
+            if "sufficiency" in metrics:
+                aggregates["sufficiency"].append(values[start] - values[start + 2])
 
     for name, values in aggregates.items():
         if values:

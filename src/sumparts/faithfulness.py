@@ -9,6 +9,15 @@ Perturbation baseline throughout is zero-masking: a "removed" feature is
 set to 0.  Group membership of a real-valued mask is its strict support
 ``mask > 0`` (sparsemax produces exact zeros, so the support is
 well-defined).
+
+Every probe is ``np.where(keep, x, 0.0)`` for one row of a boolean
+keep-matrix.  The builders :func:`ranked_keep`, :func:`grouped_keep` and
+:func:`rationale_keep` return the keep-matrices of the curves and of the
+rationale metrics, and :meth:`PerturbationReport.from_curve` turns one
+value per probe into a report.  The per-vector functions below call the
+model on one probe at a time, in row order; a caller holding a batched
+model (``sumparts.model.predict``) can evaluate a whole keep-matrix in
+one call instead.
 """
 
 from __future__ import annotations
@@ -18,10 +27,14 @@ from typing import Callable
 
 import numpy as np
 
+from .ops import powerset_blocks
 from .serialize import write_csv_atomic, write_json_atomic
 
 __all__ = [
     "PerturbationReport",
+    "ranked_keep",
+    "grouped_keep",
+    "rationale_keep",
     "deletion_error",
     "insertion_error",
     "total_powerset_error",
@@ -71,6 +84,21 @@ class PerturbationReport:
             raise ValueError("AUC must lie within the curve's value range")
         object.__setattr__(self, "fractions", fractions)
         object.__setattr__(self, "probabilities", probabilities)
+
+    @classmethod
+    def from_curve(cls, metric: str, fractions, values,
+                   metadata: dict | None = None) -> "PerturbationReport":
+        """Report of the curve through ``(fractions[i], values[i])``, with
+        its mean-height AUC."""
+        fractions = np.asarray(fractions, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        span = fractions[-1] - fractions[0]
+        auc = float(np.trapezoid(values, fractions) / span)
+        # the exact mean height lies in [min, max]; clamp away rounding dust so
+        # a constant curve yields exactly the constant
+        auc = min(max(auc, float(values.min())), float(values.max()))
+        return cls(metric=metric, fractions=fractions, probabilities=values, auc=auc,
+                   metadata=metadata or {})
 
     def to_dict(self) -> dict:
         out = {
@@ -130,29 +158,38 @@ def insertion_error(f: Callable, x, alpha, subset) -> float:
     return abs(float(f(x_ins)) - float(f(np.zeros_like(x))) - float(alpha[idx].sum()))
 
 
-def _iter_powerset(d: int):
-    for bits in range(1 << d):
-        yield [i for i in range(d) if bits >> i & 1]
+def _probe_values(model: Callable, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``model`` at the probe ``np.where(keep[i], x, 0.0)`` of every keep
+    row, in row order."""
+    if keep.shape[1] != x.size:
+        raise ValueError(f"keep masks have width {keep.shape[1]}, input has {x.size}")
+    return np.array([float(model(probe)) for probe in np.where(keep, x, 0.0)])
 
 
 def total_powerset_error(f: Callable, x, alpha, kind: str) -> float:
     """Sum of the deletion or insertion error over every feature subset.
 
     Enumerates all 2^d subsets (binary counting, bit i = feature i), so the
-    dimension is capped at ``POWERSET_LIMIT``.
+    dimension is capped at ``POWERSET_LIMIT``.  ``f(x)`` (deletion) or
+    ``f(0)`` (insertion) is evaluated once, and each subset's attribution
+    sum is a masked row sum.
     """
     x = _as_input(x)
     if x.size > POWERSET_LIMIT:
         raise ValueError(
             f"powerset enumeration capped at d={POWERSET_LIMIT}, got {x.size}"
         )
-    if kind == "deletion":
-        err = deletion_error
-    elif kind == "insertion":
-        err = insertion_error
-    else:
+    if kind not in ("deletion", "insertion"):
         raise ValueError(f"kind must be 'deletion' or 'insertion', got {kind!r}")
-    return float(sum(err(f, x, alpha, s) for s in _iter_powerset(x.size)))
+    alpha = np.asarray(alpha, dtype=np.float64)
+    deletion = kind == "deletion"
+    reference = float(f(x if deletion else np.zeros_like(x)))
+    total = 0.0
+    for subsets in powerset_blocks(x.size):
+        values = _probe_values(f, x, ~subsets if deletion else subsets)
+        change = reference - values if deletion else values - reference
+        total += float(np.abs(change - np.where(subsets, alpha, 0.0).sum(axis=1)).sum())
+    return total
 
 
 def _group_supports(groups, d: int) -> np.ndarray:
@@ -206,19 +243,64 @@ def ranking_from_attribution(alpha) -> np.ndarray:
     return np.argsort(-alpha, kind="stable")
 
 
-def _check_ranking(ranking, d: int) -> np.ndarray:
+def _directed(covered: np.ndarray, direction: str) -> np.ndarray:
+    """Keep rows of a curve: the covered features when inserting, the rest
+    when deleting."""
+    if direction == "insertion":
+        return covered
+    if direction == "deletion":
+        return ~covered
+    raise ValueError(f"direction must be 'insertion' or 'deletion', got {direction!r}")
+
+
+def ranked_keep(ranking, step: int, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """Fractions and keep-masks of an insertion or deletion curve.
+
+    Row i covers the first ``counts[i]`` features of ``ranking``, with
+    counts 0, step, 2*step, ... and finally d.  Returns the covered
+    fraction of each row and the (P, d) boolean keep matrix.
+    """
     ranking = np.asarray(ranking, dtype=np.int64)
-    if ranking.shape != (d,) or not np.array_equal(np.sort(ranking), np.arange(d)):
-        raise ValueError("ranking must be a permutation of all feature indices")
-    return ranking
+    d = ranking.size
+    if ranking.ndim != 1 or d == 0 or not np.array_equal(np.sort(ranking), np.arange(d)):
+        raise ValueError("ranking must be a non-empty permutation of 0 .. d-1")
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    counts = np.array(list(range(0, d, step)) + [d])
+    rank = np.empty(d, dtype=np.int64)
+    rank[ranking] = np.arange(d)
+    return counts / d, _directed(rank < counts[:, None], direction)
 
 
-def _mean_height_auc(fractions: np.ndarray, probabilities: np.ndarray) -> float:
-    span = fractions[-1] - fractions[0]
-    auc = float(np.trapezoid(probabilities, fractions) / span)
-    # the exact mean height lies in [min, max]; clamp away rounding dust so
-    # a constant curve yields exactly the constant
-    return min(max(auc, float(probabilities.min())), float(probabilities.max()))
+def grouped_keep(groups, scores, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """Fractions and keep-masks of a grouped curve, one group per step,
+    highest score first.
+
+    Row 0 covers nothing.  Each later row adds the support of the next
+    group; features covered by an earlier group are skipped, and a group
+    whose support adds nothing contributes no row.  The fraction counts
+    covered features, so it ends below 1 when the groups do not cover the
+    input.
+    """
+    supports = np.atleast_2d(np.asarray(groups, dtype=np.float64)) > 0
+    scores = np.asarray(scores, dtype=np.float64)
+    if supports.shape[0] == 0:
+        raise ValueError("need at least one group")
+    if scores.shape != (supports.shape[0],):
+        raise ValueError("scores must hold one value per group")
+    covered = [np.zeros(supports.shape[1], dtype=bool)]
+    for g in np.argsort(-scores, kind="stable"):
+        if (supports[g] & ~covered[-1]).any():
+            covered.append(covered[-1] | supports[g])
+    covered = np.array(covered)
+    return covered.sum(axis=1) / covered.shape[1], _directed(covered, direction)
+
+
+def rationale_keep(rationale) -> np.ndarray:
+    """Keep-masks of the rationale probes, as a (3, d) boolean matrix: the
+    full input, the input without the rationale, and the rationale alone."""
+    r = _check_rationale(rationale, np.size(rationale)) > 0
+    return np.array([np.ones_like(r), ~r, r])
 
 
 def insertion_curve(model: Callable, x, ranking, step: int = 1,
@@ -226,23 +308,9 @@ def insertion_curve(model: Callable, x, ranking, step: int = 1,
     """Insert features onto a zero baseline in ranking order, ``step`` at a
     time, recording the model probability after every chunk."""
     x = _as_input(x)
-    ranking = _check_ranking(ranking, x.size)
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    counts = list(range(0, x.size, step)) + [x.size]
-    fractions, probabilities = [], []
-    for count in counts:
-        x_ins = np.zeros_like(x)
-        keep = ranking[:count]
-        x_ins[keep] = x[keep]
-        fractions.append(count / x.size)
-        probabilities.append(float(model(x_ins)))
-    return PerturbationReport(
-        metric="insertion",
-        fractions=np.array(fractions),
-        probabilities=np.array(probabilities),
-        auc=_mean_height_auc(np.array(fractions), np.array(probabilities)),
-        metadata=metadata or {},
+    fractions, keep = ranked_keep(ranking, step, "insertion")
+    return PerturbationReport.from_curve(
+        "insertion", fractions, _probe_values(model, x, keep), metadata
     )
 
 
@@ -251,68 +319,20 @@ def deletion_curve(model: Callable, x, ranking, step: int = 1,
     """Delete features from the full input in ranking order; the x axis is
     the fraction deleted, so the curve starts at the unperturbed model."""
     x = _as_input(x)
-    ranking = _check_ranking(ranking, x.size)
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    counts = list(range(0, x.size, step)) + [x.size]
-    fractions, probabilities = [], []
-    for count in counts:
-        x_del = x.copy()
-        x_del[ranking[:count]] = 0.0
-        fractions.append(count / x.size)
-        probabilities.append(float(model(x_del)))
-    return PerturbationReport(
-        metric="deletion",
-        fractions=np.array(fractions),
-        probabilities=np.array(probabilities),
-        auc=_mean_height_auc(np.array(fractions), np.array(probabilities)),
-        metadata=metadata or {},
+    fractions, keep = ranked_keep(ranking, step, "deletion")
+    return PerturbationReport.from_curve(
+        "deletion", fractions, _probe_values(model, x, keep), metadata
     )
 
 
 def grouped_curve(model: Callable, x, groups, scores, direction: str,
                   metadata: dict | None = None) -> PerturbationReport:
-    """Insert or delete one group per step, highest score first.
-
-    Features already processed by an earlier group are skipped; a group
-    whose support adds nothing contributes no curve point.  The fraction
-    axis counts processed features, so it ends below 1 when the groups do
-    not cover the input.
-    """
+    """Insert or delete one group per step, highest score first; the
+    probes are the rows of :func:`grouped_keep`."""
     x = _as_input(x)
-    supports = _group_supports(groups, x.size)
-    scores = np.asarray(scores, dtype=np.float64)
-    if supports.shape[0] == 0:
-        raise ValueError("need at least one group")
-    if scores.shape != (supports.shape[0],):
-        raise ValueError("scores must hold one value per group")
-    if direction not in ("insertion", "deletion"):
-        raise ValueError(f"direction must be 'insertion' or 'deletion', got {direction!r}")
-
-    order = np.argsort(-scores, kind="stable")
-    processed = np.zeros(x.size, dtype=bool)
-    if direction == "insertion":
-        start = float(model(np.zeros_like(x)))
-    else:
-        start = float(model(x))
-    fractions, probabilities = [0.0], [start]
-    for g in order:
-        fresh = supports[g] & ~processed
-        if not fresh.any():
-            continue
-        processed |= fresh
-        if direction == "insertion":
-            probe = np.where(processed, x, 0.0)
-        else:
-            probe = np.where(processed, 0.0, x)
-        fractions.append(processed.sum() / x.size)
-        probabilities.append(float(model(probe)))
-    return PerturbationReport(
-        metric=f"grouped_{direction}",
-        fractions=np.array(fractions),
-        probabilities=np.array(probabilities),
-        auc=_mean_height_auc(np.array(fractions), np.array(probabilities)),
-        metadata=metadata or {},
+    fractions, keep = grouped_keep(groups, scores, direction)
+    return PerturbationReport.from_curve(
+        f"grouped_{direction}", fractions, _probe_values(model, x, keep), metadata
     )
 
 
@@ -330,22 +350,25 @@ def _class_probability(model: Callable, x: np.ndarray, class_index: int) -> floa
     return float(probs[class_index])
 
 
+def _rationale_drop(model: Callable, x, rationale, class_index: int, row: int) -> float:
+    """Class probability at ``x`` minus that at row ``row`` of the
+    rationale probes."""
+    x = _as_input(x)
+    full, probe = _probe_values(
+        lambda v: _class_probability(model, v, class_index), x,
+        rationale_keep(rationale)[[0, row]],
+    )
+    return float(full - probe)
+
+
 def comprehensiveness(model: Callable, x, rationale, class_index: int) -> float:
     """Probability drop when the rationale features are removed."""
-    x = _as_input(x)
-    r = _check_rationale(rationale, x.size)
-    return _class_probability(model, x, class_index) - _class_probability(
-        model, x * (1.0 - r), class_index
-    )
+    return _rationale_drop(model, x, rationale, class_index, 1)
 
 
 def sufficiency(model: Callable, x, rationale, class_index: int) -> float:
     """Probability drop when only the rationale features are kept."""
-    x = _as_input(x)
-    r = _check_rationale(rationale, x.size)
-    return _class_probability(model, x, class_index) - _class_probability(
-        model, x * r, class_index
-    )
+    return _rationale_drop(model, x, rationale, class_index, 2)
 
 
 def sparsity(groups, scores) -> float:

@@ -6,6 +6,13 @@ the backbone embeds each masked input, and a group selector assigns sparse
 scores to the groups.  The prediction is ``sum_i score_i * partial_logit_i``
 computed on the same arithmetic path stored in the returned attribution,
 so the explanation reconstructs the prediction exactly.
+
+The forward arithmetic accepts a leading batch axis: :func:`sop_forward`
+explains one input, and :func:`predict` runs the same arithmetic on a
+(B, d) stack of inputs, with one backbone call for all B * G masked
+inputs.  With a backbone that embeds each row alone, such as the
+identity backbone, each row of ``predict`` equals the ``sop_forward``
+prediction of that row bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ __all__ = [
     "embed_groups",
     "select_groups",
     "sop_forward",
+    "predict",
 ]
 
 
@@ -44,14 +52,16 @@ def _as_float_matrix(a, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Backbone:
-    """Black-box map from a (masked) input vector to an embedding.
+    """Black-box map from a stack of (masked) inputs to their embeddings.
 
-    ``embed`` must be deterministic.  ``classifier`` holds one weight row
-    per class over the embedding, so plain logits are
-    ``classifier @ embed(x)``.  ``embed_vjp``, when provided, maps
-    ``(x, upstream)`` to the gradient of ``upstream . embed(x)`` with
-    respect to ``x``; training falls back to finite differences when it is
-    absent.
+    ``embed`` maps an (N, d) stack to the (N, h) stack of its rows'
+    embeddings and must be deterministic and act on each row alone.
+    ``classifier`` holds one weight row per class over the embedding, so
+    plain logits are ``embed(x) @ classifier.T``.  ``embed_vjp``, when
+    provided, maps ``(x, upstream)`` of shapes (N, d) and (N, h) to the
+    (N, d) stack whose row i is the gradient of
+    ``upstream[i] . embed(x)[i]`` with respect to ``x[i]``; training falls
+    back to finite differences when it is absent.
     """
 
     embed: Callable[[np.ndarray], np.ndarray]
@@ -74,15 +84,16 @@ class Backbone:
 
 
 def linear_backbone(weights, classifier) -> Backbone:
-    """Backbone with ``embed(x) = weights @ x`` and an exact gradient hook."""
+    """Backbone with ``embed(x) = weights @ x`` per row and an exact
+    gradient hook."""
     weights = _as_float_matrix(weights, "weights")
     h, d = weights.shape
     return Backbone(
-        embed=lambda x: weights @ x,
+        embed=lambda x: x @ weights.T,
         classifier=classifier,
         d=d,
         h=h,
-        embed_vjp=lambda x, upstream: weights.T @ upstream,
+        embed_vjp=lambda x, upstream: upstream @ weights,
     )
 
 
@@ -215,6 +226,18 @@ class GroupSelectParams:
         )
 
 
+def _check_masks_and_scores(masks: np.ndarray, scores: np.ndarray) -> None:
+    """Mask entries and scores in [0, 1], every per-class score column
+    (the second-to-last axis) summing to 1; on single attributions and on
+    stacks of them alike."""
+    if masks.min() < 0.0 or masks.max() > 1.0:
+        raise ValueError("mask entries must lie in [0, 1]")
+    if scores.min() < 0.0 or scores.max() > 1.0:
+        raise ValueError("scores must lie in [0, 1]")
+    if np.any(np.abs(scores.sum(axis=-2) - 1.0) > 1e-9):
+        raise ValueError("each per-class score column must sum to 1")
+
+
 @dataclass(frozen=True)
 class GroupedAttribution:
     """Groups with per-class scores and partial logits, plus the prediction.
@@ -242,12 +265,7 @@ class GroupedAttribution:
             raise ValueError("scores and partial_logits must both be (G, n_classes)")
         if prediction.shape != (scores.shape[1],):
             raise ValueError("prediction must have one entry per class")
-        if groups.min() < 0.0 or groups.max() > 1.0:
-            raise ValueError("mask entries must lie in [0, 1]")
-        if scores.min() < 0.0 or scores.max() > 1.0:
-            raise ValueError("scores must lie in [0, 1]")
-        if np.any(np.abs(scores.sum(axis=0) - 1.0) > 1e-9):
-            raise ValueError("each per-class score column must sum to 1")
+        _check_masks_and_scores(groups, scores)
         if not np.array_equal(prediction, (scores * logits).sum(axis=0)):
             raise ValueError("prediction does not reconstruct from scores and logits")
         object.__setattr__(self, "groups", groups)
@@ -264,16 +282,28 @@ class GroupedAttribution:
         return self.scores.shape[1]
 
 
+def _segment_sums(rows: np.ndarray, seg: Segmentation) -> np.ndarray:
+    """Per-segment sums of every row of a (..., d) stack, as (..., m).
+
+    One ``bincount`` over offset bins: bin ``r * m + s`` collects segment
+    ``s`` of row ``r`` in feature order, as a per-row ``bincount`` would.
+    """
+    m = seg.n_segments
+    flat = rows.reshape(-1, seg.n_features)
+    bins = (np.arange(flat.shape[0])[:, None] * m + seg.assignment).ravel()
+    sums = np.bincount(bins, weights=flat.ravel(), minlength=flat.shape[0] * m)
+    return sums.reshape(rows.shape[:-1] + (m,))
+
+
 def segment_pool(x: np.ndarray, seg: Segmentation) -> np.ndarray:
-    """Mean of the input features within each segment."""
+    """Mean of the input features within each segment, for one input or
+    for every row of a (..., d) stack."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (seg.n_features,):
+    if x.ndim < 1 or x.shape[-1] != seg.n_features:
         raise ValueError(
-            f"input length {x.shape} does not match segmentation over {seg.n_features}"
+            f"input shape {x.shape} does not match segmentation over {seg.n_features}"
         )
-    sums = np.bincount(seg.assignment, weights=x, minlength=seg.n_segments)
-    counts = np.bincount(seg.assignment, minlength=seg.n_segments)
-    return sums / counts
+    return _segment_sums(x, seg) / np.bincount(seg.assignment, minlength=seg.n_segments)
 
 
 def _generate(x, seg: Segmentation, params: GroupGenParams) -> dict:
@@ -282,40 +312,42 @@ def _generate(x, seg: Segmentation, params: GroupGenParams) -> dict:
         raise ValueError(
             f"params cover {params.n_segments} segments, segmentation has {seg.n_segments}"
         )
-    pooled = segment_pool(x, seg)
-    queries = params.w_q * pooled                       # (heads, m, m)
-    keys = params.w_k * pooled
-    raw = queries @ np.swapaxes(keys, 1, 2) / np.sqrt(seg.n_segments)
-    seg_weights = sparsemax(raw).reshape(-1, seg.n_segments)   # (G, m)
+    pooled = segment_pool(x, seg)                       # (..., m)
+    queries = params.w_q * pooled[..., None, None, :]   # (..., heads, m, m)
+    keys = params.w_k * pooled[..., None, None, :]
+    raw = queries @ np.swapaxes(keys, -1, -2) / np.sqrt(seg.n_segments)
+    seg_weights = sparsemax(raw).reshape(raw.shape[:-3] + (-1, seg.n_segments))
     return {"pooled": pooled, "queries": queries, "keys": keys, "raw": raw,
-            "seg_weights": seg_weights, "masks": seg_weights[:, seg.assignment]}
+            "seg_weights": seg_weights,                 # (..., G, m)
+            # take keeps the (..., G, d) masks C-ordered, unlike fancy indexing
+            "masks": np.take(seg_weights, seg.assignment, axis=-1)}
 
 
 def _select(z, params: GroupSelectParams) -> dict:
     """Selector intermediates, from the group embeddings to the partial logits."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.shape[0] < 1:
+    if z.shape[-2] < 1:
         raise ValueError("need at least one group embedding")
-    if z.shape[1] != params.h:
-        raise ValueError(f"embeddings have width {z.shape[1]}, expected {params.h}")
+    if z.shape[-1] != params.h:
+        raise ValueError(f"embeddings have width {z.shape[-1]}, expected {params.h}")
     queries = params.classifier @ params.w_q.T          # (K, h)
-    keys = z @ params.w_k.T                             # (G, h)
-    affinities = keys @ queries.T / np.sqrt(params.h)   # (G, K)
+    keys = z @ params.w_k.T                             # (..., G, h)
+    affinities = keys @ queries.T / np.sqrt(params.h)   # (..., G, K)
+    scores = np.swapaxes(sparsemax(np.swapaxes(affinities, -1, -2)), -1, -2)
     return {"sel_queries": queries, "sel_keys": keys, "affinities": affinities,
-            "scores": sparsemax(affinities.T).T,
-            "partial_logits": z @ params.classifier.T}
+            "scores": scores, "partial_logits": z @ params.classifier.T}
 
 
 def _forward(x, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectParams,
              backbone: Backbone) -> dict:
-    """The one forward pass: every intermediate that the backward pass reads,
-    keyed by name, ending with ``prediction``."""
+    """The one forward pass, on one input or a (..., d) stack: every
+    intermediate that the backward pass reads, keyed by name, ending with
+    ``prediction``."""
     x = np.asarray(x, dtype=np.float64)
     cache = _generate(x, seg, gen)
-    cache["masked"] = cache["masks"] * x
     cache["z"] = embed_groups(x, cache["masks"], backbone)
     cache.update(_select(cache["z"], sel))
-    cache["prediction"] = (cache["scores"] * cache["partial_logits"]).sum(axis=0)
+    cache["prediction"] = (cache["scores"] * cache["partial_logits"]).sum(axis=-2)
     return cache
 
 
@@ -332,20 +364,24 @@ def generate_groups(x, seg: Segmentation, params: GroupGenParams) -> np.ndarray:
 
 
 def embed_groups(x, masks, backbone: Backbone) -> np.ndarray:
-    """Embed each masked input ``mask * x`` through the backbone."""
+    """Embed each masked input ``mask * x`` through the backbone.
+
+    Takes one input (d,) with its masks (G, d), or a (..., d) stack with
+    masks (..., G, d).  Every masked input goes to the backbone in one
+    (N, d) call; the result has shape (..., G, h).
+    """
     x = np.asarray(x, dtype=np.float64)
     masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
-    if masks.shape[1] != x.size:
-        raise ValueError(f"masks have width {masks.shape[1]}, input has {x.size}")
-    out = np.empty((masks.shape[0], backbone.h))
-    for i, mask in enumerate(masks):
-        z = np.asarray(backbone.embed(mask * x), dtype=np.float64)
-        if z.shape != (backbone.h,):
-            raise ValueError(
-                f"backbone embed returned shape {z.shape}, expected ({backbone.h},)"
-            )
-        out[i] = z
-    return out
+    if x.ndim < 1 or masks.shape[-1] != x.shape[-1]:
+        raise ValueError(f"masks have width {masks.shape[-1]}, input has shape {x.shape}")
+    masked = masks * x[..., None, :]
+    n = int(np.prod(masked.shape[:-1]))
+    z = np.asarray(backbone.embed(masked.reshape(n, x.shape[-1])), dtype=np.float64)
+    if z.shape != (n, backbone.h):
+        raise ValueError(
+            f"backbone embed returned shape {z.shape}, expected ({n}, {backbone.h})"
+        )
+    return z.reshape(masked.shape[:-1] + (backbone.h,))
 
 
 def select_groups(z, params: GroupSelectParams) -> tuple[np.ndarray, np.ndarray]:
@@ -368,7 +404,29 @@ def sop_forward(x, seg: Segmentation, gen_params: GroupGenParams,
     The returned attribution's prediction is exactly
     ``(scores * partial_logits).sum(axis=0)``.
     """
+    if np.ndim(x) != 1:
+        raise ValueError(f"sop_forward explains one input vector, got shape {np.shape(x)}")
     cache = _forward(x, seg, gen_params, sel_params, backbone)
     return GroupedAttribution(groups=cache["masks"], scores=cache["scores"],
                               partial_logits=cache["partial_logits"],
                               prediction=cache["prediction"])
+
+
+def predict(inputs, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectParams,
+            backbone: Backbone) -> np.ndarray:
+    """Predictions for a (B, d) stack of inputs, as a (B, n_classes) array.
+
+    Runs the forward arithmetic of :func:`sop_forward` on the whole stack
+    and checks the masks and scores as a :class:`GroupedAttribution` would.
+    Row b equals ``sop_forward(inputs[b], ...).prediction`` bit for bit
+    whenever the backbone's embedding of a row does not depend on the
+    size of the stack it comes in, as for the identity backbone; a BLAS
+    matrix product such as ``linear_backbone``'s may round differently
+    for different stack sizes.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[0] == 0:
+        raise ValueError(f"inputs must be a non-empty (B, d) stack, got shape {inputs.shape}")
+    cache = _forward(inputs, seg, gen, sel, backbone)
+    _check_masks_and_scores(cache["masks"], cache["scores"])
+    return cache["prediction"]

@@ -1,5 +1,6 @@
-"""Dense numeric primitives: sparsemax, softmax, attention weights, and a
-central-difference gradient.
+"""Dense numeric primitives: sparsemax, softmax, attention weights, a
+central-difference gradient, and the membership rows of every subset of
+the features.
 
 All functions are pure and operate on float64 numpy arrays.  ``sparsemax``,
 ``sparsemax_vjp`` and ``softmax`` act on every row along the last axis of
@@ -20,7 +21,13 @@ __all__ = [
     "softmax",
     "attention_weights",
     "finite_diff_grad",
+    "powerset_matrix",
+    "powerset_blocks",
 ]
+
+# powerset rows per block of :func:`powerset_blocks`, which bounds the memory
+# of per-block work at d=20
+POWERSET_BLOCK_ROWS = 1 << 16
 
 
 def _as_rows(v, name: str) -> np.ndarray:
@@ -145,3 +152,24 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) ->
             raise ValueError(f"f evaluated to a non-finite value near coordinate {i}")
         gflat[i] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def powerset_matrix(d: int) -> np.ndarray:
+    """Boolean (2^d, d) matrix whose row s holds the members of subset s.
+
+    Binary counting with bit i = feature i, so row order is reproducible.
+    Filled a column at a time so temporaries stay one column wide.
+    """
+    rows = np.arange(1 << d, dtype=np.uint32)
+    members = np.empty((rows.size, d), dtype=bool)
+    for i in range(d):
+        members[:, i] = (rows >> i) & 1
+    return members
+
+
+def powerset_blocks(d: int):
+    """The rows of :func:`powerset_matrix`, in order, in blocks of
+    ``POWERSET_BLOCK_ROWS``."""
+    members = powerset_matrix(d)
+    for start in range(0, members.shape[0], POWERSET_BLOCK_ROWS):
+        yield members[start:start + POWERSET_BLOCK_ROWS]

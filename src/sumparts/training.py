@@ -22,7 +22,8 @@ from .model import (
     GroupSelectParams,
     Segmentation,
     _forward,
-    sop_forward,
+    _segment_sums,
+    predict,
 )
 from .ops import finite_diff_grad, softmax, sparsemax_vjp
 
@@ -73,9 +74,14 @@ def init_params(seg: Segmentation, backbone: Backbone,
 
 
 def _embed_vjp(backbone: Backbone, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Row i: the gradient of ``upstream[i] . embed(x)[i]`` at ``x[i]``, for
+    (N, d) and (N, h) stacks."""
     if backbone.embed_vjp is not None:
         return np.asarray(backbone.embed_vjp(x, upstream), dtype=np.float64)
-    return finite_diff_grad(lambda u: upstream @ backbone.embed(u), x)
+    return np.vstack([
+        finite_diff_grad(lambda u: up @ backbone.embed(u[None])[0], row)
+        for row, up in zip(x, upstream)
+    ])
 
 
 def _backward_one(x, seg, gen, sel, backbone, cache, d_pred):
@@ -83,7 +89,6 @@ def _backward_one(x, seg, gen, sel, backbone, cache, d_pred):
     from the intermediates of :func:`sumparts.model._forward`."""
     m = seg.n_segments
     z = cache["z"]
-    g = z.shape[0]
 
     d_scores = d_pred * cache["partial_logits"]
     d_logits = d_pred * cache["scores"]
@@ -97,13 +102,8 @@ def _backward_one(x, seg, gen, sel, backbone, cache, d_pred):
     d_classifier = d_sel_queries @ sel.w_q + d_logits.T @ z           # (K, h)
     d_z = d_sel_keys @ sel.w_k + d_logits @ sel.classifier            # (G, h)
 
-    d_masked = np.vstack(
-        [_embed_vjp(backbone, u, upstream) for u, upstream in zip(cache["masked"], d_z)]
-    )
-    d_masks = d_masked * x
-    # per-group sums over each segment's features, group g in bins g*m .. g*m+m-1
-    bins = (np.arange(g)[:, None] * m + seg.assignment).ravel()
-    d_seg_weights = np.bincount(bins, weights=d_masks.ravel(), minlength=g * m)
+    d_masks = _embed_vjp(backbone, cache["masks"] * x, d_z) * x
+    d_seg_weights = _segment_sums(d_masks, seg)                      # (G, m)
     d_raw = sparsemax_vjp(cache["raw"], d_seg_weights.reshape(cache["raw"].shape))
     gen_scale = np.sqrt(m)
     d_queries = d_raw @ cache["keys"] / gen_scale
@@ -183,11 +183,8 @@ def training_accuracy(inputs, labels, seg: Segmentation, gen: GroupGenParams,
     """Fraction of examples whose argmax prediction matches the label."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
-    hits = 0
-    for x, label in zip(inputs, labels):
-        attribution = sop_forward(x, seg, gen, sel, backbone)
-        hits += int(np.argmax(attribution.prediction) == label)
-    return hits / inputs.shape[0]
+    predictions = predict(inputs, seg, gen, sel, backbone)
+    return int(np.count_nonzero(predictions.argmax(axis=1) == labels)) / inputs.shape[0]
 
 
 def pack_params(gen: GroupGenParams, sel: GroupSelectParams) -> np.ndarray:

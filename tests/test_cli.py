@@ -2,16 +2,38 @@
 config handling."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sumparts.cli import REPORT_SCHEMA, main
-from sumparts.model import Segmentation
+from sumparts import faithfulness
+from sumparts.cli import (
+    REPORT_SCHEMA,
+    _checkpoint_dict,
+    _load_dataset,
+    _restore_checkpoint,
+    main,
+)
+from sumparts.model import (
+    GroupGenParams,
+    GroupSelectParams,
+    Segmentation,
+    identity_backbone,
+    sop_forward,
+)
+from sumparts.ops import softmax
+from sumparts.serialize import write_csv_atomic, write_json_atomic
 from sumparts.training import TrainConfig, init_params
 
 from conftest import class_mean_identity_backbone, make_blobs
+
+ALL_METRICS = ["accuracy", "insertion", "deletion", "grouped_insertion",
+               "grouped_deletion", "sparsity", "comprehensiveness", "sufficiency"]
 
 
 def write_config(path, payload):
@@ -233,6 +255,33 @@ class TestEval:
         jsonschema.validate(report, REPORT_SCHEMA)
         assert "comprehensiveness" in report and "sufficiency" in report
 
+    @pytest.mark.parametrize("classes, index", [([5], 5), ([0, -1], -1)])
+    def test_class_index_out_of_range(self, tmp_path, capsys, trained, classes, index):
+        dataset, checkpoint = trained
+        config = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(checkpoint), "dataset": str(dataset),
+             "metrics": ["insertion"], "classes": classes, "seed": 3},
+        )
+        assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"class index {index} is out of range" in err
+        assert "with 2 classes" in err
+
+    def test_unknown_metric_rejected(self, tmp_path, capsys, trained):
+        dataset, checkpoint = trained
+        config = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(checkpoint), "dataset": str(dataset),
+             "metrics": ["insertion", "insertoin"], "seed": 3},
+        )
+        assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "'insertoin'" in err
+        for name in ALL_METRICS:
+            assert f"'{name}'" in err
+        assert not (tmp_path / "out" / "results.json").exists()
+
     def test_missing_checkpoint(self, tmp_path, trained):
         dataset, _ = trained
         config = write_config(
@@ -241,6 +290,125 @@ class TestEval:
              "seed": 3},
         )
         assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
+
+
+def eval_oracle(checkpoint, dataset, metrics, step, classes, out_dir):
+    """The earlier ``eval``: the per-vector faithfulness functions driven by
+    a per-row ``sop_forward`` model, one forward per probe."""
+    seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
+    features, labels = _load_dataset(dataset)
+
+    def probabilities(v):
+        return softmax(sop_forward(v, seg, gen, sel, backbone).prediction)
+
+    report = {"metadata": {
+        "checkpoint": str(checkpoint), "dataset": str(dataset), "classes": classes,
+        "step": step, "probability": "raw class probability (softmax of the prediction)",
+    }}
+    if "accuracy" in metrics:
+        hits = sum(int(np.argmax(sop_forward(x, seg, gen, sel, backbone).prediction) == y)
+                   for x, y in zip(features, labels))
+        report["accuracy"] = hits / features.shape[0]
+    aggregates = {m: [] for m in metrics if m != "accuracy"}
+    curve_rows = []
+    for index, x in enumerate(features):
+        attribution = sop_forward(x, seg, gen, sel, backbone)
+        for k in classes:
+            prob = lambda v, k=k: float(probabilities(v)[k])  # noqa: E731
+            groups, scores = attribution.groups, attribution.scores[:, k]
+            alpha = faithfulness.flatten_grouped(groups, scores)
+            ranking = faithfulness.ranking_from_attribution(alpha)
+            curves = {
+                "insertion": lambda: faithfulness.insertion_curve(prob, x, ranking, step),
+                "deletion": lambda: faithfulness.deletion_curve(prob, x, ranking, step),
+                "grouped_insertion": lambda: faithfulness.grouped_curve(
+                    prob, x, groups, scores, "insertion"),
+                "grouped_deletion": lambda: faithfulness.grouped_curve(
+                    prob, x, groups, scores, "deletion"),
+            }
+            for name, make in curves.items():
+                if name in metrics:
+                    curve = make()
+                    aggregates[name].append(curve.auc)
+                    curve_rows.extend((name, index, k, float(f), float(p))
+                                      for f, p in zip(curve.fractions, curve.probabilities))
+            if "sparsity" in metrics:
+                aggregates["sparsity"].append(faithfulness.sparsity(groups, scores))
+            rationale = (alpha > 0).astype(np.float64)
+            for name, fn in (("comprehensiveness", faithfulness.comprehensiveness),
+                             ("sufficiency", faithfulness.sufficiency)):
+                if name in metrics:
+                    aggregates[name].append(fn(probabilities, x, rationale, k))
+    for name, values in aggregates.items():
+        if values:
+            report[name] = {"mean": float(np.mean(values)), "per_case": values}
+    write_json_atomic(out_dir / "results.json", report)
+    write_csv_atomic(out_dir / "curves.csv",
+                     ["metric", "example", "class", "fraction", "probability"], curve_rows)
+
+
+class TestEvalOracle:
+    @pytest.fixture
+    def sparse_model(self, tmp_path):
+        """Three classes, d=8 in 4 segments, and wide generator weights, so
+        the groups are sparse and the grouped curves have several points."""
+        rng = np.random.default_rng(12)
+        labels = np.arange(9) % 3
+        features = rng.normal(0.0, 1.0, (3, 8))[labels] + 0.5 * rng.normal(size=(9, 8))
+        dataset = tmp_path / "three.csv"
+        np.savetxt(dataset, np.column_stack([features, labels]), delimiter=",")
+        seg = Segmentation.contiguous(8, 4)
+        backbone = class_mean_identity_backbone(features, labels)
+        gen = GroupGenParams.random(4, 2, rng, std=2.0)
+        sel = GroupSelectParams.random(backbone, rng, std=0.5)
+        checkpoint = tmp_path / "checkpoint.json"
+        write_json_atomic(checkpoint, _checkpoint_dict(seg, gen, sel, backbone, {"seed": 1}))
+        return dataset, checkpoint
+
+    @pytest.mark.parametrize("metrics, step, classes", [
+        (ALL_METRICS, 1, [0, 1, 2]),
+        (ALL_METRICS[::-1], 3, [2, 0]),
+        (["sufficiency", "grouped_deletion"], 2, [1]),
+        (["accuracy", "sparsity"], 1, [0]),
+    ], ids=["all", "all_reversed_step3", "two", "no_probes"])
+    def test_matches_per_vector_oracle(self, tmp_path, sparse_model, metrics, step,
+                                       classes):
+        dataset, checkpoint = sparse_model
+        config = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(checkpoint), "dataset": str(dataset),
+             "metrics": metrics, "step": step, "classes": classes, "seed": 3},
+        )
+        out, expected = tmp_path / "out", tmp_path / "oracle"
+        assert run(["eval", "--config", config, "--out", out]) == 0
+        eval_oracle(checkpoint, dataset, metrics, step, classes, expected)
+        for name in ("results.json", "curves.csv"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
+        if "grouped_insertion" in metrics:
+            rows = (out / "curves.csv").read_text().splitlines()
+            assert sum(r.startswith("grouped_insertion,0,0,") for r in rows) > 2
+
+
+class TestCheckpointRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 9), st.data())
+    def test_restored_checkpoint_rewrites_byte_identical(self, d, data):
+        m = data.draw(st.integers(1, d))
+        heads = data.draw(st.integers(1, 3))
+        n_classes = data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        std = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        seg = Segmentation.contiguous(d, m)
+        backbone = identity_backbone(rng.normal(0.0, std, (n_classes, d)))
+        gen = GroupGenParams.random(m, heads, rng, std)
+        sel = GroupSelectParams.random(backbone, rng, std)
+        config = {"seed": data.draw(st.integers(0, 10**6))}
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+            write_json_atomic(first, _checkpoint_dict(seg, gen, sel, backbone, config))
+            restored = _restore_checkpoint(first)
+            write_json_atomic(second, _checkpoint_dict(*restored, config))
+            assert first.read_bytes() == second.read_bytes()
 
 
 def _without(ckpt, key):

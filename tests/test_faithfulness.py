@@ -1,11 +1,15 @@
 """Perturbation metrics: pointwise and powerset errors, curves, and the
-grouped variants, checked against direct evaluations and closed forms."""
+grouped variants, checked against direct evaluations and closed forms.  The
+earlier one-probe-at-a-time versions of the keep-mask functions are kept
+here as oracles."""
 
 import json
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sumparts.faithfulness import (
     PerturbationReport,
@@ -16,9 +20,12 @@ from sumparts.faithfulness import (
     grouped_curve,
     grouped_deletion_error,
     grouped_insertion_error,
+    grouped_keep,
     insertion_curve,
     insertion_error,
+    ranked_keep,
     ranking_from_attribution,
+    rationale_keep,
     sparsity,
     sufficiency,
     total_powerset_error,
@@ -31,6 +38,88 @@ def monomial(x):
 
 def linear_model(theta):
     return lambda x: float(np.asarray(theta) @ x)
+
+
+def _iter_powerset(d):
+    for bits in range(1 << d):
+        yield [i for i in range(d) if bits >> i & 1]
+
+
+def total_powerset_error_oracle(f, x, alpha, kind):
+    """The earlier per-subset total: one pointwise error (two model calls)
+    per subset, summed in binary counting order."""
+    err = deletion_error if kind == "deletion" else insertion_error
+    return float(sum(err(f, x, alpha, s) for s in _iter_powerset(len(x))))
+
+
+def ranked_curve_oracle(model, x, ranking, step, direction):
+    """The earlier per-probe insertion/deletion curve: (fractions, values)."""
+    fractions, values = [], []
+    for count in list(range(0, x.size, step)) + [x.size]:
+        chunk = ranking[:count]
+        if direction == "insertion":
+            probe = np.zeros_like(x)
+            probe[chunk] = x[chunk]
+        else:
+            probe = x.copy()
+            probe[chunk] = 0.0
+        fractions.append(count / x.size)
+        values.append(float(model(probe)))
+    return fractions, values
+
+
+def grouped_curve_oracle(model, x, groups, scores, direction):
+    """The earlier per-probe grouped curve: (fractions, values)."""
+    supports = groups > 0
+    processed = np.zeros(x.size, dtype=bool)
+    fractions = [0.0]
+    values = [float(model(np.zeros_like(x) if direction == "insertion" else x))]
+    for g in np.argsort(-scores, kind="stable"):
+        fresh = supports[g] & ~processed
+        if not fresh.any():
+            continue
+        processed |= fresh
+        if direction == "insertion":
+            probe = np.where(processed, x, 0.0)
+        else:
+            probe = np.where(processed, 0.0, x)
+        fractions.append(processed.sum() / x.size)
+        values.append(float(model(probe)))
+    return fractions, values
+
+
+def rationale_oracle(model, x, r, k):
+    """The earlier (comprehensiveness, sufficiency) by multiplication."""
+    full = float(model(x)[k])
+    return full - float(model(x * (1.0 - r))[k]), full - float(model(x * r)[k])
+
+
+def recording(model):
+    """``model`` that also records every probe it is called on."""
+    probes = []
+
+    def call(v):
+        probes.append(np.array(v))
+        return model(v)
+
+    return call, probes
+
+
+_ENTRY = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                   st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _input_and_attribution(draw, max_d=6):
+    d = draw(st.integers(1, max_d))
+    x = np.array(draw(st.lists(_ENTRY, min_size=d, max_size=d)))
+    alpha = np.array(draw(st.lists(_ENTRY, min_size=d, max_size=d)))
+    return x, alpha
+
+
+def smooth_model(x):
+    """A non-linear scalar model with no structure the metrics could exploit."""
+    return float(np.tanh(x @ np.linspace(-1.0, 1.5, x.size)) + 0.3 * np.prod(x))
 
 
 class TestPointwiseErrors:
@@ -108,6 +197,34 @@ class TestTotalPowersetError:
         f_p = linear_model(theta[perm])
         total_p = total_powerset_error(f_p, x[perm], alpha[perm], "deletion")
         np.testing.assert_allclose(total, total_p, atol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_input_and_attribution(), st.sampled_from(["deletion", "insertion"]),
+           st.sampled_from(["monomial", "smooth", "linear"]))
+    def test_matches_per_subset_oracle(self, case, kind, name):
+        x, alpha = case
+        f = {"monomial": monomial, "smooth": smooth_model,
+             "linear": linear_model(np.arange(1.0, x.size + 1))}[name]
+        expected = total_powerset_error_oracle(f, x, alpha, kind)
+        np.testing.assert_allclose(total_powerset_error(f, x, alpha, kind), expected,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_exact_on_integer_fixtures(self):
+        theta = np.array([1.0, 2.0, -3.0, 4.0])
+        x = np.array([2.0, -1.0, 1.0, 3.0])
+        for f, x, alpha in ((linear_model(theta), x, theta * x),
+                            (monomial, np.ones(4), np.zeros(4)),
+                            (monomial, np.ones(6), np.full(6, 0.5))):
+            for kind in ("deletion", "insertion"):
+                assert total_powerset_error(f, x, alpha, kind) == \
+                    total_powerset_error_oracle(f, x, alpha, kind)
+
+    def test_reference_is_evaluated_once(self):
+        for kind, reference in (("deletion", np.ones(3)), ("insertion", np.zeros(3))):
+            f, probes = recording(monomial)
+            total_powerset_error(f, np.ones(3), np.zeros(3), kind)
+            assert len(probes) == 1 + 2 ** 3
+            np.testing.assert_array_equal(probes[0], reference)
 
     def test_capacity_guard(self):
         with pytest.raises(ValueError):
@@ -194,6 +311,95 @@ class TestCurves:
             deletion_curve(model, np.ones(3), [0, 1])
         with pytest.raises(ValueError):
             insertion_curve(model, np.ones(3), [0, 1, 2], step=0)
+
+
+def _assert_probes_equal(actual, expected):
+    assert len(actual) == len(expected)
+    for a, b in zip(actual, expected):
+        np.testing.assert_array_equal(a, b)
+
+
+class TestKeepMaskEngine:
+    """Builder, row loop and report against the earlier per-probe loops:
+    the same probes in the same order, and the same report bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_input_and_attribution(max_d=8), st.integers(1, 3),
+           st.sampled_from(["insertion", "deletion"]))
+    def test_ranked_curves_match_per_probe_oracle(self, case, step, direction):
+        x, alpha = case
+        ranking = ranking_from_attribution(alpha)
+        curve_fn = insertion_curve if direction == "insertion" else deletion_curve
+        model, probes = recording(smooth_model)
+        oracle_model, oracle_probes = recording(smooth_model)
+        curve = curve_fn(model, x, ranking, step)
+        fractions, values = ranked_curve_oracle(oracle_model, x, ranking, step, direction)
+        _assert_probes_equal(probes, oracle_probes)
+        np.testing.assert_array_equal(curve.fractions, fractions)
+        np.testing.assert_array_equal(curve.probabilities, values)
+        assert curve.metric == direction
+        keep_fractions, keep = ranked_keep(ranking, step, direction)
+        np.testing.assert_array_equal(keep_fractions, fractions)
+        assert keep.dtype == bool and keep.shape == (len(fractions), x.size)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_input_and_attribution(max_d=8), st.data(),
+           st.sampled_from(["insertion", "deletion"]))
+    def test_grouped_curve_matches_per_probe_oracle(self, case, data, direction):
+        x, _ = case
+        n_groups = data.draw(st.integers(1, 5))
+        mask_entry = st.sampled_from([0.0, 0.0, 0.25, 1.0])
+        groups = np.array(data.draw(st.lists(
+            st.lists(mask_entry, min_size=x.size, max_size=x.size),
+            min_size=n_groups, max_size=n_groups)))
+        assume((groups > 0).any())   # a curve needs a second point
+        scores = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.2, 0.5]),
+                                             min_size=n_groups, max_size=n_groups)))
+        model, probes = recording(smooth_model)
+        oracle_model, oracle_probes = recording(smooth_model)
+        curve = grouped_curve(model, x, groups, scores, direction)
+        fractions, values = grouped_curve_oracle(oracle_model, x, groups, scores, direction)
+        _assert_probes_equal(probes, oracle_probes)
+        np.testing.assert_array_equal(curve.fractions, fractions)
+        np.testing.assert_array_equal(curve.probabilities, values)
+        np.testing.assert_array_equal(grouped_keep(groups, scores, direction)[0], fractions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_input_and_attribution(max_d=8))
+    def test_rationale_metrics_match_oracle(self, case):
+        x, alpha = case
+        r = (alpha > 0).astype(np.float64)
+
+        def vector_model(v):
+            p = 1.0 / (1.0 + np.exp(-smooth_model(v)))
+            return np.array([p, 1.0 - p])
+
+        for k in (0, 1):
+            assert (comprehensiveness(vector_model, x, r, k),
+                    sufficiency(vector_model, x, r, k)) == rationale_oracle(
+                        vector_model, x, r, k)
+        keep = rationale_keep(r)
+        np.testing.assert_array_equal(keep, [np.ones(x.size, bool), r == 0, r == 1])
+
+    def test_report_from_curve_is_mean_height(self):
+        report = PerturbationReport.from_curve("m", [0.0, 0.5], [1.0, 0.0], {"a": 1})
+        assert report.auc == 0.5 and report.metadata == {"a": 1}
+        assert PerturbationReport.from_curve("m", [0.0, 0.25, 1.0], [0.3] * 3).auc == 0.3
+
+    def test_builder_validation(self):
+        with pytest.raises(ValueError):
+            ranked_keep([0, 2], 1, "insertion")
+        with pytest.raises(ValueError):
+            ranked_keep([], 1, "insertion")
+        with pytest.raises(ValueError):
+            ranked_keep([1, 0], 1, "sideways")
+        with pytest.raises(ValueError):
+            grouped_keep(np.ones((2, 3)), np.ones(3), "deletion")
+        with pytest.raises(ValueError):
+            rationale_keep([0.0, 0.5])
+        with pytest.raises(ValueError):
+            grouped_curve(lambda v: 0.0, np.ones(3), np.ones((1, 2)), np.ones(1),
+                          "insertion")
 
 
 class TestGroupedCurve:

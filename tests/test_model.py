@@ -1,11 +1,17 @@
 """Group generation, embedding, selection, and the forward pass, checked
-against a symbolically computed golden trace and analytic evaluations."""
+against a symbolically computed golden trace and analytic evaluations; the
+batched forward (``predict``, stacked ``segment_pool``) against per-row
+calls."""
 
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sumparts import model, ops
 
 from sumparts.model import (
     Backbone,
@@ -17,6 +23,7 @@ from sumparts.model import (
     generate_groups,
     identity_backbone,
     linear_backbone,
+    predict,
     segment_pool,
     select_groups,
     sop_forward,
@@ -332,3 +339,83 @@ class TestGroupedAttributionValidation:
                 partial_logits=np.ones((2, 1)),
                 prediction=np.array([0.8]),
             )
+
+
+# entries drawn from a few repeated values make ties in both sparsemax blocks
+_ENTRY = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                   st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _stacked_model(draw):
+    """A random identity-backbone model and a (B, d) input stack with
+    all-zero rows and repeated entries."""
+    d = draw(st.integers(1, 8))
+    m = draw(st.integers(1, d))
+    heads = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seg = Segmentation.contiguous(d, m)
+    backbone = identity_backbone(rng.normal(size=(k, d)))
+    gen = GroupGenParams.random(m, heads, rng, std=draw(st.sampled_from([0.0, 1.0, 3.0])))
+    sel = GroupSelectParams.random(backbone, rng, std=draw(st.sampled_from([0.0, 1.0, 3.0])))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=d, max_size=d), min_size=1, max_size=6))
+    inputs = np.array(rows + [[0.0] * d] * draw(st.integers(0, 2)))
+    return seg, gen, sel, backbone, inputs
+
+
+class TestBatchedForward:
+    @settings(max_examples=150, deadline=None)
+    @given(_stacked_model())
+    def test_predict_equals_per_row_sop_forward(self, case):
+        seg, gen, sel, backbone, inputs = case
+        expected = np.array(
+            [sop_forward(x, seg, gen, sel, backbone).prediction for x in inputs]
+        )
+        np.testing.assert_array_equal(predict(inputs, seg, gen, sel, backbone), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_stacked_model(), st.integers(1, 3))
+    def test_segment_pool_equals_per_row_calls(self, case, outer):
+        seg, _, _, _, inputs = case
+        stack = np.stack([inputs * (i + 1) for i in range(outer)])   # (outer, B, d)
+        expected = np.array([[segment_pool(x, seg) for x in rows] for rows in stack])
+        np.testing.assert_array_equal(segment_pool(stack, seg), expected)
+
+    def test_linear_backbone_stack_matches_per_row(self):
+        seg, gen, sel, backbone = golden_params()
+        inputs = np.random.default_rng(4).normal(size=(5, seg.n_features))
+        expected = [sop_forward(x, seg, gen, sel, backbone).prediction for x in inputs]
+        np.testing.assert_allclose(predict(inputs, seg, gen, sel, backbone), expected,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_predict_rejects_non_stacks(self):
+        seg, gen, sel, backbone = golden_params()
+        with pytest.raises(ValueError):
+            predict(np.ones(seg.n_features), seg, gen, sel, backbone)
+        with pytest.raises(ValueError):
+            predict(np.empty((0, seg.n_features)), seg, gen, sel, backbone)
+        with pytest.raises(ValueError):
+            sop_forward(np.ones((2, seg.n_features)), seg, gen, sel, backbone)
+
+    @pytest.mark.parametrize("block, broken, message", [
+        (0, lambda w: w - 0.5, "mask entries"),          # generator rows below 0
+        (1, lambda w: w + 1.0, "scores must lie"),       # selector scores above 1
+        (1, lambda w: 0.5 * w, "must sum to 1"),         # selector columns sum to 0.5
+    ])
+    def test_predict_rejects_broken_invariants(self, monkeypatch, block, broken, message):
+        seg, gen, sel, backbone = golden_params()
+        inputs = np.random.default_rng(5).normal(size=(3, seg.n_features))
+        calls = []
+
+        def sparsemax(v):
+            # a forward makes two calls: the generator block, then the selector
+            calls.append(v)
+            w = ops.sparsemax(v)
+            return broken(w) if (len(calls) - 1) % 2 == block else w
+
+        monkeypatch.setattr(model, "sparsemax", sparsemax)
+        with pytest.raises(ValueError, match=message):
+            predict(inputs, seg, gen, sel, backbone)
+        with pytest.raises(ValueError, match=message):
+            sop_forward(inputs[0], seg, gen, sel, backbone)

@@ -40,11 +40,11 @@ def d4_fixture():
     weights = rng.normal(size=(3, 4))
     classifier = rng.normal(size=(2, 3))
     backbone = Backbone(
-        embed=lambda v: weights @ v,
+        embed=lambda v: v @ weights.T,
         classifier=classifier,
         d=4,
         h=3,
-        embed_vjp=lambda v, upstream: weights.T @ upstream,
+        embed_vjp=lambda v, upstream: upstream @ weights,
     )
     config = TrainConfig(steps=0, learning_rate=0.1, seed=11, heads=2, init_std=0.6)
     gen, sel = init_params(seg, backbone, config)
@@ -77,7 +77,7 @@ def forward_oracle(x, seg, gen, sel, backbone):
     )                                                   # (G, m)
     masks = seg_weights[:, seg.assignment]              # (G, d)
     masked = masks * x[None, :]
-    z = np.vstack([np.asarray(backbone.embed(u), dtype=np.float64) for u in masked])
+    z = np.asarray(backbone.embed(masked), dtype=np.float64)  # one (G, d) stack
     sel_queries = sel.classifier @ sel.w_q.T            # (K, h)
     sel_keys = z @ sel.w_k.T                            # (G, h)
     sel_scale = np.sqrt(sel.h)
@@ -207,7 +207,7 @@ class TestGradients:
     def test_finite_difference_backbone_fallback_agrees(self):
         seg, backbone, weights, gen, sel, inputs, labels = d4_fixture()
         no_hook = Backbone(
-            embed=lambda v: weights @ v, classifier=backbone.classifier, d=4, h=3
+            embed=lambda v: v @ weights.T, classifier=backbone.classifier, d=4, h=3
         )
         loss_a, grads_a = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
         loss_b, grads_b = loss_and_gradients(inputs, labels, seg, gen, sel, no_hook)
