@@ -70,13 +70,24 @@ def write_json_atomic(path, obj) -> None:
     write_text_atomic(path, stable_json_dumps(obj))
 
 
-def write_csv_atomic(path, header, rows) -> None:
-    """Write rows of mixed str/number cells; floats use the fixed format."""
-    def cell(v):
-        if isinstance(v, (float, np.floating)):
-            return format_float(v)
-        return str(v)
+def _row_format(types: tuple) -> str:
+    """One ``%`` format string for a row with cells of these types:
+    ``%.9g`` is :func:`format_float`'s text for any float, and ``%s`` is
+    ``str`` for every other cell."""
+    return ",".join("%.9g" if issubclass(t, (float, np.floating)) else "%s" for t in types)
 
+
+def write_csv_atomic(path, header, rows) -> None:
+    """Write rows of mixed str/number cells; floats use the fixed format.
+
+    Each row takes one ``%`` formatting over a format string built from
+    its cell types and cached per type signature."""
+    formats: dict[tuple, str] = {}
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = _row_format(types)
+        lines.append(formats[types] % row)
     write_text_atomic(path, "\n".join(lines) + "\n")

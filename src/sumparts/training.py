@@ -8,6 +8,12 @@ explains.  Gradients are derived by hand and flow through both sparsemax
 blocks via their exact generalized Jacobians.  The backbone contributes
 through its ``embed_vjp`` hook when present, otherwise through central
 finite differences on ``embed``.
+
+Each step makes one forward pass and one backward pass on the whole (B, d)
+stack, so the backward memory grows with B * G * d: the (B, G, d) masks and
+masked inputs, the (B, G, h) embeddings, and their gradients.  Each
+example's gradient is still formed alone and the B of them are added in
+row order, so a step gives the result of a per-example loop.
 """
 
 from __future__ import annotations
@@ -84,67 +90,69 @@ def _embed_vjp(backbone: Backbone, x: np.ndarray, upstream: np.ndarray) -> np.nd
     ])
 
 
-def _backward_one(x, seg, gen, sel, backbone, cache, d_pred):
-    """Hand-derived gradients of one example's loss w.r.t. all parameters,
-    from the intermediates of :func:`sumparts.model._forward`."""
-    m = seg.n_segments
-    z = cache["z"]
-
-    d_scores = d_pred * cache["partial_logits"]
-    d_logits = d_pred * cache["scores"]
-    d_aff = sparsemax_vjp(cache["affinities"].T, d_scores.T).T       # (G, K)
-
-    sel_scale = np.sqrt(sel.h)
-    d_sel_keys = d_aff @ cache["sel_queries"] / sel_scale            # (G, h)
-    d_sel_queries = d_aff.T @ cache["sel_keys"] / sel_scale          # (K, h)
-    d_w_q_sel = d_sel_queries.T @ sel.classifier                      # (h, h)
-    d_w_k_sel = d_sel_keys.T @ z                                      # (h, h)
-    d_classifier = d_sel_queries @ sel.w_q + d_logits.T @ z           # (K, h)
-    d_z = d_sel_keys @ sel.w_k + d_logits @ sel.classifier            # (G, h)
-
-    d_masks = _embed_vjp(backbone, cache["masks"] * x, d_z) * x
-    d_seg_weights = _segment_sums(d_masks, seg)                      # (G, m)
-    d_raw = sparsemax_vjp(cache["raw"], d_seg_weights.reshape(cache["raw"].shape))
-    gen_scale = np.sqrt(m)
-    d_queries = d_raw @ cache["keys"] / gen_scale
-    d_keys = np.swapaxes(d_raw, 1, 2) @ cache["queries"] / gen_scale
-    pooled = cache["pooled"]
-
-    return {
-        "gen_w_q": d_queries * pooled, "gen_w_k": d_keys * pooled,
-        "sel_w_q": d_w_q_sel, "sel_w_k": d_w_k_sel,
-        "classifier": d_classifier,
-    }
-
-
-def loss_and_gradients(inputs, labels, seg: Segmentation, gen: GroupGenParams,
-                       sel: GroupSelectParams, backbone: Backbone):
-    """Mean cross-entropy of softmax(prediction) over the batch, with its
-    gradient for every trainable parameter."""
+def _check_labels(inputs, labels, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, d) input stack and its (B,) labels, each in [0, n_classes)."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("dataset must be non-empty")
     if labels.shape != (n,):
-        raise ValueError("labels must align with inputs")
-    if labels.min() < 0 or labels.max() >= sel.n_classes:
-        raise ValueError("labels must lie in [0, n_classes)")
+        raise ValueError(f"labels must align with inputs: {labels.shape} labels for {n} rows")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"labels must lie in [0, n_classes) = [0, {n_classes})")
+    return inputs, labels
 
-    total_loss = 0.0
+
+def loss_and_gradients(inputs, labels, seg: Segmentation, gen: GroupGenParams,
+                       sel: GroupSelectParams, backbone: Backbone):
+    """Mean cross-entropy of softmax(prediction) over the batch, with its
+    gradient for every trainable parameter, from one forward and one
+    backward pass on the whole stack.  Per-example losses and gradients are
+    added in row order, as a loop over the examples would add them."""
+    inputs, labels = _check_labels(inputs, labels, sel.n_classes)
+    n = inputs.shape[0]
+    cache = _forward(inputs, seg, gen, sel, backbone)
+    probs = softmax(cache["prediction"])                              # (B, K)
+    # the loss and every gradient are running totals that start at zero and
+    # add the examples in row order, so they keep the bits (and the signs of
+    # zeros) of a per-example loop
+    total_loss = sum((-np.log(p[label]) for p, label in zip(probs, labels)), 0.0)
+    d_pred = ((probs - np.eye(sel.n_classes)[labels]) / n)[:, None, :]
+
+    z = cache.pop("z")                                                # (B, G, h)
+    d_scores = d_pred * cache["partial_logits"]
+    d_logits = d_pred * cache["scores"]
+    d_aff = np.swapaxes(sparsemax_vjp(np.swapaxes(cache["affinities"], -1, -2),
+                                      np.swapaxes(d_scores, -1, -2)), -1, -2)
+
+    sel_scale = np.sqrt(sel.h)
+    d_sel_keys = d_aff @ cache["sel_queries"] / sel_scale           # (B, G, h)
+    d_sel_queries = np.swapaxes(d_aff, -1, -2) @ cache.pop("sel_keys") / sel_scale
+    # the (h, h) products are formed one example at a time
     grads = {
-        "gen_w_q": np.zeros_like(gen.w_q), "gen_w_k": np.zeros_like(gen.w_k),
-        "sel_w_q": np.zeros_like(sel.w_q), "sel_w_k": np.zeros_like(sel.w_k),
-        "classifier": np.zeros_like(sel.classifier),
+        "sel_w_q": sum((q.T @ sel.classifier for q in d_sel_queries), np.zeros_like(sel.w_q)),
+        "sel_w_k": sum((k.T @ z_i for k, z_i in zip(d_sel_keys, z)), np.zeros_like(sel.w_k)),
+        "classifier": sum(d_sel_queries @ sel.w_q + np.swapaxes(d_logits, -1, -2) @ z,
+                          np.zeros_like(sel.classifier)),
     }
-    for x, label in zip(inputs, labels):
-        cache = _forward(x, seg, gen, sel, backbone)
-        probs = softmax(cache["prediction"])
-        total_loss += -np.log(probs[label])
-        d_pred = (probs - np.eye(sel.n_classes)[label]) / n
-        g = _backward_one(x, seg, gen, sel, backbone, cache, d_pred)
-        for key in grads:
-            grads[key] += g[key]
+    # each (B, G, ...) stack is dropped once used: together they set the peak memory
+    del z
+    d_z = d_sel_keys @ sel.w_k + d_logits @ sel.classifier          # (B, G, h)
+    del d_sel_keys
+    masked = cache.pop("masks") * inputs[:, None, :]                 # (B, G, d)
+    d_masked = _embed_vjp(backbone, masked.reshape(-1, seg.n_features),
+                          d_z.reshape(-1, sel.h)).reshape(masked.shape)
+    del masked, d_z
+    d_seg_weights = _segment_sums(d_masked * inputs[:, None, :], seg)  # (B, G, m)
+    raw = cache["raw"]                                               # (B, heads, m, m)
+    d_raw = sparsemax_vjp(raw, d_seg_weights.reshape(raw.shape))
+    gen_scale = np.sqrt(seg.n_segments)
+    d_queries = d_raw @ cache["keys"] / gen_scale
+    d_keys = np.swapaxes(d_raw, -1, -2) @ cache["queries"] / gen_scale
+    pooled = cache["pooled"][:, None, None, :]
+    grads = {"gen_w_q": sum(d_queries * pooled, np.zeros_like(gen.w_q)),
+             "gen_w_k": sum(d_keys * pooled, np.zeros_like(gen.w_k)), **grads}
     return total_loss / n, grads
 
 
@@ -181,8 +189,7 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
 def training_accuracy(inputs, labels, seg: Segmentation, gen: GroupGenParams,
                       sel: GroupSelectParams, backbone: Backbone) -> float:
     """Fraction of examples whose argmax prediction matches the label."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
+    inputs, labels = _check_labels(inputs, labels, sel.n_classes)
     predictions = predict(inputs, seg, gen, sel, backbone)
     return int(np.count_nonzero(predictions.argmax(axis=1) == labels)) / inputs.shape[0]
 

@@ -10,8 +10,14 @@ one-vector-at-a-time ops, kept to check the last-axis versions against.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sumparts.model import Segmentation, identity_backbone, linear_backbone
+
+
+# entries drawn from a few repeated values make ties in both sparsemax blocks
+TIED_ENTRY = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                       st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
 
 
 def brute_force_simplex_projection(v):

@@ -268,6 +268,23 @@ class TestEval:
         assert f"class index {index} is out of range" in err
         assert "with 2 classes" in err
 
+    def test_dataset_label_out_of_range(self, tmp_path, capsys, trained):
+        """The accuracy checks the dataset's labels against the checkpoint's
+        class count, so a label of 2 for a 2-class checkpoint is an error."""
+        _, checkpoint = trained
+        dataset = tmp_path / "three_labels.csv"
+        features, labels = make_blobs(n_per_class=6, seed=123)
+        labels[-1] = 2
+        np.savetxt(dataset, np.column_stack([features, labels]), delimiter=",")
+        config = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(checkpoint), "dataset": str(dataset),
+             "metrics": ["accuracy"], "seed": 3},
+        )
+        assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
+        assert "labels must lie in [0, n_classes) = [0, 2)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.json").exists()
+
     def test_unknown_metric_rejected(self, tmp_path, capsys, trained):
         dataset, checkpoint = trained
         config = write_config(

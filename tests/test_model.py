@@ -29,6 +29,8 @@ from sumparts.model import (
     sop_forward,
 )
 
+from conftest import TIED_ENTRY
+
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "forward_trace_golden.json").read_text()
 )
@@ -341,11 +343,6 @@ class TestGroupedAttributionValidation:
             )
 
 
-# entries drawn from a few repeated values make ties in both sparsemax blocks
-_ENTRY = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
-                   st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
-
-
 @st.composite
 def _stacked_model(draw):
     """A random identity-backbone model and a (B, d) input stack with
@@ -359,7 +356,7 @@ def _stacked_model(draw):
     backbone = identity_backbone(rng.normal(size=(k, d)))
     gen = GroupGenParams.random(m, heads, rng, std=draw(st.sampled_from([0.0, 1.0, 3.0])))
     sel = GroupSelectParams.random(backbone, rng, std=draw(st.sampled_from([0.0, 1.0, 3.0])))
-    rows = draw(st.lists(st.lists(_ENTRY, min_size=d, max_size=d), min_size=1, max_size=6))
+    rows = draw(st.lists(st.lists(TIED_ENTRY, min_size=d, max_size=d), min_size=1, max_size=6))
     inputs = np.array(rows + [[0.0] * d] * draw(st.integers(0, 2)))
     return seg, gen, sel, backbone, inputs
 

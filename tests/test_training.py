@@ -4,12 +4,17 @@ convergence on the separable blobs fixture."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sumparts import training
 
 from sumparts.model import (
     Backbone,
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
+    identity_backbone,
     segment_pool,
     sop_forward,
 )
@@ -26,6 +31,7 @@ from sumparts.training import (
 )
 
 from conftest import (
+    TIED_ENTRY,
     class_mean_identity_backbone,
     make_blobs,
     sparsemax_row,
@@ -144,17 +150,31 @@ def backward_oracle(x, seg, gen, sel, backbone, cache, d_pred):
 
 
 def loss_and_gradients_oracle(inputs, labels, seg, gen, sel, backbone):
+    """The earlier per-example loop: every gradient a running total that
+    starts at zero and adds one example's gradient at a time."""
     n = inputs.shape[0]
     total_loss = 0.0
-    grads = None
+    grads = {
+        "gen_w_q": np.zeros_like(gen.w_q), "gen_w_k": np.zeros_like(gen.w_k),
+        "sel_w_q": np.zeros_like(sel.w_q), "sel_w_k": np.zeros_like(sel.w_k),
+        "classifier": np.zeros_like(sel.classifier),
+    }
     for x, label in zip(inputs, labels):
         cache = forward_oracle(x, seg, gen, sel, backbone)
         probs = softmax(cache["prediction"])
         total_loss += -np.log(probs[label])
         d_pred = (probs - np.eye(sel.n_classes)[label]) / n
         g = backward_oracle(x, seg, gen, sel, backbone, cache, d_pred)
-        grads = g if grads is None else {key: grads[key] + g[key] for key in g}
+        grads = {key: grads[key] + g[key] for key in grads}
     return total_loss / n, grads
+
+
+def assert_same_bits(actual, expected, err_msg=""):
+    """Equal to the last bit, the sign of a zero included."""
+    actual, expected = np.asarray(actual, np.float64), np.asarray(expected, np.float64)
+    assert actual.shape == expected.shape, err_msg
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64),
+                                  err_msg=err_msg)
 
 
 class TestSingleForwardPath:
@@ -184,6 +204,96 @@ class TestSingleForwardPath:
         cache = forward_oracle(inputs[0], seg, gen, sel, backbone)
         assert 0 < np.count_nonzero(cache["seg_weights"] == 0.0) < cache["seg_weights"].size
         assert 0 < np.count_nonzero(cache["scores"] == 0.0) < cache["scores"].size
+
+
+@st.composite
+def _identity_batch(draw):
+    """A random identity-backbone model with a labelled (B, d) stack that
+    has all-zero rows and tied entries.  Both sparsemax blocks get rows of
+    at most 7 entries: numpy adds fewer than 8 entries in order, so the
+    oracle's mean over the support and the library's support sum over the
+    whole row agree bit for bit."""
+    d = draw(st.integers(1, 10))
+    m = draw(st.integers(1, min(d, 7)))
+    heads = draw(st.integers(1, 7 // m))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seg = Segmentation.contiguous(d, m)
+    backbone = identity_backbone(rng.normal(size=(k, d)))
+    gen = GroupGenParams.random(m, heads, rng, std=draw(st.sampled_from([0.0, 1.0, 3.0])))
+    sel = GroupSelectParams.random(backbone, rng, std=draw(st.sampled_from([0.0, 1.0, 3.0])))
+    b = draw(st.integers(1, 12))
+    zeros = draw(st.integers(0, min(2, b - 1)))
+    rows = draw(st.lists(st.lists(TIED_ENTRY, min_size=d, max_size=d),
+                         min_size=b - zeros, max_size=b - zeros))
+    inputs = np.array(rows + [[0.0] * d] * zeros)
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=b, max_size=b)))
+    return seg, backbone, gen, sel, inputs, labels
+
+
+class TestBatchedGradients:
+    @settings(max_examples=150, deadline=None)
+    @given(_identity_batch())
+    def test_identity_backbone_equals_oracle(self, case):
+        seg, backbone, gen, sel, inputs, labels = case
+        loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
+        loss_ref, grads_ref = loss_and_gradients_oracle(
+            inputs, labels, seg, gen, sel, backbone
+        )
+        assert_same_bits(loss, loss_ref)
+        assert grads.keys() == grads_ref.keys()
+        for key, ref in grads_ref.items():
+            assert_same_bits(grads[key], ref, err_msg=key)
+
+    def test_zero_gradients_are_positive_zeros(self):
+        """One segment: the generator's sparsemax rows have one entry, so
+        its VJP is zero and so are the generator's gradients.  The pooled
+        feature is negative, which makes the example's own entries -0; a
+        total that starts at +0, as the per-example loop's did, stays +0."""
+        rng = np.random.default_rng(12)
+        seg = Segmentation.contiguous(3, 1)
+        backbone = identity_backbone(rng.normal(size=(2, 3)))
+        gen = GroupGenParams.random(1, 1, rng, std=1.0)
+        sel = GroupSelectParams.random(backbone, rng, std=1.0)
+        inputs, labels = np.array([[-1.0, 1.0, -1.0]]), np.array([0])
+        _, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
+        _, grads_ref = loss_and_gradients_oracle(inputs, labels, seg, gen, sel, backbone)
+        for key, ref in grads_ref.items():
+            assert_same_bits(grads[key], ref, err_msg=key)
+        for key in ("gen_w_q", "gen_w_k"):
+            assert not grads[key].any() and not np.signbit(grads[key]).any(), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(TIED_ENTRY, min_size=4, max_size=4), min_size=1, max_size=12),
+           st.data())
+    def test_linear_backbone_matches_oracle(self, rows, data):
+        seg, backbone, _, gen, sel, _, _ = d4_fixture()
+        inputs = np.array(rows)
+        labels = np.array(data.draw(
+            st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows))))
+        loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
+        loss_ref, grads_ref = loss_and_gradients_oracle(
+            inputs, labels, seg, gen, sel, backbone
+        )
+        assert abs(loss - loss_ref) <= 1e-12 * max(1.0, abs(loss_ref))
+        for key, ref in grads_ref.items():
+            scale = max(1.0, float(np.abs(ref).max()))
+            np.testing.assert_allclose(grads[key], ref, rtol=0.0, atol=1e-12 * scale,
+                                       err_msg=key)
+
+    def test_train_matches_oracle_driven_loop(self, monkeypatch):
+        features, labels = make_blobs(n_per_class=6, seed=4)
+        seg = Segmentation.contiguous(8, 3)
+        backbone = class_mean_identity_backbone(features, labels)
+        config = TrainConfig(steps=3, learning_rate=0.5, seed=8, heads=2, init_std=1.0)
+        result = train(features, labels, seg, backbone, config)
+        monkeypatch.setattr(training, "loss_and_gradients", loss_and_gradients_oracle)
+        reference = train(features, labels, seg, backbone, config)
+        assert result.loss_history == reference.loss_history
+        assert len(set(result.loss_history)) == 3
+        for name in ("gen_params", "sel_params"):
+            for key, value in vars(getattr(result, name)).items():
+                assert_same_bits(value, getattr(getattr(reference, name), key), err_msg=key)
 
 
 class TestGradients:
@@ -219,6 +329,23 @@ class TestGradients:
         seg, backbone, _, gen, sel, inputs, _ = d4_fixture()
         with pytest.raises(ValueError):
             loss_and_gradients(inputs, np.array([0, 1, 0, 1, 5]), seg, gen, sel, backbone)
+
+    @pytest.mark.parametrize("bad_labels, message", [
+        (lambda labels: labels[:1], "align with inputs"),
+        (lambda labels: np.full(labels.shape, 7), "lie in"),
+        (lambda labels: np.full(labels.shape, -1), "lie in"),
+    ], ids=["one-label-for-ten-rows", "all-7-of-3-classes", "negative"])
+    def test_accuracy_validates_labels_as_the_loss_does(self, bad_labels, message):
+        features, labels = make_blobs(n_per_class=5, seed=1)
+        backbone = identity_backbone(np.random.default_rng(2).normal(size=(3, 8)))
+        seg = Segmentation.contiguous(8, 2)
+        gen, sel = init_params(seg, backbone, TrainConfig(steps=0, learning_rate=0.1, seed=1))
+        errors = []
+        for fn in (training_accuracy, loss_and_gradients):
+            with pytest.raises(ValueError, match=message) as error:
+                fn(features, bad_labels(labels), seg, gen, sel, backbone)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]
 
     def test_empty_dataset(self):
         seg, backbone, _, gen, sel, _, _ = d4_fixture()
