@@ -87,6 +87,20 @@ class ConfigError(ValueError):
     pass
 
 
+def _integers(config: dict, key: str, default=None):
+    """The integer at ``key``, or the list of integers when ``default`` is a
+    list.  Only JSON integers pass: ``int()`` would truncate 1.7 to 1 and
+    read ``true`` as 1, so a float, a bool or anything else is a ConfigError
+    naming the key and the value."""
+    value = config.get(key, default)
+    entries = value if isinstance(default, list) else [value]
+    if not isinstance(entries, list) or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in entries):
+        kind = "a list of integers" if isinstance(default, list) else "an integer"
+        raise ConfigError(f"config field {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def _load_config(command: str, path: str, overrides: dict) -> dict:
     try:
         with open(path) as fh:
@@ -105,6 +119,8 @@ def _load_config(command: str, path: str, overrides: dict) -> dict:
             config[key] = value
     if command in _SEED_REQUIRED and "seed" not in config:
         raise ConfigError(f"{command} requires a seed")
+    if "seed" in config:
+        _integers(config, "seed")
     return config
 
 
@@ -125,8 +141,8 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
     result: dict = {"family": family}
 
     if family == "monomial":
-        d_min = int(config.get("d_min", 2))
-        d_max = int(config.get("d_max", 14))
+        d_min = _integers(config, "d_min", 2)
+        d_max = _integers(config, "d_max", 14)
         dims = list(range(d_min, d_max + 1))
         points = [(d, certificates.min_deletion_error_monomial(d)) for d in dims]
         fit = _fit_points(points, False, result, out_dir)
@@ -142,7 +158,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         if 3 in anchors:
             gates["anchor_d3"] = abs(anchors[3] - 2.0) <= ANCHOR_TOLERANCE
     elif family == "binomial":
-        dims = [int(d) for d in config.get("dimensions", [3, 6, 9, 12, 15])]
+        dims = _integers(config, "dimensions", [3, 6, 9, 12, 15])
         points = [(d, certificates.min_insertion_error_binomial(d)) for d in dims]
         fit = _fit_points(points, True, result, out_dir)
         if {3, 6, 9, 12, 15} <= set(dims):
@@ -150,7 +166,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
                 abs(fit.slope - BINOMIAL_SLOPE) <= SLOPE_TOLERANCE
             )
     elif family == "lemma":
-        dims = [int(d) for d in config.get("dimensions", range(1, 17))]
+        dims = _integers(config, "dimensions", list(range(1, 17)))
         points = [(d, certificates.verify_lemma_monomial_insertion(d)) for d in dims]
         result["points"] = [[d, v] for d, v in points]
         gates["total_is_one"] = all(v == 1.0 for _, v in points)
@@ -160,7 +176,11 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         )
     elif family == "corollary":
         kind = config.get("kind", "binomial")
-        dims = [int(d) for d in config.get("dimensions", [6])]
+        if kind not in ("monomial", "binomial"):
+            raise ConfigError(
+                f"corollary kind must be 'monomial' or 'binomial', got {kind!r}"
+            )
+        dims = _integers(config, "dimensions", [6])
         rows = []
         for d in dims:
             spec = (certificates.PolynomialSpec.monomial(d) if kind == "monomial"
@@ -302,13 +322,13 @@ def _restore_checkpoint(path):
 
 def cmd_train(config: dict, out_dir: Path) -> int:
     features, labels = _load_dataset(config["dataset"])
-    seg = Segmentation.contiguous(features.shape[1], int(config.get("segments", 2)))
+    seg = Segmentation.contiguous(features.shape[1], _integers(config, "segments", 2))
     backbone = _class_mean_backbone(features, labels)
     train_config = TrainConfig(
-        steps=int(config.get("steps", 200)),
+        steps=_integers(config, "steps", 200),
         learning_rate=float(config.get("learning_rate", 0.1)),
-        seed=int(config["seed"]),
-        heads=int(config.get("heads", 2)),
+        seed=config["seed"],
+        heads=_integers(config, "heads", 2),
     )
     result = train(features, labels, seg, backbone, train_config)
     accuracy = training_accuracy(
@@ -345,8 +365,8 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
     unknown = [m for m in metrics if m not in EVAL_METRICS]
     if unknown:
         raise ConfigError(f"unknown eval metrics {unknown}; known: {list(EVAL_METRICS)}")
-    step = int(config.get("step", 1))
-    classes = [int(c) for c in config.get("classes", [0])]
+    step = _integers(config, "step", 1)
+    classes = _integers(config, "classes", [0])
     for k in classes:
         if not 0 <= k < sel.n_classes:
             raise ConfigError(
@@ -367,13 +387,15 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
     if "accuracy" in metrics:
         report["accuracy"] = training_accuracy(features, labels, seg, gen, sel, backbone)
 
+    rationale = "comprehensiveness" in metrics or "sufficiency" in metrics
     for index, x in enumerate(features):
         attribution = sop_forward(x, seg, gen, sel, backbone)
+        # every probe of this example is one row of one keep matrix, class by class
+        keeps, class_curves = [], []
         for k in classes:
             groups, scores = attribution.groups, attribution.scores[:, k]
             alpha = faithfulness.flatten_grouped(groups, scores)
             ranking = faithfulness.ranking_from_attribution(alpha)
-            # every probe of this (example, class) is one row of one keep matrix
             curves = {}
             if "insertion" in metrics:
                 curves["insertion"] = faithfulness.ranked_keep(ranking, step, "insertion")
@@ -385,19 +407,29 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
             if "grouped_deletion" in metrics:
                 curves["grouped_deletion"] = faithfulness.grouped_keep(
                     groups, scores, "deletion")
-            keeps = [keep for _, keep in curves.values()]
-            if "comprehensiveness" in metrics or "sufficiency" in metrics:
+            keeps.extend(keep for _, keep in curves.values())
+            if rationale:
                 # the full input, the input without the rationale, the rationale only
                 keeps.append(faithfulness.rationale_keep(alpha > 0))
-            values = []
-            if keeps:
-                keep = np.vstack(keeps)
-                probed = softmax(predict(np.where(keep, x, 0.0), seg, gen, sel, backbone))
-                values = probed[:, k].tolist()
-            start = 0
+            class_curves.append((k, curves))
+            if "sparsity" in metrics:
+                aggregates["sparsity"].append(faithfulness.sparsity(groups, scores))
+        if not keeps:
+            continue
+        # x, the zero input, the rationale rows and the curve endpoints repeat
+        # within and across classes: evaluate each distinct row once.  A row's
+        # prediction does not depend on the stack it comes in (identity
+        # backbone), so the gathered values are the per-row ones bit for bit.
+        keep = np.vstack(keeps)
+        _, first, inverse = np.unique(np.packbits(keep, axis=-1), axis=0,
+                                      return_index=True, return_inverse=True)
+        probs = softmax(predict(np.where(keep[first], x, 0.0), seg, gen, sel, backbone))
+        probs = probs[inverse.ravel()]
+        start = 0
+        for k, curves in class_curves:
             for name, (fractions, rows) in curves.items():
                 curve = faithfulness.PerturbationReport.from_curve(
-                    name, fractions, values[start:start + len(rows)]
+                    name, fractions, probs[start:start + len(rows), k].tolist()
                 )
                 start += len(rows)
                 aggregates[name].append(curve.auc)
@@ -405,12 +437,13 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
                     (name, index, k, float(f), float(p))
                     for f, p in zip(curve.fractions, curve.probabilities)
                 )
-            if "sparsity" in metrics:
-                aggregates["sparsity"].append(faithfulness.sparsity(groups, scores))
-            if "comprehensiveness" in metrics:
-                aggregates["comprehensiveness"].append(values[start] - values[start + 1])
-            if "sufficiency" in metrics:
-                aggregates["sufficiency"].append(values[start] - values[start + 2])
+            if rationale:
+                full, without, only = probs[start:start + 3, k].tolist()
+                start += 3
+                if "comprehensiveness" in metrics:
+                    aggregates["comprehensiveness"].append(full - without)
+                if "sufficiency" in metrics:
+                    aggregates["sufficiency"].append(full - only)
 
     for name, values in aggregates.items():
         if values:

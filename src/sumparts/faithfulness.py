@@ -17,7 +17,8 @@ rationale metrics, and :meth:`PerturbationReport.from_curve` turns one
 value per probe into a report.  The per-vector functions below call the
 model on one probe at a time, in row order; a caller holding a batched
 model (``sumparts.model.predict``) can evaluate a whole keep-matrix in
-one call instead.
+one call instead.  ``sumparts eval`` makes one ``predict`` call per
+example, on the distinct rows of all its classes' keep matrices.
 """
 
 from __future__ import annotations

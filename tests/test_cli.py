@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumparts import faithfulness
+from sumparts import cli, faithfulness
 from sumparts.cli import (
     REPORT_SCHEMA,
     _checkpoint_dict,
@@ -24,6 +24,7 @@ from sumparts.model import (
     GroupSelectParams,
     Segmentation,
     identity_backbone,
+    predict,
     sop_forward,
 )
 from sumparts.ops import softmax
@@ -99,6 +100,17 @@ class TestCertify:
         assert run(["certify", "--config", config, "--out", out]) == 0
         results = json.loads((out / "results.json").read_text())
         assert results["points"] == [[6, 0.0, 0.0]]
+
+    def test_unknown_corollary_kind_rejected(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "c.json",
+            {"family": "corollary", "kind": "nope", "dimensions": [3]},
+        )
+        out = tmp_path / "out"
+        assert run(["certify", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "'nope'" in err and "'monomial'" in err and "'binomial'" in err
+        assert not (out / "results.json").exists()
 
     def test_binomial_narrow_window_reports_fit_without_gate(self, tmp_path):
         config = write_config(
@@ -364,17 +376,28 @@ def eval_oracle(checkpoint, dataset, metrics, step, classes, out_dir):
                      ["metric", "example", "class", "fraction", "probability"], curve_rows)
 
 
+ORACLE_CASES = {
+    "all": (ALL_METRICS, 1, [0, 1, 2]),
+    "all_reversed_step3": (ALL_METRICS[::-1], 3, [2, 0]),
+    "two": (["sufficiency", "grouped_deletion"], 2, [1]),
+    "no_probes": (["accuracy", "sparsity"], 1, [0]),
+    "repeated_class": (ALL_METRICS, 1, [1, 1]),
+}
+
+
 class TestEvalOracle:
     @pytest.fixture
-    def sparse_model(self, tmp_path):
-        """Three classes, d=8 in 4 segments, and wide generator weights, so
-        the groups are sparse and the grouped curves have several points."""
+    def sparse_model(self, tmp_path, request):
+        """Three classes, d features (8 by default) in 4 segments, and wide
+        generator weights, so the groups are sparse and the grouped curves
+        have several points."""
+        d = getattr(request, "param", 8)
         rng = np.random.default_rng(12)
         labels = np.arange(9) % 3
-        features = rng.normal(0.0, 1.0, (3, 8))[labels] + 0.5 * rng.normal(size=(9, 8))
+        features = rng.normal(0.0, 1.0, (3, d))[labels] + 0.5 * rng.normal(size=(9, d))
         dataset = tmp_path / "three.csv"
         np.savetxt(dataset, np.column_stack([features, labels]), delimiter=",")
-        seg = Segmentation.contiguous(8, 4)
+        seg = Segmentation.contiguous(d, 4)
         backbone = class_mean_identity_backbone(features, labels)
         gen = GroupGenParams.random(4, 2, rng, std=2.0)
         sel = GroupSelectParams.random(backbone, rng, std=0.5)
@@ -382,12 +405,11 @@ class TestEvalOracle:
         write_json_atomic(checkpoint, _checkpoint_dict(seg, gen, sel, backbone, {"seed": 1}))
         return dataset, checkpoint
 
-    @pytest.mark.parametrize("metrics, step, classes", [
-        (ALL_METRICS, 1, [0, 1, 2]),
-        (ALL_METRICS[::-1], 3, [2, 0]),
-        (["sufficiency", "grouped_deletion"], 2, [1]),
-        (["accuracy", "sparsity"], 1, [0]),
-    ], ids=["all", "all_reversed_step3", "two", "no_probes"])
+    # at d = 11 each packed keep row carries 5 bits of padding
+    @pytest.mark.parametrize("sparse_model, metrics, step, classes", [
+        pytest.param(d, *case, id=name if d == 8 else f"{name}_d{d}")
+        for d in (8, 11) for name, case in ORACLE_CASES.items()
+    ], indirect=["sparse_model"])
     def test_matches_per_vector_oracle(self, tmp_path, sparse_model, metrics, step,
                                        classes):
         dataset, checkpoint = sparse_model
@@ -401,9 +423,29 @@ class TestEvalOracle:
         eval_oracle(checkpoint, dataset, metrics, step, classes, expected)
         for name in ("results.json", "curves.csv"):
             assert (out / name).read_bytes() == (expected / name).read_bytes()
-        if "grouped_insertion" in metrics:
+        if "grouped_insertion" in metrics and 0 in classes:
             rows = (out / "curves.csv").read_text().splitlines()
             assert sum(r.startswith("grouped_insertion,0,0,") for r in rows) > 2
+
+    def test_one_predict_call_per_example_on_distinct_rows(self, tmp_path, monkeypatch,
+                                                            sparse_model):
+        dataset, checkpoint = sparse_model
+        calls = []
+
+        def recording_predict(inputs, *model):
+            calls.append(np.array(inputs))
+            return predict(inputs, *model)
+
+        monkeypatch.setattr(cli, "predict", recording_predict)
+        config = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(checkpoint), "dataset": str(dataset),
+             "metrics": ALL_METRICS, "classes": [0, 1, 2, 1], "seed": 3},
+        )
+        assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 0
+        assert len(calls) == 9
+        for inputs in calls:
+            assert np.unique(inputs, axis=0).shape[0] == inputs.shape[0]
 
 
 class TestCheckpointRoundTrip:
@@ -583,3 +625,53 @@ class TestConfigHandling:
         assert run(
             ["certify", "--config", tmp_path / "none.json", "--out", tmp_path / "o"]
         ) == 2
+
+    @pytest.mark.parametrize("command, fields, key", [
+        pytest.param(command, fields, key,
+                     id=f"{command}-{key}={fields[key]!r}".replace(" ", ""))
+        for command, fields, key in [
+            ("eval", {"step": 1.7}, "step"),
+            ("eval", {"classes": [True]}, "classes"),
+            ("eval", {"classes": [0, 1.0]}, "classes"),
+            ("eval", {"classes": 1}, "classes"),
+            ("eval", {"seed": "3"}, "seed"),
+            ("train", {"steps": 2.5}, "steps"),
+            ("train", {"steps": True}, "steps"),
+            ("train", {"heads": 2.0}, "heads"),
+            ("train", {"segments": "2"}, "segments"),
+            ("train", {"seed": 1.0}, "seed"),
+            ("certify", {"family": "monomial", "d_min": 2.0}, "d_min"),
+            ("certify", {"family": "monomial", "d_max": True}, "d_max"),
+            ("certify", {"family": "binomial", "dimensions": [3, 6.5]}, "dimensions"),
+            ("certify", {"family": "lemma", "dimensions": [False]}, "dimensions"),
+            ("certify", {"family": "corollary", "dimensions": 6}, "dimensions"),
+            ("label", {"seed": True}, "seed"),
+        ]
+    ])
+    def test_integer_fields_reject_other_values(self, tmp_path, capsys, command,
+                                                fields, key):
+        """Integer fields take JSON integers only: ``int()`` would truncate
+        a float and read a bool as 0 or 1."""
+        dataset = tmp_path / "blobs.csv"
+        features, labels = write_blobs_csv(dataset, n_per_class=3)
+        seg = Segmentation.contiguous(features.shape[1], 2)
+        backbone = class_mean_identity_backbone(features, labels)
+        rng = np.random.default_rng(0)
+        gen = GroupGenParams.random(2, 2, rng)
+        sel = GroupSelectParams.random(backbone, rng)
+        checkpoint = tmp_path / "checkpoint.json"
+        write_json_atomic(checkpoint, _checkpoint_dict(seg, gen, sel, backbone, {"seed": 1}))
+        base = {
+            "certify": {},
+            "train": {"dataset": str(dataset), "steps": 1, "seed": 1},
+            "eval": {"checkpoint": str(checkpoint), "dataset": str(dataset),
+                     "metrics": ["insertion"], "seed": 3},
+            "label": {"map": "map.csv", "segmentation": "seg.csv",
+                      "checkpoint": str(checkpoint)},
+        }[command]
+        config = write_config(tmp_path / "c.json", {**base, **fields})
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"config field {key!r}" in err and repr(fields[key]) in err
+        assert not (out / "results.json").exists()
