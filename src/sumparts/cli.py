@@ -87,17 +87,26 @@ class ConfigError(ValueError):
     pass
 
 
-def _integers(config: dict, key: str, default=None):
-    """The integer at ``key``, or the list of integers when ``default`` is a
-    list.  Only JSON integers pass: ``int()`` would truncate 1.7 to 1 and
-    read ``true`` as 1, so a float, a bool or anything else is a ConfigError
-    naming the key and the value."""
+def _is_integer(value) -> bool:
+    # int() would truncate 1.7 to 1 and read ``true`` as 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(config: dict, key: str, default=None) -> int:
+    """The JSON integer at ``key``; a float, a bool or anything else is a
+    ConfigError naming the key and the value."""
     value = config.get(key, default)
-    entries = value if isinstance(default, list) else [value]
-    if not isinstance(entries, list) or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in entries):
-        kind = "a list of integers" if isinstance(default, list) else "an integer"
-        raise ConfigError(f"config field {key!r} must be {kind}, got {value!r}")
+    if not _is_integer(value):
+        raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _integer_list(config: dict, key: str, default: list) -> list[int]:
+    """The list of JSON integers at ``key``, checked as in ``_integer``."""
+    value = config.get(key, default)
+    if not isinstance(value, list) or not all(map(_is_integer, value)):
+        raise ConfigError(
+            f"config field {key!r} must be a list of integers, got {value!r}")
     return value
 
 
@@ -120,7 +129,7 @@ def _load_config(command: str, path: str, overrides: dict) -> dict:
     if command in _SEED_REQUIRED and "seed" not in config:
         raise ConfigError(f"{command} requires a seed")
     if "seed" in config:
-        _integers(config, "seed")
+        _integer(config, "seed")
     return config
 
 
@@ -141,8 +150,8 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
     result: dict = {"family": family}
 
     if family == "monomial":
-        d_min = _integers(config, "d_min", 2)
-        d_max = _integers(config, "d_max", 14)
+        d_min = _integer(config, "d_min", 2)
+        d_max = _integer(config, "d_max", 14)
         dims = list(range(d_min, d_max + 1))
         points = [(d, certificates.min_deletion_error_monomial(d)) for d in dims]
         fit = _fit_points(points, False, result, out_dir)
@@ -158,7 +167,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         if 3 in anchors:
             gates["anchor_d3"] = abs(anchors[3] - 2.0) <= ANCHOR_TOLERANCE
     elif family == "binomial":
-        dims = _integers(config, "dimensions", [3, 6, 9, 12, 15])
+        dims = _integer_list(config, "dimensions", [3, 6, 9, 12, 15])
         points = [(d, certificates.min_insertion_error_binomial(d)) for d in dims]
         fit = _fit_points(points, True, result, out_dir)
         if {3, 6, 9, 12, 15} <= set(dims):
@@ -166,7 +175,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
                 abs(fit.slope - BINOMIAL_SLOPE) <= SLOPE_TOLERANCE
             )
     elif family == "lemma":
-        dims = _integers(config, "dimensions", list(range(1, 17)))
+        dims = _integer_list(config, "dimensions", list(range(1, 17)))
         points = [(d, certificates.verify_lemma_monomial_insertion(d)) for d in dims]
         result["points"] = [[d, v] for d, v in points]
         gates["total_is_one"] = all(v == 1.0 for _, v in points)
@@ -180,7 +189,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
             raise ConfigError(
                 f"corollary kind must be 'monomial' or 'binomial', got {kind!r}"
             )
-        dims = _integers(config, "dimensions", [6])
+        dims = _integer_list(config, "dimensions", [6])
         rows = []
         for d in dims:
             spec = (certificates.PolynomialSpec.monomial(d) if kind == "monomial"
@@ -322,13 +331,13 @@ def _restore_checkpoint(path):
 
 def cmd_train(config: dict, out_dir: Path) -> int:
     features, labels = _load_dataset(config["dataset"])
-    seg = Segmentation.contiguous(features.shape[1], _integers(config, "segments", 2))
+    seg = Segmentation.contiguous(features.shape[1], _integer(config, "segments", 2))
     backbone = _class_mean_backbone(features, labels)
     train_config = TrainConfig(
-        steps=_integers(config, "steps", 200),
+        steps=_integer(config, "steps", 200),
         learning_rate=float(config.get("learning_rate", 0.1)),
         seed=config["seed"],
-        heads=_integers(config, "heads", 2),
+        heads=_integer(config, "heads", 2),
     )
     result = train(features, labels, seg, backbone, train_config)
     accuracy = training_accuracy(
@@ -365,8 +374,8 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
     unknown = [m for m in metrics if m not in EVAL_METRICS]
     if unknown:
         raise ConfigError(f"unknown eval metrics {unknown}; known: {list(EVAL_METRICS)}")
-    step = _integers(config, "step", 1)
-    classes = _integers(config, "classes", [0])
+    step = _integer(config, "step", 1)
+    classes = _integer_list(config, "classes", [0])
     for k in classes:
         if not 0 <= k < sel.n_classes:
             raise ConfigError(
@@ -417,14 +426,22 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
         if not keeps:
             continue
         # x, the zero input, the rationale rows and the curve endpoints repeat
-        # within and across classes: evaluate each distinct row once.  A row's
+        # across keep matrices: evaluate each distinct row once.  A row's
         # prediction does not depend on the stack it comes in (identity
         # backbone), so the gathered values are the per-row ones bit for bit.
+        # A lone matrix is evaluated as it is: a curve's rows never repeat
+        # (the three rationale rows only for an empty or full rationale), and
+        # deduplicating costs about 30 us per example.  Each packed row is
+        # sorted as one opaque byte string; np.unique(axis=0) sorts one field
+        # per byte and costs 4 to 7 times as much.
         keep = np.vstack(keeps)
-        _, first, inverse = np.unique(np.packbits(keep, axis=-1), axis=0,
-                                      return_index=True, return_inverse=True)
+        first = inverse = slice(None)
+        if len(keeps) > 1:
+            packed = np.packbits(keep, axis=-1)
+            _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                          return_index=True, return_inverse=True)
         probs = softmax(predict(np.where(keep[first], x, 0.0), seg, gen, sel, backbone))
-        probs = probs[inverse.ravel()]
+        probs = probs[inverse]
         start = 0
         for k, curves in class_curves:
             for name, (fractions, rows) in curves.items():

@@ -382,6 +382,7 @@ ORACLE_CASES = {
     "two": (["sufficiency", "grouped_deletion"], 2, [1]),
     "no_probes": (["accuracy", "sparsity"], 1, [0]),
     "repeated_class": (ALL_METRICS, 1, [1, 1]),
+    "one_curve": (["deletion"], 1, [2]),
 }
 
 
