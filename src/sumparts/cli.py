@@ -101,6 +101,28 @@ def _integer(config: dict, key: str, default=None) -> int:
     return value
 
 
+def _number(config: dict, key: str, default: float) -> float:
+    """The finite JSON number at ``key``, as a float; a bool, a string,
+    anything else, NaN or an infinity is a ConfigError naming the key and
+    the value."""
+    value = config.get(key, default)
+    # the range test is false for NaN, and exact for an int too large for
+    # ``float``, which would overflow there
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"config field {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _path(config: dict, key: str) -> str:
+    """The file path at ``key``; anything but a string is a ConfigError
+    naming the key (``open(7)`` would take over file descriptor 7)."""
+    value = config.get(key)
+    if not isinstance(value, str):
+        raise ConfigError(f"config field {key!r} must be a path string, got {value!r}")
+    return value
+
+
 def _integer_list(config: dict, key: str, default: list) -> list[int]:
     """The list of JSON integers at ``key``, checked as in ``_integer``."""
     value = config.get(key, default)
@@ -330,12 +352,12 @@ def _restore_checkpoint(path):
 
 
 def cmd_train(config: dict, out_dir: Path) -> int:
-    features, labels = _load_dataset(config["dataset"])
+    features, labels = _load_dataset(_path(config, "dataset"))
     seg = Segmentation.contiguous(features.shape[1], _integer(config, "segments", 2))
     backbone = _class_mean_backbone(features, labels)
     train_config = TrainConfig(
         steps=_integer(config, "steps", 200),
-        learning_rate=float(config.get("learning_rate", 0.1)),
+        learning_rate=_number(config, "learning_rate", 0.1),
         seed=config["seed"],
         heads=_integer(config, "heads", 2),
     )
@@ -360,22 +382,26 @@ def cmd_train(config: dict, out_dir: Path) -> int:
 
 
 def cmd_eval(config: dict, out_dir: Path) -> int:
-    seg, gen, sel, backbone = _restore_checkpoint(config["checkpoint"])
-    features, labels = _load_dataset(config["dataset"])
-    if features.shape[1] != seg.n_features:
-        raise ConfigError(
-            f"dataset has {features.shape[1]} features, checkpoint expects {seg.n_features}"
-        )
+    checkpoint, dataset = _path(config, "checkpoint"), _path(config, "dataset")
     metrics = config.get(
         "metrics",
         ["accuracy", "insertion", "deletion", "grouped_insertion",
          "grouped_deletion", "sparsity"],
     )
+    if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
+        raise ConfigError(
+            f"config field 'metrics' must be a list of metric names, got {metrics!r}")
     unknown = [m for m in metrics if m not in EVAL_METRICS]
     if unknown:
         raise ConfigError(f"unknown eval metrics {unknown}; known: {list(EVAL_METRICS)}")
     step = _integer(config, "step", 1)
     classes = _integer_list(config, "classes", [0])
+    seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
+    features, labels = _load_dataset(dataset)
+    if features.shape[1] != seg.n_features:
+        raise ConfigError(
+            f"dataset has {features.shape[1]} features, checkpoint expects {seg.n_features}"
+        )
     for k in classes:
         if not 0 <= k < sel.n_classes:
             raise ConfigError(
@@ -384,8 +410,8 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
             )
 
     report: dict = {"metadata": {
-        "checkpoint": str(config["checkpoint"]),
-        "dataset": str(config["dataset"]),
+        "checkpoint": checkpoint,
+        "dataset": dataset,
         "classes": classes,
         "step": step,
         "probability": "raw class probability (softmax of the prediction)",
@@ -476,25 +502,27 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
 
 
 def cmd_label(config: dict, out_dir: Path) -> int:
+    map_path, seg_path = _path(config, "map"), _path(config, "segmentation")
+    checkpoint = _path(config, "checkpoint")
+    cluster_sigma = _number(config, "cluster_sigma", 3.0)
     map_format = config.get("map_format", "csv")
     if map_format == "csv":
-        imap = structures.load_map_csv(config["map"])
+        imap = structures.load_map_csv(map_path)
     elif map_format == "binary":
-        imap = structures.load_map_binary(config["map"])
+        imap = structures.load_map_binary(map_path)
     else:
         raise ConfigError("map_format must be 'csv' or 'binary'")
-    seg = structures.load_segmentation_csv(config["segmentation"])
+    seg = structures.load_segmentation_csv(seg_path)
     if seg.n_features != imap.height * imap.width:
         raise ConfigError(
             f"segmentation covers {seg.n_features} pixels, map has "
             f"{imap.height * imap.width}"
         )
-    ckpt_seg, gen, sel, backbone = _restore_checkpoint(config["checkpoint"])
+    ckpt_seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
     if ckpt_seg.n_features != seg.n_features or ckpt_seg.n_segments != seg.n_segments:
         raise ConfigError(
             "checkpoint was trained for a different map/segmentation shape"
         )
-    cluster_sigma = float(config.get("cluster_sigma", 3.0))
 
     attribution = sop_forward(imap.flat, seg, gen, sel, backbone)
     rows = []

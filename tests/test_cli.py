@@ -1,8 +1,13 @@
 """End-to-end command tests: artifacts, determinism, gates, and strict
 config handling."""
 
+import inspect
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from math import comb
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumparts import cli, faithfulness
+from sumparts import certificates, cli, faithfulness
 from sumparts.cli import (
     REPORT_SCHEMA,
     _checkpoint_dict,
@@ -309,6 +314,21 @@ class TestEval:
         assert "'insertoin'" in err
         for name in ALL_METRICS:
             assert f"'{name}'" in err
+        assert not (tmp_path / "out" / "results.json").exists()
+
+    @pytest.mark.parametrize("metrics", [5, "insertion", [1, 2]], ids=repr)
+    def test_metrics_must_be_a_list_of_names(self, tmp_path, capsys, trained, metrics):
+        """A bare string would be read letter by letter and an int is not
+        iterable; both are config errors that name the field."""
+        dataset, checkpoint = trained
+        config = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(checkpoint), "dataset": str(dataset),
+             "metrics": metrics, "seed": 3},
+        )
+        assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'metrics'" in err and repr(metrics) in err
         assert not (tmp_path / "out" / "results.json").exists()
 
     def test_missing_checkpoint(self, tmp_path, trained):
@@ -676,3 +696,121 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"config field {key!r}" in err and repr(fields[key]) in err
         assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("train", "dataset"), ("eval", "checkpoint"), ("eval", "dataset"),
+        ("label", "map"), ("label", "segmentation"), ("label", "checkpoint"),
+    ])
+    def test_path_fields_reject_descriptor_numbers(self, tmp_path, capsys, command, key):
+        """``open`` and ``np.loadtxt`` take an int as a file descriptor, and
+        would read and then close one that the caller owns."""
+        held = tmp_path / "held.txt"
+        held.write_text("owned by the caller\n")
+        base = {
+            "train": {"dataset": "blobs.csv", "seed": 1},
+            "eval": {"checkpoint": "checkpoint.json", "dataset": "blobs.csv", "seed": 3},
+            "label": {"map": "map.csv", "segmentation": "seg.csv",
+                      "checkpoint": "checkpoint.json"},
+        }[command]
+        with open(held) as fh:
+            config = write_config(tmp_path / "c.json", {**base, key: fh.fileno()})
+            assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2
+            os.fstat(fh.fileno())
+            assert fh.read() == "owned by the caller\n"
+            descriptor = fh.fileno()
+        err = capsys.readouterr().err
+        assert f"config field {key!r} must be a path string, got {descriptor}" in err
+
+    @pytest.mark.parametrize("command, key", [("train", "learning_rate"),
+                                              ("label", "cluster_sigma")])
+    @pytest.mark.parametrize("value", [True, "0.1", [0.1], float("nan"), float("inf"),
+                                       -float("inf"), 10 ** 400],
+                             ids=["true", "'0.1'", "[0.1]", "nan", "inf", "-inf", "10**400"])
+    def test_number_fields_reject_other_values(self, tmp_path, capsys, command, key,
+                                               value):
+        """``float()`` would read ``true`` as 1.0 and ``"0.1"`` as 0.1."""
+        dataset = tmp_path / "blobs.csv"
+        write_blobs_csv(dataset, n_per_class=3)
+        base = {
+            "train": {"dataset": str(dataset), "steps": 1, "seed": 1},
+            "label": {"map": "map.csv", "segmentation": "seg.csv",
+                      "checkpoint": "checkpoint.json"},
+        }[command]
+        config = write_config(tmp_path / "c.json", {**base, key: value})
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"config field {key!r} must be a finite number, got {value!r}" in err
+        assert not (out / "results.json").exists()
+
+    def test_integer_learning_rate_trains_as_its_float(self, tmp_path):
+        dataset = tmp_path / "blobs.csv"
+        write_blobs_csv(dataset, n_per_class=3)
+        outs = []
+        for rate in (1, 1.0):
+            config = write_config(
+                tmp_path / f"{rate!r}.json",
+                {"dataset": str(dataset), "steps": 2, "learning_rate": rate, "seed": 1})
+            outs.append(tmp_path / f"out-{rate!r}")
+            assert run(["train", "--config", config, "--out", outs[-1]]) == 0
+        assert (outs[0] / "checkpoint.json").read_bytes() == \
+            (outs[1] / "checkpoint.json").read_bytes()
+
+
+# Runs train, eval and label in one fresh interpreter, then certify.
+COLD_START = """
+import sys
+from sumparts import cli
+
+work = sys.argv[1]
+for command in ("train", "eval", "label", "certify"):
+    if command == "certify":
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        assert not loaded, loaded
+    code = cli.main([command, "--config", f"{work}/{command}.json",
+                     "--out", f"{work}/{command}"])
+    assert code == 0, (command, code)
+assert "scipy.optimize" in sys.modules
+"""
+
+
+class TestColdStart:
+    def test_only_certify_loads_scipy(self, tmp_path):
+        """``train``, ``eval`` and ``label`` never import scipy; the first
+        certificate LP does, and still finds the exact optima."""
+        rng = np.random.default_rng(0)
+        maps = rng.normal(size=(12, 16))
+        labels = (maps[:, :4].sum(axis=1) > 0).astype(int)
+        dataset = tmp_path / "maps.csv"
+        np.savetxt(dataset, np.column_stack([maps, labels]), delimiter=",")
+        np.savetxt(tmp_path / "map.csv", rng.normal(size=(4, 4)), delimiter=",")
+        np.savetxt(tmp_path / "seg.csv", np.repeat(np.repeat([[0, 1], [2, 3]], 2, 0), 2, 1),
+                   fmt="%d", delimiter=",")
+        checkpoint = str(tmp_path / "train" / "checkpoint.json")
+        write_config(tmp_path / "train.json", {"dataset": str(dataset), "steps": 2,
+                                               "segments": 4, "seed": 5})
+        write_config(tmp_path / "eval.json", {"checkpoint": checkpoint,
+                                              "dataset": str(dataset), "seed": 3})
+        write_config(tmp_path / "label.json", {
+            "map": str(tmp_path / "map.csv"), "segmentation": str(tmp_path / "seg.csv"),
+            "checkpoint": checkpoint})
+        write_config(tmp_path / "certify.json", {"family": "monomial", "d_min": 2,
+                                                 "d_max": 5})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+        completed = subprocess.run(
+            [sys.executable, "-c", COLD_START, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        points = json.loads((tmp_path / "certify" / "results.json").read_text())["points"]
+        assert points == [[d, float(comb(d, d // 2) - 1)] for d in range(2, 6)]
+
+    def test_linprog_is_a_module_level_function_with_a_named_a_ub(self):
+        """The benchmark's tracer rebinds ``certificates.linprog`` and reads
+        its ``A_ub`` argument by name."""
+        assert inspect.isfunction(certificates.linprog)
+        assert certificates.linprog.__module__ == "sumparts.certificates"
+        assert certificates.linprog.__qualname__ == "linprog"
+        assert "A_ub" in inspect.signature(certificates.linprog).parameters
