@@ -5,23 +5,22 @@ error over the whole powerset, and for a three-part binomial the best
 possible total insertion error, are each the optimum of an L1-minimization
 problem over attributions.  The objective is convex and symmetric under
 permutations of the features (within each part, for the binomial), so
-some optimum is constant on each part and the program reduces to one
-weighted row per orbit of subsets: subset sizes for the monomial, size
-triples for the binomial.  These orbit programs are solved by HiGHS and
-every optimum is proven in exact rational arithmetic from the solver's
-primal and dual solutions; the monomial family is also cross-checked
-against an exact scan.  The full-powerset programs (:func:`build_program`,
-:func:`solve_l1`) are kept as the independent oracle for the orbit route.
-The zero-error grouped constructions are verified on the whole powerset
-in vectorised blocks, and exponential growth curves are fitted to the
-minima.
+some optimum is constant on each part.  Each family has one exact route.
+The monomial optimum has one unknown, the common attribution, and is
+found by an exact scan of its kinks in rational arithmetic.  The binomial
+program reduces to one weighted row per triple of part sizes; it is
+solved by HiGHS and the optimum is proven in exact rational arithmetic
+from the solver's primal and dual solutions.  The zero-error grouped
+constructions are verified on the whole powerset in vectorised blocks,
+and exponential growth curves are fitted to the minima.
 
-scipy is used only to build and solve the LPs, and is imported on the
-first solve: :func:`linprog` imports ``scipy.optimize.linprog`` on its
+scipy is used only to build and solve the binomial LP, and is imported on
+the first solve: :func:`linprog` imports ``scipy.optimize.linprog`` on its
 first call and the LP build imports ``scipy.sparse``.  Importing this
 module therefore does not load scipy, and neither do the CLI's ``train``,
-``eval`` and ``label`` commands, which start about 0.6 s sooner for it
-(2-vCPU x86_64 host, scipy 1.17.1).
+``eval`` and ``label`` commands or any ``certify`` family but
+``binomial``; they start about 0.6 s sooner for it (2-vCPU x86_64 host,
+scipy 1.17.1).
 """
 
 from __future__ import annotations
@@ -34,14 +33,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .ops import powerset_blocks, powerset_matrix
+from .ops import powerset_blocks
 
 __all__ = [
     "PolynomialSpec",
-    "L1Program",
     "ExponentialFit",
-    "build_program",
-    "solve_l1",
     "monomial_scan_minimum",
     "min_deletion_error_monomial",
     "min_insertion_error_binomial",
@@ -53,7 +49,6 @@ __all__ = [
 LP_DIMENSION_LIMIT = 15
 SCAN_DIMENSION_LIMIT = 20
 GROUPED_DIMENSION_LIMIT = 12
-SCAN_AGREEMENT_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -120,57 +115,6 @@ class PolynomialSpec:
         return float(value) if x.ndim == 1 else value
 
 
-@dataclass(frozen=True)
-class L1Program:
-    """0/1 membership rows with one target per row.
-
-    Programs produced by :func:`build_program` enumerate the full powerset
-    (row i is subset i under binary counting with bit j = feature j), but
-    the solver accepts any 0/1 system.
-    """
-
-    coefficients: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
-        if coefficients.ndim != 2 or targets.shape != (coefficients.shape[0],):
-            raise ValueError("coefficient rows must align with targets")
-        if not np.all(np.isin(coefficients, (0.0, 1.0))):
-            raise ValueError("coefficient entries must be 0 or 1")
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "targets", targets)
-
-    @property
-    def d(self) -> int:
-        return self.coefficients.shape[1]
-
-
-def build_program(spec: PolynomialSpec, kind: str) -> L1Program:
-    """L1 program whose optimum is the least total deletion or insertion
-    error any per-feature attribution can achieve on ``spec``.
-
-    Targets are the exact output changes at the all-ones input: for
-    deletion ``f(1) - f(1 with S zeroed)``, for insertion
-    ``f(S kept) - f(0)``.  A monomial's deletion target is therefore 1 for
-    every non-empty subset and 0 for the empty one; a binomial's insertion
-    target is ``1[S1 u S2 in S] + 1[S2 u S3 in S]``.
-    """
-    if kind not in ("deletion", "insertion"):
-        raise ValueError(f"kind must be 'deletion' or 'insertion', got {kind!r}")
-    if spec.d > LP_DIMENSION_LIMIT:
-        raise ValueError(
-            f"powerset programs are capped at d={LP_DIMENSION_LIMIT}, got {spec.d}"
-        )
-    members = powerset_matrix(spec.d)
-    if kind == "deletion":
-        targets = spec.evaluate(np.ones(spec.d)) - spec.evaluate(~members)
-    else:
-        targets = spec.evaluate(members)
-    return L1Program(coefficients=members, targets=targets)
-
-
 def linprog(c, A_ub=None, b_ub=None, bounds=None, method="highs"):
     """``scipy.optimize.linprog``, imported on the first call.
 
@@ -216,28 +160,6 @@ def _solve_weighted_l1(counts, targets, weights):
     # row's multiplier is its upper row's minus its lower row's
     marginals = result.ineqlin.marginals
     return result.x[:d], float(result.fun), marginals[:n] - marginals[n:]
-
-
-def solve_l1(program: L1Program) -> tuple[np.ndarray, float]:
-    """Minimize ``sum |targets - coefficients @ alpha|`` over alpha.
-
-    Solves the program as given, one unit-weight row per subset; the
-    certificate functions use the orbit programs instead and keep this
-    full-powerset route as their test oracle.  Returns the minimizer and
-    the optimum.
-    """
-    alpha, value, _ = _solve_weighted_l1(
-        program.coefficients, program.targets, np.ones(program.targets.size)
-    )
-    return alpha, value
-
-
-def _monomial_orbits(d: int):
-    """Deletion program of the d-variable monomial on subset sizes k:
-    weight C(d,k), count k, target 1[k > 0]."""
-    sizes = range(d + 1)
-    return ([[k] for k in sizes], [int(k > 0) for k in sizes],
-            [comb(d, k) for k in sizes])
 
 
 def _binomial_orbits(m: int):
@@ -305,20 +227,11 @@ def monomial_scan_minimum(d: int) -> float:
 
 
 def min_deletion_error_monomial(d: int) -> float:
-    """Least total powerset deletion error for the d-variable monomial.
-
-    Certified on the d + 1 subset-size orbits and cross-checked against
-    the exact scan, for 2 <= d <= ``SCAN_DIMENSION_LIMIT``.
-    """
+    """Least total powerset deletion error for the d-variable monomial, by
+    the exact scan, for 2 <= d <= ``SCAN_DIMENSION_LIMIT``."""
     if d < 2:
         raise ValueError("monomial certificates start at d=2")
-    scan = monomial_scan_minimum(d)
-    value = _certified_optimum(d, *_monomial_orbits(d))
-    if abs(value - scan) > SCAN_AGREEMENT_RTOL * max(1.0, scan):
-        raise RuntimeError(
-            f"LP optimum {value} disagrees with the symmetric scan {scan} at d={d}"
-        )
-    return value
+    return monomial_scan_minimum(d)
 
 
 def min_insertion_error_binomial(d: int) -> float:
@@ -331,15 +244,6 @@ def min_insertion_error_binomial(d: int) -> float:
             f"binomial certificates are capped at d={LP_DIMENSION_LIMIT}, got {d}"
         )
     return _certified_optimum(d, *_binomial_orbits(spec.d // 3))
-
-
-def _masked_sum(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row sums of ``values`` over each boolean mask row.
-
-    Not a matrix product: BLAS would run the large blocks on worker threads
-    that keep spinning after the call returns.
-    """
-    return np.where(masks, values, 0.0).sum(axis=1)
 
 
 def verify_lemma_monomial_insertion(d: int, x=None) -> float:
@@ -356,12 +260,11 @@ def verify_lemma_monomial_insertion(d: int, x=None) -> float:
     x = np.ones(d) if x is None else np.asarray(x, dtype=np.float64)
     if x.shape != (d,):
         raise ValueError(f"input must have length {d}, got shape {x.shape}")
-    alpha = np.zeros(d)
     baseline = spec.evaluate(np.zeros(d))
     total = 0.0
     for masks in powerset_blocks(d):
         inserted = spec.evaluate(np.where(masks, x, 0.0))
-        total += float(np.abs(inserted - baseline - _masked_sum(masks, alpha)).sum())
+        total += float(np.abs(inserted - baseline).sum())
     return total
 
 
@@ -387,7 +290,6 @@ def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
         supports = np.zeros((2, spec.d), dtype=bool)
         supports[0, list(s1 + s2)] = True
         supports[1, list(s2 + s3)] = True
-    scores = np.ones(supports.shape[0])
     x = np.ones(spec.d)
     full = spec.evaluate(x)
     baseline = spec.evaluate(np.zeros(spec.d))
@@ -395,17 +297,15 @@ def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
     max_ins = 0.0
     for masks in powerset_blocks(spec.d):
         # boolean products: a group is hit when its support meets the
-        # deleted subset, covered when no member lies outside the inserted one
+        # deleted subset, covered when no member lies outside the inserted one;
+        # with every score 1 a subset's grouped attribution is its group count
         hit = masks @ supports.T
         covered = ~(~masks @ supports.T)
         deleted = spec.evaluate(np.where(masks, 0.0, x))
         inserted = spec.evaluate(np.where(masks, x, 0.0))
-        max_del = max(
-            max_del, float(np.abs(full - deleted - _masked_sum(hit, scores)).max())
-        )
+        max_del = max(max_del, float(np.abs(full - deleted - hit.sum(axis=1)).max()))
         max_ins = max(
-            max_ins,
-            float(np.abs(inserted - baseline - _masked_sum(covered, scores)).max()),
+            max_ins, float(np.abs(inserted - baseline - covered.sum(axis=1)).max())
         )
     return max_del, max_ins
 

@@ -352,12 +352,16 @@ def _restore_checkpoint(path):
 
 
 def cmd_train(config: dict, out_dir: Path) -> int:
+    learning_rate = _number(config, "learning_rate", 0.1)
+    if learning_rate <= 0:
+        raise ConfigError(
+            f"config field 'learning_rate' must be positive, got {config['learning_rate']!r}")
     features, labels = _load_dataset(_path(config, "dataset"))
     seg = Segmentation.contiguous(features.shape[1], _integer(config, "segments", 2))
     backbone = _class_mean_backbone(features, labels)
     train_config = TrainConfig(
         steps=_integer(config, "steps", 200),
-        learning_rate=_number(config, "learning_rate", 0.1),
+        learning_rate=learning_rate,
         seed=config["seed"],
         heads=_integer(config, "heads", 2),
     )

@@ -6,13 +6,25 @@ support sets of the underlying quadratic program, and training fixtures
 are plain numpy constructions.  The row oracles (``sparsemax_row``,
 ``sparsemax_vjp_row``, ``softmax_row``) are the library's earlier
 one-vector-at-a-time ops, kept to check the last-axis versions against.
+The LP oracles (``build_program``, ``solve_l1``, ``monomial_orbits``) are
+the certificate routes the library replaced: the full-powerset program
+and the monomial's subset-size orbit program.
 """
+
+from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from sumparts.certificates import (
+    LP_DIMENSION_LIMIT,
+    PolynomialSpec,
+    _solve_weighted_l1,
+)
 from sumparts.model import Segmentation, identity_backbone, linear_backbone
+from sumparts.ops import powerset_matrix
 
 
 # entries drawn from a few repeated values make ties in both sparsemax blocks
@@ -109,6 +121,70 @@ def per_row(fn, *arrays):
     shape = np.shape(arrays[0])
     rows = [np.asarray(a, dtype=np.float64).reshape(-1, shape[-1]) for a in arrays]
     return np.array([fn(*row) for row in zip(*rows)]).reshape(shape)
+
+
+@dataclass(frozen=True)
+class L1Program:
+    """0/1 membership rows with one target per row.
+
+    Programs produced by :func:`build_program` enumerate the full powerset
+    (row i is subset i under binary counting with bit j = feature j), but
+    the solver accepts any 0/1 system.
+    """
+
+    coefficients: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self):
+        coefficients = np.asarray(self.coefficients, dtype=np.float64)
+        targets = np.asarray(self.targets, dtype=np.float64)
+        if coefficients.ndim != 2 or targets.shape != (coefficients.shape[0],):
+            raise ValueError("coefficient rows must align with targets")
+        if not np.all(np.isin(coefficients, (0.0, 1.0))):
+            raise ValueError("coefficient entries must be 0 or 1")
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "targets", targets)
+
+
+def build_program(spec: PolynomialSpec, kind: str) -> L1Program:
+    """L1 program whose optimum is the least total deletion or insertion
+    error any per-feature attribution can achieve on ``spec``.
+
+    Targets are the exact output changes at the all-ones input: for
+    deletion ``f(1) - f(1 with S zeroed)``, for insertion
+    ``f(S kept) - f(0)``.  A monomial's deletion target is therefore 1 for
+    every non-empty subset and 0 for the empty one; a binomial's insertion
+    target is ``1[S1 u S2 in S] + 1[S2 u S3 in S]``.
+    """
+    if kind not in ("deletion", "insertion"):
+        raise ValueError(f"kind must be 'deletion' or 'insertion', got {kind!r}")
+    if spec.d > LP_DIMENSION_LIMIT:
+        raise ValueError(
+            f"powerset programs are capped at d={LP_DIMENSION_LIMIT}, got {spec.d}"
+        )
+    members = powerset_matrix(spec.d)
+    if kind == "deletion":
+        targets = spec.evaluate(np.ones(spec.d)) - spec.evaluate(~members)
+    else:
+        targets = spec.evaluate(members)
+    return L1Program(coefficients=members, targets=targets)
+
+
+def solve_l1(program: L1Program) -> tuple[np.ndarray, float]:
+    """Minimize ``sum |targets - coefficients @ alpha|`` over alpha, one
+    unit-weight row per subset.  Returns the minimizer and the optimum."""
+    alpha, value, _ = _solve_weighted_l1(
+        program.coefficients, program.targets, np.ones(program.targets.size)
+    )
+    return alpha, value
+
+
+def monomial_orbits(d: int):
+    """Deletion program of the d-variable monomial on subset sizes k:
+    weight C(d,k), count k, target 1[k > 0]."""
+    sizes = range(d + 1)
+    return ([[k] for k in sizes], [int(k > 0) for k in sizes],
+            [comb(d, k) for k in sizes])
 
 
 def make_blobs(n_per_class=30, d=8, noise=0.5, seed=123):

@@ -1,6 +1,8 @@
-"""Certificate programs and solver against independent scan oracles and
-frozen two-route values; the orbit route against the full-powerset LP, and
-the vectorised verifications against per-subset oracles."""
+"""Certificate routes against independent oracles and frozen values: the
+monomial scan against its orbit LP and the full-powerset LP, the binomial
+orbit LP against the full-powerset LP and a plane scan (both LP oracles
+live in conftest), and the vectorised verifications against per-subset
+oracles."""
 
 import math
 from math import comb
@@ -13,14 +15,11 @@ from hypothesis import strategies as st
 from sumparts import certificates
 from sumparts.certificates import (
     ExponentialFit,
-    L1Program,
     PolynomialSpec,
-    build_program,
     fit_exponential,
     min_deletion_error_monomial,
     min_insertion_error_binomial,
     monomial_scan_minimum,
-    solve_l1,
     verify_corollary_grouped,
     verify_lemma_monomial_insertion,
 )
@@ -29,6 +28,8 @@ from sumparts.faithfulness import (
     grouped_insertion_error,
     total_powerset_error,
 )
+
+from conftest import L1Program, build_program, monomial_orbits, solve_l1
 
 # minima confirmed by two independent routes (LP optimum and symmetric scan)
 MONOMIAL_MINIMA = {2: 1.0, 3: 2.0, 4: 5.0, 5: 9.0, 6: 19.0, 7: 34.0, 8: 69.0}
@@ -200,10 +201,10 @@ class TestSolveL1:
 
 class TestMonomialMinimum:
     def test_two_routes_agree(self):
-        for d in range(2, 11):
-            lp = min_deletion_error_monomial(d)
-            scan = monomial_scan_minimum(d)
-            assert abs(lp - scan) <= 1e-6 * max(1.0, scan)
+        # the orbit LP, proven by its exact primal/dual check, is the oracle
+        for d in range(2, 21):
+            assert monomial_scan_minimum(d) == \
+                certificates._certified_optimum(d, *monomial_orbits(d))
 
     def test_frozen_values(self):
         for d, expected in MONOMIAL_MINIMA.items():
@@ -217,8 +218,7 @@ class TestMonomialMinimum:
 
     def test_exact_minima(self):
         # for d = 2..20 the exact minima equal C(d, floor(d/2)) - 1; the
-        # scan runs in exact arithmetic and the orbit LP value is proven by
-        # its dual
+        # scan runs in exact arithmetic
         for d in range(2, 21):
             expected = float(comb(d, d // 2) - 1)
             assert monomial_scan_minimum(d) == expected
@@ -280,7 +280,7 @@ class TestExactCertificate:
 
         monkeypatch.setattr(certificates, "_solve_weighted_l1", perturbed)
         with pytest.raises(RuntimeError, match="d=5"):
-            min_deletion_error_monomial(5)
+            certificates._certified_optimum(5, *monomial_orbits(5))
         with pytest.raises(RuntimeError, match="d=6"):
             min_insertion_error_binomial(6)
 

@@ -76,6 +76,17 @@ class TestCertify:
         assert curves[0] == "d,value,fitted"
         assert len(curves) == 6
 
+    def test_monomial_family_solves_no_lp(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the monomial family solved an LP")
+
+        monkeypatch.setattr(certificates, "linprog", refuse)
+        config = write_config(tmp_path / "c.json", {"family": "monomial"})
+        out = tmp_path / "out"
+        assert run(["certify", "--config", config, "--out", out]) == 0
+        results = json.loads((out / "results.json").read_text())
+        assert results["points"] == [[d, float(comb(d, d // 2) - 1)] for d in range(2, 15)]
+
     def test_monomial_rerun_is_byte_identical(self, tmp_path):
         config = write_config(
             tmp_path / "c.json", {"family": "monomial", "d_min": 2, "d_max": 5}
@@ -756,28 +767,46 @@ class TestConfigHandling:
         assert (outs[0] / "checkpoint.json").read_bytes() == \
             (outs[1] / "checkpoint.json").read_bytes()
 
+    @pytest.mark.parametrize("rate", [0, -1])
+    def test_nonpositive_learning_rate_rejected(self, tmp_path, capsys, rate):
+        """A zero rate leaves the parameters as they were and a negative one
+        climbs the loss; neither is a training run."""
+        dataset = tmp_path / "blobs.csv"
+        write_blobs_csv(dataset, n_per_class=3)
+        config = write_config(
+            tmp_path / "c.json",
+            {"dataset": str(dataset), "steps": 2, "learning_rate": rate, "seed": 1})
+        out = tmp_path / "out"
+        assert run(["train", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"config field 'learning_rate' must be positive, got {rate!r}" in err
+        assert not (out / "checkpoint.json").exists()
 
-# Runs train, eval and label in one fresh interpreter, then certify.
+
+# Runs train, eval, label and a monomial certify in one fresh interpreter,
+# then a binomial certify.
 COLD_START = """
 import sys
 from sumparts import cli
 
 work = sys.argv[1]
-for command in ("train", "eval", "label", "certify"):
-    if command == "certify":
-        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+for command, name in (("train", "train"), ("eval", "eval"), ("label", "label"),
+                      ("certify", "monomial"), ("certify", "binomial")):
+    if name == "binomial":
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not loaded, loaded
-    code = cli.main([command, "--config", f"{work}/{command}.json",
-                     "--out", f"{work}/{command}"])
-    assert code == 0, (command, code)
+    code = cli.main([command, "--config", f"{work}/{name}.json",
+                     "--out", f"{work}/{name}"])
+    assert code == 0, (name, code)
 assert "scipy.optimize" in sys.modules
 """
 
 
 class TestColdStart:
     def test_only_certify_loads_scipy(self, tmp_path):
-        """``train``, ``eval`` and ``label`` never import scipy; the first
-        certificate LP does, and still finds the exact optima."""
+        """``train``, ``eval``, ``label`` and the monomial certify never
+        import scipy; the binomial's first LP does, and still finds the
+        exact optima."""
         rng = np.random.default_rng(0)
         maps = rng.normal(size=(12, 16))
         labels = (maps[:, :4].sum(axis=1) > 0).astype(int)
@@ -794,8 +823,10 @@ class TestColdStart:
         write_config(tmp_path / "label.json", {
             "map": str(tmp_path / "map.csv"), "segmentation": str(tmp_path / "seg.csv"),
             "checkpoint": checkpoint})
-        write_config(tmp_path / "certify.json", {"family": "monomial", "d_min": 2,
-                                                 "d_max": 5})
+        write_config(tmp_path / "monomial.json", {"family": "monomial", "d_min": 2,
+                                                  "d_max": 5})
+        write_config(tmp_path / "binomial.json", {"family": "binomial",
+                                                  "dimensions": [3, 6, 9]})
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
@@ -804,8 +835,10 @@ class TestColdStart:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        points = json.loads((tmp_path / "certify" / "results.json").read_text())["points"]
+        points = json.loads((tmp_path / "monomial" / "results.json").read_text())["points"]
         assert points == [[d, float(comb(d, d // 2) - 1)] for d in range(2, 6)]
+        points = json.loads((tmp_path / "binomial" / "results.json").read_text())["points"]
+        assert points == [[3, 2.0], [6, 8.0], [9, 16.0]]
 
     def test_linprog_is_a_module_level_function_with_a_named_a_ub(self):
         """The benchmark's tracer rebinds ``certificates.linprog`` and reads
