@@ -1,5 +1,5 @@
 """sumparts: faithful-by-construction grouped feature attributions, with
-perturbation faithfulness metrics and LP certificates of per-feature
+perturbation faithfulness metrics and exact certificates of per-feature
 attribution error lower bounds."""
 
 from .model import (

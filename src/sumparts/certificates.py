@@ -5,22 +5,18 @@ error over the whole powerset, and for a three-part binomial the best
 possible total insertion error, are each the optimum of an L1-minimization
 problem over attributions.  The objective is convex and symmetric under
 permutations of the features (within each part, for the binomial), so
-some optimum is constant on each part.  Each family has one exact route.
-The monomial optimum has one unknown, the common attribution, and is
-found by an exact scan of its kinks in rational arithmetic.  The binomial
-program reduces to one weighted row per triple of part sizes; it is
-solved by HiGHS and the optimum is proven in exact rational arithmetic
-from the solver's primal and dual solutions.  The zero-error grouped
-constructions are verified on the whole powerset in vectorised blocks,
-and exponential growth curves are fitted to the minima.
+some optimum is constant on each part.  Each family has one exact route,
+a scan in integer and rational arithmetic.  The monomial optimum has one
+unknown, the common attribution, and lies at a kink of its objective.
+The binomial optimum has two, one for the outer parts and one for the
+shared part, and lies at a crossing of two of its objective's kink lines.
+The zero-error grouped constructions are verified on the whole powerset
+in vectorised blocks, and exponential growth curves are fitted to the
+minima.
 
-scipy is used only to build and solve the binomial LP, and is imported on
-the first solve: :func:`linprog` imports ``scipy.optimize.linprog`` on its
-first call and the LP build imports ``scipy.sparse``.  Importing this
-module therefore does not load scipy, and neither do the CLI's ``train``,
-``eval`` and ``label`` commands or any ``certify`` family but
-``binomial``; they start about 0.6 s sooner for it (2-vCPU x86_64 host,
-scipy 1.17.1).
+No family solves an LP, so nothing here imports scipy.  :func:`linprog`
+imports ``scipy.optimize.linprog`` if it is called; the library never
+calls it, and the tests' LP oracles solve through it.
 """
 
 from __future__ import annotations
@@ -39,6 +35,7 @@ __all__ = [
     "PolynomialSpec",
     "ExponentialFit",
     "monomial_scan_minimum",
+    "binomial_scan_minimum",
     "min_deletion_error_monomial",
     "min_insertion_error_binomial",
     "verify_lemma_monomial_insertion",
@@ -46,8 +43,8 @@ __all__ = [
     "fit_exponential",
 ]
 
-LP_DIMENSION_LIMIT = 15
 SCAN_DIMENSION_LIMIT = 20
+BINOMIAL_DIMENSION_LIMIT = 30
 GROUPED_DIMENSION_LIMIT = 12
 
 
@@ -118,92 +115,13 @@ class PolynomialSpec:
 def linprog(c, A_ub=None, b_ub=None, bounds=None, method="highs"):
     """``scipy.optimize.linprog``, imported on the first call.
 
-    A module-level function that takes ``A_ub`` by name, because the
+    No certificate route calls it; the tests' LP oracles do.  It stays a
+    module-level function that takes ``A_ub`` by name, because the
     benchmark's tracer rebinds it to time each solve and reads ``A_ub``
     for the program's size."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
-
-
-def _solve_weighted_l1(counts, targets, weights):
-    """Minimize ``sum_r weights_r |targets_r - counts_r @ alpha|`` over alpha.
-
-    Uses the standard lift with one slack per row (``t >= residual``,
-    ``t >= -residual``, minimize ``weights @ t``) solved by HiGHS.  Returns
-    the minimizer, the optimum and the row multipliers ``u`` of the dual
-    (maximize ``targets @ u`` subject to ``counts.T @ u = 0`` and
-    ``|u| <= weights``).
-    """
-    from scipy import sparse
-
-    M = sparse.csr_matrix(counts)
-    n, d = M.shape
-    eye = sparse.identity(n, format="csr")
-    a_ub = sparse.vstack(
-        [sparse.hstack([M, -eye]), sparse.hstack([-M, -eye])], format="csr"
-    )
-    b_ub = np.concatenate([targets, -targets])
-    objective = np.concatenate([np.zeros(d), weights])
-    result = linprog(
-        objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] * d + [(0, None)] * n,
-        method="highs",
-    )
-    if result.status != 0:
-        raise RuntimeError(
-            f"LP solve failed with status {result.status}: {result.message}"
-        )
-    # HiGHS reports d(optimum)/d(b_ub) <= 0 for each lifted row; a residual
-    # row's multiplier is its upper row's minus its lower row's
-    marginals = result.ineqlin.marginals
-    return result.x[:d], float(result.fun), marginals[:n] - marginals[n:]
-
-
-def _binomial_orbits(m: int):
-    """Insertion program of the equal-thirds binomial with parts of size m
-    on the triples (k1, k2, k3) of a subset's part sizes: weight
-    C(m,k1) C(m,k2) C(m,k3), counts (k1, k2, k3), target
-    1[k1 = k2 = m] + 1[k2 = k3 = m]."""
-    triples = list(itertools.product(range(m + 1), repeat=3))
-    targets = [int(k1 == k2 == m) + int(k2 == k3 == m) for k1, k2, k3 in triples]
-    weights = [comb(m, k1) * comb(m, k2) * comb(m, k3) for k1, k2, k3 in triples]
-    return [list(t) for t in triples], targets, weights
-
-
-def _certified_optimum(d: int, counts, targets, weights) -> float:
-    """Optimum of an integer orbit program, proven in exact arithmetic.
-
-    The solver's primal ``a`` and row multipliers ``u`` are rationalised;
-    ``u`` must be dual feasible (``|u_r| <= w_r`` and
-    ``sum_r u_r c_r = 0``) with dual objective ``sum_r t_r u_r`` equal to
-    the primal objective ``sum_r w_r |t_r - c_r . a|``.  Spreading each
-    ``u_r`` evenly over its orbit's subsets certifies the full-powerset
-    program as well, so the value is its optimum too.
-    """
-    a, _, u = _solve_weighted_l1(
-        np.array(counts, dtype=np.float64),
-        np.array(targets, dtype=np.float64),
-        np.array(weights, dtype=np.float64),
-    )
-    a = [Fraction(v).limit_denominator() for v in a]
-    u = [Fraction(v).limit_denominator() for v in u]
-    primal = sum(
-        w * abs(t - sum(c * v for c, v in zip(row, a)))
-        for row, t, w in zip(counts, targets, weights)
-    )
-    dual = sum(t * y for t, y in zip(targets, u))
-    feasible = all(abs(y) <= w for y, w in zip(u, weights)) and all(
-        sum(y * c for y, c in zip(u, column)) == 0 for column in zip(*counts)
-    )
-    if not feasible or primal != dual:
-        raise RuntimeError(
-            f"no exact primal/dual certificate at d={d}: primal {primal}, "
-            f"dual {dual}, dual feasible {feasible}"
-        )
-    return float(primal)
 
 
 def monomial_scan_minimum(d: int) -> float:
@@ -212,18 +130,76 @@ def monomial_scan_minimum(d: int) -> float:
 
     The objective is convex and permutation-symmetric, so a uniform
     attribution ``alpha = a * ones`` attains the optimum; the reduced
-    objective ``sum_k C(d,k) |1 - k a|`` is piecewise linear in ``a`` with
-    kinks at ``a = 1/k``, so scanning the kinks (plus 0) is exact.  The
-    scan runs in rational arithmetic and returns the correctly rounded
-    float.
+    objective ``sum_{k>=1} C(d,k) |1 - k a|`` is piecewise linear in ``a``
+    with kinks at ``a = 1/q``, so scanning the kinks (plus 0) is exact.  At
+    ``a = 1/q`` the objective is the integer ``sum_k C(d,k) |q - k|`` over
+    ``q``, and at ``a = 0`` it is ``2^d - 1``; the least of these
+    fractions is returned as the correctly rounded float.
     """
     if not 1 <= d <= SCAN_DIMENSION_LIMIT:
         raise ValueError(f"scan supports 1 <= d <= {SCAN_DIMENSION_LIMIT}, got {d}")
-    candidates = [Fraction(0)] + [Fraction(1, k) for k in range(1, d + 1)]
     return float(min(
-        sum(comb(d, k) * abs(1 - k * a) for k in range(1, d + 1))
-        for a in candidates
+        [Fraction(2 ** d - 1)]
+        + [Fraction(sum(comb(d, k) * abs(q - k) for k in range(1, d + 1)), q)
+           for q in range(1, d + 1)]
     ))
+
+
+def _binomial_scan(d: int) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+    """Exact minimum of the equal-thirds binomial's insertion program and a
+    minimiser ``(a1, a2)``: the common attribution of the outer parts and
+    that of the shared part.
+
+    With parts of size m, a subset with part sizes (k1, k2, k3) has weight
+    C(m,k1) C(m,k2) C(m,k3), attribution sum ``k . a`` and target
+    ``1[k1 = k2 = m] + 1[k2 = k3 = m]``.  The objective is convex and
+    symmetric under swapping the outer parts, so some optimum has
+    ``a3 = a1``; there the rows merge on ``(k1 + k3, k2, target)``.  The
+    merged objective is piecewise linear in two unknowns and coercive (the
+    rows (1, 0) and (0, 1) are present), so it attains its minimum at a
+    crossing of two non-parallel rows ``c_i . a = t_i``.  Each crossing is
+    ``a = p / D`` by Cramer's rule, with objective ``N / D`` where
+    ``N = sum_r w_r |t_r D - c_r . p|``, all in integers.
+    """
+    m = d // 3
+    merged: dict[tuple[int, int, int], int] = {}
+    for k1, k2, k3 in itertools.product(range(m + 1), repeat=3):
+        key = (k1 + k3, k2, int(k1 == k2 == m) + int(k2 == k3 == m))
+        merged[key] = merged.get(key, 0) + comb(m, k1) * comb(m, k2) * comb(m, k3)
+    s, k, t, w = np.array([(*key, weight) for key, weight in merged.items()],
+                          dtype=np.int64).T
+    i, j = np.triu_indices(s.size, 1)
+    crossings = np.column_stack([
+        t[i] * k[j] - k[i] * t[j],
+        s[i] * t[j] - t[i] * s[j],
+        s[i] * k[j] - k[i] * s[j],
+    ])
+    crossings = crossings[crossings[:, 2] != 0]
+    # one row per distinct point: p1, p2 and D > 0 in lowest terms
+    crossings *= np.sign(crossings[:, 2:])
+    crossings //= np.gcd.reduce(crossings, axis=1, keepdims=True)
+    crossings = np.unique(crossings, axis=0)
+    # |D| <= 4m^2, |p1| <= 4m and |p2| <= 8m, so each |t D - c . p| is at
+    # most 24 m^2 and N at most 24 m^2 2^d (the weights sum to 8^m): about
+    # 2.6e12 at d = 30, far inside int64
+    totals = np.abs(crossings @ np.stack([-s, -k, t])) @ w
+    best = min(range(totals.size),
+               key=lambda n: Fraction(int(totals[n]), int(crossings[n, 2])))
+    p1, p2, q = map(int, crossings[best])
+    return Fraction(int(totals[best]), q), (Fraction(p1, q), Fraction(p2, q))
+
+
+def binomial_scan_minimum(d: int) -> float:
+    """Exact minimum total insertion error for the equal-thirds binomial,
+    by an integer scan of the vertices of its two-unknown symmetric
+    reduction, as the correctly rounded float, for
+    d <= ``BINOMIAL_DIMENSION_LIMIT``."""
+    PolynomialSpec.binomial(d)
+    if d > BINOMIAL_DIMENSION_LIMIT:
+        raise ValueError(
+            f"binomial certificates are capped at d={BINOMIAL_DIMENSION_LIMIT}, got {d}"
+        )
+    return float(_binomial_scan(d)[0])
 
 
 def min_deletion_error_monomial(d: int) -> float:
@@ -236,14 +212,8 @@ def min_deletion_error_monomial(d: int) -> float:
 
 def min_insertion_error_binomial(d: int) -> float:
     """Least total powerset insertion error for the equal-thirds binomial,
-    certified on the (d/3 + 1)^3 part-size orbits, for
-    d <= ``LP_DIMENSION_LIMIT``."""
-    spec = PolynomialSpec.binomial(d)
-    if d > LP_DIMENSION_LIMIT:
-        raise ValueError(
-            f"binomial certificates are capped at d={LP_DIMENSION_LIMIT}, got {d}"
-        )
-    return _certified_optimum(d, *_binomial_orbits(spec.d // 3))
+    by the exact scan, for d <= ``BINOMIAL_DIMENSION_LIMIT``."""
+    return binomial_scan_minimum(d)
 
 
 def verify_lemma_monomial_insertion(d: int, x=None) -> float:
@@ -345,21 +315,29 @@ def fit_exponential(points: Sequence[tuple[float, float]],
 
     Least squares on ``(d, log(value - offset))``; with ``with_offset`` the
     additive offset is grid-searched over [0, min value) at resolution 0.01
-    and the grid point with the smallest relative absolute error wins.
+    and the first grid point with the smallest relative absolute error wins.
     """
-    if len(points) < 3:
-        raise ValueError("need at least three points to fit")
     ds = np.array([p[0] for p in points], dtype=np.float64)
     values = np.array([p[1] for p in points], dtype=np.float64)
+    if np.unique(ds).size < 3:
+        raise ValueError("need points at three or more distinct dimensions to fit")
     if not with_offset:
         if values.min() <= 0:
             raise ValueError("values must be positive for a log-linear fit")
         return _log_linear_fit(ds, values, 0.0)
-    best: ExponentialFit | None = None
-    for offset in np.arange(0.0, values.min(), 0.01):
-        candidate = _log_linear_fit(ds, values, float(offset))
-        if best is None or candidate.relative_abs_error < best.relative_abs_error:
-            best = candidate
-    if best is None:
+    offsets = np.arange(0.0, values.min(), 0.01)
+    if offsets.size == 0:
         raise ValueError("values must exceed at least one offset candidate")
-    return best
+    # closed-form least squares at every offset at once; it differs from
+    # polyfit by rounding only, so the offsets within 1e-12 of the least
+    # error are refitted with polyfit, and the first least one in grid
+    # order wins, as one polyfit per offset would pick
+    logs = np.log(values - offsets[:, None])
+    centred = ds - ds.mean()
+    slopes = logs @ centred / (centred @ centred)
+    intercepts = logs.mean(axis=1) - slopes * ds.mean()
+    fitted = np.exp(slopes[:, None] * ds + intercepts[:, None]) + offsets[:, None]
+    errors = np.mean(np.abs(fitted - values) / np.abs(values), axis=1)
+    near = np.isclose(errors, errors.min(), rtol=1e-12, atol=1e-12)
+    return min((_log_linear_fit(ds, values, float(offset)) for offset in offsets[near]),
+               key=lambda fit: fit.relative_abs_error)

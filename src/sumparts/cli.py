@@ -132,6 +132,19 @@ def _integer_list(config: dict, key: str, default: list) -> list[int]:
     return value
 
 
+def _dimensions(config: dict, default: list) -> list[int]:
+    """A certify family's ``dimensions``: a list of integers as in
+    ``_integer_list``, not empty and with no entry repeated (an empty list
+    passes every gate on nothing, and a repeated d fits a curve through
+    fewer points than it shows)."""
+    dims = _integer_list(config, "dimensions", default)
+    if not dims or len(set(dims)) < len(dims):
+        raise ConfigError(
+            "config field 'dimensions' must be a non-empty list of distinct integers, "
+            f"got {dims!r}")
+    return dims
+
+
 def _load_config(command: str, path: str, overrides: dict) -> dict:
     try:
         with open(path) as fh:
@@ -189,7 +202,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         if 3 in anchors:
             gates["anchor_d3"] = abs(anchors[3] - 2.0) <= ANCHOR_TOLERANCE
     elif family == "binomial":
-        dims = _integer_list(config, "dimensions", [3, 6, 9, 12, 15])
+        dims = _dimensions(config, [3, 6, 9, 12, 15])
         points = [(d, certificates.min_insertion_error_binomial(d)) for d in dims]
         fit = _fit_points(points, True, result, out_dir)
         if {3, 6, 9, 12, 15} <= set(dims):
@@ -197,7 +210,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
                 abs(fit.slope - BINOMIAL_SLOPE) <= SLOPE_TOLERANCE
             )
     elif family == "lemma":
-        dims = _integer_list(config, "dimensions", list(range(1, 17)))
+        dims = _dimensions(config, list(range(1, 17)))
         points = [(d, certificates.verify_lemma_monomial_insertion(d)) for d in dims]
         result["points"] = [[d, v] for d, v in points]
         gates["total_is_one"] = all(v == 1.0 for _, v in points)
@@ -211,7 +224,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
             raise ConfigError(
                 f"corollary kind must be 'monomial' or 'binomial', got {kind!r}"
             )
-        dims = _integer_list(config, "dimensions", [6])
+        dims = _dimensions(config, [6])
         rows = []
         for d in dims:
             spec = (certificates.PolynomialSpec.monomial(d) if kind == "monomial"

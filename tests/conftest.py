@@ -6,23 +6,26 @@ support sets of the underlying quadratic program, and training fixtures
 are plain numpy constructions.  The row oracles (``sparsemax_row``,
 ``sparsemax_vjp_row``, ``softmax_row``) are the library's earlier
 one-vector-at-a-time ops, kept to check the last-axis versions against.
-The LP oracles (``build_program``, ``solve_l1``, ``monomial_orbits``) are
-the certificate routes the library replaced: the full-powerset program
-and the monomial's subset-size orbit program.
+The LP oracles (``build_program``, ``solve_l1``, ``monomial_orbits``,
+``binomial_orbits``, ``certified_optimum``) are the certificate routes
+the library replaced by exact scans: the full-powerset program and both
+families' orbit programs, solved by HiGHS and proven by an exact
+primal/dual check.  ``monomial_fraction_scan`` and
+``fit_exponential_grid_loop`` are the earlier monomial scan and offset
+grid search.
 """
 
+import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sumparts.certificates import (
-    LP_DIMENSION_LIMIT,
-    PolynomialSpec,
-    _solve_weighted_l1,
-)
+from sumparts import certificates
+from sumparts.certificates import ExponentialFit, PolynomialSpec, _log_linear_fit
 from sumparts.model import Segmentation, identity_backbone, linear_backbone
 from sumparts.ops import powerset_matrix
 
@@ -123,6 +126,112 @@ def per_row(fn, *arrays):
     return np.array([fn(*row) for row in zip(*rows)]).reshape(shape)
 
 
+LP_DIMENSION_LIMIT = 15
+
+
+def solve_weighted_l1(counts, targets, weights):
+    """Minimize ``sum_r weights_r |targets_r - counts_r @ alpha|`` over alpha.
+
+    Uses the standard lift with one slack per row (``t >= residual``,
+    ``t >= -residual``, minimize ``weights @ t``) solved by HiGHS.  Returns
+    the minimizer, the optimum and the row multipliers ``u`` of the dual
+    (maximize ``targets @ u`` subject to ``counts.T @ u = 0`` and
+    ``|u| <= weights``).
+    """
+    from scipy import sparse
+
+    M = sparse.csr_matrix(counts)
+    n, d = M.shape
+    eye = sparse.identity(n, format="csr")
+    a_ub = sparse.vstack(
+        [sparse.hstack([M, -eye]), sparse.hstack([-M, -eye])], format="csr"
+    )
+    b_ub = np.concatenate([targets, -targets])
+    objective = np.concatenate([np.zeros(d), weights])
+    result = certificates.linprog(
+        objective,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=[(None, None)] * d + [(0, None)] * n,
+        method="highs",
+    )
+    if result.status != 0:
+        raise RuntimeError(
+            f"LP solve failed with status {result.status}: {result.message}"
+        )
+    # HiGHS reports d(optimum)/d(b_ub) <= 0 for each lifted row; a residual
+    # row's multiplier is its upper row's minus its lower row's
+    marginals = result.ineqlin.marginals
+    return result.x[:d], float(result.fun), marginals[:n] - marginals[n:]
+
+
+def binomial_orbits(m: int):
+    """Insertion program of the equal-thirds binomial with parts of size m
+    on the triples (k1, k2, k3) of a subset's part sizes: weight
+    C(m,k1) C(m,k2) C(m,k3), counts (k1, k2, k3), target
+    1[k1 = k2 = m] + 1[k2 = k3 = m]."""
+    triples = list(itertools.product(range(m + 1), repeat=3))
+    targets = [int(k1 == k2 == m) + int(k2 == k3 == m) for k1, k2, k3 in triples]
+    weights = [comb(m, k1) * comb(m, k2) * comb(m, k3) for k1, k2, k3 in triples]
+    return [list(t) for t in triples], targets, weights
+
+
+def certified_optimum(d: int, counts, targets, weights) -> float:
+    """Optimum of an integer orbit program, proven in exact arithmetic.
+
+    The solver's primal ``a`` and row multipliers ``u`` are rationalised;
+    ``u`` must be dual feasible (``|u_r| <= w_r`` and
+    ``sum_r u_r c_r = 0``) with dual objective ``sum_r t_r u_r`` equal to
+    the primal objective ``sum_r w_r |t_r - c_r . a|``.  Spreading each
+    ``u_r`` evenly over its orbit's subsets certifies the full-powerset
+    program as well, so the value is its optimum too.
+    """
+    a, _, u = solve_weighted_l1(
+        np.array(counts, dtype=np.float64),
+        np.array(targets, dtype=np.float64),
+        np.array(weights, dtype=np.float64),
+    )
+    a = [Fraction(v).limit_denominator() for v in a]
+    u = [Fraction(v).limit_denominator() for v in u]
+    primal = sum(
+        w * abs(t - sum(c * v for c, v in zip(row, a)))
+        for row, t, w in zip(counts, targets, weights)
+    )
+    dual = sum(t * y for t, y in zip(targets, u))
+    feasible = all(abs(y) <= w for y, w in zip(u, weights)) and all(
+        sum(y * c for y, c in zip(u, column)) == 0 for column in zip(*counts)
+    )
+    if not feasible or primal != dual:
+        raise RuntimeError(
+            f"no exact primal/dual certificate at d={d}: primal {primal}, "
+            f"dual {dual}, dual feasible {feasible}"
+        )
+    return float(primal)
+
+
+def monomial_fraction_scan(d: int) -> float:
+    """Monomial minimum by scanning the kinks ``a = 1/k`` (plus 0) of
+    ``sum_k C(d,k) |1 - k a|`` in ``Fraction`` arithmetic."""
+    candidates = [Fraction(0)] + [Fraction(1, k) for k in range(1, d + 1)]
+    return float(min(
+        sum(comb(d, k) * abs(1 - k * a) for k in range(1, d + 1))
+        for a in candidates
+    ))
+
+
+def fit_exponential_grid_loop(points) -> ExponentialFit:
+    """Offset grid search with one polyfit per grid offset; the first
+    offset with the smallest relative absolute error wins."""
+    ds = np.array([p[0] for p in points], dtype=np.float64)
+    values = np.array([p[1] for p in points], dtype=np.float64)
+    best = None
+    for offset in np.arange(0.0, values.min(), 0.01):
+        candidate = _log_linear_fit(ds, values, float(offset))
+        if best is None or candidate.relative_abs_error < best.relative_abs_error:
+            best = candidate
+    return best
+
+
 @dataclass(frozen=True)
 class L1Program:
     """0/1 membership rows with one target per row.
@@ -173,7 +282,7 @@ def build_program(spec: PolynomialSpec, kind: str) -> L1Program:
 def solve_l1(program: L1Program) -> tuple[np.ndarray, float]:
     """Minimize ``sum |targets - coefficients @ alpha|`` over alpha, one
     unit-weight row per subset.  Returns the minimizer and the optimum."""
-    alpha, value, _ = _solve_weighted_l1(
+    alpha, value, _ = solve_weighted_l1(
         program.coefficients, program.targets, np.ones(program.targets.size)
     )
     return alpha, value

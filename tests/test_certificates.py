@@ -1,8 +1,8 @@
-"""Certificate routes against independent oracles and frozen values: the
-monomial scan against its orbit LP and the full-powerset LP, the binomial
-orbit LP against the full-powerset LP and a plane scan (both LP oracles
-live in conftest), and the vectorised verifications against per-subset
-oracles."""
+"""Certificate routes against independent oracles and frozen values: each
+family's exact scan against its orbit LP and the full-powerset LP (the LP
+oracles live in conftest), the binomial scan also against a plane scan and
+the unreduced orbit program, the vectorised verifications against
+per-subset oracles, and the vectorised offset grid against a loop."""
 
 import math
 from math import comb
@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from sumparts import certificates
 from sumparts.certificates import (
+    BINOMIAL_DIMENSION_LIMIT,
     ExponentialFit,
     PolynomialSpec,
+    binomial_scan_minimum,
     fit_exponential,
     min_deletion_error_monomial,
     min_insertion_error_binomial,
@@ -29,7 +32,16 @@ from sumparts.faithfulness import (
     total_powerset_error,
 )
 
-from conftest import L1Program, build_program, monomial_orbits, solve_l1
+from conftest import (
+    L1Program,
+    binomial_orbits,
+    build_program,
+    certified_optimum,
+    fit_exponential_grid_loop,
+    monomial_fraction_scan,
+    monomial_orbits,
+    solve_l1,
+)
 
 # minima confirmed by two independent routes (LP optimum and symmetric scan)
 MONOMIAL_MINIMA = {2: 1.0, 3: 2.0, 4: 5.0, 5: 9.0, 6: 19.0, 7: 34.0, 8: 69.0}
@@ -204,7 +216,12 @@ class TestMonomialMinimum:
         # the orbit LP, proven by its exact primal/dual check, is the oracle
         for d in range(2, 21):
             assert monomial_scan_minimum(d) == \
-                certificates._certified_optimum(d, *monomial_orbits(d))
+                certified_optimum(d, *monomial_orbits(d))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, certificates.SCAN_DIMENSION_LIMIT))
+    def test_integer_scan_matches_fraction_scan(self, d):
+        assert monomial_scan_minimum(d) == monomial_fraction_scan(d)
 
     def test_frozen_values(self):
         for d, expected in MONOMIAL_MINIMA.items():
@@ -258,9 +275,31 @@ class TestBinomialMinimum:
         with pytest.raises(ValueError):
             min_insertion_error_binomial(4)
 
+    def test_scan_matches_certified_lp(self):
+        for d in range(3, 16, 3):
+            assert binomial_scan_minimum(d) == certified_optimum(d, *binomial_orbits(d // 3))
+
+    def test_minimiser_attains_minimum_on_unreduced_program(self):
+        # the scan merges the outer parts' rows; the full (m+1)^3 orbit
+        # program at (a1, a2, a1) must give the same value, exactly
+        for d in range(3, 22, 3):
+            value, (a1, a2) = certificates._binomial_scan(d)
+            counts, targets, weights = binomial_orbits(d // 3)
+            total = sum(w * abs(t - (k1 + k3) * a1 - k2 * a2)
+                        for (k1, k2, k3), t, w in zip(counts, targets, weights))
+            assert total == value
+            assert float(value) == binomial_scan_minimum(d)
+
+    def test_closed_form_past_the_old_lp_cap(self):
+        # the zero attribution is optimal from d = 6 on; d = 18..30 were
+        # beyond the LP route's cap of 15
+        assert binomial_scan_minimum(3) == 2.0
+        for d in range(6, BINOMIAL_DIMENSION_LIMIT + 1, 3):
+            assert min_insertion_error_binomial(d) == 2.0 * 2.0 ** (d // 3)
+
     def test_capacity_guard(self):
-        with pytest.raises(ValueError):
-            min_insertion_error_binomial(18)
+        with pytest.raises(ValueError, match="capped at d=30"):
+            min_insertion_error_binomial(33)
 
 
 class TestExactCertificate:
@@ -271,18 +310,18 @@ class TestExactCertificate:
         ids=["sign-flipped dual", "shifted primal"],
     )
     def test_bad_solver_output_is_rejected(self, monkeypatch, perturb):
-        solve = certificates._solve_weighted_l1
+        solve = conftest.solve_weighted_l1
 
         def perturbed(counts, targets, weights):
             alpha, value, duals = solve(counts, targets, weights)
             alpha, duals = perturb(alpha, duals)
             return alpha, value, duals
 
-        monkeypatch.setattr(certificates, "_solve_weighted_l1", perturbed)
+        monkeypatch.setattr(conftest, "solve_weighted_l1", perturbed)
         with pytest.raises(RuntimeError, match="d=5"):
-            certificates._certified_optimum(5, *monomial_orbits(5))
+            certified_optimum(5, *monomial_orbits(5))
         with pytest.raises(RuntimeError, match="d=6"):
-            min_insertion_error_binomial(6)
+            certified_optimum(6, *binomial_orbits(2))
 
 
 class TestLemmaVerification:
@@ -363,3 +402,26 @@ class TestExponentialFit:
             fit_exponential([(1, 1.0), (2, 2.0)])
         with pytest.raises(ValueError):
             fit_exponential([(1, -1.0), (2, 2.0), (3, 3.0)])
+
+    @pytest.mark.parametrize("with_offset", [False, True])
+    def test_fewer_than_three_distinct_dimensions_rejected(self, with_offset):
+        for points in ([(6, 8.0)] * 3, [(3, 2.0), (6, 8.0), (6, 8.0), (3, 2.0)]):
+            with pytest.raises(ValueError, match="three or more distinct"):
+                fit_exponential(points, with_offset=with_offset)
+
+    def test_offset_grid_matches_loop_oracle(self):
+        windows = [[(3, 2.0), (6, 8.0), (9, 16.0), (12, 32.0), (15, 64.0)],
+                   [(d, float(np.exp(0.2 * d + 1.0) + 5.0)) for d in (2, 4, 6, 8, 10)]]
+        # random windows keep the smallest value under 20, so the loop runs
+        # at most 2,000 polyfits per window
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            ds = np.sort(rng.choice(np.arange(1, 31), size=rng.integers(3, 9),
+                                    replace=False))
+            values = rng.uniform(1, 10) * np.exp(rng.uniform(0.05, 0.4) * (ds - ds[0]))
+            values *= 1 + rng.normal(scale=0.05, size=ds.size)
+            values += rng.uniform(0, 5)
+            windows.append([(int(d), float(v)) for d, v in zip(ds, values)])
+        for points in windows:
+            assert fit_exponential(points, with_offset=True) == \
+                fit_exponential_grid_loop(points)

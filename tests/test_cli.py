@@ -77,8 +77,9 @@ class TestCertify:
         assert len(curves) == 6
 
     def test_monomial_family_solves_no_lp(self, tmp_path, monkeypatch):
+        """Neither the monomial nor the binomial family solves an LP."""
         def refuse(*args, **kwargs):
-            raise AssertionError("the monomial family solved an LP")
+            raise AssertionError("a certify family solved an LP")
 
         monkeypatch.setattr(certificates, "linprog", refuse)
         config = write_config(tmp_path / "c.json", {"family": "monomial"})
@@ -86,6 +87,32 @@ class TestCertify:
         assert run(["certify", "--config", config, "--out", out]) == 0
         results = json.loads((out / "results.json").read_text())
         assert results["points"] == [[d, float(comb(d, d // 2) - 1)] for d in range(2, 15)]
+        config = write_config(tmp_path / "b.json", {"family": "binomial"})
+        assert run(["certify", "--config", config, "--out", out]) == 1
+        results = json.loads((out / "results.json").read_text())
+        assert results["points"] == [[3, 2.0], [6, 8.0], [9, 16.0], [12, 32.0], [15, 64.0]]
+
+    @pytest.mark.parametrize("family", [{"family": "binomial"}, {"family": "lemma"},
+                                        {"family": "corollary", "kind": "monomial"}],
+                             ids=lambda family: family["family"])
+    @pytest.mark.parametrize("dimensions", [[], [6, 6, 6], [3, 6, 9, 6]],
+                             ids=["empty", "one-d-thrice", "one-repeat"])
+    def test_dimensions_must_be_distinct_and_nonempty(self, tmp_path, capsys,
+                                                      monkeypatch, family, dimensions):
+        """An empty list passed the lemma and corollary gates on nothing,
+        and a repeated d made the binomial fit a curve through one point."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify did work before checking its dimensions")
+
+        for name in ("min_insertion_error_binomial", "verify_lemma_monomial_insertion",
+                     "verify_corollary_grouped"):
+            monkeypatch.setattr(certificates, name, refuse)
+        config = write_config(tmp_path / "c.json", {**family, "dimensions": dimensions})
+        out = tmp_path / "out"
+        assert run(["certify", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'dimensions'" in err and repr(dimensions) in err
+        assert not (out / "results.json").exists()
 
     def test_monomial_rerun_is_byte_identical(self, tmp_path):
         config = write_config(
@@ -783,30 +810,27 @@ class TestConfigHandling:
         assert not (out / "checkpoint.json").exists()
 
 
-# Runs train, eval, label and a monomial certify in one fresh interpreter,
-# then a binomial certify.
+# Runs train, eval, label and every certify family in one fresh interpreter.
 COLD_START = """
 import sys
 from sumparts import cli
 
 work = sys.argv[1]
 for command, name in (("train", "train"), ("eval", "eval"), ("label", "label"),
-                      ("certify", "monomial"), ("certify", "binomial")):
-    if name == "binomial":
-        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        assert not loaded, loaded
+                      ("certify", "monomial"), ("certify", "binomial"),
+                      ("certify", "lemma"), ("certify", "corollary")):
     code = cli.main([command, "--config", f"{work}/{name}.json",
                      "--out", f"{work}/{name}"])
     assert code == 0, (name, code)
-assert "scipy.optimize" in sys.modules
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, (name, loaded)
 """
 
 
 class TestColdStart:
-    def test_only_certify_loads_scipy(self, tmp_path):
-        """``train``, ``eval``, ``label`` and the monomial certify never
-        import scipy; the binomial's first LP does, and still finds the
-        exact optima."""
+    def test_no_command_loads_scipy(self, tmp_path):
+        """No command imports scipy, every ``certify`` family included, and
+        the monomial and binomial families still find the exact optima."""
         rng = np.random.default_rng(0)
         maps = rng.normal(size=(12, 16))
         labels = (maps[:, :4].sum(axis=1) > 0).astype(int)
@@ -827,6 +851,8 @@ class TestColdStart:
                                                   "d_max": 5})
         write_config(tmp_path / "binomial.json", {"family": "binomial",
                                                   "dimensions": [3, 6, 9]})
+        write_config(tmp_path / "lemma.json", {"family": "lemma", "dimensions": [3]})
+        write_config(tmp_path / "corollary.json", {"family": "corollary", "dimensions": [3]})
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
