@@ -132,16 +132,15 @@ def _integer_list(config: dict, key: str, default: list) -> list[int]:
     return value
 
 
-def _dimensions(config: dict, default: list) -> list[int]:
+def _dimensions(config: dict, default: list, fewest: int = 1) -> list[int]:
     """A certify family's ``dimensions``: a list of integers as in
-    ``_integer_list``, not empty and with no entry repeated (an empty list
-    passes every gate on nothing, and a repeated d fits a curve through
-    fewer points than it shows)."""
+    ``_integer_list``, at least ``fewest`` long and with no entry repeated
+    (an empty list passes every gate on nothing, a fit needs three points,
+    and a repeated d fits a curve through fewer points than it shows)."""
     dims = _integer_list(config, "dimensions", default)
-    if not dims or len(set(dims)) < len(dims):
-        raise ConfigError(
-            "config field 'dimensions' must be a non-empty list of distinct integers, "
-            f"got {dims!r}")
+    if len(dims) < fewest or len(set(dims)) < len(dims):
+        raise ConfigError(f"config field 'dimensions' must be a list of {fewest} or more "
+                          f"distinct integers, got {dims!r}")
     return dims
 
 
@@ -187,6 +186,10 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
     if family == "monomial":
         d_min = _integer(config, "d_min", 2)
         d_max = _integer(config, "d_max", 14)
+        if d_max - d_min < 2:
+            raise ConfigError(
+                "config fields 'd_min' and 'd_max' must span 3 or more dimensions to "
+                f"fit, got d_min={d_min} and d_max={d_max}")
         dims = list(range(d_min, d_max + 1))
         points = [(d, certificates.min_deletion_error_monomial(d)) for d in dims]
         fit = _fit_points(points, False, result, out_dir)
@@ -202,7 +205,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         if 3 in anchors:
             gates["anchor_d3"] = abs(anchors[3] - 2.0) <= ANCHOR_TOLERANCE
     elif family == "binomial":
-        dims = _dimensions(config, [3, 6, 9, 12, 15])
+        dims = _dimensions(config, [3, 6, 9, 12, 15], fewest=3)
         points = [(d, certificates.min_insertion_error_binomial(d)) for d in dims]
         fit = _fit_points(points, True, result, out_dir)
         if {3, 6, 9, 12, 15} <= set(dims):
@@ -412,7 +415,11 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
     if unknown:
         raise ConfigError(f"unknown eval metrics {unknown}; known: {list(EVAL_METRICS)}")
     step = _integer(config, "step", 1)
+    if step < 1:
+        raise ConfigError(f"config field 'step' must be at least 1, got {step!r}")
     classes = _integer_list(config, "classes", [0])
+    if not classes:
+        raise ConfigError("config field 'classes' must name at least one class, got []")
     seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
     features, labels = _load_dataset(dataset)
     if features.shape[1] != seg.n_features:
@@ -439,71 +446,22 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
     if "accuracy" in metrics:
         report["accuracy"] = training_accuracy(features, labels, seg, gen, sel, backbone)
 
-    rationale = "comprehensiveness" in metrics or "sufficiency" in metrics
+    def model(rows):
+        return softmax(predict(rows, seg, gen, sel, backbone))
+
     for index, x in enumerate(features):
         attribution = sop_forward(x, seg, gen, sel, backbone)
-        # every probe of this example is one row of one keep matrix, class by class
-        keeps, class_curves = [], []
-        for k in classes:
-            groups, scores = attribution.groups, attribution.scores[:, k]
-            alpha = faithfulness.flatten_grouped(groups, scores)
-            ranking = faithfulness.ranking_from_attribution(alpha)
-            curves = {}
-            if "insertion" in metrics:
-                curves["insertion"] = faithfulness.ranked_keep(ranking, step, "insertion")
-            if "deletion" in metrics:
-                curves["deletion"] = faithfulness.ranked_keep(ranking, step, "deletion")
-            if "grouped_insertion" in metrics:
-                curves["grouped_insertion"] = faithfulness.grouped_keep(
-                    groups, scores, "insertion")
-            if "grouped_deletion" in metrics:
-                curves["grouped_deletion"] = faithfulness.grouped_keep(
-                    groups, scores, "deletion")
-            keeps.extend(keep for _, keep in curves.values())
-            if rationale:
-                # the full input, the input without the rationale, the rationale only
-                keeps.append(faithfulness.rationale_keep(alpha > 0))
-            class_curves.append((k, curves))
-            if "sparsity" in metrics:
-                aggregates["sparsity"].append(faithfulness.sparsity(groups, scores))
-        if not keeps:
-            continue
-        # x, the zero input, the rationale rows and the curve endpoints repeat
-        # across keep matrices: evaluate each distinct row once.  A row's
-        # prediction does not depend on the stack it comes in (identity
-        # backbone), so the gathered values are the per-row ones bit for bit.
-        # A lone matrix is evaluated as it is: a curve's rows never repeat
-        # (the three rationale rows only for an empty or full rationale), and
-        # deduplicating costs about 30 us per example.  Each packed row is
-        # sorted as one opaque byte string; np.unique(axis=0) sorts one field
-        # per byte and costs 4 to 7 times as much.
-        keep = np.vstack(keeps)
-        first = inverse = slice(None)
-        if len(keeps) > 1:
-            packed = np.packbits(keep, axis=-1)
-            _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
-                                          return_index=True, return_inverse=True)
-        probs = softmax(predict(np.where(keep[first], x, 0.0), seg, gen, sel, backbone))
-        probs = probs[inverse]
-        start = 0
-        for k, curves in class_curves:
-            for name, (fractions, rows) in curves.items():
-                curve = faithfulness.PerturbationReport.from_curve(
-                    name, fractions, probs[start:start + len(rows), k].tolist()
-                )
-                start += len(rows)
-                aggregates[name].append(curve.auc)
-                curve_rows.extend(
-                    (name, index, k, float(f), float(p))
-                    for f, p in zip(curve.fractions, curve.probabilities)
-                )
-            if rationale:
-                full, without, only = probs[start:start + 3, k].tolist()
-                start += 3
-                if "comprehensiveness" in metrics:
-                    aggregates["comprehensiveness"].append(full - without)
-                if "sufficiency" in metrics:
-                    aggregates["sufficiency"].append(full - only)
+        results = faithfulness.evaluate(model, x, attribution.groups, attribution.scores,
+                                        classes, list(aggregates), step)
+        for k, result in zip(classes, results):
+            for name, value in result.items():
+                if isinstance(value, faithfulness.PerturbationReport):
+                    curve_rows.extend(
+                        (name, index, k, float(f), float(p))
+                        for f, p in zip(value.fractions, value.probabilities)
+                    )
+                    value = value.auc
+                aggregates[name].append(value)
 
     for name, values in aggregates.items():
         if values:

@@ -14,22 +14,20 @@ Every probe is ``np.where(keep, x, 0.0)`` for one row of a boolean
 keep-matrix.  The builders :func:`ranked_keep`, :func:`grouped_keep` and
 :func:`rationale_keep` return the keep-matrices of the curves and of the
 rationale metrics, and :meth:`PerturbationReport.from_curve` turns one
-value per probe into a report.  The per-vector functions below call the
-model on one probe at a time, in row order; a caller holding a batched
-model (``sumparts.model.predict``) can evaluate a whole keep-matrix in
-one call instead.  ``sumparts eval`` makes one ``predict`` call per
-example, on the distinct rows of all its classes' keep matrices.
-"""
+value per probe into a report.  One engine evaluates the keep matrices of
+an input, in one model call on their distinct rows.  :func:`evaluate`
+drives it with a batched model for every metric and class of one example,
+as ``sumparts eval`` does per example; the per-vector functions reach it
+through an adapter that calls a one-vector model once per probe."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .ops import powerset_blocks
-from .serialize import write_csv_atomic, write_json_atomic
 
 __all__ = [
     "PerturbationReport",
@@ -46,17 +44,20 @@ __all__ = [
     "grouped_curve",
     "comprehensiveness",
     "sufficiency",
+    "evaluate",
     "sparsity",
     "flatten_grouped",
     "ranking_from_attribution",
 ]
 
 POWERSET_LIMIT = 20
+_CURVES = ("insertion", "deletion", "grouped_insertion", "grouped_deletion")
+_METRICS = _CURVES + ("sparsity", "comprehensiveness", "sufficiency")
 
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """One perturbation curve: metric name, points, AUC, and metadata.
+    """One perturbation curve: metric name, points and AUC.
 
     ``fractions`` are strictly increasing in [0, 1]; ``auc`` is the mean
     curve height (trapezoid integral divided by the covered span), which
@@ -68,8 +69,6 @@ class PerturbationReport:
     fractions: np.ndarray
     probabilities: np.ndarray
     auc: float
-    total_error: float | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         fractions = np.asarray(self.fractions, dtype=np.float64)
@@ -87,8 +86,7 @@ class PerturbationReport:
         object.__setattr__(self, "probabilities", probabilities)
 
     @classmethod
-    def from_curve(cls, metric: str, fractions, values,
-                   metadata: dict | None = None) -> "PerturbationReport":
+    def from_curve(cls, metric: str, fractions, values) -> "PerturbationReport":
         """Report of the curve through ``(fractions[i], values[i])``, with
         its mean-height AUC."""
         fractions = np.asarray(fractions, dtype=np.float64)
@@ -98,29 +96,7 @@ class PerturbationReport:
         # the exact mean height lies in [min, max]; clamp away rounding dust so
         # a constant curve yields exactly the constant
         auc = min(max(auc, float(values.min())), float(values.max()))
-        return cls(metric=metric, fractions=fractions, probabilities=values, auc=auc,
-                   metadata=metadata or {})
-
-    def to_dict(self) -> dict:
-        out = {
-            "metric": self.metric,
-            "points": [
-                [float(f), float(p)]
-                for f, p in zip(self.fractions, self.probabilities)
-            ],
-            "auc": float(self.auc),
-            "metadata": dict(self.metadata),
-        }
-        if self.total_error is not None:
-            out["total_error"] = float(self.total_error)
-        return out
-
-    def write_json(self, path) -> None:
-        write_json_atomic(path, self.to_dict())
-
-    def write_csv(self, path) -> None:
-        rows = zip(self.fractions.tolist(), self.probabilities.tolist())
-        write_csv_atomic(path, ["fraction", "probability"], rows)
+        return cls(metric=metric, fractions=fractions, probabilities=values, auc=auc)
 
 
 def _as_input(x) -> np.ndarray:
@@ -159,12 +135,35 @@ def insertion_error(f: Callable, x, alpha, subset) -> float:
     return abs(float(f(x_ins)) - float(f(np.zeros_like(x))) - float(alpha[idx].sum()))
 
 
-def _probe_values(model: Callable, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``model`` at the probe ``np.where(keep[i], x, 0.0)`` of every keep
-    row, in row order."""
+def _probe(model: Callable, x: np.ndarray, keeps: list) -> list[np.ndarray]:
+    """One call of ``model``, which maps a (P, d) stack of probes to P
+    results, for the probes ``np.where(keep, x, 0.0)`` of every matrix in
+    ``keeps``; returns one array per matrix, its results in row order."""
+    # x, the zero input, the rationale rows and the curve endpoints repeat
+    # across keep matrices: evaluate each distinct row once.  A row's result
+    # must not depend on the stack it comes in (``model.predict`` with an
+    # identity backbone does not), so the gathered values are the per-row
+    # ones bit for bit.  A lone matrix is evaluated as it is: a curve's rows
+    # never repeat (the three rationale rows only for an empty or full
+    # rationale), and deduplicating costs about 30 us per example.  Each
+    # packed row is sorted as one opaque byte string; np.unique(axis=0)
+    # sorts one field per byte and costs 4 to 7 times as much.
+    keep = keeps[0] if len(keeps) == 1 else np.vstack(keeps)
     if keep.shape[1] != x.size:
         raise ValueError(f"keep masks have width {keep.shape[1]}, input has {x.size}")
-    return np.array([float(model(probe)) for probe in np.where(keep, x, 0.0)])
+    first = inverse = slice(None)
+    if len(keeps) > 1:
+        packed = np.packbits(keep, axis=-1)
+        _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                      return_index=True, return_inverse=True)
+    values = np.asarray(model(np.where(keep[first], x, 0.0)), dtype=np.float64)[inverse]
+    return np.split(values, np.cumsum([len(k) for k in keeps[:-1]]))
+
+
+def _per_row(model: Callable) -> Callable:
+    """A stack model over the one-vector ``model``: ``float(model(v))`` for
+    each row v, in row order."""
+    return lambda rows: np.array([float(model(v)) for v in rows])
 
 
 def total_powerset_error(f: Callable, x, alpha, kind: str) -> float:
@@ -187,7 +186,7 @@ def total_powerset_error(f: Callable, x, alpha, kind: str) -> float:
     reference = float(f(x if deletion else np.zeros_like(x)))
     total = 0.0
     for subsets in powerset_blocks(x.size):
-        values = _probe_values(f, x, ~subsets if deletion else subsets)
+        values = _probe(_per_row(f), x, [~subsets if deletion else subsets])[0]
         change = reference - values if deletion else values - reference
         total += float(np.abs(change - np.where(subsets, alpha, 0.0).sum(axis=1)).sum())
     return total
@@ -304,37 +303,29 @@ def rationale_keep(rationale) -> np.ndarray:
     return np.array([np.ones_like(r), ~r, r])
 
 
-def insertion_curve(model: Callable, x, ranking, step: int = 1,
-                    metadata: dict | None = None) -> PerturbationReport:
+def _curve(model: Callable, x, metric: str, fractions, keep) -> PerturbationReport:
+    values = _probe(_per_row(model), _as_input(x), [keep])[0]
+    return PerturbationReport.from_curve(metric, fractions, values)
+
+
+def insertion_curve(model: Callable, x, ranking, step: int = 1) -> PerturbationReport:
     """Insert features onto a zero baseline in ranking order, ``step`` at a
     time, recording the model probability after every chunk."""
-    x = _as_input(x)
-    fractions, keep = ranked_keep(ranking, step, "insertion")
-    return PerturbationReport.from_curve(
-        "insertion", fractions, _probe_values(model, x, keep), metadata
-    )
+    return _curve(model, x, "insertion", *ranked_keep(ranking, step, "insertion"))
 
 
-def deletion_curve(model: Callable, x, ranking, step: int = 1,
-                   metadata: dict | None = None) -> PerturbationReport:
+def deletion_curve(model: Callable, x, ranking, step: int = 1) -> PerturbationReport:
     """Delete features from the full input in ranking order; the x axis is
     the fraction deleted, so the curve starts at the unperturbed model."""
-    x = _as_input(x)
-    fractions, keep = ranked_keep(ranking, step, "deletion")
-    return PerturbationReport.from_curve(
-        "deletion", fractions, _probe_values(model, x, keep), metadata
-    )
+    return _curve(model, x, "deletion", *ranked_keep(ranking, step, "deletion"))
 
 
-def grouped_curve(model: Callable, x, groups, scores, direction: str,
-                  metadata: dict | None = None) -> PerturbationReport:
+def grouped_curve(model: Callable, x, groups, scores,
+                  direction: str) -> PerturbationReport:
     """Insert or delete one group per step, highest score first; the
     probes are the rows of :func:`grouped_keep`."""
-    x = _as_input(x)
-    fractions, keep = grouped_keep(groups, scores, direction)
-    return PerturbationReport.from_curve(
-        f"grouped_{direction}", fractions, _probe_values(model, x, keep), metadata
-    )
+    return _curve(model, x, f"grouped_{direction}",
+                  *grouped_keep(groups, scores, direction))
 
 
 def _check_rationale(rationale, d: int) -> np.ndarray:
@@ -344,21 +335,20 @@ def _check_rationale(rationale, d: int) -> np.ndarray:
     return r
 
 
-def _class_probability(model: Callable, x: np.ndarray, class_index: int) -> float:
-    probs = np.asarray(model(x), dtype=np.float64)
-    if not 0 <= class_index < probs.size:
-        raise ValueError(f"class index {class_index} out of range for {probs.size} classes")
-    return float(probs[class_index])
-
-
 def _rationale_drop(model: Callable, x, rationale, class_index: int, row: int) -> float:
     """Class probability at ``x`` minus that at row ``row`` of the
     rationale probes."""
     x = _as_input(x)
-    full, probe = _probe_values(
-        lambda v: _class_probability(model, v, class_index), x,
-        rationale_keep(rationale)[[0, row]],
-    )
+
+    def probability(v):
+        probs = np.asarray(model(v), dtype=np.float64)
+        if not 0 <= class_index < probs.size:
+            raise ValueError(
+                f"class index {class_index} out of range for {probs.size} classes")
+        return probs[class_index]
+
+    keep = rationale_keep(rationale)[[0, row]]
+    full, probe = _probe(_per_row(probability), x, [keep])[0]
     return float(full - probe)
 
 
@@ -389,6 +379,55 @@ def sparsity(groups, scores) -> float:
         raise ValueError("no group has positive score")
     member_fractions = (groups[active] > 0).mean(axis=1)
     return float(member_fractions.mean())
+
+
+def evaluate(model: Callable, x, groups, scores, classes, metrics,
+             step: int = 1) -> list[dict]:
+    """Every requested metric of one example, for each class in ``classes``.
+
+    ``model`` maps a (P, d) stack of probes to (P, K) class probabilities,
+    row by row.  It is called once, on the distinct probe rows of all
+    classes, or not at all when no metric needs a probe.  ``groups`` (G, d)
+    and ``scores`` (G, K) attribute ``x``; class k ranks features by
+    ``flatten_grouped(groups, scores[:, k])``, and its rationale is where
+    that is positive.  Returns one dict per class: each requested curve of
+    ``_CURVES`` as a report, then sparsity, comprehensiveness and
+    sufficiency as floats, in this order whatever the order of ``metrics``.
+    """
+    x = _as_input(x)
+    scores = np.asarray(scores, dtype=np.float64)
+    unknown = [m for m in metrics if m not in _METRICS]
+    if unknown:
+        raise ValueError(f"unknown metrics {unknown}; known: {list(_METRICS)}")
+    if any(not 0 <= k < scores.shape[1] for k in classes):
+        raise ValueError(f"class indices {classes} out of range for {scores.shape[1]} classes")
+    rationale = "comprehensiveness" in metrics or "sufficiency" in metrics
+    keeps, plans = [], []
+    for k in classes:
+        alpha = flatten_grouped(groups, scores[:, k])
+        ranking = ranking_from_attribution(alpha)
+        curves = {
+            name: (ranked_keep(ranking, step, name) if name in ("insertion", "deletion")
+                   else grouped_keep(groups, scores[:, k], name.removeprefix("grouped_")))
+            for name in _CURVES if name in metrics}
+        keeps.extend(keep for _, keep in curves.values())
+        if rationale:
+            keeps.append(rationale_keep(alpha > 0))
+        plans.append((k, curves))
+    values = iter(_probe(model, x, keeps) if keeps else ())
+
+    results = []
+    for k, curves in plans:
+        result = {name: PerturbationReport.from_curve(name, fractions, next(values)[:, k])
+                  for name, (fractions, _) in curves.items()}
+        if "sparsity" in metrics:
+            result["sparsity"] = sparsity(groups, scores[:, k])
+        if rationale:
+            full, without, only = next(values)[:, k].tolist()
+            drops = {"comprehensiveness": full - without, "sufficiency": full - only}
+            result.update((name, drops[name]) for name in drops if name in metrics)
+        results.append(result)
+    return results
 
 
 def flatten_grouped(groups, scores) -> np.ndarray:

@@ -114,6 +114,29 @@ class TestCertify:
         assert "config field 'dimensions'" in err and repr(dimensions) in err
         assert not (out / "results.json").exists()
 
+    @pytest.mark.parametrize("config, fields", [
+        ({"family": "monomial", "d_min": 9, "d_max": 4}, ["'d_min'", "'d_max'", "d_min=9"]),
+        ({"family": "monomial", "d_min": 5, "d_max": 6}, ["'d_min'", "'d_max'", "d_max=6"]),
+        ({"family": "binomial", "dimensions": [3, 6]}, ["'dimensions'", "[3, 6]"]),
+    ], ids=["monomial-empty", "monomial-two", "binomial-two"])
+    def test_fit_window_needs_three_dimensions(self, tmp_path, capsys, monkeypatch,
+                                               config, fields):
+        """A window of fewer than three d cannot be fitted; the error names
+        the config fields rather than coming from the fit."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify did work before checking its window")
+
+        for name in ("min_deletion_error_monomial", "min_insertion_error_binomial",
+                     "fit_exponential"):
+            monkeypatch.setattr(certificates, name, refuse)
+        out = tmp_path / "out"
+        assert run(["certify", "--config", write_config(tmp_path / "c.json", config),
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert all(field in err for field in fields), err
+        assert "3 or more" in err
+        assert not (out / "results.json").exists()
+
     def test_monomial_rerun_is_byte_identical(self, tmp_path):
         config = write_config(
             tmp_path / "c.json", {"family": "monomial", "d_min": 2, "d_max": 5}
@@ -369,6 +392,29 @@ class TestEval:
         assert "config field 'metrics'" in err and repr(metrics) in err
         assert not (tmp_path / "out" / "results.json").exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("classes", [], "config field 'classes' must name at least one class, got []"),
+        ("step", 0, "config field 'step' must be at least 1, got 0"),
+        ("step", -2, "config field 'step' must be at least 1, got -2"),
+    ], ids=["no-classes", "step-0", "step-negative"])
+    @pytest.mark.parametrize("metrics", [["insertion"], ["sparsity"]],
+                             ids=["ranked-curve", "no-probes"])
+    def test_classes_and_step_checked_before_the_checkpoint(self, tmp_path, capsys,
+                                                             trained, field, value,
+                                                             message, metrics):
+        """An empty class list wrote a report with no per-class metric, and a
+        step below 1 failed only when a ranked curve was requested.  Both are
+        refused before the checkpoint is opened (here it does not exist)."""
+        dataset, _ = trained
+        config = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(tmp_path / "nope.json"), "dataset": str(dataset),
+             "metrics": metrics, field: value, "seed": 3},
+        )
+        assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "results.json").exists()
+
     def test_missing_checkpoint(self, tmp_path, trained):
         dataset, _ = trained
         config = write_config(
@@ -441,6 +487,7 @@ ORACLE_CASES = {
     "no_probes": (["accuracy", "sparsity"], 1, [0]),
     "repeated_class": (ALL_METRICS, 1, [1, 1]),
     "one_curve": (["deletion"], 1, [2]),
+    "grouped_pair": (["grouped_insertion", "grouped_deletion"], 1, [0]),
 }
 
 

@@ -1,7 +1,8 @@
 """Smoke runs of the demos that reach code with no other non-test caller,
 or that drive a whole layer end to end: ``attention_weights`` and
 ``sparsemax_vjp`` (demo 01), training and the exact reconstruction
-(demo 02), the keep-mask ``total_powerset_error`` and curves (demo 03),
+(demo 02), the per-vector ``total_powerset_error`` and curves beside the
+batched ``faithfulness.evaluate`` (demo 03),
 every certificate family with its exponential fit (demo 04), and
 structure labeling (demo 05)."""
 

@@ -1,9 +1,9 @@
 """Perturbation metrics: pointwise and powerset errors, curves, and the
 grouped variants, checked against direct evaluations and closed forms.  The
 earlier one-probe-at-a-time versions of the keep-mask functions are kept
-here as oracles."""
+here as oracles, and the batched ``evaluate`` is checked against the
+per-vector functions."""
 
-import json
 from math import comb
 
 import numpy as np
@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from sumparts.faithfulness import (
     PerturbationReport,
+    _probe,
     comprehensiveness,
     deletion_curve,
     deletion_error,
+    evaluate,
     flatten_grouped,
     grouped_curve,
     grouped_deletion_error,
@@ -382,8 +384,8 @@ class TestKeepMaskEngine:
         np.testing.assert_array_equal(keep, [np.ones(x.size, bool), r == 0, r == 1])
 
     def test_report_from_curve_is_mean_height(self):
-        report = PerturbationReport.from_curve("m", [0.0, 0.5], [1.0, 0.0], {"a": 1})
-        assert report.auc == 0.5 and report.metadata == {"a": 1}
+        report = PerturbationReport.from_curve("m", [0.0, 0.5], [1.0, 0.0])
+        assert report.auc == 0.5
         assert PerturbationReport.from_curve("m", [0.0, 0.25, 1.0], [0.3] * 3).auc == 0.3
 
     def test_builder_validation(self):
@@ -400,6 +402,145 @@ class TestKeepMaskEngine:
         with pytest.raises(ValueError):
             grouped_curve(lambda v: 0.0, np.ones(3), np.ones((1, 2)), np.ones(1),
                           "insertion")
+
+
+def stack_model(rows):
+    """A two-output model of a (P, d) stack whose every row is computed on
+    its own, so a row's values do not depend on the stack it comes in."""
+    rows = np.asarray(rows)
+    weights = np.linspace(-1.0, 1.5, rows.shape[1])
+    return np.column_stack([np.tanh((rows * weights).sum(axis=1)), rows.sum(axis=1)])
+
+
+class TestProbe:
+    """The one probe routine against plain per-matrix evaluation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_per_matrix_model_on_distinct_rows(self, data):
+        # widths that are not a multiple of 8 pad every packed row
+        d = data.draw(st.integers(1, 17))
+        # nonzero entries, so that distinct keep rows give distinct probes
+        x = np.array(data.draw(st.lists(_ENTRY.filter(bool), min_size=d, max_size=d)))
+        # a small pool of rows, so that rows repeat within and across matrices
+        pool = data.draw(st.lists(st.lists(st.booleans(), min_size=d, max_size=d),
+                                  min_size=1, max_size=4))
+        matrix = st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+        keeps = [np.array(m) for m in data.draw(st.lists(matrix, min_size=1, max_size=4))]
+        model, calls = recording(stack_model)
+        values = _probe(model, x, keeps)
+        assert len(calls) == 1
+        assert len(values) == len(keeps)
+        for keep, got in zip(keeps, values):
+            np.testing.assert_array_equal(got, stack_model(np.where(keep, x, 0.0)))
+        if len(keeps) == 1:
+            np.testing.assert_array_equal(calls[0], np.where(keeps[0], x, 0.0))
+        else:
+            received = [tuple(row) for row in calls[0] != 0.0]
+            assert len(set(received)) == len(received)
+            assert set(received) == {tuple(row) for keep in keeps for row in keep}
+
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError, match="width 2, input has 3"):
+            _probe(stack_model, np.ones(3), [np.ones((1, 2), bool), np.ones((2, 2), bool)])
+        with pytest.raises(ValueError, match="width 4, input has 3"):
+            _probe(stack_model, np.ones(3), [np.ones((1, 4), bool)])
+
+
+def softmax_model(weights):
+    """A linear softmax over a (P, d) stack, computed row by row."""
+    def model(rows):
+        logits = (np.asarray(rows)[:, None, :] * weights).sum(axis=-1)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    return model
+
+
+def _assert_same_results(actual, expected):
+    assert [list(r) for r in actual] == [list(r) for r in expected]
+    for got, want in zip(actual, expected):
+        for name, value in want.items():
+            if isinstance(value, PerturbationReport):
+                assert got[name].metric == value.metric and got[name].auc == value.auc
+                np.testing.assert_array_equal(got[name].fractions, value.fractions)
+                np.testing.assert_array_equal(got[name].probabilities, value.probabilities)
+            else:
+                assert got[name] == value
+
+
+ALL_EXAMPLE_METRICS = ["insertion", "deletion", "grouped_insertion", "grouped_deletion",
+                       "sparsity", "comprehensiveness", "sufficiency"]
+
+
+class TestEvaluate:
+    """The batched engine on a non-SOP model, against the per-vector
+    functions driven by the same model one probe at a time."""
+
+    @pytest.fixture(params=[0, 1, 2])
+    def case(self, request):
+        rng = np.random.default_rng(request.param)
+        d, n_groups, n_classes = 9, 4, 3
+        x = rng.normal(size=d)
+        groups = rng.uniform(size=(n_groups, d)) * (rng.uniform(size=(n_groups, d)) < 0.4)
+        scores = rng.uniform(0.1, 1.0, size=(n_groups, n_classes))
+        return softmax_model(rng.normal(size=(n_classes, d))), x, groups, scores
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_matches_per_vector_functions(self, case, step):
+        model, x, groups, scores = case
+        calls = []
+        results = evaluate(lambda rows: calls.append(rows) or model(rows), x, groups,
+                           scores, [0, 1, 2], ALL_EXAMPLE_METRICS, step)
+        assert len(calls) == 1
+        assert np.unique(calls[0], axis=0).shape[0] == calls[0].shape[0]
+        expected = []
+        for k in range(3):
+            prob = lambda v, k=k: float(model(v[None])[0, k])  # noqa: E731
+            vector = lambda v: model(v[None])[0]  # noqa: E731
+            alpha = flatten_grouped(groups, scores[:, k])
+            ranking = ranking_from_attribution(alpha)
+            rationale = (alpha > 0).astype(np.float64)
+            expected.append({
+                "insertion": insertion_curve(prob, x, ranking, step),
+                "deletion": deletion_curve(prob, x, ranking, step),
+                "grouped_insertion": grouped_curve(prob, x, groups, scores[:, k],
+                                                   "insertion"),
+                "grouped_deletion": grouped_curve(prob, x, groups, scores[:, k],
+                                                  "deletion"),
+                "sparsity": sparsity(groups, scores[:, k]),
+                "comprehensiveness": comprehensiveness(vector, x, rationale, k),
+                "sufficiency": sufficiency(vector, x, rationale, k),
+            })
+        _assert_same_results(results, expected)
+
+    def test_metric_order_and_repeated_classes(self, case):
+        model, x, groups, scores = case
+        forward = evaluate(model, x, groups, scores, [1, 2], ALL_EXAMPLE_METRICS)
+        backward = evaluate(model, x, groups, scores, [1, 2, 1], ALL_EXAMPLE_METRICS[::-1])
+        _assert_same_results(backward, forward + forward[:1])
+        two = evaluate(model, x, groups, scores, [2], ["sufficiency", "grouped_deletion"])
+        assert list(two[0]) == ["grouped_deletion", "sufficiency"]
+        _assert_same_results(two, [{name: forward[1][name] for name in two[0]}])
+
+    def test_metrics_without_probes_call_no_model(self, case):
+        _, x, groups, scores = case
+
+        def refuse(rows):
+            raise AssertionError("the model was called")
+
+        assert evaluate(refuse, x, groups, scores, [0, 2], ["sparsity"]) == [
+            {"sparsity": sparsity(groups, scores[:, k])} for k in (0, 2)]
+        assert evaluate(refuse, x, groups, scores, [0], []) == [{}]
+
+    def test_validation(self, case):
+        model, x, groups, scores = case
+        with pytest.raises(ValueError, match="unknown metrics"):
+            evaluate(model, x, groups, scores, [0], ["accuracy"])
+        with pytest.raises(ValueError, match=r"class indices \[0, 3\] out of range"):
+            evaluate(model, x, groups, scores, [0, 3], ["insertion"])
+        with pytest.raises(ValueError, match="step"):
+            evaluate(model, x, groups, scores, [0], ["deletion"], step=0)
 
 
 class TestGroupedCurve:
@@ -616,23 +757,6 @@ class TestPairedRankingComparison:
 
 
 class TestPerturbationReport:
-    def test_serialization_roundtrip(self, tmp_path):
-        report = PerturbationReport(
-            metric="insertion",
-            fractions=np.array([0.0, 0.5, 1.0]),
-            probabilities=np.array([0.1, 0.4, 0.9]),
-            auc=0.45,
-            metadata={"example": 0, "class": 1, "method": "grouped"},
-        )
-        report.write_json(tmp_path / "report.json")
-        report.write_csv(tmp_path / "report.csv")
-        loaded = json.loads((tmp_path / "report.json").read_text())
-        assert loaded["metric"] == "insertion"
-        assert loaded["points"][1] == [0.5, 0.4]
-        lines = (tmp_path / "report.csv").read_text().splitlines()
-        assert lines[0] == "fraction,probability"
-        assert lines[2] == "0.5,0.4"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PerturbationReport(
