@@ -10,9 +10,10 @@ a scan in integer and rational arithmetic.  The monomial optimum has one
 unknown, the common attribution, and lies at a kink of its objective.
 The binomial optimum has two, one for the outer parts and one for the
 shared part, and lies at a crossing of two of its objective's kink lines.
-The zero-error grouped constructions are verified on the whole powerset
-in vectorised blocks, and exponential growth curves are fitted to the
-minima.
+The lemma and the zero-error grouped constructions of the corollary are
+verified on the whole powerset by the subset-error engine of
+:mod:`sumparts.faithfulness`, with a polynomial's term supports as the
+groups, and exponential growth curves are fitted to the minima.
 
 No family solves an LP, so nothing here imports scipy.  :func:`linprog`
 imports ``scipy.optimize.linprog`` if it is called; the library never
@@ -29,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ops import powerset_blocks
+from .faithfulness import POWERSET_LIMIT, _subset_errors
+from .ops import powerset_blocks, powerset_matrix
 
 __all__ = [
     "PolynomialSpec",
@@ -51,31 +53,19 @@ GROUPED_DIMENSION_LIMIT = 12
 @dataclass(frozen=True)
 class PolynomialSpec:
     """A monomial ``prod_i x_i`` or a binomial
-    ``prod_{S1 u S2} x_i + prod_{S2 u S3} x_j`` over equal parts."""
+    ``prod_{S1 u S2} x_i + prod_{S2 u S3} x_j`` over equal thirds S1, S2, S3
+    of the features by index."""
 
     kind: str
     d: int
-    partition: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
 
     def __post_init__(self):
         if self.kind == "monomial":
             if self.d < 1:
                 raise ValueError("monomial dimension must be >= 1")
-            if self.partition is not None:
-                raise ValueError("monomials carry no partition")
         elif self.kind == "binomial":
             if self.d < 3 or self.d % 3 != 0:
                 raise ValueError("binomial dimension must be a positive multiple of 3")
-            if self.partition is None:
-                raise ValueError("binomials need a three-part partition")
-            parts = tuple(tuple(sorted(p)) for p in self.partition)
-            sizes = {len(p) for p in parts}
-            flat = sorted(i for p in parts for i in p)
-            if sizes != {self.d // 3} or flat != list(range(self.d)):
-                raise ValueError(
-                    "partition must split all features into three equal parts"
-                )
-            object.__setattr__(self, "partition", parts)
         else:
             raise ValueError(f"kind must be 'monomial' or 'binomial', got {self.kind!r}")
 
@@ -85,17 +75,16 @@ class PolynomialSpec:
 
     @classmethod
     def binomial(cls, d: int) -> "PolynomialSpec":
-        """Equal thirds by feature index."""
-        m = d // 3
-        return cls(
-            kind="binomial",
-            d=d,
-            partition=(
-                tuple(range(m)),
-                tuple(range(m, 2 * m)),
-                tuple(range(2 * m, 3 * m)),
-            ),
-        )
+        return cls(kind="binomial", d=d)
+
+    @property
+    def supports(self) -> np.ndarray:
+        """Boolean (terms, d) matrix whose row t marks the features of
+        term t."""
+        if self.kind == "monomial":
+            return np.ones((1, self.d), dtype=bool)
+        third, features = self.d // 3, np.arange(self.d)
+        return np.array([features < 2 * third, features >= third])
 
     def evaluate(self, x) -> float | np.ndarray:
         """Value at one input of length d (a float), or at every row of a
@@ -106,9 +95,8 @@ class PolynomialSpec:
         if self.kind == "monomial":
             value = np.prod(x, axis=-1)
         else:
-            s1, s2, s3 = self.partition
-            value = (np.prod(x[..., list(s1 + s2)], axis=-1)
-                     + np.prod(x[..., list(s2 + s3)], axis=-1))
+            first, last = self.supports
+            value = np.prod(x[..., first], axis=-1) + np.prod(x[..., last], axis=-1)
         return float(value) if x.ndim == 1 else value
 
 
@@ -221,31 +209,31 @@ def verify_lemma_monomial_insertion(d: int, x=None) -> float:
 
     At the all-ones input only the full subset errs (by exactly 1); at any
     input with a zero feature every subset has zero model output, so the
-    total is 0.  Evaluated exhaustively, with the definition of
-    :func:`sumparts.faithfulness.insertion_error` applied to every subset.
+    total is 0.  Evaluated exhaustively, for d <= ``POWERSET_LIMIT``, by the
+    subset errors that define :func:`sumparts.faithfulness.insertion_error`;
+    the zero attribution credits no group.
     """
-    if not 1 <= d <= SCAN_DIMENSION_LIMIT:
-        raise ValueError(f"supported range is 1 <= d <= {SCAN_DIMENSION_LIMIT}, got {d}")
+    if not 1 <= d <= POWERSET_LIMIT:
+        raise ValueError(f"supported range is 1 <= d <= {POWERSET_LIMIT}, got {d}")
     spec = PolynomialSpec.monomial(d)
     x = np.ones(d) if x is None else np.asarray(x, dtype=np.float64)
     if x.shape != (d,):
         raise ValueError(f"input must have length {d}, got shape {x.shape}")
-    baseline = spec.evaluate(np.zeros(d))
-    total = 0.0
-    for masks in powerset_blocks(d):
-        inserted = spec.evaluate(np.where(masks, x, 0.0))
-        total += float(np.abs(inserted - baseline).sum())
-    return total
+    no_groups = np.zeros((0, d), dtype=bool)
+    return sum(float(_subset_errors(spec.evaluate, x, members, no_groups, np.zeros(0),
+                                    "insertion").sum())
+               for members in powerset_blocks(d))
 
 
 def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
     """Exhaustive grouped-error maxima for the zero-error constructions.
 
-    For a monomial the single group (all features, score 1) and for a
-    binomial the two groups (each product's support, score 1 each) are
-    evaluated against every subset of the powerset at the all-ones input,
-    with the definitions of :func:`sumparts.faithfulness.grouped_deletion_error`
-    and :func:`sumparts.faithfulness.grouped_insertion_error`.
+    The groups are the polynomial's term supports, each with score 1: for a
+    monomial the single group of all features, for a binomial each
+    product's support.  They are evaluated against every subset of the
+    powerset at the all-ones input, by the subset errors that define
+    :func:`sumparts.faithfulness.grouped_deletion_error` and
+    :func:`sumparts.faithfulness.grouped_insertion_error`.
     Returns ``(max grouped deletion error, max grouped insertion error)``,
     both expected to be exactly 0.
     """
@@ -253,30 +241,11 @@ def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
         raise ValueError(
             f"grouped verification is capped at d={GROUPED_DIMENSION_LIMIT}, got {spec.d}"
         )
-    if spec.kind == "monomial":
-        supports = np.ones((1, spec.d), dtype=bool)
-    else:
-        s1, s2, s3 = spec.partition
-        supports = np.zeros((2, spec.d), dtype=bool)
-        supports[0, list(s1 + s2)] = True
-        supports[1, list(s2 + s3)] = True
-    x = np.ones(spec.d)
-    full = spec.evaluate(x)
-    baseline = spec.evaluate(np.zeros(spec.d))
-    max_del = 0.0
-    max_ins = 0.0
-    for masks in powerset_blocks(spec.d):
-        # boolean products: a group is hit when its support meets the
-        # deleted subset, covered when no member lies outside the inserted one;
-        # with every score 1 a subset's grouped attribution is its group count
-        hit = masks @ supports.T
-        covered = ~(~masks @ supports.T)
-        deleted = spec.evaluate(np.where(masks, 0.0, x))
-        inserted = spec.evaluate(np.where(masks, x, 0.0))
-        max_del = max(max_del, float(np.abs(full - deleted - hit.sum(axis=1)).max()))
-        max_ins = max(
-            max_ins, float(np.abs(inserted - baseline - covered.sum(axis=1)).max())
-        )
+    x, members, supports = np.ones(spec.d), powerset_matrix(spec.d), spec.supports
+    scores = np.ones(supports.shape[0])
+    max_del, max_ins = (
+        float(_subset_errors(spec.evaluate, x, members, supports, scores, kind).max())
+        for kind in ("deletion", "insertion"))
     return max_del, max_ins
 
 

@@ -264,9 +264,10 @@ def _load_dataset(path):
         raise ConfigError("dataset rows need at least one feature and a label")
     features = data[:, :-1]
     labels = data[:, -1]
-    if np.any(labels != labels.astype(np.int64)):
-        bad = int(np.nonzero(labels != labels.astype(np.int64))[0][0]) + 1
-        raise ConfigError(f"dataset line {bad}: label is not an integer")
+    for bad, problem in ((~np.isfinite(features).all(axis=1), "a feature is not finite"),
+                         (labels != labels.astype(np.int64), "label is not an integer")):
+        if bad.any():
+            raise ConfigError(f"dataset {path} line {int(np.argmax(bad)) + 1}: {problem}")
     return features, labels.astype(np.int64)
 
 
@@ -351,7 +352,11 @@ def _restore_checkpoint(path):
     if sizes["h"] != sizes["d"]:
         raise ConfigError(f"checkpoint {path}: an identity backbone needs h == d, "
                           f"got h={sizes['h']} and d={sizes['d']}")
-    assignment = array("segment_assignment", ("d",), np.int64)
+    # inferred, not cast: int64 would truncate 0.9 to 0 and read true as 1
+    assignment = array("segment_assignment", ("d",), None)
+    if assignment.dtype.kind != "i":
+        raise ConfigError(f"checkpoint {path}: field 'segment_assignment' must hold "
+                          f"integers, got {assignment.dtype} entries")
     gen_shape = ("heads", "n_segments", "n_segments")
     w_q, w_k = array("w_q", gen_shape), array("w_k", gen_shape)
     sel_w_q, sel_w_k = array("sel_w_q", ("h", "h")), array("sel_w_k", ("h", "h"))
@@ -480,6 +485,9 @@ def cmd_label(config: dict, out_dir: Path) -> int:
     map_path, seg_path = _path(config, "map"), _path(config, "segmentation")
     checkpoint = _path(config, "checkpoint")
     cluster_sigma = _number(config, "cluster_sigma", 3.0)
+    if cluster_sigma < 0:
+        raise ConfigError(
+            f"config field 'cluster_sigma' must be non-negative, got {config['cluster_sigma']!r}")
     map_format = config.get("map_format", "csv")
     if map_format == "csv":
         imap = structures.load_map_csv(map_path)

@@ -18,11 +18,15 @@ value per probe into a report.  One engine evaluates the keep matrices of
 an input, in one model call on their distinct rows.  :func:`evaluate`
 drives it with a batched model for every metric and class of one example,
 as ``sumparts eval`` does per example; the per-vector functions reach it
-through an adapter that calls a one-vector model once per probe."""
+through an adapter that calls a one-vector model once per probe.  The
+subset errors, pointwise and over the powerset, here and in the lemma and
+corollary checks of :mod:`sumparts.certificates`, have one definition:
+``_subset_errors``, over a boolean subset matrix."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -115,26 +119,6 @@ def _as_subset(subset, d: int) -> np.ndarray:
     return idx
 
 
-def deletion_error(f: Callable, x, alpha, subset) -> float:
-    """|f(x) - f(x with subset zeroed) - sum of alpha over subset|."""
-    x = _as_input(x)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    idx = _as_subset(subset, x.size)
-    x_del = x.copy()
-    x_del[idx] = 0.0
-    return abs(float(f(x)) - float(f(x_del)) - float(alpha[idx].sum()))
-
-
-def insertion_error(f: Callable, x, alpha, subset) -> float:
-    """|f(subset of x on a zero baseline) - f(0) - sum of alpha over subset|."""
-    x = _as_input(x)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    idx = _as_subset(subset, x.size)
-    x_ins = np.zeros_like(x)
-    x_ins[idx] = x[idx]
-    return abs(float(f(x_ins)) - float(f(np.zeros_like(x))) - float(alpha[idx].sum()))
-
-
 def _probe(model: Callable, x: np.ndarray, keeps: list) -> list[np.ndarray]:
     """One call of ``model``, which maps a (P, d) stack of probes to P
     results, for the probes ``np.where(keep, x, 0.0)`` of every matrix in
@@ -145,9 +129,10 @@ def _probe(model: Callable, x: np.ndarray, keeps: list) -> list[np.ndarray]:
     # identity backbone does not), so the gathered values are the per-row
     # ones bit for bit.  A lone matrix is evaluated as it is: a curve's rows
     # never repeat (the three rationale rows only for an empty or full
-    # rationale), and deduplicating costs about 30 us per example.  Each
-    # packed row is sorted as one opaque byte string; np.unique(axis=0)
-    # sorts one field per byte and costs 4 to 7 times as much.
+    # rationale), a powerset's rows never do, and deduplicating costs about
+    # 30 us per example.  Each packed row is sorted as one opaque byte
+    # string; np.unique(axis=0) sorts one field per byte and costs 4 to 7
+    # times as much.
     keep = keeps[0] if len(keeps) == 1 else np.vstack(keeps)
     if keep.shape[1] != x.size:
         raise ValueError(f"keep masks have width {keep.shape[1]}, input has {x.size}")
@@ -157,7 +142,7 @@ def _probe(model: Callable, x: np.ndarray, keeps: list) -> list[np.ndarray]:
         _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
                                       return_index=True, return_inverse=True)
     values = np.asarray(model(np.where(keep[first], x, 0.0)), dtype=np.float64)[inverse]
-    return np.split(values, np.cumsum([len(k) for k in keeps[:-1]]))
+    return [values[end - len(k):end] for k, end in zip(keeps, accumulate(map(len, keeps)))]
 
 
 def _per_row(model: Callable) -> Callable:
@@ -166,13 +151,65 @@ def _per_row(model: Callable) -> Callable:
     return lambda rows: np.array([float(model(v)) for v in rows])
 
 
+def _subset_errors(model: Callable, x: np.ndarray, members: np.ndarray, supports,
+                   scores, kind: str) -> np.ndarray:
+    """Deletion or insertion error ``|change - credit|`` of each subset in
+    the boolean (P, d) ``members``, under the stack ``model`` at ``x``.
+
+    Deleting a subset changes the output by ``model(x) - model(x with the
+    subset zeroed)``, inserting it by ``model(the subset on a zero
+    baseline) - model(0)``.  The credit sums the scores of the groups of the
+    boolean (G, d) ``supports`` that the subset hits (deletion) or covers
+    (insertion); ``supports=None`` means one group per feature.  The
+    subsets' probes reach ``model`` as one lone matrix, so a powerset is
+    never deduplicated.
+    """
+    deletion = kind == "deletion"
+    scores = np.asarray(scores, dtype=np.float64)
+    if supports is not None and supports.shape[1] != x.size:
+        raise ValueError(f"group masks have width {supports.shape[1]}, input has {x.size}")
+    if scores.shape != (x.size if supports is None else len(supports),):
+        raise ValueError(f"scores have shape {scores.shape}, expected one per group")
+    reference = _probe(model, x, [np.full((1, x.size), deletion)])[0][0]
+    values = _probe(model, x, [~members if deletion else members])[0]
+    change = reference - values if deletion else values - reference
+    if supports is None:
+        credited = members
+    elif deletion:
+        credited = members @ supports.T
+    else:
+        credited = ~(~members @ supports.T)
+    return np.abs(change - np.where(credited, scores, 0.0).sum(axis=1))
+
+
+def _subset_error(f: Callable, x, groups, scores, subset, kind: str) -> float:
+    """:func:`_subset_errors` of one subset, given as indices, under the
+    one-vector model ``f``; ``groups=None`` means one group per feature."""
+    x = _as_input(x)
+    members = np.zeros((1, x.size), dtype=bool)
+    members[0, _as_subset(subset, x.size)] = True
+    supports = (None if groups is None
+                else np.atleast_2d(np.asarray(groups, dtype=np.float64)) > 0)
+    return float(_subset_errors(_per_row(f), x, members, supports, scores, kind)[0])
+
+
+def deletion_error(f: Callable, x, alpha, subset) -> float:
+    """|f(x) - f(x with subset zeroed) - sum of alpha over subset|."""
+    return _subset_error(f, x, None, alpha, subset, "deletion")
+
+
+def insertion_error(f: Callable, x, alpha, subset) -> float:
+    """|f(subset of x on a zero baseline) - f(0) - sum of alpha over subset|."""
+    return _subset_error(f, x, None, alpha, subset, "insertion")
+
+
 def total_powerset_error(f: Callable, x, alpha, kind: str) -> float:
     """Sum of the deletion or insertion error over every feature subset.
 
     Enumerates all 2^d subsets (binary counting, bit i = feature i), so the
     dimension is capped at ``POWERSET_LIMIT``.  ``f(x)`` (deletion) or
-    ``f(0)`` (insertion) is evaluated once, and each subset's attribution
-    sum is a masked row sum.
+    ``f(0)`` (insertion) is evaluated once per block of subsets, and each
+    subset's attribution sum is a masked row sum.
     """
     x = _as_input(x)
     if x.size > POWERSET_LIMIT:
@@ -181,22 +218,8 @@ def total_powerset_error(f: Callable, x, alpha, kind: str) -> float:
         )
     if kind not in ("deletion", "insertion"):
         raise ValueError(f"kind must be 'deletion' or 'insertion', got {kind!r}")
-    alpha = np.asarray(alpha, dtype=np.float64)
-    deletion = kind == "deletion"
-    reference = float(f(x if deletion else np.zeros_like(x)))
-    total = 0.0
-    for subsets in powerset_blocks(x.size):
-        values = _probe(_per_row(f), x, [~subsets if deletion else subsets])[0]
-        change = reference - values if deletion else values - reference
-        total += float(np.abs(change - np.where(subsets, alpha, 0.0).sum(axis=1)).sum())
-    return total
-
-
-def _group_supports(groups, d: int) -> np.ndarray:
-    groups = np.atleast_2d(np.asarray(groups, dtype=np.float64))
-    if groups.shape[1] != d:
-        raise ValueError(f"group masks have width {groups.shape[1]}, input has {d}")
-    return groups > 0
+    return sum(float(_subset_errors(_per_row(f), x, members, None, alpha, kind).sum())
+               for members in powerset_blocks(x.size))
 
 
 def grouped_deletion_error(f: Callable, x, groups, scores, subset) -> float:
@@ -205,16 +228,7 @@ def grouped_deletion_error(f: Callable, x, groups, scores, subset) -> float:
     A group contributes its score when the deletion removes any of its
     members, i.e. when the group's support intersects the deleted subset.
     """
-    x = _as_input(x)
-    idx = _as_subset(subset, x.size)
-    supports = _group_supports(groups, x.size)
-    scores = np.asarray(scores, dtype=np.float64)
-    deleted = np.zeros(x.size, dtype=bool)
-    deleted[idx] = True
-    hit = (supports & deleted).any(axis=1)
-    x_del = x.copy()
-    x_del[idx] = 0.0
-    return abs(float(f(x)) - float(f(x_del)) - float(scores[hit].sum()))
+    return _subset_error(f, x, groups, scores, subset, "deletion")
 
 
 def grouped_insertion_error(f: Callable, x, groups, scores, subset) -> float:
@@ -223,18 +237,7 @@ def grouped_insertion_error(f: Callable, x, groups, scores, subset) -> float:
     A group contributes its score once all of its members are inserted,
     i.e. when the group's support is a subset of the inserted features.
     """
-    x = _as_input(x)
-    idx = _as_subset(subset, x.size)
-    supports = _group_supports(groups, x.size)
-    scores = np.asarray(scores, dtype=np.float64)
-    inserted = np.zeros(x.size, dtype=bool)
-    inserted[idx] = True
-    covered = (supports <= inserted).all(axis=1)
-    x_ins = np.zeros_like(x)
-    x_ins[idx] = x[idx]
-    return abs(
-        float(f(x_ins)) - float(f(np.zeros_like(x))) - float(scores[covered].sum())
-    )
+    return _subset_error(f, x, groups, scores, subset, "insertion")
 
 
 def ranking_from_attribution(alpha) -> np.ndarray:

@@ -107,8 +107,9 @@ def label_group(imap: IntensityMap, mask, cluster_sigma: float = 3.0) -> Structu
     Cluster wins at or above ``cluster_sigma`` deviations (only on maps
     with spread; a flat map has no overdensities), void below zero.
     """
-    if not np.isfinite(cluster_sigma):
-        raise ValueError("cluster_sigma must be finite")
+    # a negative threshold would make clusters of under-dense groups
+    if not 0 <= cluster_sigma < np.inf:
+        raise ValueError(f"cluster_sigma must be finite and non-negative, got {cluster_sigma}")
     intensity = group_intensity(imap, mask)
     if abs(intensity) <= INTENSITY_EPS * max(1.0, imap.sigma):
         intensity = 0.0

@@ -12,7 +12,11 @@ the library replaced by exact scans: the full-powerset program and both
 families' orbit programs, solved by HiGHS and proven by an exact
 primal/dual check.  ``monomial_fraction_scan`` and
 ``fit_exponential_grid_loop`` are the earlier monomial scan and offset
-grid search.
+grid search.  The pointwise error oracles (``deletion_error_oracle``,
+``insertion_error_oracle`` and their grouped forms) are the library's
+earlier subset errors, each probe built by hand and evaluated by a
+one-vector model, kept to check the keep-matrix subset-error engine and
+the certificate verifiers against.
 """
 
 import itertools
@@ -124,6 +128,61 @@ def per_row(fn, *arrays):
     shape = np.shape(arrays[0])
     rows = [np.asarray(a, dtype=np.float64).reshape(-1, shape[-1]) for a in arrays]
     return np.array([fn(*row) for row in zip(*rows)]).reshape(shape)
+
+
+def deletion_error_oracle(f, x, alpha, subset):
+    """|f(x) - f(x with subset zeroed) - sum of alpha over subset|, with the
+    probe built by hand."""
+    x = np.asarray(x, dtype=np.float64)
+    idx = np.asarray(list(subset), dtype=np.int64)
+    x_del = x.copy()
+    x_del[idx] = 0.0
+    return abs(float(f(x)) - float(f(x_del)) - float(np.asarray(alpha)[idx].sum()))
+
+
+def insertion_error_oracle(f, x, alpha, subset):
+    """|f(subset of x on a zero baseline) - f(0) - sum of alpha over subset|,
+    with the probes built by hand."""
+    x = np.asarray(x, dtype=np.float64)
+    idx = np.asarray(list(subset), dtype=np.int64)
+    x_ins = np.zeros_like(x)
+    x_ins[idx] = x[idx]
+    return abs(float(f(x_ins)) - float(f(np.zeros_like(x)))
+               - float(np.asarray(alpha)[idx].sum()))
+
+
+def grouped_deletion_error_oracle(f, x, groups, scores, subset):
+    """Deletion error crediting the score of every group whose support
+    ``groups > 0`` meets the deleted subset."""
+    x = np.asarray(x, dtype=np.float64)
+    idx = np.asarray(list(subset), dtype=np.int64)
+    deleted = np.zeros(x.size, dtype=bool)
+    deleted[idx] = True
+    hit = ((np.asarray(groups) > 0) & deleted).any(axis=1)
+    x_del = x.copy()
+    x_del[idx] = 0.0
+    return abs(float(f(x)) - float(f(x_del)) - float(np.asarray(scores)[hit].sum()))
+
+
+def grouped_insertion_error_oracle(f, x, groups, scores, subset):
+    """Insertion error crediting the score of every group whose support
+    ``groups > 0`` lies inside the inserted subset."""
+    x = np.asarray(x, dtype=np.float64)
+    idx = np.asarray(list(subset), dtype=np.int64)
+    inserted = np.zeros(x.size, dtype=bool)
+    inserted[idx] = True
+    covered = ((np.asarray(groups) > 0) <= inserted).all(axis=1)
+    x_ins = np.zeros_like(x)
+    x_ins[idx] = x[idx]
+    return abs(float(f(x_ins)) - float(f(np.zeros_like(x)))
+               - float(np.asarray(scores)[covered].sum()))
+
+
+def iter_powerset(d):
+    """Every subset of range(d) as an index list, in binary counting order
+    (bit i = feature i)."""
+    for bits in range(1 << d):
+        yield [i for i in range(d) if bits >> i & 1]
 
 
 LP_DIMENSION_LIMIT = 15

@@ -1,8 +1,10 @@
 """Certificate routes against independent oracles and frozen values: each
 family's exact scan against its orbit LP and the full-powerset LP (the LP
 oracles live in conftest), the binomial scan also against a plane scan and
-the unreduced orbit program, the vectorised verifications against
-per-subset oracles, and the vectorised offset grid against a loop."""
+the unreduced orbit program, the verifications, which run the
+subset-error engine of ``faithfulness``, against the hand-built per-subset
+error oracles in conftest, and the vectorised offset grid against a
+loop."""
 
 import math
 from math import comb
@@ -26,18 +28,16 @@ from sumparts.certificates import (
     verify_corollary_grouped,
     verify_lemma_monomial_insertion,
 )
-from sumparts.faithfulness import (
-    grouped_deletion_error,
-    grouped_insertion_error,
-    total_powerset_error,
-)
-
 from conftest import (
     L1Program,
     binomial_orbits,
     build_program,
     certified_optimum,
     fit_exponential_grid_loop,
+    grouped_deletion_error_oracle,
+    grouped_insertion_error_oracle,
+    insertion_error_oracle,
+    iter_powerset,
     monomial_fraction_scan,
     monomial_orbits,
     solve_l1,
@@ -65,36 +65,39 @@ def binomial_symmetric_scan(d, grid=np.arange(-0.5, 1.5, 0.002)):
 
 def lemma_oracle(d, x=None):
     """Per-subset reference for the lemma: the zero attribution's total
-    insertion error, one faithfulness call per subset."""
+    insertion error, one hand-built insertion error per subset."""
     spec = PolynomialSpec.monomial(d)
     x = np.ones(d) if x is None else np.asarray(x, dtype=np.float64)
-    return total_powerset_error(spec.evaluate, x, np.zeros(d), "insertion")
+    return sum(insertion_error_oracle(spec.evaluate, x, np.zeros(d), subset)
+               for subset in iter_powerset(d))
+
+
+def term_groups(spec):
+    """The zero-error groups, built by hand: all features for a monomial,
+    and the first and last two thirds for a binomial."""
+    if spec.kind == "monomial":
+        return np.ones((1, spec.d))
+    m = spec.d // 3
+    groups = np.zeros((2, spec.d))
+    groups[0, :2 * m] = 1.0
+    groups[1, m:] = 1.0
+    return groups
 
 
 def corollary_oracle(spec):
     """Per-subset reference for the corollary: grouped error maxima of the
-    zero-error constructions at the all-ones input, one faithfulness call
+    zero-error constructions at the all-ones input, one hand-built error
     per subset and direction."""
-    if spec.kind == "monomial":
-        groups = np.ones((1, spec.d))
-        scores = np.ones(1)
-    else:
-        s1, s2, s3 = spec.partition
-        groups = np.zeros((2, spec.d))
-        groups[0, list(s1 + s2)] = 1.0
-        groups[1, list(s2 + s3)] = 1.0
-        scores = np.ones(2)
+    groups = term_groups(spec)
+    scores = np.ones(len(groups))
     x = np.ones(spec.d)
     max_del = 0.0
     max_ins = 0.0
-    for bits in range(1 << spec.d):
-        subset = [i for i in range(spec.d) if bits >> i & 1]
-        max_del = max(
-            max_del, grouped_deletion_error(spec.evaluate, x, groups, scores, subset)
-        )
-        max_ins = max(
-            max_ins, grouped_insertion_error(spec.evaluate, x, groups, scores, subset)
-        )
+    for subset in iter_powerset(spec.d):
+        max_del = max(max_del, grouped_deletion_error_oracle(
+            spec.evaluate, x, groups, scores, subset))
+        max_ins = max(max_ins, grouped_insertion_error_oracle(
+            spec.evaluate, x, groups, scores, subset))
     return max_del, max_ins
 
 
@@ -120,13 +123,22 @@ class TestPolynomialSpec:
         with pytest.raises(ValueError):
             PolynomialSpec.monomial(3).evaluate(np.ones((2, 4)))
 
+    def test_supports_are_the_terms(self):
+        for spec in ([PolynomialSpec.monomial(d) for d in (1, 2, 5)]
+                     + [PolynomialSpec.binomial(d) for d in (3, 6, 9)]):
+            assert spec.supports.dtype == bool
+            np.testing.assert_array_equal(spec.supports, term_groups(spec) > 0)
+            # each term is the product of x over its support
+            rng = np.random.default_rng(spec.d)
+            x = rng.normal(size=(4, spec.d))
+            expected = sum(np.prod(np.where(row, x, 1.0), axis=-1) for row in spec.supports)
+            np.testing.assert_allclose(spec.evaluate(x), expected, rtol=1e-15)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PolynomialSpec(kind="monomial", d=0)
         with pytest.raises(ValueError):
             PolynomialSpec.binomial(4)
-        with pytest.raises(ValueError):
-            PolynomialSpec(kind="binomial", d=3, partition=((0,), (0,), (1,)))
         with pytest.raises(ValueError):
             PolynomialSpec(kind="trinomial", d=3)
 

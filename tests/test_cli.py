@@ -271,7 +271,7 @@ class TestTrain:
         assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 3
         assert capsys.readouterr().err.startswith("error: loss became non-finite")
 
-    def test_malformed_dataset_is_reported(self, tmp_path):
+    def test_malformed_dataset_is_reported(self, tmp_path, capsys):
         dataset = tmp_path / "bad.csv"
         dataset.write_text("1.0,2.0,0\n3.0,4.0,0.5\n")
         config = write_config(
@@ -279,6 +279,23 @@ class TestTrain:
             {"dataset": str(dataset), "steps": 1, "learning_rate": 0.1, "seed": 1},
         )
         assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 2
+        assert f"dataset {dataset} line 2: label is not an integer" in \
+            capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_the_line(self, tmp_path, capsys, entry):
+        dataset = tmp_path / "bad.csv"
+        dataset.write_text(f"1.0,2.0,0\n3.0,{entry},1\n")
+        config = write_config(
+            tmp_path / "t.json",
+            {"dataset": str(dataset), "steps": 1, "learning_rate": 0.1, "seed": 1},
+        )
+        out = tmp_path / "out"
+        assert run(["train", "--config", config, "--out", out]) == 2
+        assert f"dataset {dataset} line 2: a feature is not finite" in \
+            capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
 
 
 class TestEval:
@@ -362,6 +379,22 @@ class TestEval:
         assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
         assert "labels must lie in [0, n_classes) = [0, 2)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.json").exists()
+
+    def test_non_finite_feature_names_the_line(self, tmp_path, capsys, trained):
+        _, checkpoint = trained
+        dataset = tmp_path / "nan.csv"
+        features, labels = make_blobs(n_per_class=6, seed=123)
+        features[4, 3] = np.nan
+        np.savetxt(dataset, np.column_stack([features, labels]), delimiter=",")
+        config = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(checkpoint), "dataset": str(dataset), "seed": 3},
+        )
+        out = tmp_path / "out"
+        assert run(["eval", "--config", config, "--out", out]) == 2
+        assert f"dataset {dataset} line 5: a feature is not finite" in \
+            capsys.readouterr().err
+        assert not (out / "results.json").exists()
 
     def test_unknown_metric_rejected(self, tmp_path, capsys, trained):
         dataset, checkpoint = trained
@@ -608,8 +641,15 @@ class TestCheckpointValidation:
          ["'segment_assignment' has 7 entries, expected 8", "(d)"]),
         (lambda c: {**c, "segment_assignment": [0] * 4 + [5] * 4},
          ["segment indices"]),
+        (lambda c: {**c, "segment_assignment": [0.9] * 4 + [1.6] * 4},
+         ["'segment_assignment' must hold integers, got float64 entries"]),
+        (lambda c: {**c, "segment_assignment": [False] * 4 + [True] * 4},
+         ["'segment_assignment' must hold integers, got bool entries"]),
+        (lambda c: {**c, "segment_assignment": [0] * 4 + [1.0] * 4},
+         ["'segment_assignment' must hold integers, got float64 entries"]),
     ], ids=["only_d", "no_w_k", "no_backbone", "no_backbone_classifier", "float_heads",
-            "ragged_w_q", "short_sel_w_k", "short_assignment", "assignment_range"])
+            "ragged_w_q", "short_sel_w_k", "short_assignment", "assignment_range",
+            "float_assignment", "bool_assignment", "integral_float_assignment"])
     def test_bad_checkpoint_names_the_field(self, tmp_path, capsys, initial,
                                             mutate, expected):
         dataset, ckpt = initial
@@ -694,6 +734,19 @@ class TestLabel:
         at3 = cluster_groups(3.0, tmp_path / "s3")
         at1 = cluster_groups(1.0, tmp_path / "s1")
         assert at3 <= at1
+
+    def test_negative_cluster_sigma_is_refused(self, tmp_path, capsys, map_setup):
+        map_path, seg_path, checkpoint = map_setup
+        config = write_config(
+            tmp_path / "l.json",
+            {"map": str(map_path), "segmentation": str(seg_path),
+             "checkpoint": str(checkpoint), "cluster_sigma": -1},
+        )
+        out = tmp_path / "out"
+        assert run(["label", "--config", config, "--out", out]) == 2
+        assert "config field 'cluster_sigma' must be non-negative, got -1" in \
+            capsys.readouterr().err
+        assert not (out / "labels.csv").exists()
 
     def test_shape_mismatch(self, tmp_path, map_setup):
         map_path, _, checkpoint = map_setup

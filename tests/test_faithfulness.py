@@ -1,8 +1,9 @@
 """Perturbation metrics: pointwise and powerset errors, curves, and the
 grouped variants, checked against direct evaluations and closed forms.  The
 earlier one-probe-at-a-time versions of the keep-mask functions are kept
-here as oracles, and the batched ``evaluate`` is checked against the
-per-vector functions."""
+here as oracles, the subset-error engine is checked against the hand-built
+pointwise errors in conftest, and the batched ``evaluate`` is checked
+against the per-vector functions."""
 
 from math import comb
 
@@ -11,9 +12,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    deletion_error_oracle,
+    grouped_deletion_error_oracle,
+    grouped_insertion_error_oracle,
+    insertion_error_oracle,
+    iter_powerset,
+)
 from sumparts.faithfulness import (
     PerturbationReport,
+    _per_row,
     _probe,
+    _subset_errors,
     comprehensiveness,
     deletion_curve,
     deletion_error,
@@ -42,16 +52,11 @@ def linear_model(theta):
     return lambda x: float(np.asarray(theta) @ x)
 
 
-def _iter_powerset(d):
-    for bits in range(1 << d):
-        yield [i for i in range(d) if bits >> i & 1]
-
-
 def total_powerset_error_oracle(f, x, alpha, kind):
-    """The earlier per-subset total: one pointwise error (two model calls)
-    per subset, summed in binary counting order."""
-    err = deletion_error if kind == "deletion" else insertion_error
-    return float(sum(err(f, x, alpha, s) for s in _iter_powerset(len(x))))
+    """The earlier per-subset total: one hand-built pointwise error (two
+    model calls) per subset, summed in binary counting order."""
+    err = deletion_error_oracle if kind == "deletion" else insertion_error_oracle
+    return float(sum(err(f, x, alpha, s) for s in iter_powerset(len(x))))
 
 
 def ranked_curve_oracle(model, x, ranking, step, direction):
@@ -267,6 +272,94 @@ class TestGroupedErrors:
         assert grouped_insertion_error(p, x, groups, scores, [1, 2]) == 0.0
         # missing elements of the shared part: nothing counts
         assert grouped_insertion_error(p, x, groups, scores, [0, 2]) == 0.0
+
+
+@st.composite
+def _subset_error_case(draw, max_d=8, entry=_ENTRY):
+    """An input, a per-feature attribution, groups with scores, and a list
+    of subsets, at d <= ``max_d``."""
+    d = draw(st.integers(1, max_d))
+    vector = st.lists(entry, min_size=d, max_size=d)
+    x, alpha = np.array(draw(vector)), np.array(draw(vector))
+    n_groups = draw(st.integers(1, 4))
+    groups = np.array([draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                     min_size=d, max_size=d))
+                       for _ in range(n_groups)])
+    scores = np.array(draw(st.lists(entry, min_size=n_groups, max_size=n_groups)))
+    subsets = draw(st.lists(st.sets(st.integers(0, d - 1)).map(sorted),
+                            min_size=1, max_size=6))
+    return x, alpha, groups, scores, subsets
+
+
+def _pairs_model(x):
+    """x0 + x0 x1 + x1 x2 + ...: products of neighbouring features, so a
+    subset's grouped errors depend on how it meets each pair."""
+    return float(np.sum(x[:-1] * x[1:])) + float(x[0])
+
+
+class TestSubsetErrorEngine:
+    """``_subset_errors`` and the public pointwise errors built on it,
+    against the hand-built per-subset oracles of conftest."""
+
+    def _check(self, f, case, exact):
+        x, alpha, groups, scores, subsets = case
+        members = np.zeros((len(subsets), x.size), dtype=bool)
+        for row, subset in zip(members, subsets):
+            row[subset] = True
+        model = _per_row(f)
+        for kind, supports, weights, public, oracle, args in (
+            ("deletion", None, alpha, deletion_error, deletion_error_oracle, (alpha,)),
+            ("insertion", None, alpha, insertion_error, insertion_error_oracle, (alpha,)),
+            ("deletion", groups > 0, scores, grouped_deletion_error,
+             grouped_deletion_error_oracle, (groups, scores)),
+            ("insertion", groups > 0, scores, grouped_insertion_error,
+             grouped_insertion_error_oracle, (groups, scores)),
+        ):
+            expected = [oracle(f, x, *args, s) for s in subsets]
+            engine = _subset_errors(model, x, members, supports, weights, kind).tolist()
+            pointwise = [public(f, x, *args, s) for s in subsets]
+            for got in (engine, pointwise):
+                if exact:
+                    assert got == expected
+                else:
+                    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_subset_error_case(), st.sampled_from(["monomial", "smooth", "pairs"]))
+    def test_matches_hand_built_oracle(self, case, name):
+        f = {"monomial": monomial, "smooth": smooth_model, "pairs": _pairs_model}[name]
+        self._check(f, case, exact=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_subset_error_case(entry=st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0])),
+           st.sampled_from(["monomial", "pairs", "linear"]))
+    def test_exact_on_integer_fixtures(self, case, name):
+        # integer entries keep every model value and credit sum exact
+        f = {"monomial": monomial, "pairs": _pairs_model,
+             "linear": lambda v: float(np.arange(1.0, v.size + 1) @ v)}[name]
+        self._check(f, case, exact=True)
+
+    def test_no_groups_credit_nothing(self):
+        x = np.array([1.0, 2.0, 3.0])
+        members = np.array([[False, False, False], [True, False, True],
+                            [True, True, True]])
+        model = _per_row(monomial)
+        got = _subset_errors(model, x, members, np.zeros((0, 3), dtype=bool),
+                             np.zeros(0), "insertion")
+        assert got.tolist() == [0.0, 0.0, 6.0]
+
+    def test_groups_and_scores_must_match(self):
+        model = _per_row(monomial)
+        x = np.ones(3)
+        members = np.ones((1, 3), dtype=bool)
+        with pytest.raises(ValueError, match="group masks have width 4, input has 3"):
+            grouped_deletion_error(monomial, x, np.ones((2, 4)), np.ones(2), [0])
+        with pytest.raises(ValueError, match="one per group"):
+            _subset_errors(model, x, members, None, np.zeros(2), "deletion")
+        with pytest.raises(ValueError, match="one per group"):
+            grouped_insertion_error(monomial, x, np.ones((2, 3)), np.ones(1), [0])
+        with pytest.raises(ValueError, match="one per group"):
+            deletion_error(monomial, x, 0.5, [0])
 
 
 class TestCurves:

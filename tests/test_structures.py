@@ -127,6 +127,15 @@ class TestLabelGroup:
             if at3 == "cluster":
                 assert at2 == "cluster"
 
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_threshold_must_be_finite_and_non_negative(self, sigma):
+        # at cluster_sigma=-1 this under-dense group (mean -1.5) was a cluster
+        imap = map_from([[2.0, -2.0], [1.0, -1.0]])
+        mask = np.array([0.0, 1.0, 0.0, 1.0])
+        assert label_group(imap, mask, 0.0).kind == "void"
+        with pytest.raises(ValueError, match="cluster_sigma must be finite and non-negative"):
+            label_group(imap, mask, sigma)
+
     def test_label_kind_validation(self):
         with pytest.raises(ValueError):
             StructureLabel(kind="supercluster", threshold_sigma=3.0)
