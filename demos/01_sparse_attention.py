@@ -7,7 +7,7 @@ built from sparsemax rows therefore select a sparse set of keys.
 
 import numpy as np
 
-from sumparts import attention_weights, softmax, sparsemax, sparsemax_vjp
+from sumparts import softmax, sparsemax, sparsemax_vjp
 
 scores = np.array([2.0, 0.5, -1.0, -2.5])
 print("scores:   ", scores)
@@ -33,7 +33,7 @@ print("vjp:", np.round(sparsemax_vjp(mild, upstream), 4))
 rng = np.random.default_rng(0)
 queries = rng.normal(size=(3, 4))
 keys = rng.normal(size=(5, 4))
-weights = attention_weights(queries, keys, scale=np.sqrt(4), mode="sparsemax")
+weights = sparsemax(queries @ keys.T / np.sqrt(4))
 print("\nattention rows (sparsemax):")
 print(np.round(weights, 3))
 print("row sums:", weights.sum(axis=1), " zeros per row:",

@@ -17,7 +17,6 @@ from .model import (
     sop_forward,
 )
 from .ops import (
-    attention_weights,
     finite_diff_grad,
     softmax,
     sparsemax,

@@ -11,9 +11,10 @@ unknown, the common attribution, and lies at a kink of its objective.
 The binomial optimum has two, one for the outer parts and one for the
 shared part, and lies at a crossing of two of its objective's kink lines.
 The lemma and the zero-error grouped constructions of the corollary are
-verified on the whole powerset by the subset-error engine of
-:mod:`sumparts.faithfulness`, with a polynomial's term supports as the
-groups, and exponential growth curves are fitted to the minima.
+verified on the whole powerset, for d up to ``faithfulness.POWERSET_LIMIT``
+(20), by the subset-error engine of :mod:`sumparts.faithfulness`, with a
+polynomial's term supports as the groups, and exponential growth curves
+are fitted to the minima.
 
 No family solves an LP, so nothing here imports scipy.  :func:`linprog`
 imports ``scipy.optimize.linprog`` if it is called; the library never
@@ -30,8 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .faithfulness import POWERSET_LIMIT, _subset_errors
-from .ops import powerset_blocks, powerset_matrix
+from .faithfulness import _powerset_errors
 
 __all__ = [
     "PolynomialSpec",
@@ -47,7 +47,6 @@ __all__ = [
 
 SCAN_DIMENSION_LIMIT = 20
 BINOMIAL_DIMENSION_LIMIT = 30
-GROUPED_DIMENSION_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -209,20 +208,18 @@ def verify_lemma_monomial_insertion(d: int, x=None) -> float:
 
     At the all-ones input only the full subset errs (by exactly 1); at any
     input with a zero feature every subset has zero model output, so the
-    total is 0.  Evaluated exhaustively, for d <= ``POWERSET_LIMIT``, by the
-    subset errors that define :func:`sumparts.faithfulness.insertion_error`;
-    the zero attribution credits no group.
+    total is 0.  Evaluated exhaustively, for d <= 20, by the subset errors
+    that define :func:`sumparts.faithfulness.insertion_error`; the zero
+    attribution credits no group.
     """
-    if not 1 <= d <= POWERSET_LIMIT:
-        raise ValueError(f"supported range is 1 <= d <= {POWERSET_LIMIT}, got {d}")
     spec = PolynomialSpec.monomial(d)
     x = np.ones(d) if x is None else np.asarray(x, dtype=np.float64)
     if x.shape != (d,):
         raise ValueError(f"input must have length {d}, got shape {x.shape}")
+    # no groups: zero scores per feature would cost a (P, d) masked sum
     no_groups = np.zeros((0, d), dtype=bool)
-    return sum(float(_subset_errors(spec.evaluate, x, members, no_groups, np.zeros(0),
-                                    "insertion").sum())
-               for members in powerset_blocks(d))
+    return sum(float(errors.sum()) for errors in
+               _powerset_errors(spec.evaluate, x, no_groups, np.zeros(0), "insertion"))
 
 
 def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
@@ -235,16 +232,13 @@ def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
     :func:`sumparts.faithfulness.grouped_deletion_error` and
     :func:`sumparts.faithfulness.grouped_insertion_error`.
     Returns ``(max grouped deletion error, max grouped insertion error)``,
-    both expected to be exactly 0.
+    both expected to be exactly 0, for d <= 20.
     """
-    if spec.d > GROUPED_DIMENSION_LIMIT:
-        raise ValueError(
-            f"grouped verification is capped at d={GROUPED_DIMENSION_LIMIT}, got {spec.d}"
-        )
-    x, members, supports = np.ones(spec.d), powerset_matrix(spec.d), spec.supports
+    x, supports = np.ones(spec.d), spec.supports
     scores = np.ones(supports.shape[0])
     max_del, max_ins = (
-        float(_subset_errors(spec.evaluate, x, members, supports, scores, kind).max())
+        max(float(errors.max()) for errors in
+            _powerset_errors(spec.evaluate, x, supports, scores, kind))
         for kind in ("deletion", "insertion"))
     return max_del, max_ins
 

@@ -80,7 +80,6 @@ _CONFIG_KEYS = {
     "label": {"seed", "map", "map_format", "segmentation", "checkpoint",
               "cluster_sigma"},
 }
-_SEED_REQUIRED = {"train", "eval"}
 
 
 class ConfigError(ValueError):
@@ -160,8 +159,8 @@ def _load_config(command: str, path: str, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
-    if command in _SEED_REQUIRED and "seed" not in config:
-        raise ConfigError(f"{command} requires a seed")
+    if command == "train" and "seed" not in config:
+        raise ConfigError("train requires a seed")
     if "seed" in config:
         _integer(config, "seed")
     return config
@@ -264,21 +263,31 @@ def _load_dataset(path):
         raise ConfigError("dataset rows need at least one feature and a label")
     features = data[:, :-1]
     labels = data[:, -1]
+    # false for NaN too, so the int64 cast below sees only integers it holds
+    integral = (labels == np.trunc(labels)) & (0 <= labels) & (labels < 2.0 ** 63)
     for bad, problem in ((~np.isfinite(features).all(axis=1), "a feature is not finite"),
-                         (labels != labels.astype(np.int64), "label is not an integer")):
+                         (~integral, "label is not an integer in [0, 2^63)")):
         if bad.any():
-            raise ConfigError(f"dataset {path} line {int(np.argmax(bad)) + 1}: {problem}")
+            # as np.loadtxt does, count the lines with text before any # comment
+            with open(path) as fh:
+                rows = [n for n, line in enumerate(fh, 1) if line.split("#", 1)[0].strip()]
+            raise ConfigError(f"dataset {path} line {rows[np.argmax(bad)]}: {problem}")
     return features, labels.astype(np.int64)
 
 
-def _class_mean_backbone(features, labels):
+def _class_mean_backbone(features, labels, path):
     """Identity-embedding backbone whose classifier rows are the per-class
-    feature means (a linear stand-in for a pretrained classifier)."""
-    n_classes = int(labels.max()) + 1
-    classifier = np.vstack(
-        [features[labels == k].mean(axis=0) for k in range(n_classes)]
-    )
-    return identity_backbone(classifier)
+    feature means (a linear stand-in for a pretrained classifier); every
+    class up to the largest label needs an example."""
+    ordered = np.sort(labels)
+    # np.unique would import numpy.ma (15 ms, 1 MB), which train needs nowhere else
+    classes = ordered[np.diff(ordered, prepend=-1) > 0]
+    # the first class missing is the first k with classes[k] != k
+    missing = np.flatnonzero(classes != np.arange(classes.size))
+    if missing.size:
+        raise ConfigError(f"dataset {path} has no example of class {missing[0]} "
+                          f"(its largest label is {classes[-1]})")
+    return identity_backbone(np.vstack([features[labels == k].mean(axis=0) for k in classes]))
 
 
 def _checkpoint_dict(seg, gen, sel, backbone, config):
@@ -377,9 +386,10 @@ def cmd_train(config: dict, out_dir: Path) -> int:
     if learning_rate <= 0:
         raise ConfigError(
             f"config field 'learning_rate' must be positive, got {config['learning_rate']!r}")
-    features, labels = _load_dataset(_path(config, "dataset"))
+    dataset = _path(config, "dataset")
+    features, labels = _load_dataset(dataset)
     seg = Segmentation.contiguous(features.shape[1], _integer(config, "segments", 2))
-    backbone = _class_mean_backbone(features, labels)
+    backbone = _class_mean_backbone(features, labels, dataset)
     train_config = TrainConfig(
         steps=_integer(config, "steps", 200),
         learning_rate=learning_rate,

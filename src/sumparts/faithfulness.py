@@ -182,6 +182,18 @@ def _subset_errors(model: Callable, x: np.ndarray, members: np.ndarray, supports
     return np.abs(change - np.where(credited, scores, 0.0).sum(axis=1))
 
 
+def _powerset_errors(model: Callable, x: np.ndarray, supports, scores, kind: str):
+    """:func:`_subset_errors` of every subset of the features, one array
+    per block of :func:`sumparts.ops.powerset_blocks` (binary counting, bit
+    i = feature i), for d <= ``POWERSET_LIMIT``."""
+    if x.size > POWERSET_LIMIT:
+        raise ValueError(f"powerset enumeration capped at d={POWERSET_LIMIT}, got {x.size}")
+    if kind not in ("deletion", "insertion"):
+        raise ValueError(f"kind must be 'deletion' or 'insertion', got {kind!r}")
+    for members in powerset_blocks(x.size):
+        yield _subset_errors(model, x, members, supports, scores, kind)
+
+
 def _subset_error(f: Callable, x, groups, scores, subset, kind: str) -> float:
     """:func:`_subset_errors` of one subset, given as indices, under the
     one-vector model ``f``; ``groups=None`` means one group per feature."""
@@ -206,20 +218,13 @@ def insertion_error(f: Callable, x, alpha, subset) -> float:
 def total_powerset_error(f: Callable, x, alpha, kind: str) -> float:
     """Sum of the deletion or insertion error over every feature subset.
 
-    Enumerates all 2^d subsets (binary counting, bit i = feature i), so the
-    dimension is capped at ``POWERSET_LIMIT``.  ``f(x)`` (deletion) or
-    ``f(0)`` (insertion) is evaluated once per block of subsets, and each
-    subset's attribution sum is a masked row sum.
+    Enumerates all 2^d subsets, so the dimension is capped at
+    ``POWERSET_LIMIT``.  ``f(x)`` (deletion) or ``f(0)`` (insertion) is
+    evaluated once per block of subsets, and each subset's attribution sum
+    is a masked row sum.
     """
-    x = _as_input(x)
-    if x.size > POWERSET_LIMIT:
-        raise ValueError(
-            f"powerset enumeration capped at d={POWERSET_LIMIT}, got {x.size}"
-        )
-    if kind not in ("deletion", "insertion"):
-        raise ValueError(f"kind must be 'deletion' or 'insertion', got {kind!r}")
-    return sum(float(_subset_errors(_per_row(f), x, members, None, alpha, kind).sum())
-               for members in powerset_blocks(x.size))
+    return sum(float(errors.sum())
+               for errors in _powerset_errors(_per_row(f), _as_input(x), None, alpha, kind))
 
 
 def grouped_deletion_error(f: Callable, x, groups, scores, subset) -> float:

@@ -66,7 +66,6 @@ class Backbone:
 
     embed: Callable[[np.ndarray], np.ndarray]
     classifier: np.ndarray
-    d: int
     h: int
     embed_vjp: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
@@ -87,12 +86,10 @@ def linear_backbone(weights, classifier) -> Backbone:
     """Backbone with ``embed(x) = weights @ x`` per row and an exact
     gradient hook."""
     weights = _as_float_matrix(weights, "weights")
-    h, d = weights.shape
     return Backbone(
         embed=lambda x: x @ weights.T,
         classifier=classifier,
-        d=d,
-        h=h,
+        h=weights.shape[0],
         embed_vjp=lambda x, upstream: upstream @ weights,
     )
 
@@ -100,12 +97,10 @@ def linear_backbone(weights, classifier) -> Backbone:
 def identity_backbone(classifier) -> Backbone:
     """Backbone whose embedding is the input itself (h = d)."""
     classifier = _as_float_matrix(classifier, "classifier")
-    d = classifier.shape[1]
     return Backbone(
         embed=lambda x: np.asarray(x, dtype=np.float64),
         classifier=classifier,
-        d=d,
-        h=d,
+        h=classifier.shape[1],
         embed_vjp=lambda x, upstream: np.asarray(upstream, dtype=np.float64),
     )
 

@@ -1,6 +1,5 @@
-"""Dense numeric primitives: sparsemax, softmax, attention weights, a
-central-difference gradient, and the membership rows of every subset of
-the features.
+"""Dense numeric primitives: sparsemax, softmax, a central-difference
+gradient, and the membership rows of every subset of the features.
 
 All functions are pure and operate on float64 numpy arrays.  ``sparsemax``,
 ``sparsemax_vjp`` and ``softmax`` act on every row along the last axis of
@@ -19,7 +18,6 @@ __all__ = [
     "sparsemax",
     "sparsemax_vjp",
     "softmax",
-    "attention_weights",
     "finite_diff_grad",
     "powerset_matrix",
     "powerset_blocks",
@@ -99,33 +97,6 @@ def softmax(v) -> np.ndarray:
     v = _as_rows(v, "v")
     shifted = np.exp(v - v.max(axis=-1, keepdims=True))
     return shifted / shifted.sum(axis=-1, keepdims=True)
-
-
-_ROW_MODES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "softmax": softmax,
-    "sparsemax": sparsemax,
-}
-
-
-def attention_weights(queries, keys, scale: float, mode: str) -> np.ndarray:
-    """Scaled dot-product attention weights without the value projection.
-
-    ``queries`` is m-by-p, ``keys`` is n-by-p; the result is the m-by-n
-    matrix whose row i is ``mode(queries_i . keys^T / scale)``, so every row
-    lies on the probability simplex.  ``mode`` is ``"softmax"`` or
-    ``"sparsemax"``.
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
-    if queries.shape[1] != keys.shape[1]:
-        raise ValueError(
-            f"inner dimensions differ: queries {queries.shape}, keys {keys.shape}"
-        )
-    if not (np.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be a positive real, got {scale}")
-    if mode not in _ROW_MODES:
-        raise ValueError(f"mode must be one of {sorted(_ROW_MODES)}, got {mode!r}")
-    return _ROW_MODES[mode](queries @ keys.T / scale)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) -> np.ndarray:

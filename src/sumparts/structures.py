@@ -40,10 +40,9 @@ INTENSITY_EPS = 1e-12
 
 @dataclass(frozen=True)
 class IntensityMap:
-    """Row-major intensity grid with its cached standard deviation."""
+    """Row-major intensity grid."""
 
     values: np.ndarray
-    sigma: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -51,9 +50,12 @@ class IntensityMap:
             raise ValueError("map values must form a non-empty 2-D grid")
         if not np.all(np.isfinite(values)):
             raise ValueError("map contains non-finite intensities")
-        if abs(self.sigma - float(values.std())) > 1e-9:
-            raise ValueError("cached sigma disagrees with the recomputed deviation")
         object.__setattr__(self, "values", values)
+
+    @property
+    def sigma(self) -> float:
+        """Population standard deviation of the intensities."""
+        return float(self.values.std())
 
     @property
     def height(self) -> int:
@@ -69,18 +71,16 @@ class IntensityMap:
 
     @classmethod
     def from_array(cls, values) -> "IntensityMap":
-        """Ingest a grid, subtracting its mean (population sigma cached)."""
+        """Ingest a grid, subtracting its mean."""
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.size == 0:
             raise ValueError("map values must form a non-empty 2-D grid")
-        centered = values - values.mean()
-        return cls(values=centered, sigma=float(centered.std()))
+        return cls(values=values - values.mean())
 
 
 @dataclass(frozen=True)
 class StructureLabel:
     kind: str
-    threshold_sigma: float
 
     def __post_init__(self):
         if self.kind not in LABEL_KINDS:
@@ -110,16 +110,16 @@ def label_group(imap: IntensityMap, mask, cluster_sigma: float = 3.0) -> Structu
     # a negative threshold would make clusters of under-dense groups
     if not 0 <= cluster_sigma < np.inf:
         raise ValueError(f"cluster_sigma must be finite and non-negative, got {cluster_sigma}")
-    intensity = group_intensity(imap, mask)
-    if abs(intensity) <= INTENSITY_EPS * max(1.0, imap.sigma):
+    intensity, sigma = group_intensity(imap, mask), imap.sigma
+    if abs(intensity) <= INTENSITY_EPS * max(1.0, sigma):
         intensity = 0.0
-    if imap.sigma > 0 and intensity >= cluster_sigma * imap.sigma:
+    if sigma > 0 and intensity >= cluster_sigma * sigma:
         kind = "cluster"
     elif intensity < 0:
         kind = "void"
     else:
         kind = "other"
-    return StructureLabel(kind=kind, threshold_sigma=float(cluster_sigma))
+    return StructureLabel(kind=kind)
 
 
 def score_mass_by_label(maps, attributions, cluster_sigma: float = 3.0) -> dict:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from sumparts import certificates
+from sumparts import certificates, ops
 from sumparts.certificates import (
     BINOMIAL_DIMENSION_LIMIT,
     ExponentialFit,
@@ -356,6 +356,12 @@ class TestLemmaVerification:
         for d in range(1, 13):
             assert verify_lemma_monomial_insertion(d) == lemma_oracle(d)
 
+    def test_total_spans_every_block(self, monkeypatch):
+        # only the last subset errs, so a total of one block would read 0
+        monkeypatch.setattr(ops, "POWERSET_BLOCK_ROWS", 8)
+        for d in (4, 7):
+            assert verify_lemma_monomial_insertion(d) == 1.0
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(st.just(0.0), st.just(1.0),
                               st.floats(-2.0, 2.0, allow_nan=False)),
@@ -379,8 +385,16 @@ class TestCorollaryVerification:
         assert max_ins == 0.0
 
     def test_capacity(self):
-        with pytest.raises(ValueError):
-            verify_corollary_grouped(PolynomialSpec.monomial(13))
+        with pytest.raises(ValueError, match="capped at d=20, got 21"):
+            verify_corollary_grouped(PolynomialSpec.monomial(21))
+
+    def test_above_d12(self):
+        spec = PolynomialSpec.monomial(13)
+        assert verify_corollary_grouped(spec) == corollary_oracle(spec)
+        # d = 18 spans four blocks of the powerset walk
+        for spec in (PolynomialSpec.monomial(14), PolynomialSpec.monomial(15),
+                     PolynomialSpec.binomial(15), PolynomialSpec.binomial(18)):
+            assert verify_corollary_grouped(spec) == (0.0, 0.0)
 
     def test_matches_per_subset_oracle(self):
         specs = [PolynomialSpec.monomial(d) for d in range(1, 11)]

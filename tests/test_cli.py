@@ -58,6 +58,16 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_process(args):
+    """Run ``python -m sumparts`` with ``args`` in a fresh interpreter, with
+    its default warning filters, and return the completed process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "sumparts", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestCertify:
     def test_monomial_family(self, tmp_path):
         config = write_config(
@@ -297,6 +307,49 @@ class TestTrain:
             capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize("text, line, problem", [
+        ("# header\n1.0,2.0,0\n\n3.0,nan,1\n", 4, "a feature is not finite"),
+        ("# header\n1.0,2.0,0 # first row\n\n# note\n\n3.0,4.0,0.5\n", 6,
+         "label is not an integer in [0, 2^63)"),
+    ], ids=["feature", "label"])
+    def test_line_numbers_count_comments_and_blank_lines(self, tmp_path, capsys, text,
+                                                         line, problem):
+        dataset = tmp_path / "commented.csv"
+        dataset.write_text(text)
+        config = write_config(tmp_path / "t.json",
+                              {"dataset": str(dataset), "steps": 1, "seed": 1})
+        assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: dataset {dataset} line {line}: {problem}\n"
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "1e300", "-1"])
+    def test_bad_label_prints_only_the_error(self, tmp_path, label):
+        """A label is checked without casting it, so numpy prints no cast
+        warning ahead of the error."""
+        dataset = tmp_path / "bad.csv"
+        dataset.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
+        config = write_config(tmp_path / "t.json",
+                              {"dataset": str(dataset), "steps": 1, "seed": 1})
+        completed = run_process(["train", "--config", config, "--out", tmp_path / "out"])
+        assert completed.returncode == 2
+        assert completed.stderr == (
+            f"error: dataset {dataset} line 2: label is not an integer in [0, 2^63)\n")
+
+    @pytest.mark.parametrize("labels, missing", [
+        ((0, 2), 1), ((0, 200000), 1), ((1, 1), 0), ((0, 1, 3, 5), 2),
+    ])
+    def test_labels_that_skip_a_class_are_refused(self, tmp_path, capsys, labels,
+                                                  missing):
+        dataset = tmp_path / "skips.csv"
+        dataset.write_text("".join(f"{i}.0,1.0,{k}\n" for i, k in enumerate(labels)))
+        config = write_config(tmp_path / "t.json",
+                              {"dataset": str(dataset), "steps": 1, "seed": 1})
+        out = tmp_path / "out"
+        assert run(["train", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset {dataset} has no example of class {missing} "
+            f"(its largest label is {max(labels)})\n")
+        assert not (out / "checkpoint.json").exists()
+
 
 class TestEval:
     @pytest.fixture
@@ -335,6 +388,20 @@ class TestEval:
             out_b / "results.json"
         ).read_bytes()
         assert (out_a / "curves.csv").read_bytes() == (out_b / "curves.csv").read_bytes()
+
+    def test_seed_is_optional(self, tmp_path, trained):
+        """``eval`` reads no seed, so a config without one writes the same
+        bytes as a config with one."""
+        dataset, checkpoint = trained
+        fields = {"checkpoint": str(checkpoint), "dataset": str(dataset),
+                  "metrics": ALL_METRICS, "step": 2, "classes": [0, 1]}
+        seeded = write_config(tmp_path / "seeded.json", dict(fields, seed=3))
+        unseeded = write_config(tmp_path / "unseeded.json", fields)
+        out_a, out_b = tmp_path / "seeded", tmp_path / "unseeded"
+        assert run(["eval", "--config", seeded, "--out", out_a]) == 0
+        assert run(["eval", "--config", unseeded, "--out", out_b]) == 0
+        for name in ("results.json", "curves.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_optional_rationale_metrics(self, tmp_path, trained):
         dataset, checkpoint = trained

@@ -19,9 +19,11 @@ from conftest import (
     insertion_error_oracle,
     iter_powerset,
 )
+from sumparts import ops
 from sumparts.faithfulness import (
     PerturbationReport,
     _per_row,
+    _powerset_errors,
     _probe,
     _subset_errors,
     comprehensiveness,
@@ -360,6 +362,34 @@ class TestSubsetErrorEngine:
             grouped_insertion_error(monomial, x, np.ones((2, 3)), np.ones(1), [0])
         with pytest.raises(ValueError, match="one per group"):
             deletion_error(monomial, x, 0.5, [0])
+
+
+class TestPowersetErrors:
+    """``_powerset_errors``, the one walk and cap of the powerset behind
+    ``total_powerset_error`` and the lemma and corollary checks."""
+
+    @pytest.mark.parametrize("kind", ["deletion", "insertion"])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_blocks_concatenate_to_the_whole_powerset(self, monkeypatch, kind, grouped):
+        monkeypatch.setattr(ops, "POWERSET_BLOCK_ROWS", 8)
+        x = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
+        if grouped:
+            supports = np.array([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]]) > 0
+            scores = np.array([0.5, -1.0, 2.0])
+        else:
+            supports, scores = None, np.arange(5.0)
+        model = _per_row(smooth_model)
+        blocks = list(_powerset_errors(model, x, supports, scores, kind))
+        assert [len(block) for block in blocks] == [8] * 4
+        whole = _subset_errors(model, x, ops.powerset_matrix(5), supports, scores, kind)
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+
+    def test_capacity_and_kind(self):
+        model = _per_row(monomial)
+        with pytest.raises(ValueError, match="capped at d=20, got 21"):
+            next(_powerset_errors(model, np.ones(21), None, np.zeros(21), "deletion"))
+        with pytest.raises(ValueError, match="kind must be"):
+            next(_powerset_errors(model, np.ones(2), None, np.zeros(2), "both"))
 
 
 class TestCurves:

@@ -146,9 +146,7 @@ class TestEmbedGroups:
         np.testing.assert_allclose(z[0], weights @ (mask * x), atol=1e-12)
 
     def test_wrong_embedding_width(self):
-        bad = Backbone(
-            embed=lambda v: np.zeros(2), classifier=np.zeros((1, 3)), d=4, h=3
-        )
+        bad = Backbone(embed=lambda v: np.zeros(2), classifier=np.zeros((1, 3)), h=3)
         with pytest.raises(ValueError):
             embed_groups(np.zeros(4), np.ones((1, 4)), bad)
 

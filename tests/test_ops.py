@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from sumparts.ops import (
-    attention_weights,
     finite_diff_grad,
     softmax,
     sparsemax,
@@ -227,34 +226,6 @@ class TestSoftmax:
     def test_empty_error(self):
         with pytest.raises(ValueError):
             softmax([])
-
-
-class TestAttentionWeights:
-    def test_identity_sparsemax_rows(self):
-        out = attention_weights(np.eye(2), np.eye(2), 1.0, "sparsemax")
-        np.testing.assert_array_equal(out, np.eye(2))
-
-    def test_softmax_rows_normalized(self):
-        rng = np.random.default_rng(4)
-        q, k = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
-        out = attention_weights(q, k, np.sqrt(5), "softmax")
-        assert out.shape == (3, 4)
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(3), atol=1e-12)
-
-    def test_single_query_row(self):
-        rng = np.random.default_rng(9)
-        q = rng.normal(size=(1, 4))
-        k = rng.normal(size=(6, 4))
-        out = attention_weights(q, k, 2.0, "sparsemax")
-        np.testing.assert_allclose(out[0], sparsemax(q[0] @ k.T / 2.0), atol=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            attention_weights(np.eye(2), np.ones((2, 3)), 1.0, "softmax")
-        with pytest.raises(ValueError):
-            attention_weights(np.eye(2), np.eye(2), 0.0, "softmax")
-        with pytest.raises(ValueError):
-            attention_weights(np.eye(2), np.eye(2), 1.0, "argmax")
 
 
 class TestFiniteDiffGrad:

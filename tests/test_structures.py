@@ -41,10 +41,6 @@ class TestIntensityMap:
         assert imap.flat.mean() == 0.0
         assert imap.sigma == np.std([1.0, 3.0, 5.0, 7.0])
 
-    def test_sigma_cache_validated(self):
-        with pytest.raises(ValueError):
-            IntensityMap(values=np.ones((2, 2)), sigma=1.0)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             IntensityMap.from_array(np.array([[np.nan, 0.0]]))
@@ -108,9 +104,7 @@ class TestLabelGroup:
     def test_other_between_cuts(self):
         imap = map_from([[2.0, -2.0], [1.0, -1.0]])
         mask = np.array([1.0, 0.0, 1.0, 0.0])  # mean +1.5 < 3 sigma
-        label = label_group(imap, mask, 3.0)
-        assert label.kind == "other"
-        assert label.threshold_sigma == 3.0
+        assert label_group(imap, mask, 3.0).kind == "other"
 
     def test_flat_map_is_other(self):
         imap = map_from(np.zeros((2, 2)))
@@ -138,7 +132,7 @@ class TestLabelGroup:
 
     def test_label_kind_validation(self):
         with pytest.raises(ValueError):
-            StructureLabel(kind="supercluster", threshold_sigma=3.0)
+            StructureLabel(kind="supercluster")
 
 
 class TestScoreMass:

@@ -48,7 +48,6 @@ def d4_fixture():
     backbone = Backbone(
         embed=lambda v: v @ weights.T,
         classifier=classifier,
-        d=4,
         h=3,
         embed_vjp=lambda v, upstream: upstream @ weights,
     )
@@ -316,9 +315,7 @@ class TestGradients:
 
     def test_finite_difference_backbone_fallback_agrees(self):
         seg, backbone, weights, gen, sel, inputs, labels = d4_fixture()
-        no_hook = Backbone(
-            embed=lambda v: v @ weights.T, classifier=backbone.classifier, d=4, h=3
-        )
+        no_hook = Backbone(embed=lambda v: v @ weights.T, classifier=backbone.classifier, h=3)
         loss_a, grads_a = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
         loss_b, grads_b = loss_and_gradients(inputs, labels, seg, gen, sel, no_hook)
         assert loss_a == loss_b
