@@ -2,7 +2,9 @@
 
 For the d-feature product, the least total deletion error any per-feature
 attribution can achieve over the whole powerset is the optimum of an L1
-program; it equals C(d, d // 2) - 1 and grows exponentially with d.
+program, found exactly by ``monomial_scan_minimum``; it equals
+C(d, d // 2) - 1 and grows exponentially with d.  ``binomial_scan_minimum``
+does the same for insertion on two overlapping products.
 Grouped attributions sidestep the bound: a single group holding all
 features explains the product with zero error everywhere.
 """
@@ -11,9 +13,9 @@ from math import comb
 
 from sumparts.certificates import (
     PolynomialSpec,
+    binomial_scan_minimum,
     fit_exponential,
-    min_deletion_error_monomial,
-    min_insertion_error_binomial,
+    monomial_scan_minimum,
     verify_corollary_grouped,
     verify_lemma_monomial_insertion,
 )
@@ -22,7 +24,7 @@ from sumparts.certificates import (
 print("least total deletion error for the product of d features:")
 points = []
 for d in range(2, 11):
-    value = min_deletion_error_monomial(d)
+    value = monomial_scan_minimum(d)
     points.append((d, value))
     print(f"  d={d:2d}: {value:10.1f}   (C(d, d//2) - 1: {comb(d, d // 2) - 1:6d})")
 
@@ -37,7 +39,7 @@ print("\nzero-attribution insertion totals:",
 # two overlapping products: insertion error also grows exponentially
 print("\nleast total insertion error for the two-product polynomial:")
 for d in (3, 6, 9, 12):
-    print(f"  d={d:2d}: {min_insertion_error_binomial(d):6.1f}")
+    print(f"  d={d:2d}: {binomial_scan_minimum(d):6.1f}")
 
 # the grouped constructions are exact everywhere
 for spec in (PolynomialSpec.monomial(6), PolynomialSpec.binomial(6)):

@@ -38,8 +38,6 @@ __all__ = [
     "ExponentialFit",
     "monomial_scan_minimum",
     "binomial_scan_minimum",
-    "min_deletion_error_monomial",
-    "min_insertion_error_binomial",
     "verify_lemma_monomial_insertion",
     "verify_corollary_grouped",
     "fit_exponential",
@@ -189,20 +187,6 @@ def binomial_scan_minimum(d: int) -> float:
     return float(_binomial_scan(d)[0])
 
 
-def min_deletion_error_monomial(d: int) -> float:
-    """Least total powerset deletion error for the d-variable monomial, by
-    the exact scan, for 2 <= d <= ``SCAN_DIMENSION_LIMIT``."""
-    if d < 2:
-        raise ValueError("monomial certificates start at d=2")
-    return monomial_scan_minimum(d)
-
-
-def min_insertion_error_binomial(d: int) -> float:
-    """Least total powerset insertion error for the equal-thirds binomial,
-    by the exact scan, for d <= ``BINOMIAL_DIMENSION_LIMIT``."""
-    return binomial_scan_minimum(d)
-
-
 def verify_lemma_monomial_insertion(d: int, x=None) -> float:
     """Total powerset insertion error of the zero attribution on a monomial.
 
@@ -218,8 +202,8 @@ def verify_lemma_monomial_insertion(d: int, x=None) -> float:
         raise ValueError(f"input must have length {d}, got shape {x.shape}")
     # no groups: zero scores per feature would cost a (P, d) masked sum
     no_groups = np.zeros((0, d), dtype=bool)
-    return sum(float(errors.sum()) for errors in
-               _powerset_errors(spec.evaluate, x, no_groups, np.zeros(0), "insertion"))
+    return sum(float(errors.sum()) for (errors,) in
+               _powerset_errors(spec.evaluate, x, no_groups, np.zeros(0), ("insertion",)))
 
 
 def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
@@ -228,19 +212,17 @@ def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
     The groups are the polynomial's term supports, each with score 1: for a
     monomial the single group of all features, for a binomial each
     product's support.  They are evaluated against every subset of the
-    powerset at the all-ones input, by the subset errors that define
-    :func:`sumparts.faithfulness.grouped_deletion_error` and
-    :func:`sumparts.faithfulness.grouped_insertion_error`.
+    powerset at the all-ones input, both kinds in one walk, by the subset
+    errors that define :func:`sumparts.faithfulness.grouped_deletion_error`
+    and :func:`sumparts.faithfulness.grouped_insertion_error`.
     Returns ``(max grouped deletion error, max grouped insertion error)``,
     both expected to be exactly 0, for d <= 20.
     """
     x, supports = np.ones(spec.d), spec.supports
     scores = np.ones(supports.shape[0])
-    max_del, max_ins = (
-        max(float(errors.max()) for errors in
-            _powerset_errors(spec.evaluate, x, supports, scores, kind))
-        for kind in ("deletion", "insertion"))
-    return max_del, max_ins
+    maxima = [(deletion.max(), insertion.max()) for deletion, insertion in
+              _powerset_errors(spec.evaluate, x, supports, scores, ("deletion", "insertion"))]
+    return tuple(float(value) for value in np.max(maxima, axis=0))
 
 
 @dataclass(frozen=True)

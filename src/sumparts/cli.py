@@ -61,20 +61,27 @@ REPORT_SCHEMA = {
             "required": ["checkpoint", "dataset", "classes", "step", "probability"],
         },
         "accuracy": {"type": "number"},
-        "insertion": _METRIC_BLOCK,
-        "deletion": _METRIC_BLOCK,
-        "grouped_insertion": _METRIC_BLOCK,
-        "grouped_deletion": _METRIC_BLOCK,
-        "sparsity": _METRIC_BLOCK,
-        "comprehensiveness": _METRIC_BLOCK,
-        "sufficiency": _METRIC_BLOCK,
+        **dict.fromkeys(faithfulness.METRICS, _METRIC_BLOCK),
     },
     "additionalProperties": False,
 }
-EVAL_METRICS = tuple(name for name in REPORT_SCHEMA["properties"] if name != "metadata")
+EVAL_METRICS = ("accuracy",) + faithfulness.METRICS
 
+# the keys each certify family reads, besides "family" and "seed"
+_CERTIFY_KEYS = {
+    "monomial": {"d_min", "d_max"},
+    "binomial": {"dimensions"},
+    "lemma": {"dimensions"},
+    "corollary": {"dimensions", "kind"},
+}
+# per fitted certify family: the reference window its published slope is
+# calibrated on, that slope, whether the fit has an offset, and exact anchors
+_FITTED = {
+    "monomial": (set(range(2, 15)), MONOMIAL_SLOPE, False, {2: 1.0, 3: 2.0}),
+    "binomial": ({3, 6, 9, 12, 15}, BINOMIAL_SLOPE, True, {}),
+}
 _CONFIG_KEYS = {
-    "certify": {"seed", "family", "d_min", "d_max", "dimensions", "kind"},
+    "certify": {"seed", "family"}.union(*_CERTIFY_KEYS.values()),
     "train": {"seed", "dataset", "steps", "learning_rate", "heads", "segments"},
     "eval": {"seed", "checkpoint", "dataset", "metrics", "step", "classes"},
     "label": {"seed", "map", "map_format", "segmentation", "checkpoint",
@@ -166,51 +173,46 @@ def _load_config(command: str, path: str, overrides: dict) -> dict:
     return config
 
 
-def _fit_points(points, with_offset: bool, result: dict, out_dir: Path):
-    """Fit an exponential to certified ``(d, value)`` points, record both in
-    ``result`` and write the points with their fitted values to curves.csv."""
-    fit = certificates.fit_exponential(points, with_offset=with_offset)
-    result["points"] = [[d, v] for d, v in points]
-    result["fit"] = dataclasses.asdict(fit)
-    write_csv_atomic(out_dir / "curves.csv", ["d", "value", "fitted"],
-                     [(d, v, float(fit.predict(d))) for d, v in points])
-    return fit
-
-
 def cmd_certify(config: dict, out_dir: Path) -> int:
     family = config.get("family")
+    if not isinstance(family, str) or family not in _CERTIFY_KEYS:
+        raise ConfigError("certify family must be one of monomial/binomial/lemma/corollary")
+    unread = sorted(set(config) - {"family", "seed"} - _CERTIFY_KEYS[family])
+    if unread:
+        raise ConfigError(f"certify family {family!r} does not read config keys {unread}")
     gates: dict[str, bool] = {}
     result: dict = {"family": family}
 
-    if family == "monomial":
-        d_min = _integer(config, "d_min", 2)
-        d_max = _integer(config, "d_max", 14)
-        if d_max - d_min < 2:
-            raise ConfigError(
-                "config fields 'd_min' and 'd_max' must span 3 or more dimensions to "
-                f"fit, got d_min={d_min} and d_max={d_max}")
-        dims = list(range(d_min, d_max + 1))
-        points = [(d, certificates.min_deletion_error_monomial(d)) for d in dims]
-        fit = _fit_points(points, False, result, out_dir)
-        # the published slope tolerance is calibrated on the d=2..14 window;
-        # narrower runs report the fit without gating on it
-        if d_min <= 2 and d_max >= 14:
-            gates["slope_within_tolerance"] = (
-                abs(fit.slope - MONOMIAL_SLOPE) <= SLOPE_TOLERANCE
-            )
-        anchors = dict(points)
-        if 2 in anchors:
-            gates["anchor_d2"] = abs(anchors[2] - 1.0) <= ANCHOR_TOLERANCE
-        if 3 in anchors:
-            gates["anchor_d3"] = abs(anchors[3] - 2.0) <= ANCHOR_TOLERANCE
-    elif family == "binomial":
-        dims = _dimensions(config, [3, 6, 9, 12, 15], fewest=3)
-        points = [(d, certificates.min_insertion_error_binomial(d)) for d in dims]
-        fit = _fit_points(points, True, result, out_dir)
-        if {3, 6, 9, 12, 15} <= set(dims):
-            gates["slope_within_tolerance"] = (
-                abs(fit.slope - BINOMIAL_SLOPE) <= SLOPE_TOLERANCE
-            )
+    if family in _FITTED:
+        window, target, with_offset, anchors = _FITTED[family]
+        if family == "monomial":
+            d_min = _integer(config, "d_min", 2)
+            d_max = _integer(config, "d_max", 14)
+            if d_min < 2:
+                raise ConfigError("config field 'd_min' must be at least 2, as monomial "
+                                  f"certificates start at d=2, got {d_min}")
+            if d_max - d_min < 2:
+                raise ConfigError(
+                    "config fields 'd_min' and 'd_max' must span 3 or more dimensions to "
+                    f"fit, got d_min={d_min} and d_max={d_max}")
+            dims, minimum = list(range(d_min, d_max + 1)), certificates.monomial_scan_minimum
+        else:
+            dims = _dimensions(config, sorted(window), fewest=3)
+            minimum = certificates.binomial_scan_minimum
+        points = [(d, minimum(d)) for d in dims]
+        fit = certificates.fit_exponential(points, with_offset=with_offset)
+        result["points"] = [[d, v] for d, v in points]
+        result["fit"] = dataclasses.asdict(fit)
+        write_csv_atomic(out_dir / "curves.csv", ["d", "value", "fitted"],
+                         [(d, v, float(fit.predict(d))) for d, v in points])
+        # the published slope tolerance is calibrated on the reference
+        # window; narrower runs report the fit without gating on it
+        if window <= set(dims):
+            gates["slope_within_tolerance"] = abs(fit.slope - target) <= SLOPE_TOLERANCE
+        values = dict(points)
+        for d, exact in anchors.items():
+            if d in values:
+                gates[f"anchor_d{d}"] = abs(values[d] - exact) <= ANCHOR_TOLERANCE
     elif family == "lemma":
         dims = _dimensions(config, list(range(1, 17)))
         points = [(d, certificates.verify_lemma_monomial_insertion(d)) for d in dims]
@@ -220,19 +222,10 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
             out_dir / "curves.csv", ["d", "value", "fitted"],
             [(d, v, 1.0) for d, v in points],
         )
-    elif family == "corollary":
+    else:
         kind = config.get("kind", "binomial")
-        if kind not in ("monomial", "binomial"):
-            raise ConfigError(
-                f"corollary kind must be 'monomial' or 'binomial', got {kind!r}"
-            )
-        dims = _dimensions(config, [6])
-        rows = []
-        for d in dims:
-            spec = (certificates.PolynomialSpec.monomial(d) if kind == "monomial"
-                    else certificates.PolynomialSpec.binomial(d))
-            max_del, max_ins = certificates.verify_corollary_grouped(spec)
-            rows.append((d, max_del, max_ins))
+        specs = [certificates.PolynomialSpec(kind, d) for d in _dimensions(config, [6])]
+        rows = [(spec.d, *certificates.verify_corollary_grouped(spec)) for spec in specs]
         result["kind"] = kind
         result["points"] = [[d, md, mi] for d, md, mi in rows]
         gates["grouped_errors_zero"] = all(
@@ -241,10 +234,6 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         write_csv_atomic(
             out_dir / "curves.csv", ["d", "max_deletion", "max_insertion"],
             rows,
-        )
-    else:
-        raise ConfigError(
-            "certify family must be one of monomial/binomial/lemma/corollary"
         )
 
     result["gates"] = gates

