@@ -20,8 +20,7 @@ from sumparts.model import (
 )
 from sumparts.structures import (
     IntensityMap,
-    group_intensity,
-    label_group,
+    label_groups,
     load_map_binary,
     score_mass_by_label,
     write_map_binary,
@@ -42,10 +41,9 @@ dark = np.zeros(64)
 dark[imap.flat < 0] = 1.0
 mild = np.zeros(64)
 mild[imap.flat >= 0] = 1.0
-for name, mask in (("hot", hot), ("dark", dark), ("mild", mild)):
-    label = label_group(imap, mask, cluster_sigma=3.0)
-    print(f"  {name:4s}: intensity {group_intensity(imap, mask):+7.3f} "
-          f"-> {label.kind}")
+intensities, kinds = label_groups(imap, [hot, dark, mild], cluster_sigma=3.0)
+for name, intensity, kind in zip(("hot", "dark", "mild"), intensities, kinds):
+    print(f"  {name:4s}: intensity {intensity:+7.3f} -> {kind}")
 
 # the binary map format round-trips through a 16-byte header
 with tempfile.TemporaryDirectory() as tmp:
@@ -61,7 +59,8 @@ backbone = identity_backbone(rng.normal(size=(2, 64)))
 gen = GroupGenParams.random(4, 2, rng, std=1.0)
 sel = GroupSelectParams.random(backbone, rng, std=1.0)
 attribution = sop_forward(imap.flat, seg, gen, sel, backbone)
-masses = score_mass_by_label([imap], [attribution], cluster_sigma=2.0)
+_, kinds = label_groups(imap, attribution.groups, cluster_sigma=2.0)
+masses = score_mass_by_label([kinds], [attribution])
 print("\nscore mass by label (cluster cut at 2 sigma):")
 for target, kinds in masses["targets"].items():
     parts = {kind: round(kinds[kind]["mean"], 3) for kind in kinds}

@@ -43,7 +43,7 @@ __all__ = [
     "fit_exponential",
 ]
 
-SCAN_DIMENSION_LIMIT = 20
+SCAN_DIMENSION_LIMIT = 60
 BINOMIAL_DIMENSION_LIMIT = 30
 
 

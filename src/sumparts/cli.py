@@ -8,8 +8,8 @@ Diagnostics go to stderr.  Exit codes:
 
 - 0: the command ran and every internal tolerance gate passed;
 - 1: a gate failed;
-- 2: a config, usage or input error (bad JSON, unknown keys, unreadable or
-  malformed dataset or checkpoint);
+- 2: a config, usage or input error (bad JSON, unknown keys, an unreadable
+  or malformed config, dataset, checkpoint, map or segmentation file);
 - 3: a numerical failure, such as a training run whose loss diverges.
 """
 
@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -150,14 +151,28 @@ def _dimensions(config: dict, default: list, fewest: int = 1) -> list[int]:
     return dims
 
 
-def _load_config(command: str, path: str, overrides: dict) -> dict:
+def _read(what: str, path: str, load):
+    """``load(path)``, with an unreadable file (an ``OSError``) or malformed
+    contents as a ConfigError naming the file.  Malformed contents raise a
+    ``ValueError``, a ``RecursionError`` (JSON nested too deep) or numpy's
+    ``UserWarning`` that a file holds no data."""
     try:
-        with open(path) as fh:
-            config = json.load(fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            return load(path)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError, UserWarning) as exc:
+        raise ConfigError(f"malformed {what} {path}: {exc}") from exc
+
+
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _load_config(command: str, path: str, overrides: dict) -> dict:
+    config = _read("config", path, _load_json)
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(config) - _CONFIG_KEYS[command]
@@ -191,6 +206,10 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
             if d_min < 2:
                 raise ConfigError("config field 'd_min' must be at least 2, as monomial "
                                   f"certificates start at d=2, got {d_min}")
+            if d_max > certificates.SCAN_DIMENSION_LIMIT:
+                raise ConfigError(
+                    f"config field 'd_max' must be at most {certificates.SCAN_DIMENSION_LIMIT}"
+                    f" for the monomial family, got {d_max}")
             if d_max - d_min < 2:
                 raise ConfigError(
                     "config fields 'd_min' and 'd_max' must span 3 or more dimensions to "
@@ -242,12 +261,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
 
 
 def _load_dataset(path):
-    try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"malformed dataset {path}: {exc}") from exc
+    data = _read("dataset", path, lambda p: np.loadtxt(p, delimiter=",", ndmin=2))
     if data.shape[1] < 2:
         raise ConfigError("dataset rows need at least one feature and a label")
     features = data[:, :-1]
@@ -311,14 +325,7 @@ def _checkpoint_field(ckpt, path, key):
 
 
 def _restore_checkpoint(path):
-    try:
-        with open(path) as fh:
-            ckpt = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-
+    ckpt = _read("checkpoint", path, _load_json)
     sizes = {}
     for key in ("d", "h", "n_segments", "n_classes", "heads"):
         value = _checkpoint_field(ckpt, path, key)
@@ -488,18 +495,12 @@ def cmd_label(config: dict, out_dir: Path) -> int:
         raise ConfigError(
             f"config field 'cluster_sigma' must be non-negative, got {config['cluster_sigma']!r}")
     map_format = config.get("map_format", "csv")
-    if map_format == "csv":
-        imap = structures.load_map_csv(map_path)
-    elif map_format == "binary":
-        imap = structures.load_map_binary(map_path)
-    else:
+    if map_format not in ("csv", "binary"):
         raise ConfigError("map_format must be 'csv' or 'binary'")
-    seg = structures.load_segmentation_csv(seg_path)
-    if seg.n_features != imap.height * imap.width:
-        raise ConfigError(
-            f"segmentation covers {seg.n_features} pixels, map has "
-            f"{imap.height * imap.width}"
-        )
+    imap = _read("map", map_path, structures.load_map_csv if map_format == "csv"
+                 else structures.load_map_binary)
+    seg = _read("segmentation", seg_path,
+                lambda p: structures.load_segmentation_csv(p, imap.values.shape))
     ckpt_seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
     if ckpt_seg.n_features != seg.n_features or ckpt_seg.n_segments != seg.n_segments:
         raise ConfigError(
@@ -507,15 +508,11 @@ def cmd_label(config: dict, out_dir: Path) -> int:
         )
 
     attribution = sop_forward(imap.flat, seg, gen, sel, backbone)
-    rows = []
-    for g, mask in enumerate(attribution.groups):
-        intensity = structures.group_intensity(imap, mask)
-        label = structures.label_group(imap, mask, cluster_sigma)
-        rows.append(
-            (g, intensity, label.kind)
-            + tuple(float(s) for s in attribution.scores[g])
-        )
-    histogram = structures.score_mass_by_label([imap], [attribution], cluster_sigma)
+    intensities, kinds = structures.label_groups(imap, attribution.groups, cluster_sigma)
+    rows = [(g, intensities[g], kinds[g], *map(float, scores))
+            for g, scores in enumerate(attribution.scores)]
+    histogram = {"cluster_sigma": cluster_sigma,
+                 **structures.score_mass_by_label([kinds], [attribution])}
 
     score_headers = [f"score_class_{k}" for k in range(attribution.n_classes)]
     write_csv_atomic(
@@ -558,7 +555,7 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, RuntimeError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

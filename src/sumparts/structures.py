@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,9 +21,7 @@ from .model import GroupedAttribution, Segmentation
 
 __all__ = [
     "IntensityMap",
-    "StructureLabel",
-    "group_intensity",
-    "label_group",
+    "label_groups",
     "score_mass_by_label",
     "load_map_csv",
     "load_map_binary",
@@ -78,73 +77,69 @@ class IntensityMap:
         return cls(values=values - values.mean())
 
 
-@dataclass(frozen=True)
-class StructureLabel:
-    kind: str
+def label_groups(imap: IntensityMap, groups, cluster_sigma: float = 3.0):
+    """Mean intensity and kind of each group over the map.
 
-    def __post_init__(self):
-        if self.kind not in LABEL_KINDS:
-            raise ValueError(f"kind must be one of {LABEL_KINDS}, got {self.kind!r}")
-
-
-def group_intensity(imap: IntensityMap, mask) -> float:
-    """Mean map intensity over the mask's support (entries > 0)."""
-    mask = np.asarray(mask, dtype=np.float64)
-    flat = imap.flat
-    if mask.shape != flat.shape:
-        raise ValueError(
-            f"mask length {mask.shape} does not match map size {flat.shape}"
-        )
-    support = mask > 0
-    if not support.any():
-        raise ValueError("mask selects no pixels")
-    return float(flat[support].mean())
-
-
-def label_group(imap: IntensityMap, mask, cluster_sigma: float = 3.0) -> StructureLabel:
-    """Classify one group as cluster, void, or other.
-
-    Cluster wins at or above ``cluster_sigma`` deviations (only on maps
-    with spread; a flat map has no overdensities), void below zero.
+    A group's intensity is the mean map value over its mask's support
+    (entries > 0).  Cluster wins at or above ``cluster_sigma`` deviations
+    (only on maps with spread; a flat map has no overdensities), void below
+    zero, and anything else is other.  Returns the intensities and the
+    kinds as two lists in group order.
     """
     # a negative threshold would make clusters of under-dense groups
     if not 0 <= cluster_sigma < np.inf:
         raise ValueError(f"cluster_sigma must be finite and non-negative, got {cluster_sigma}")
-    intensity, sigma = group_intensity(imap, mask), imap.sigma
-    if abs(intensity) <= INTENSITY_EPS * max(1.0, sigma):
-        intensity = 0.0
-    if sigma > 0 and intensity >= cluster_sigma * sigma:
-        kind = "cluster"
-    elif intensity < 0:
-        kind = "void"
-    else:
-        kind = "other"
-    return StructureLabel(kind=kind)
+    support = np.asarray(groups, dtype=np.float64) > 0
+    flat, sigma = imap.flat, imap.sigma
+    if support.ndim != 2 or support.shape[1] != flat.size:
+        raise ValueError(f"groups of shape {support.shape} do not match map size {flat.size}")
+    if not support.any(axis=1).all():
+        raise ValueError("a group selects no pixels")
+    intensities, kinds = [], []
+    for row in support:
+        intensity = float(flat[row].mean())
+        intensities.append(intensity)
+        if abs(intensity) <= INTENSITY_EPS * max(1.0, sigma):
+            intensity = 0.0
+        if sigma > 0 and intensity >= cluster_sigma * sigma:
+            kinds.append("cluster")
+        elif intensity < 0:
+            kinds.append("void")
+        else:
+            kinds.append("other")
+    return intensities, kinds
 
 
-def score_mass_by_label(maps, attributions, cluster_sigma: float = 3.0) -> dict:
+def label_group(imap: IntensityMap, mask, cluster_sigma: float = 3.0):
+    """One group's label as an object with ``kind``: the one-group form of
+    :func:`label_groups` that the benchmark's own tests call."""
+    _, (kind,) = label_groups(imap, [mask], cluster_sigma)
+    return SimpleNamespace(kind=kind)
+
+
+def score_mass_by_label(labels, attributions) -> dict:
     """Aggregate attribution score mass per structure label, per target.
 
-    ``maps`` and ``attributions`` pair up one grouped attribution per map.
-    For each target class the scores of each map's groups are summed by
-    label and normalized by the map's total score mass, so the per-map
-    masses sum to 1.  Returns per-label per-map mass lists plus their means
-    under ``{"targets": {class: {label: {"per_map": [...], "mean": ...}}}}``.
+    ``labels`` holds each map's group kinds (from :func:`label_groups`) and
+    ``attributions`` the grouped attribution over that map.  For each target
+    class the scores of each map's groups are summed by label and normalized
+    by the map's total score mass, so the per-map masses sum to 1.  Returns
+    per-label per-map mass lists plus their means under
+    ``{"targets": {class: {label: {"per_map": [...], "mean": ...}}}}``.
     """
-    maps = list(maps)
+    labels = list(labels)
     attributions = list(attributions)
-    if not maps or len(maps) != len(attributions):
+    if not labels or len(labels) != len(attributions):
         raise ValueError("need one attribution per map, at least one pair")
     n_classes = attributions[0].n_classes
     masses = {
         k: {kind: [] for kind in LABEL_KINDS} for k in range(n_classes)
     }
-    for imap, attribution in zip(maps, attributions):
+    for kinds, attribution in zip(labels, attributions):
         if not isinstance(attribution, GroupedAttribution):
             raise ValueError("attributions must be GroupedAttribution instances")
-        labels = [
-            label_group(imap, mask, cluster_sigma).kind for mask in attribution.groups
-        ]
+        if len(kinds) != len(attribution.scores) or not set(kinds) <= set(LABEL_KINDS):
+            raise ValueError(f"need one label in {LABEL_KINDS} per group, got {kinds!r}")
         for k in range(n_classes):
             scores = attribution.scores[:, k]
             total = scores.sum()
@@ -152,11 +147,10 @@ def score_mass_by_label(maps, attributions, cluster_sigma: float = 3.0) -> dict:
                 raise ValueError("scores for a map sum to zero; cannot normalize")
             for kind in LABEL_KINDS:
                 mass = sum(
-                    float(s) for s, lab in zip(scores, labels) if lab == kind
+                    float(s) for s, lab in zip(scores, kinds) if lab == kind
                 )
                 masses[k][kind].append(mass / total)
     return {
-        "cluster_sigma": float(cluster_sigma),
         "targets": {
             str(k): {
                 kind: {
@@ -181,13 +175,11 @@ def load_map_binary(path) -> IntensityMap:
     (magic ``SOPM``, u32 height, u32 width, u32 reserved)."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != MAP_MAGIC:
-        raise ValueError(f"{path} is not a map file (bad magic or truncated header)")
+        raise ValueError("not a map file (bad magic or truncated header)")
     height, width, _reserved = struct.unpack_from("<III", raw, 4)
     expected = 16 + 4 * height * width
     if len(raw) != expected:
-        raise ValueError(
-            f"{path} holds {len(raw)} bytes, expected {expected} for {height}x{width}"
-        )
+        raise ValueError(f"holds {len(raw)} bytes, expected {expected} for {height}x{width}")
     values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(height, width)
     return IntensityMap.from_array(values.astype(np.float64))
 
@@ -200,9 +192,11 @@ def write_map_binary(path, values) -> None:
     Path(path).write_bytes(header + values.astype("<f4").tobytes())
 
 
-def load_segmentation_csv(path) -> Segmentation:
-    """Grid of per-pixel segment ids matching the map shape; ids are
-    compacted to 0..n-1 in sorted id order."""
-    ids = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2).ravel()
-    unique, assignment = np.unique(ids, return_inverse=True)
+def load_segmentation_csv(path, shape) -> Segmentation:
+    """Grid of per-pixel segment ids of the map's ``shape``, (height,
+    width); ids are compacted to 0..n-1 in sorted id order."""
+    ids = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+    if ids.shape != tuple(shape):
+        raise ValueError("grid is {}x{}, not the map's {}x{}".format(*ids.shape, *shape))
+    unique, assignment = np.unique(ids.ravel(), return_inverse=True)
     return Segmentation(assignment=assignment, n_segments=unique.size)

@@ -18,7 +18,9 @@ earlier subset errors, each probe built by hand and evaluated by a
 one-vector model, kept to check the keep-matrix subset-error engine and
 the certificate verifiers against.  ``shapley_values`` gives the exact
 Shapley attribution, the per-feature baseline the certificates are set
-against.
+against.  ``label_group_oracle`` is the library's earlier one-group
+structure label, the map's sigma and the group's mean intensity
+recomputed for every group, kept to check ``label_groups`` against.
 """
 
 import itertools
@@ -32,6 +34,7 @@ from hypothesis import strategies as st
 
 from sumparts import certificates
 from sumparts.certificates import ExponentialFit, PolynomialSpec, _log_linear_fit
+from sumparts.structures import INTENSITY_EPS
 from sumparts.model import Segmentation, identity_backbone, linear_backbone
 from sumparts.ops import powerset_matrix
 
@@ -373,6 +376,32 @@ def monomial_orbits(d: int):
     sizes = range(d + 1)
     return ([[k] for k in sizes], [int(k > 0) for k in sizes],
             [comb(d, k) for k in sizes])
+
+
+def label_group_oracle(imap, mask, cluster_sigma=3.0):
+    """The mean map intensity over one mask's support (entries > 0) and the
+    group's kind: cluster at or above ``cluster_sigma`` deviations on a map
+    with spread, void below zero (after the zero snap), other otherwise."""
+    if not 0 <= cluster_sigma < np.inf:
+        raise ValueError(f"cluster_sigma must be finite and non-negative, got {cluster_sigma}")
+    mask = np.asarray(mask, dtype=np.float64)
+    flat = imap.flat
+    if mask.shape != flat.shape:
+        raise ValueError(f"mask length {mask.shape} does not match map size {flat.shape}")
+    support = mask > 0
+    if not support.any():
+        raise ValueError("mask selects no pixels")
+    intensity = float(flat[support].mean())
+    snapped, sigma = intensity, imap.sigma
+    if abs(snapped) <= INTENSITY_EPS * max(1.0, sigma):
+        snapped = 0.0
+    if sigma > 0 and snapped >= cluster_sigma * sigma:
+        kind = "cluster"
+    elif snapped < 0:
+        kind = "void"
+    else:
+        kind = "other"
+    return intensity, kind
 
 
 def make_blobs(n_per_class=30, d=8, noise=0.5, seed=123):

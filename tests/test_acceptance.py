@@ -31,7 +31,7 @@ from sumparts.model import (
     sop_forward,
 )
 from sumparts.ops import finite_diff_grad, sparsemax, sparsemax_vjp
-from sumparts.structures import IntensityMap, label_group, score_mass_by_label
+from sumparts.structures import IntensityMap, label_groups, score_mass_by_label
 from sumparts.training import (
     TrainConfig,
     init_params,
@@ -274,8 +274,8 @@ def test_criterion_10_structure_labeling():
         mask = (rng.uniform(size=36) > 0.8).astype(float)
         if not (mask > 0).any():
             mask[0] = 1.0
-        at3 = label_group(imap, mask, 3.0).kind
-        at2 = label_group(imap, mask, 2.0).kind
+        _, (at3,) = label_groups(imap, [mask], 3.0)
+        _, (at2,) = label_groups(imap, [mask], 2.0)
         if at3 == "cluster" and at2 != "cluster":
             monotone = False
 
@@ -292,7 +292,8 @@ def test_criterion_10_structure_labeling():
             groups=groups, scores=scores, partial_logits=logits,
             prediction=(scores * logits).sum(axis=0),
         )
-        out = score_mass_by_label([imap], [attribution], cluster_sigma=2.0)
+        _, kinds = label_groups(imap, groups, 2.0)
+        out = score_mass_by_label([kinds], [attribution])
         for target in out["targets"].values():
             total = sum(target[kind]["per_map"][0] for kind in target)
             worst_mass_gap = max(worst_mass_gap, abs(total - 1.0))

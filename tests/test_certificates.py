@@ -250,9 +250,10 @@ class TestMonomialMinimum:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_exact_minima(self):
-        # for d = 2..20 the exact minima equal C(d, floor(d/2)) - 1; the
-        # scan runs in exact arithmetic
-        for d in range(2, 21):
+        # up to the scan's limit, d = 60, the exact minima equal
+        # C(d, floor(d/2)) - 1; the scan runs in exact arithmetic
+        assert certificates.SCAN_DIMENSION_LIMIT == 60
+        for d in range(2, certificates.SCAN_DIMENSION_LIMIT + 1):
             expected = float(comb(d, d // 2) - 1)
             assert monomial_scan_minimum(d) == expected
 
@@ -267,7 +268,7 @@ class TestMonomialMinimum:
     def test_range_guard(self):
         # d = 1 is in range, with its true minimum: alpha = 1 is exact
         assert monomial_scan_minimum(1) == 0.0
-        for d in (0, 21):
+        for d in (0, certificates.SCAN_DIMENSION_LIMIT + 1):
             with pytest.raises(ValueError):
                 monomial_scan_minimum(d)
 

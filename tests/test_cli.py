@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumparts import certificates, cli, faithfulness
+from sumparts import certificates, cli, faithfulness, structures
 from sumparts.cli import (
     REPORT_SCHEMA,
     _checkpoint_dict,
@@ -187,6 +187,34 @@ class TestCertify:
         err = capsys.readouterr().err
         assert "'d_min'" in err and "at least 2" in err and "got 1" in err, err
         assert not (out / "results.json").exists()
+
+    def test_monomial_d_max_above_the_scan_limit_is_refused(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """``d_max: 21`` ran the scans of d = 2..20 before the scan refused
+        d = 21 with a message naming neither ``d_max`` nor the family."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify scanned before checking d_max")
+
+        monkeypatch.setattr(certificates, "monomial_scan_minimum", refuse)
+        limit = certificates.SCAN_DIMENSION_LIMIT
+        config = write_config(tmp_path / "c.json", {"family": "monomial", "d_max": limit + 1})
+        out = tmp_path / "out"
+        assert run(["certify", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config field 'd_max' must be at most {limit} for the monomial "
+            f"family, got {limit + 1}\n")
+        assert not (out / "results.json").exists()
+
+    def test_monomial_window_reaches_the_scan_limit(self, tmp_path):
+        limit = certificates.SCAN_DIMENSION_LIMIT
+        config = write_config(tmp_path / "c.json",
+                              {"family": "monomial", "d_min": limit - 2, "d_max": limit})
+        out = tmp_path / "out"
+        assert run(["certify", "--config", config, "--out", out]) == 0
+        points = json.loads((out / "results.json").read_text())["points"]
+        # results.json keeps 9 significant digits
+        assert points == [[d, pytest.approx(comb(d, d // 2) - 1, rel=1e-8)]
+                          for d in range(limit - 2, limit + 1)]
 
     def test_monomial_rerun_is_byte_identical(self, tmp_path):
         config = write_config(
@@ -866,6 +894,139 @@ class TestLabel:
              "checkpoint": str(checkpoint)},
         )
         assert run(["label", "--config", config, "--out", tmp_path / "out"]) == 2
+
+
+@pytest.fixture
+def small_label(tmp_path):
+    """A 2x4 map as CSV and SOPM, a 2x4 segmentation into left and right
+    halves, and an untrained checkpoint for its 8 pixels and 2 segments."""
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(2, 4))
+    values[0, 0] = 9.0
+    np.savetxt(tmp_path / "map.csv", values, delimiter=",")
+    structures.write_map_binary(tmp_path / "map.sopm", values)
+    np.savetxt(tmp_path / "seg.csv", [[0, 0, 1, 1], [0, 0, 1, 1]], fmt="%d", delimiter=",")
+    seg = Segmentation(assignment=np.array([0, 0, 1, 1, 0, 0, 1, 1]), n_segments=2)
+    backbone = identity_backbone(rng.normal(size=(2, 8)))
+    gen = GroupGenParams.random(2, 2, rng, std=1.0)
+    sel = GroupSelectParams.random(backbone, rng, std=1.0)
+    write_json_atomic(tmp_path / "checkpoint.json",
+                      _checkpoint_dict(seg, gen, sel, backbone, {"seed": 1}))
+    return {"map": tmp_path / "map.csv", "map_format": "csv",
+            "segmentation": tmp_path / "seg.csv", "checkpoint": tmp_path / "checkpoint.json"}
+
+
+# per input file: the noun its errors use, and malformed contents for it
+BAD_INPUTS = {
+    "config": ("config", b"{not json"),
+    "dataset": ("dataset", b"1.0,2.0,0\n1.0,x,1\n"),
+    "checkpoint": ("checkpoint", b'{"d": 8,'),
+    "map": ("map", b"1.0,2.0\n3.0,abc\n"),
+    "binary_map": ("map", b"XXXX" + bytes(12)),
+    "segmentation": ("segmentation", b"0,0\n1,a\n"),
+}
+
+
+class TestInputFiles:
+    def label_config(self, tmp_path, inputs, **fields):
+        return write_config(tmp_path / "label.json",
+                            {k: str(v) for k, v in {**inputs, **fields}.items()})
+
+    @pytest.mark.parametrize("map_format", ["csv", "binary"])
+    def test_small_label_inputs_label(self, tmp_path, small_label, map_format):
+        map_file = small_label["map"].with_suffix(".sopm" if map_format == "binary" else ".csv")
+        config = self.label_config(tmp_path, small_label, map=map_file, map_format=map_format)
+        out = tmp_path / "out"
+        assert run(["label", "--config", config, "--out", out]) == 0
+        assert len((out / "labels.csv").read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("which, problem", [
+        *((which, problem) for which in BAD_INPUTS
+          for problem in ("missing", "malformed", "empty")),
+        ("config", "nested"), ("checkpoint", "nested"),
+    ])
+    def test_unreadable_or_malformed_file_names_it(self, tmp_path, capsys, small_label,
+                                                   which, problem):
+        """Every input file, missing, malformed or empty, exits 2 with one
+        error line naming it: a missing map or segmentation ended in a
+        traceback, an empty text file printed numpy's warning first, and a
+        JSON file nested too deep ended in a ``RecursionError``."""
+        noun, contents = BAD_INPUTS[which]
+        if problem == "nested":
+            contents = b"[" * 100_000 + b"]" * 100_000
+        bad = tmp_path / f"bad-{which}"
+        if problem != "missing":
+            bad.write_bytes(b"" if problem == "empty" else contents)
+        command = "label"
+        if which == "config":
+            config = bad
+        elif which == "dataset":
+            command = "train"
+            config = write_config(tmp_path / "train.json",
+                                  {"dataset": str(bad), "steps": 1, "seed": 1})
+        elif which == "binary_map":
+            config = self.label_config(tmp_path, small_label, map=bad, map_format="binary")
+        else:
+            config = self.label_config(tmp_path, small_label, **{which: bad})
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        prefix = "cannot read" if problem == "missing" else "malformed"
+        assert err.startswith(f"error: {prefix} {noun} {bad}: "), err
+        assert err.count("\n") == 1, err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_missing_map_prints_no_traceback(self, tmp_path, small_label):
+        config = self.label_config(tmp_path, small_label, map=tmp_path / "none.csv")
+        proc = run_process(["label", "--config", config, "--out", tmp_path / "out"])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: cannot read map {tmp_path / 'none.csv'}: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_transposed_segmentation_grid_is_refused(self, tmp_path, capsys, small_label):
+        """A 4x2 segmentation over the 2x4 map covers as many pixels, with
+        a checkpoint of 8 features and 2 segments, and was accepted: it
+        labelled the wrong pixels."""
+        seg = tmp_path / "transposed.csv"
+        np.savetxt(seg, [[0, 0], [0, 0], [1, 1], [1, 1]], fmt="%d", delimiter=",")
+        config = self.label_config(tmp_path, small_label, segmentation=seg)
+        out = tmp_path / "out"
+        assert run(["label", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            f"error: malformed segmentation {seg}: grid is 4x2, not the map's 2x4\n"
+        assert not (out / "labels.csv").exists()
+
+    def test_one_labelling_and_one_sigma_per_map(self, tmp_path, monkeypatch, small_label):
+        """``label`` labels every group in one ``label_groups`` call, which
+        reads the map's sigma once; it used to label each group twice, and
+        read sigma once per labelling."""
+        counts = {"sigma": 0, "label_groups": 0}
+        sigma, label_groups = structures.IntensityMap.sigma, structures.label_groups
+
+        def counted_sigma(imap):
+            counts["sigma"] += 1
+            return sigma.fget(imap)
+
+        def counted_label_groups(*args):
+            counts["label_groups"] += 1
+            return label_groups(*args)
+
+        monkeypatch.setattr(structures.IntensityMap, "sigma", property(counted_sigma))
+        monkeypatch.setattr(structures, "label_groups", counted_label_groups)
+        config = self.label_config(tmp_path, small_label)
+        assert run(["label", "--config", config, "--out", tmp_path / "out"]) == 0
+        assert counts == {"sigma": 1, "label_groups": 1}
+
+    def test_a_bug_is_not_an_input_error(self, tmp_path, monkeypatch, small_label):
+        """Only a ValueError is an input error (exit 2); a KeyError from a
+        bug propagates, rather than printing ``error: 'x'``."""
+        def broken(*args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(structures, "label_groups", broken)
+        config = self.label_config(tmp_path, small_label)
+        with pytest.raises(KeyError):
+            run(["label", "--config", config, "--out", tmp_path / "out"])
 
 
 class TestReportSchema:

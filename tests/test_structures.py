@@ -1,15 +1,17 @@
 """Map ingestion, group intensity, void/cluster labeling, and score-mass
 aggregation."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumparts.model import GroupedAttribution
 from sumparts.structures import (
     IntensityMap,
-    StructureLabel,
-    group_intensity,
-    label_group,
+    label_groups,
     load_map_binary,
     load_map_csv,
     load_segmentation_csv,
@@ -17,9 +19,17 @@ from sumparts.structures import (
     write_map_binary,
 )
 
+from conftest import label_group_oracle
+
 
 def map_from(values):
     return IntensityMap.from_array(np.asarray(values, dtype=float))
+
+
+def label_one(imap, mask, cluster_sigma=3.0):
+    """The intensity and kind of one group."""
+    (intensity,), (kind,) = label_groups(imap, [mask], cluster_sigma)
+    return intensity, kind
 
 
 def attribution_with_scores(groups, scores):
@@ -51,11 +61,11 @@ class TestGroupIntensity:
         imap = map_from([[5.0, 7.0], [3.0, 3.0]])
         mask = np.array([1.0, 1.0, 0.0, 0.0])
         # centered values: 0.5, 2.5 -> mean 1.5
-        assert group_intensity(imap, mask) == 1.5
+        assert label_one(imap, mask)[0] == 1.5
 
     def test_full_mask_is_global_mean(self):
         imap = map_from(np.random.default_rng(0).normal(size=(3, 3)))
-        assert abs(group_intensity(imap, np.ones(9))) <= 1e-12
+        assert abs(label_one(imap, np.ones(9))[0]) <= 1e-12
 
     def test_matches_brute_force_sum(self):
         rng = np.random.default_rng(1)
@@ -68,16 +78,23 @@ class TestGroupIntensity:
             if weight > 0:
                 total += value
                 count += 1
-        np.testing.assert_allclose(group_intensity(imap, mask), total / count)
+        np.testing.assert_allclose(label_one(imap, mask)[0], total / count)
 
     def test_scaling_mask_does_not_change_intensity(self):
         imap = map_from(np.arange(6.0).reshape(2, 3))
         mask = np.array([0.2, 0.0, 0.7, 0.0, 0.1, 0.0])
-        assert group_intensity(imap, mask) == group_intensity(imap, 5.0 * mask)
+        assert label_one(imap, mask) == label_one(imap, 5.0 * mask)
 
     def test_empty_mask_error(self):
-        with pytest.raises(ValueError):
-            group_intensity(map_from([[1.0, 2.0]]), np.zeros(2))
+        imap = map_from([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="a group selects no pixels"):
+            label_groups(imap, [np.ones(2), np.zeros(2)])
+
+    @pytest.mark.parametrize("groups", [np.ones(4), np.ones((1, 3)), np.ones((2, 5))],
+                             ids=["one_dimensional", "short", "long"])
+    def test_groups_must_match_the_map(self, groups):
+        with pytest.raises(ValueError, match="do not match map size 4"):
+            label_groups(map_from([[1.0, 2.0], [3.0, 4.0]]), groups)
 
 
 class TestLabelGroup:
@@ -90,25 +107,34 @@ class TestLabelGroup:
         imap = self.bright_blob_map()
         mask = np.zeros(16)
         mask[0] = 1.0
-        intensity = group_intensity(imap, mask)
+        intensity, kind = label_one(imap, mask, 3.0)
         assert intensity >= 3.0 * imap.sigma
-        assert label_group(imap, mask, 3.0).kind == "cluster"
+        assert kind == "cluster"
 
     def test_void_below_zero(self):
         imap = self.bright_blob_map()
         mask = np.zeros(16)
         mask[5] = 1.0  # background pixel sits below the mean
-        assert group_intensity(imap, mask) < 0
-        assert label_group(imap, mask).kind == "void"
+        intensity, kind = label_one(imap, mask)
+        assert intensity < 0
+        assert kind == "void"
 
     def test_other_between_cuts(self):
         imap = map_from([[2.0, -2.0], [1.0, -1.0]])
         mask = np.array([1.0, 0.0, 1.0, 0.0])  # mean +1.5 < 3 sigma
-        assert label_group(imap, mask, 3.0).kind == "other"
+        assert label_one(imap, mask, 3.0)[1] == "other"
 
     def test_flat_map_is_other(self):
         imap = map_from(np.zeros((2, 2)))
-        assert label_group(imap, np.ones(4)).kind == "other"
+        assert label_one(imap, np.ones(4))[1] == "other"
+
+    def test_whole_map_group_is_other(self):
+        """The whole mean-subtracted map has mean 0 up to rounding dust,
+        which is snapped to 0 rather than read as a void."""
+        imap = map_from([[0.1, 0.2, 0.4]])
+        intensity, kind = label_one(imap, np.ones(3))
+        assert intensity != 0.0
+        assert kind == "other"
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(7)
@@ -116,8 +142,8 @@ class TestLabelGroup:
             imap = map_from(rng.normal(size=(5, 5)))
             mask = np.zeros(25)
             mask[rng.integers(25)] = 1.0
-            at3 = label_group(imap, mask, 3.0).kind
-            at2 = label_group(imap, mask, 2.0).kind
+            at3 = label_one(imap, mask, 3.0)[1]
+            at2 = label_one(imap, mask, 2.0)[1]
             if at3 == "cluster":
                 assert at2 == "cluster"
 
@@ -126,13 +152,33 @@ class TestLabelGroup:
         # at cluster_sigma=-1 this under-dense group (mean -1.5) was a cluster
         imap = map_from([[2.0, -2.0], [1.0, -1.0]])
         mask = np.array([0.0, 1.0, 0.0, 1.0])
-        assert label_group(imap, mask, 0.0).kind == "void"
+        assert label_one(imap, mask, 0.0)[1] == "void"
         with pytest.raises(ValueError, match="cluster_sigma must be finite and non-negative"):
-            label_group(imap, mask, sigma)
+            label_one(imap, mask, sigma)
 
-    def test_label_kind_validation(self):
-        with pytest.raises(ValueError):
-            StructureLabel(kind="supercluster")
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), height=st.integers(1, 4), width=st.integers(1, 4),
+           flat=st.booleans(),
+           cluster_sigma=st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 5.0))
+    def test_matches_per_group_oracle(self, data, height, width, flat, cluster_sigma):
+        """Each group's intensity and kind equal the one-group oracle's,
+        bit for bit, on flat maps (sigma 0) too; the whole-map group's mean
+        is rounding dust around 0, which the snap must treat alike."""
+        n = height * width
+        finite = st.floats(-50.0, 50.0, allow_nan=False)
+        if flat:
+            values = np.full(n, data.draw(finite))
+        else:
+            values = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+        masks = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=n, max_size=n),
+            min_size=1, max_size=5)))
+        masks[~(masks > 0).any(axis=1), data.draw(st.integers(0, n - 1))] = 1.0
+        masks = np.vstack([masks, np.ones(n)])
+        imap = map_from(values.reshape(height, width))
+        intensities, kinds = label_groups(imap, masks, cluster_sigma)
+        assert list(zip(intensities, kinds)) == \
+            [label_group_oracle(imap, mask, cluster_sigma) for mask in masks]
 
 
 class TestScoreMass:
@@ -140,7 +186,7 @@ class TestScoreMass:
         imap = map_from([[3.0, -1.0], [-1.0, -1.0]])
         mask = np.array([0.0, 1.0, 1.0, 1.0])
         attribution = attribution_with_scores(mask[None], np.ones((1, 1)))
-        out = score_mass_by_label([imap], [attribution])
+        out = score_mass_by_label([label_groups(imap, attribution.groups)[1]], [attribution])
         assert out["targets"]["0"]["void"]["per_map"] == [1.0]
         assert out["targets"]["0"]["void"]["mean"] == 1.0
         assert out["targets"]["0"]["cluster"]["mean"] == 0.0
@@ -154,7 +200,8 @@ class TestScoreMass:
         attribution = attribution_with_scores(
             np.vstack([dark, hot]), np.array([[0.6], [0.4]])
         )
-        out = score_mass_by_label([imap], [attribution], cluster_sigma=2.0)
+        out = score_mass_by_label([label_groups(imap, attribution.groups, 2.0)[1]],
+                                  [attribution])
         assert out["targets"]["0"]["void"]["per_map"] == [0.6]
         assert out["targets"]["0"]["cluster"]["per_map"] == [0.4]
 
@@ -172,7 +219,8 @@ class TestScoreMass:
             )
             maps.append(imap)
             attributions.append(attribution_with_scores(groups, scores))
-        out = score_mass_by_label(maps, attributions)
+        out = score_mass_by_label(
+            [label_groups(m, a.groups)[1] for m, a in zip(maps, attributions)], attributions)
         for target in out["targets"].values():
             per_map = np.array([target[kind]["per_map"] for kind in target])
             np.testing.assert_allclose(
@@ -182,6 +230,14 @@ class TestScoreMass:
     def test_empty_input_error(self):
         with pytest.raises(ValueError):
             score_mass_by_label([], [])
+
+    @pytest.mark.parametrize("kinds", [["void", "supercluster"], ["void"],
+                                       ["void", "other", "cluster"]],
+                             ids=["unknown_kind", "too_few", "too_many"])
+    def test_one_known_label_per_group(self, kinds):
+        attribution = attribution_with_scores(np.eye(2), np.full((2, 1), 0.5))
+        with pytest.raises(ValueError, match="need one label in"):
+            score_mass_by_label([kinds], [attribution])
 
 
 class TestIngestion:
@@ -212,8 +268,6 @@ class TestIngestion:
         with pytest.raises(ValueError):
             load_map_binary(truncated)
         wrong_size = tmp_path / "size.sopm"
-        import struct
-
         wrong_size.write_bytes(b"SOPM" + struct.pack("<III", 2, 2, 0) + b"\x00" * 4)
         with pytest.raises(ValueError):
             load_map_binary(wrong_size)
@@ -221,6 +275,13 @@ class TestIngestion:
     def test_segmentation_csv(self, tmp_path):
         path = tmp_path / "seg.csv"
         path.write_text("0,0,7\n0,3,7\n")
-        seg = load_segmentation_csv(path)
+        seg = load_segmentation_csv(path, (2, 3))
         assert seg.n_segments == 3
         np.testing.assert_array_equal(seg.assignment, [0, 0, 2, 0, 1, 2])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 6), (2, 4)])
+    def test_segmentation_grid_must_have_the_map_shape(self, tmp_path, shape):
+        path = tmp_path / "seg.csv"
+        path.write_text("0,0,7\n0,3,7\n")
+        with pytest.raises(ValueError, match=r"grid is 2x3, not the map's {}x{}".format(*shape)):
+            load_segmentation_csv(path, shape)
