@@ -9,7 +9,8 @@ Diagnostics go to stderr.  Exit codes:
 - 0: the command ran and every internal tolerance gate passed;
 - 1: a gate failed;
 - 2: a config, usage or input error (bad JSON, unknown keys, an unreadable
-  or malformed config, dataset, checkpoint, map or segmentation file);
+  or malformed config, dataset, checkpoint, map or segmentation file, an
+  ``--out`` directory that cannot be created);
 - 3: a numerical failure, such as a training run whose loss diverges.
 """
 
@@ -139,15 +140,22 @@ def _integer_list(config: dict, key: str, default: list) -> list[int]:
     return value
 
 
-def _dimensions(config: dict, default: list, fewest: int = 1) -> list[int]:
+def _dimensions(config: dict, default: list, family: str, limit: int, step: int = 1,
+                fewest: int = 1) -> list[int]:
     """A certify family's ``dimensions``: a list of integers as in
     ``_integer_list``, at least ``fewest`` long and with no entry repeated
     (an empty list passes every gate on nothing, a fit needs three points,
-    and a repeated d fits a curve through fewer points than it shows)."""
+    and a repeated d fits a curve through fewer points than it shows), each
+    a positive multiple of ``step`` up to ``limit``, so that no entry fails
+    after the others have been worked out."""
     dims = _integer_list(config, "dimensions", default)
     if len(dims) < fewest or len(set(dims)) < len(dims):
         raise ConfigError(f"config field 'dimensions' must be a list of {fewest} or more "
                           f"distinct integers, got {dims!r}")
+    if not all(0 < d <= limit and d % step == 0 for d in dims):
+        what = "integers" if step == 1 else f"multiples of {step}"
+        raise ConfigError(f"config field 'dimensions' of the {family} must hold {what} "
+                          f"from {step} to {limit - limit % step}, got {dims!r}")
     return dims
 
 
@@ -216,7 +224,8 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
                     f"fit, got d_min={d_min} and d_max={d_max}")
             dims, minimum = list(range(d_min, d_max + 1)), certificates.monomial_scan_minimum
         else:
-            dims = _dimensions(config, sorted(window), fewest=3)
+            dims = _dimensions(config, sorted(window), "binomial family",
+                               certificates.BINOMIAL_DIMENSION_LIMIT, step=3, fewest=3)
             minimum = certificates.binomial_scan_minimum
         points = [(d, minimum(d)) for d in dims]
         fit = certificates.fit_exponential(points, with_offset=with_offset)
@@ -233,7 +242,8 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
             if d in values:
                 gates[f"anchor_d{d}"] = abs(values[d] - exact) <= ANCHOR_TOLERANCE
     elif family == "lemma":
-        dims = _dimensions(config, list(range(1, 17)))
+        dims = _dimensions(config, list(range(1, 17)), "lemma family",
+                           faithfulness.POWERSET_LIMIT)
         points = [(d, certificates.verify_lemma_monomial_insertion(d)) for d in dims]
         result["points"] = [[d, v] for d, v in points]
         gates["total_is_one"] = all(v == 1.0 for _, v in points)
@@ -243,7 +253,9 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         )
     else:
         kind = config.get("kind", "binomial")
-        specs = [certificates.PolynomialSpec(kind, d) for d in _dimensions(config, [6])]
+        dims = _dimensions(config, [6], f"corollary family (kind {kind!r})",
+                           faithfulness.POWERSET_LIMIT, step=3 if kind == "binomial" else 1)
+        specs = [certificates.PolynomialSpec(kind, d) for d in dims]
         rows = [(spec.d, *certificates.verify_corollary_grouped(spec)) for spec in specs]
         result["kind"] = kind
         result["points"] = [[d, md, mi] for d, md, mi in rows]
@@ -550,7 +562,10 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.command, args.config, {"seed": args.seed})
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         return _COMMANDS[args.command](config, out_dir)
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,25 +57,23 @@ class Backbone:
     ``embed`` maps an (N, d) stack to the (N, h) stack of its rows'
     embeddings and must be deterministic and act on each row alone.
     ``classifier`` holds one weight row per class over the embedding, so
-    plain logits are ``embed(x) @ classifier.T``.  ``embed_vjp``, when
-    provided, maps ``(x, upstream)`` of shapes (N, d) and (N, h) to the
+    plain logits are ``embed(x) @ classifier.T`` and ``h`` is its width.
+    ``embed_vjp`` maps ``(x, upstream)`` of shapes (N, d) and (N, h) to the
     (N, d) stack whose row i is the gradient of
-    ``upstream[i] . embed(x)[i]`` with respect to ``x[i]``; training falls
-    back to finite differences when it is absent.
+    ``upstream[i] . embed(x)[i]`` with respect to ``x[i]``.  Training needs
+    it; the forward pass, and so inference, does not.
     """
 
     embed: Callable[[np.ndarray], np.ndarray]
     classifier: np.ndarray
-    h: int
     embed_vjp: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        classifier = _as_float_matrix(self.classifier, "classifier")
-        object.__setattr__(self, "classifier", classifier)
-        if classifier.shape[1] != self.h:
-            raise ValueError(
-                f"classifier has {classifier.shape[1]} columns, expected h={self.h}"
-            )
+        object.__setattr__(self, "classifier", _as_float_matrix(self.classifier, "classifier"))
+
+    @property
+    def h(self) -> int:
+        return self.classifier.shape[1]
 
     @property
     def n_classes(self) -> int:
@@ -86,21 +84,19 @@ def linear_backbone(weights, classifier) -> Backbone:
     """Backbone with ``embed(x) = weights @ x`` per row and an exact
     gradient hook."""
     weights = _as_float_matrix(weights, "weights")
-    return Backbone(
-        embed=lambda x: x @ weights.T,
-        classifier=classifier,
-        h=weights.shape[0],
-        embed_vjp=lambda x, upstream: upstream @ weights,
-    )
+    backbone = Backbone(embed=lambda x: x @ weights.T, classifier=classifier,
+                        embed_vjp=lambda x, upstream: upstream @ weights)
+    if backbone.h != weights.shape[0]:
+        raise ValueError(f"classifier has {backbone.h} columns, expected "
+                         f"h={weights.shape[0]} (the rows of weights)")
+    return backbone
 
 
 def identity_backbone(classifier) -> Backbone:
     """Backbone whose embedding is the input itself (h = d)."""
-    classifier = _as_float_matrix(classifier, "classifier")
     return Backbone(
         embed=lambda x: np.asarray(x, dtype=np.float64),
         classifier=classifier,
-        h=classifier.shape[1],
         embed_vjp=lambda x, upstream: np.asarray(upstream, dtype=np.float64),
     )
 

@@ -102,9 +102,9 @@ def softmax(v) -> np.ndarray:
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function.
 
-    Training uses it for backbones without an ``embed_vjp`` hook, and the
-    tests use it as a gradient oracle.  Evaluates ``(f(x + step*e_i) - f(x - step*e_i)) / (2*step)`` per
-    coordinate.  Raises if ``f`` returns a non-finite value at any probe.
+    The tests' gradient oracle: evaluates
+    ``(f(x + step*e_i) - f(x - step*e_i)) / (2*step)`` per coordinate.
+    Raises if ``f`` returns a non-finite value at any probe.
     """
     x = np.array(x, dtype=np.float64)  # private copy; probed in place below
     if not (np.isfinite(step) and step > 0):

@@ -5,9 +5,8 @@ selector query/key projections, and the value weights (initialized from
 the backbone classifier) are updated.  The forward pass is the model's
 own, so the loss is computed on the arithmetic path that ``sop_forward``
 explains.  Gradients are derived by hand and flow through both sparsemax
-blocks via their exact generalized Jacobians.  The backbone contributes
-through its ``embed_vjp`` hook when present, otherwise through central
-finite differences on ``embed``.
+blocks via their exact generalized Jacobians, and through the backbone
+via its ``embed_vjp`` hook, which training requires.
 
 Each step makes one forward pass and one backward pass on the whole (B, d)
 stack, so the backward memory grows with B * G * d: the (B, G, d) masks and
@@ -31,7 +30,7 @@ from .model import (
     _segment_sums,
     predict,
 )
-from .ops import finite_diff_grad, softmax, sparsemax_vjp
+from .ops import softmax, sparsemax_vjp
 
 __all__ = [
     "TrainConfig",
@@ -79,15 +78,17 @@ def init_params(seg: Segmentation, backbone: Backbone,
     return gen, sel
 
 
-def _embed_vjp(backbone: Backbone, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Row i: the gradient of ``upstream[i] . embed(x)[i]`` at ``x[i]``, for
-    (N, d) and (N, h) stacks."""
-    if backbone.embed_vjp is not None:
-        return np.asarray(backbone.embed_vjp(x, upstream), dtype=np.float64)
-    return np.vstack([
-        finite_diff_grad(lambda u: up @ backbone.embed(u[None])[0], row)
-        for row, up in zip(x, upstream)
-    ])
+def _trainable(gen: GroupGenParams, sel: GroupSelectParams) -> dict[str, np.ndarray]:
+    """The trainable arrays by gradient name, in pack order."""
+    return {"gen_w_q": gen.w_q, "gen_w_k": gen.w_k,
+            "sel_w_q": sel.w_q, "sel_w_k": sel.w_k, "classifier": sel.classifier}
+
+
+def _from_trainable(arrays: dict) -> tuple[GroupGenParams, GroupSelectParams]:
+    """The params holding the arrays of a :func:`_trainable` mapping, which
+    lists each class's arrays in its field order."""
+    values = list(arrays.values())
+    return GroupGenParams(*values[:2]), GroupSelectParams(*values[2:])
 
 
 def _check_labels(inputs, labels, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +110,11 @@ def loss_and_gradients(inputs, labels, seg: Segmentation, gen: GroupGenParams,
     """Mean cross-entropy of softmax(prediction) over the batch, with its
     gradient for every trainable parameter, from one forward and one
     backward pass on the whole stack.  Per-example losses and gradients are
-    added in row order, as a loop over the examples would add them."""
+    added in row order, as a loop over the examples would add them.  The
+    backbone must have an ``embed_vjp`` hook."""
+    if backbone.embed_vjp is None:
+        raise ValueError("training needs the backbone's embed_vjp gradient hook, "
+                         "and this backbone has none")
     inputs, labels = _check_labels(inputs, labels, sel.n_classes)
     n = inputs.shape[0]
     cache = _forward(inputs, seg, gen, sel, backbone)
@@ -141,8 +146,9 @@ def loss_and_gradients(inputs, labels, seg: Segmentation, gen: GroupGenParams,
     d_z = d_sel_keys @ sel.w_k + d_logits @ sel.classifier          # (B, G, h)
     del d_sel_keys
     masked = cache.pop("masks") * inputs[:, None, :]                 # (B, G, d)
-    d_masked = _embed_vjp(backbone, masked.reshape(-1, seg.n_features),
-                          d_z.reshape(-1, sel.h)).reshape(masked.shape)
+    d_masked = np.asarray(backbone.embed_vjp(masked.reshape(-1, seg.n_features),
+                                             d_z.reshape(-1, sel.h)),
+                          dtype=np.float64).reshape(masked.shape)
     del masked, d_z
     d_seg_weights = _segment_sums(d_masked * inputs[:, None, :], seg)  # (B, G, m)
     raw = cache["raw"]                                               # (B, heads, m, m)
@@ -151,9 +157,9 @@ def loss_and_gradients(inputs, labels, seg: Segmentation, gen: GroupGenParams,
     d_queries = d_raw @ cache["keys"] / gen_scale
     d_keys = np.swapaxes(d_raw, -1, -2) @ cache["queries"] / gen_scale
     pooled = cache["pooled"][:, None, None, :]
-    grads = {"gen_w_q": sum(d_queries * pooled, np.zeros_like(gen.w_q)),
-             "gen_w_k": sum(d_keys * pooled, np.zeros_like(gen.w_k)), **grads}
-    return total_loss / n, grads
+    grads["gen_w_q"] = sum(d_queries * pooled, np.zeros_like(gen.w_q))
+    grads["gen_w_k"] = sum(d_keys * pooled, np.zeros_like(gen.w_k))
+    return total_loss / n, {name: grads[name] for name in _trainable(gen, sel)}
 
 
 def train(inputs, labels, seg: Segmentation, backbone: Backbone,
@@ -173,16 +179,8 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
                 f"(lr={config.learning_rate}, last finite losses: {history[-3:]})"
             )
         history.append(float(loss))
-        lr = config.learning_rate
-        gen = GroupGenParams(
-            w_q=gen.w_q - lr * grads["gen_w_q"],
-            w_k=gen.w_k - lr * grads["gen_w_k"],
-        )
-        sel = GroupSelectParams(
-            w_q=sel.w_q - lr * grads["sel_w_q"],
-            w_k=sel.w_k - lr * grads["sel_w_k"],
-            classifier=sel.classifier - lr * grads["classifier"],
-        )
+        gen, sel = _from_trainable({name: array - config.learning_rate * grads[name]
+                                    for name, array in _trainable(gen, sel).items()})
     return TrainResult(gen_params=gen, sel_params=sel, loss_history=history)
 
 
@@ -196,26 +194,17 @@ def training_accuracy(inputs, labels, seg: Segmentation, gen: GroupGenParams,
 
 def pack_params(gen: GroupGenParams, sel: GroupSelectParams) -> np.ndarray:
     """Flatten all trainable parameters into one vector (for gradient checks)."""
-    return np.concatenate([
-        gen.w_q.ravel(), gen.w_k.ravel(),
-        sel.w_q.ravel(), sel.w_k.ravel(), sel.classifier.ravel(),
-    ])
+    return np.concatenate([array.ravel() for array in _trainable(gen, sel).values()])
 
 
 def unpack_params(vec, template_gen: GroupGenParams,
                   template_sel: GroupSelectParams) -> tuple[GroupGenParams, GroupSelectParams]:
     """Inverse of :func:`pack_params` using the templates' shapes."""
     vec = np.asarray(vec, dtype=np.float64)
-    pieces = []
-    offset = 0
-    for shape in (template_gen.w_q.shape, template_gen.w_k.shape,
-                  template_sel.w_q.shape, template_sel.w_k.shape,
-                  template_sel.classifier.shape):
-        size = int(np.prod(shape))
-        pieces.append(vec[offset:offset + size].reshape(shape))
-        offset += size
-    if offset != vec.size:
-        raise ValueError("parameter vector has the wrong length")
-    gen = GroupGenParams(w_q=pieces[0], w_k=pieces[1])
-    sel = GroupSelectParams(w_q=pieces[2], w_k=pieces[3], classifier=pieces[4])
-    return gen, sel
+    templates = _trainable(template_gen, template_sel)
+    ends = np.cumsum([array.size for array in templates.values()])
+    if vec.shape != (ends[-1],):
+        raise ValueError(f"parameter vector has the wrong length: expected "
+                         f"{ends[-1]} entries, got shape {vec.shape}")
+    return _from_trainable({name: piece.reshape(array.shape) for (name, array), piece
+                            in zip(templates.items(), np.split(vec, ends[:-1]))})

@@ -17,8 +17,10 @@ grid search.  The pointwise error oracles (``deletion_error_oracle``,
 earlier subset errors, each probe built by hand and evaluated by a
 one-vector model, kept to check the keep-matrix subset-error engine and
 the certificate verifiers against.  ``shapley_values`` gives the exact
-Shapley attribution, the per-feature baseline the certificates are set
-against.  ``label_group_oracle`` is the library's earlier one-group
+Shapley attribution and ``occlusion_values`` the leave-one-out occlusion,
+the per-feature baselines the certificates are set against.
+``pack_gradients`` flattens ``loss_and_gradients``' gradients for the
+finite-difference checks.  ``label_group_oracle`` is the library's earlier one-group
 structure label, the map's sigma and the group's mean intensity
 recomputed for every group, kept to check ``label_groups`` against.
 """
@@ -206,6 +208,22 @@ def shapley_values(f, d):
                             minlength=d)
         phi.append(sum(w * int(g) for w, g in zip(weights, gains)))
     return phi
+
+
+def occlusion_values(f, d):
+    """Leave-one-out occlusion of the stack model ``f`` at the all-ones
+    input on a zero baseline: feature i gets ``f(1) - f(1 - e_i)``, the
+    output lost when it alone is zeroed.  ``f`` must take integer values on
+    0/1 inputs."""
+    ones = np.ones(d)
+    return [int(v) for v in np.asarray(f(ones[None])) - np.asarray(f(ones - np.eye(d)))]
+
+
+def pack_gradients(grads):
+    """``loss_and_gradients``' gradients as one vector.  Its dict lists them
+    in ``pack_params`` order, so this lines each gradient up with its
+    parameter in a packed vector."""
+    return np.concatenate([grad.ravel() for grad in grads.values()])
 
 
 LP_DIMENSION_LIMIT = 15

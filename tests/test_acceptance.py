@@ -46,6 +46,7 @@ from conftest import (
     brute_force_simplex_projection,
     class_mean_identity_backbone,
     make_blobs,
+    pack_gradients,
     projection_boundary_margin,
 )
 
@@ -203,11 +204,7 @@ def test_criterion_08_training_sanity():
     inputs = rng.normal(size=(5, 4))
     targets = np.array([0, 1, 0, 1, 1])
     _, grads = loss_and_gradients(inputs, targets, seg4, gen, sel, backbone4)
-    analytic = np.concatenate([
-        grads["gen_w_q"].ravel(), grads["gen_w_k"].ravel(),
-        grads["sel_w_q"].ravel(), grads["sel_w_k"].ravel(),
-        grads["classifier"].ravel(),
-    ])
+    analytic = pack_gradients(grads)
 
     def loss_of(vec):
         g, s = unpack_params(vec, gen, sel)

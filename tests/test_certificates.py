@@ -6,7 +6,7 @@ subset-error engine of ``faithfulness``, against the hand-built per-subset
 error oracles in conftest, and the vectorised offset grid against a
 loop.  The certificates in turn bound that engine: no attribution's
 total error beats them, the scans' minimisers attain them, and exact
-Shapley values pay more."""
+Shapley values and leave-one-out occlusion pay more."""
 
 import math
 from fractions import Fraction
@@ -43,6 +43,7 @@ from conftest import (
     iter_powerset,
     monomial_fraction_scan,
     monomial_orbits,
+    occlusion_values,
     shapley_values,
     solve_l1,
 )
@@ -583,3 +584,32 @@ class TestShapleyBaseline:
         assert total == pytest.approx(expected, rel=1e-12, abs=0)
         assert total > binomial_scan_minimum(d)
         assert verify_corollary_grouped(spec) == (0.0, 0.0)
+
+
+class TestOcclusionBaseline:
+    """Leave-one-out occlusion, which credits each feature with the output
+    lost when it alone is zeroed, pays more than the certified minimum and
+    than Shapley values: on a product every feature is decisive alone, so
+    each gets the whole output.  Its attributions are integers, so the
+    totals are exact."""
+
+    @pytest.mark.parametrize("d, expected", [(4, 17), (8, 769), (12, 20481), (16, 458753)])
+    def test_monomial_deletion(self, d, expected):
+        spec = PolynomialSpec.monomial(d)
+        phi = occlusion_values(spec.evaluate, d)
+        assert phi == [1] * d
+        total = total_powerset_error(spec.evaluate, np.ones(d), np.array(phi, dtype=np.float64),
+                                     "deletion")
+        # sum_k C(d,k) |1 - k| over the non-empty subsets = d 2^(d-1) - 2^d + 1
+        assert total == expected == d * 2 ** (d - 1) - 2 ** d + 1
+        assert total > 2 ** (d - 1) - 1 > monomial_scan_minimum(d)
+
+    @pytest.mark.parametrize("d, expected", [(6, 248), (9, 3056), (12, 32736), (15, 327616)])
+    def test_binomial_insertion(self, d, expected):
+        spec, m = PolynomialSpec.binomial(d), d // 3
+        phi = occlusion_values(spec.evaluate, d)
+        assert phi == [1] * m + [2] * m + [1] * m
+        total = total_powerset_error(spec.evaluate, np.ones(d), np.array(phi, dtype=np.float64),
+                                     "insertion")
+        assert total == expected
+        assert total > binomial_scan_minimum(d)

@@ -124,6 +124,43 @@ class TestCertify:
         assert "config field 'dimensions'" in err and repr(dimensions) in err
         assert not (out / "results.json").exists()
 
+    @pytest.mark.parametrize("config, rule", [
+        ({"family": "lemma", "dimensions": [2, faithfulness.POWERSET_LIMIT + 1]},
+         f"lemma family must hold integers from 1 to {faithfulness.POWERSET_LIMIT}"),
+        ({"family": "lemma", "dimensions": [0, 3]},
+         f"lemma family must hold integers from 1 to {faithfulness.POWERSET_LIMIT}"),
+        ({"family": "binomial", "dimensions": [3, 6, certificates.BINOMIAL_DIMENSION_LIMIT + 3]},
+         "binomial family must hold multiples of 3 from 3 to "
+         f"{certificates.BINOMIAL_DIMENSION_LIMIT}"),
+        ({"family": "binomial", "dimensions": [3, 6, 10]},
+         "binomial family must hold multiples of 3 from 3 to "
+         f"{certificates.BINOMIAL_DIMENSION_LIMIT}"),
+        ({"family": "corollary", "dimensions": [6, 7]},
+         "corollary family (kind 'binomial') must hold multiples of 3 from 3 to 18"),
+        ({"family": "corollary", "kind": "monomial",
+          "dimensions": [3, faithfulness.POWERSET_LIMIT + 1]},
+         "corollary family (kind 'monomial') must hold integers from 1 to "
+         f"{faithfulness.POWERSET_LIMIT}"),
+    ], ids=["lemma-above-cap", "lemma-zero", "binomial-above-cap", "binomial-not-multiple",
+            "corollary-binomial-not-multiple", "corollary-monomial-above-cap"])
+    def test_dimensions_outside_the_family_range_are_refused(self, tmp_path, capsys,
+                                                             monkeypatch, config, rule):
+        """A lemma entry above the powerset cap was refused only after the
+        smaller entries had been verified, by a message that named neither
+        ``dimensions`` nor the family."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify did work before checking its dimensions")
+
+        for name in ("binomial_scan_minimum", "verify_lemma_monomial_insertion",
+                     "verify_corollary_grouped"):
+            monkeypatch.setattr(certificates, name, refuse)
+        out = tmp_path / "out"
+        assert run(["certify", "--config", write_config(tmp_path / "c.json", config),
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config field 'dimensions' of the {rule}, got {config['dimensions']!r}\n")
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("config, fields", [
         ({"family": "monomial", "d_min": 9, "d_max": 4}, ["'d_min'", "'d_max'", "d_min=9"]),
         ({"family": "monomial", "d_min": 5, "d_max": 6}, ["'d_min'", "'d_max'", "d_max=6"]),
@@ -1091,6 +1128,19 @@ class TestConfigHandling:
         assert run(
             ["certify", "--config", tmp_path / "none.json", "--out", tmp_path / "o"]
         ) == 2
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_output_directory_that_cannot_be_made(self, tmp_path, out):
+        """``--out`` below a regular file ended in a ``NotADirectoryError``
+        traceback with exit 1, the code of a failed gate."""
+        (tmp_path / "afile").write_text("")
+        config = write_config(tmp_path / "c.json", {"family": "lemma", "dimensions": [3]})
+        done = run_process(["certify", "--config", config, "--out", tmp_path / out])
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: cannot create output directory {tmp_path / out}: ")
+        assert done.stderr.count("\n") == 1 and done.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.json"]
+        assert (tmp_path / "afile").read_text() == ""
 
     @pytest.mark.parametrize("command, fields, key", [
         pytest.param(command, fields, key,

@@ -3,7 +3,8 @@ or that drive a whole layer end to end: ``sparsemax_vjp`` and sparsemax
 attention rows (demo 01), training and the exact reconstruction
 (demo 02), the per-vector ``total_powerset_error`` and curves beside the
 batched ``faithfulness.evaluate`` (demo 03),
-every certificate family with its exponential fit (demo 04), and
+every certificate family with its exponential fit, beside the
+Shapley and occlusion baselines (demo 04), and
 structure labeling (demo 05).  Each demo runs with numpy's
 ``RuntimeWarning`` raised as an error."""
 

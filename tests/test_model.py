@@ -146,9 +146,20 @@ class TestEmbedGroups:
         np.testing.assert_allclose(z[0], weights @ (mask * x), atol=1e-12)
 
     def test_wrong_embedding_width(self):
-        bad = Backbone(embed=lambda v: np.zeros(2), classifier=np.zeros((1, 3)), h=3)
+        bad = Backbone(embed=lambda v: np.zeros(2), classifier=np.zeros((1, 3)))
         with pytest.raises(ValueError):
             embed_groups(np.zeros(4), np.ones((1, 4)), bad)
+
+    def test_width_is_the_classifiers(self):
+        classifier = np.zeros((2, 5))
+        assert Backbone(embed=lambda v: v, classifier=classifier).h == 5
+        assert identity_backbone(classifier).h == 5
+        assert linear_backbone(np.zeros((5, 7)), classifier).h == 5
+
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_linear_backbone_refuses_mismatched_weights(self, rows):
+        with pytest.raises(ValueError, match=f"classifier has 5 columns, expected h={rows}"):
+            linear_backbone(np.zeros((rows, 7)), np.zeros((2, 5)))
 
 
 class TestSelectGroups:

@@ -1,6 +1,7 @@
 """Training loop: analytic gradients against finite differences and
-against the earlier per-row forward/backward pass, determinism, and
-convergence on the separable blobs fixture."""
+against the earlier per-row forward/backward pass, the update against a
+per-name loop, determinism, and convergence on the separable blobs
+fixture."""
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from conftest import (
     TIED_ENTRY,
     class_mean_identity_backbone,
     make_blobs,
+    pack_gradients,
     sparsemax_row,
     sparsemax_vjp_row,
 )
@@ -48,7 +50,6 @@ def d4_fixture():
     backbone = Backbone(
         embed=lambda v: v @ weights.T,
         classifier=classifier,
-        h=3,
         embed_vjp=lambda v, upstream: upstream @ weights,
     )
     config = TrainConfig(steps=0, learning_rate=0.1, seed=11, heads=2, init_std=0.6)
@@ -166,6 +167,23 @@ def loss_and_gradients_oracle(inputs, labels, seg, gen, sel, backbone):
         g = backward_oracle(x, seg, gen, sel, backbone, cache, d_pred)
         grads = {key: grads[key] + g[key] for key in grads}
     return total_loss / n, grads
+
+
+def train_oracle(inputs, labels, seg, backbone, config):
+    """The earlier update, written out per parameter: ``(gen, sel, loss
+    history)`` after ``config.steps`` steps."""
+    gen, sel = init_params(seg, backbone, config)
+    history = []
+    for _ in range(config.steps):
+        loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
+        history.append(float(loss))
+        lr = config.learning_rate
+        gen = GroupGenParams(w_q=gen.w_q - lr * grads["gen_w_q"],
+                             w_k=gen.w_k - lr * grads["gen_w_k"])
+        sel = GroupSelectParams(w_q=sel.w_q - lr * grads["sel_w_q"],
+                                w_k=sel.w_k - lr * grads["sel_w_k"],
+                                classifier=sel.classifier - lr * grads["classifier"])
+    return gen, sel, history
 
 
 def assert_same_bits(actual, expected, err_msg=""):
@@ -299,11 +317,7 @@ class TestGradients:
     def test_full_loss_gradient_matches_finite_differences(self):
         seg, backbone, _, gen, sel, inputs, labels = d4_fixture()
         loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
-        analytic = np.concatenate([
-            grads["gen_w_q"].ravel(), grads["gen_w_k"].ravel(),
-            grads["sel_w_q"].ravel(), grads["sel_w_k"].ravel(),
-            grads["classifier"].ravel(),
-        ])
+        analytic = pack_gradients(grads)
 
         def loss_of(vec):
             g, s = unpack_params(vec, gen, sel)
@@ -313,14 +327,33 @@ class TestGradients:
         scale = max(1.0, float(np.abs(numeric).max()))
         assert np.abs(analytic - numeric).max() / scale <= 1e-4
 
-    def test_finite_difference_backbone_fallback_agrees(self):
-        seg, backbone, weights, gen, sel, inputs, labels = d4_fixture()
-        no_hook = Backbone(embed=lambda v: v @ weights.T, classifier=backbone.classifier, h=3)
-        loss_a, grads_a = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
-        loss_b, grads_b = loss_and_gradients(inputs, labels, seg, gen, sel, no_hook)
-        assert loss_a == loss_b
-        for key in grads_a:
-            np.testing.assert_allclose(grads_a[key], grads_b[key], atol=1e-7)
+    def test_backbone_without_gradient_hook_is_refused(self):
+        """Training backpropagates only through ``embed_vjp``; a backbone
+        without it is refused before any forward pass, by the gradient and
+        by the training loop alike."""
+        seg, backbone, _, gen, sel, inputs, labels = d4_fixture()
+
+        def embed(v):
+            raise AssertionError("the forward pass ran")
+
+        no_hook = Backbone(embed=embed, classifier=backbone.classifier)
+        with pytest.raises(ValueError, match="embed_vjp"):
+            loss_and_gradients(inputs, labels, seg, gen, sel, no_hook)
+        config = TrainConfig(steps=1, learning_rate=0.1, seed=11)
+        with pytest.raises(ValueError, match="embed_vjp"):
+            train(inputs, labels, seg, no_hook, config)
+
+    def test_pack_round_trips_bit_for_bit(self):
+        seg, backbone, gen, sel, _, _ = blobs_fixture()
+        packed = pack_params(gen, sel)
+        gen2, sel2 = unpack_params(packed, gen, sel)
+        for before, after in ((gen, gen2), (sel, sel2)):
+            for key, value in vars(before).items():
+                assert_same_bits(getattr(after, key), value, err_msg=key)
+        assert_same_bits(pack_params(gen2, sel2), packed)
+        for bad in (packed[:-1], np.append(packed, 0.0), packed[None]):
+            with pytest.raises(ValueError, match="wrong length"):
+                unpack_params(bad, gen, sel)
 
     def test_label_validation(self):
         seg, backbone, _, gen, sel, inputs, _ = d4_fixture()
@@ -353,6 +386,20 @@ class TestGradients:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("fixture", ["d4", "blobs"])
+    def test_update_equals_per_name_loop(self, fixture):
+        if fixture == "d4":
+            seg, backbone, _, _, _, inputs, labels = d4_fixture()
+        else:
+            seg, backbone, _, _, inputs, labels = blobs_fixture()
+        config = TrainConfig(steps=3, learning_rate=0.3, seed=5, heads=2, init_std=1.0)
+        result = train(inputs, labels, seg, backbone, config)
+        gen, sel, history = train_oracle(inputs, labels, seg, backbone, config)
+        assert result.loss_history == history and len(set(history)) == 3
+        for before, after in ((gen, result.gen_params), (sel, result.sel_params)):
+            for key, value in vars(before).items():
+                assert_same_bits(getattr(after, key), value, err_msg=key)
+
     def test_zero_learning_rate_keeps_parameters(self):
         features, labels = make_blobs(n_per_class=8, seed=5)
         seg = Segmentation.contiguous(8, 2)
