@@ -2,9 +2,10 @@
 
 For the d-feature product, the least total deletion error any per-feature
 attribution can achieve over the whole powerset is the optimum of an L1
-program, found exactly by ``monomial_scan_minimum``; it equals
-C(d, d // 2) - 1 and grows exponentially with d.  ``binomial_scan_minimum``
-does the same for insertion on two overlapping products.
+program.  ``monomial_scan_minimum`` returns it in closed form,
+C(d, d // 2) - 1, which grows exponentially with d; the tests check it
+against an exact scan of the program.  ``binomial_scan_minimum`` does the
+same for insertion on two overlapping products.
 Grouped attributions sidestep the bound: a single group holding all
 features explains the product with zero error everywhere.  The closing
 table sets two per-feature baselines beside the bound: exact Shapley
@@ -26,7 +27,7 @@ from sumparts.certificates import (
 )
 from sumparts.faithfulness import total_powerset_error
 
-# the exact scan meets the closed form
+# the certified minimum beside its closed form
 print("least total deletion error for the product of d features:")
 points = []
 for d in range(2, 11):

@@ -3,18 +3,18 @@
 For a monomial (product of all features) the best possible total deletion
 error over the whole powerset, and for a three-part binomial the best
 possible total insertion error, are each the optimum of an L1-minimization
-problem over attributions.  The objective is convex and symmetric under
-permutations of the features (within each part, for the binomial), so
-some optimum is constant on each part.  Each family has one exact route,
-a scan in integer and rational arithmetic.  The monomial optimum has one
-unknown, the common attribution, and lies at a kink of its objective.
-The binomial optimum has two, one for the outer parts and one for the
-shared part, and lies at a crossing of two of its objective's kink lines.
-The lemma and the zero-error grouped constructions of the corollary are
-verified on the whole powerset, for d up to ``faithfulness.POWERSET_LIMIT``
-(20), by the subset-error engine of :mod:`sumparts.faithfulness`, with a
-polynomial's term supports as the groups, and exponential growth curves
-are fitted to the minima.
+problem over attributions.  Both optima have closed forms:
+``C(d, d // 2) - 1`` for the monomial, and for the binomial 2 at d = 3 and
+``2^(d/3 + 1)`` from d = 6 on.  Each is attained by an attribution that is
+constant on each part and proven optimal by a symmetric solution of the
+dual LP (LP duality; Schrijver 1986, *Theory of Linear and Integer
+Programming*).  The exact integer and rational scans that found them,
+and the orbit and full-powerset LPs, check them as oracles in
+``tests/conftest.py``.  The lemma and the zero-error grouped
+constructions of the corollary are verified on the whole powerset, for d
+up to ``faithfulness.POWERSET_LIMIT`` (20), by the subset-error engine of
+:mod:`sumparts.faithfulness`, with a polynomial's term supports as the
+groups, and exponential growth curves are fitted to the minima.
 
 No family solves an LP, so nothing here imports scipy.  :func:`linprog`
 imports ``scipy.optimize.linprog`` if it is called; the library never
@@ -23,9 +23,7 @@ calls it, and the tests' LP oracles solve through it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -110,81 +108,36 @@ def linprog(c, A_ub=None, b_ub=None, bounds=None, method="highs"):
 
 
 def monomial_scan_minimum(d: int) -> float:
-    """Exact minimum total deletion error for a monomial via the symmetric
-    one-dimensional reduction.
+    """Exact minimum total deletion error for a monomial, ``C(d, d // 2) - 1``.
 
-    The objective is convex and permutation-symmetric, so a uniform
-    attribution ``alpha = a * ones`` attains the optimum; the reduced
-    objective ``sum_{k>=1} C(d,k) |1 - k a|`` is piecewise linear in ``a``
-    with kinks at ``a = 1/q``, so scanning the kinks (plus 0) is exact.  At
-    ``a = 1/q`` the objective is the integer ``sum_k C(d,k) |q - k|`` over
-    ``q``, and at ``a = 0`` it is ``2^d - 1``; the least of these
-    fractions is returned as the correctly rounded float.
+    The uniform attribution ``1 / ceil(d/2)`` attains it, and the symmetric
+    dual of the LP (+1 on the subsets smaller than ``ceil(d/2)``, -1 on the
+    larger ones) proves that none does better.  The tests check it at every
+    d up to ``SCAN_DIMENSION_LIMIT`` against the kink scan
+    ``monomial_fraction_scan``, and up to d = 20 against the orbit LP.
     """
     if not 1 <= d <= SCAN_DIMENSION_LIMIT:
         raise ValueError(f"scan supports 1 <= d <= {SCAN_DIMENSION_LIMIT}, got {d}")
-    return float(min(
-        [Fraction(2 ** d - 1)]
-        + [Fraction(sum(comb(d, k) * abs(q - k) for k in range(1, d + 1)), q)
-           for q in range(1, d + 1)]
-    ))
-
-
-def _binomial_scan(d: int) -> tuple[Fraction, tuple[Fraction, Fraction]]:
-    """Exact minimum of the equal-thirds binomial's insertion program and a
-    minimiser ``(a1, a2)``: the common attribution of the outer parts and
-    that of the shared part.
-
-    With parts of size m, a subset with part sizes (k1, k2, k3) has weight
-    C(m,k1) C(m,k2) C(m,k3), attribution sum ``k . a`` and target
-    ``1[k1 = k2 = m] + 1[k2 = k3 = m]``.  The objective is convex and
-    symmetric under swapping the outer parts, so some optimum has
-    ``a3 = a1``; there the rows merge on ``(k1 + k3, k2, target)``.  The
-    merged objective is piecewise linear in two unknowns and coercive (the
-    rows (1, 0) and (0, 1) are present), so it attains its minimum at a
-    crossing of two non-parallel rows ``c_i . a = t_i``.  Each crossing is
-    ``a = p / D`` by Cramer's rule, with objective ``N / D`` where
-    ``N = sum_r w_r |t_r D - c_r . p|``, all in integers.
-    """
-    m = d // 3
-    merged: dict[tuple[int, int, int], int] = {}
-    for k1, k2, k3 in itertools.product(range(m + 1), repeat=3):
-        key = (k1 + k3, k2, int(k1 == k2 == m) + int(k2 == k3 == m))
-        merged[key] = merged.get(key, 0) + comb(m, k1) * comb(m, k2) * comb(m, k3)
-    s, k, t, w = np.array([(*key, weight) for key, weight in merged.items()],
-                          dtype=np.int64).T
-    i, j = np.triu_indices(s.size, 1)
-    crossings = np.column_stack([
-        t[i] * k[j] - k[i] * t[j],
-        s[i] * t[j] - t[i] * s[j],
-        s[i] * k[j] - k[i] * s[j],
-    ])
-    crossings = crossings[crossings[:, 2] != 0]
-    # one row per distinct point: p1, p2 and D > 0 in lowest terms
-    crossings *= np.sign(crossings[:, 2:])
-    crossings //= np.gcd.reduce(crossings, axis=1, keepdims=True)
-    crossings = np.unique(crossings, axis=0)
-    # |D| <= 4m^2, |p1| <= 4m and |p2| <= 8m, so each |t D - c . p| is at
-    # most 24 m^2 and N at most 24 m^2 2^d (the weights sum to 8^m): about
-    # 2.6e12 at d = 30, far inside int64
-    totals = np.abs(crossings @ np.stack([-s, -k, t])) @ w
-    best = min(range(totals.size),
-               key=lambda n: Fraction(int(totals[n]), int(crossings[n, 2])))
-    p1, p2, q = map(int, crossings[best])
-    return Fraction(int(totals[best]), q), (Fraction(p1, q), Fraction(p2, q))
+    return float(comb(d, d // 2) - 1)
 
 
 def binomial_scan_minimum(d: int) -> float:
-    """Exact minimum total insertion error for the equal-thirds binomial,
-    by an integer scan of the vertices of its two-unknown symmetric
-    reduction, as the correctly rounded float, for
-    d <= ``BINOMIAL_DIMENSION_LIMIT``."""
+    """Exact minimum total insertion error for the equal-thirds binomial:
+    2 at d = 3 and ``2^(d/3 + 1)`` from d = 6 on, for
+    d <= ``BINOMIAL_DIMENSION_LIMIT``.
+
+    From d = 6 on the zero attribution attains it, and a symmetric dual of
+    the LP proves that none does better; at d = 3 the attribution 1 on the
+    shared feature alone attains 2.  The tests check it at every d up to
+    the cap against the vertex scan ``binomial_vertex_scan``, and up to
+    d = 15 against the orbit LP.
+    """
     PolynomialSpec.binomial(d)
     if d > BINOMIAL_DIMENSION_LIMIT:
         raise ValueError(
             f"binomial certificates are capped at d={BINOMIAL_DIMENSION_LIMIT}, got {d}"
         )
-    return float(_binomial_scan(d)[0])
+    return 2.0 if d == 3 else float(2 ** (d // 3 + 1))
 
 
 def verify_lemma_monomial_insertion(d: int, x=None) -> float:

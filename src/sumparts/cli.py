@@ -100,12 +100,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _integer(config: dict, key: str, default=None) -> int:
-    """The JSON integer at ``key``; a float, a bool or anything else is a
-    ConfigError naming the key and the value."""
+def _integer(config: dict, key: str, default=None, least=None) -> int:
+    """The JSON integer at ``key``, no less than ``least`` if given; a
+    float, a bool, anything else or a smaller integer is a ConfigError
+    naming the key and the value."""
     value = config.get(key, default)
     if not _is_integer(value):
         raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"config field {key!r} must be at least {least}, got {value!r}")
     return value
 
 
@@ -209,11 +212,8 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
     if family in _FITTED:
         window, target, with_offset, anchors = _FITTED[family]
         if family == "monomial":
-            d_min = _integer(config, "d_min", 2)
+            d_min = _integer(config, "d_min", 2, least=2)
             d_max = _integer(config, "d_max", 14)
-            if d_min < 2:
-                raise ConfigError("config field 'd_min' must be at least 2, as monomial "
-                                  f"certificates start at d=2, got {d_min}")
             if d_max > certificates.SCAN_DIMENSION_LIMIT:
                 raise ConfigError(
                     f"config field 'd_max' must be at most {certificates.SCAN_DIMENSION_LIMIT}"
@@ -253,6 +253,9 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         )
     else:
         kind = config.get("kind", "binomial")
+        if kind not in ("monomial", "binomial"):
+            raise ConfigError("config field 'kind' of the corollary family must be "
+                              f"'monomial' or 'binomial', got {kind!r}")
         dims = _dimensions(config, [6], f"corollary family (kind {kind!r})",
                            faithfulness.POWERSET_LIMIT, step=3 if kind == "binomial" else 1)
         specs = [certificates.PolynomialSpec(kind, d) for d in dims]
@@ -396,13 +399,17 @@ def cmd_train(config: dict, out_dir: Path) -> int:
             f"config field 'learning_rate' must be positive, got {config['learning_rate']!r}")
     dataset = _path(config, "dataset")
     features, labels = _load_dataset(dataset)
-    seg = Segmentation.contiguous(features.shape[1], _integer(config, "segments", 2))
+    segments = _integer(config, "segments", 2, least=1)
+    if segments > features.shape[1]:
+        raise ConfigError(f"config field 'segments' must be at most the dataset's "
+                          f"{features.shape[1]} features, got {segments!r}")
+    seg = Segmentation.contiguous(features.shape[1], segments)
     backbone = _class_mean_backbone(features, labels, dataset)
     train_config = TrainConfig(
-        steps=_integer(config, "steps", 200),
+        steps=_integer(config, "steps", 200, least=0),
         learning_rate=learning_rate,
         seed=config["seed"],
-        heads=_integer(config, "heads", 2),
+        heads=_integer(config, "heads", 2, least=1),
     )
     result = train(features, labels, seg, backbone, train_config)
     accuracy = training_accuracy(
@@ -437,9 +444,7 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
     unknown = [m for m in metrics if m not in EVAL_METRICS]
     if unknown:
         raise ConfigError(f"unknown eval metrics {unknown}; known: {list(EVAL_METRICS)}")
-    step = _integer(config, "step", 1)
-    if step < 1:
-        raise ConfigError(f"config field 'step' must be at least 1, got {step!r}")
+    step = _integer(config, "step", 1, least=1)
     classes = _integer_list(config, "classes", [0])
     if not classes:
         raise ConfigError("config field 'classes' must name at least one class, got []")
@@ -508,7 +513,8 @@ def cmd_label(config: dict, out_dir: Path) -> int:
             f"config field 'cluster_sigma' must be non-negative, got {config['cluster_sigma']!r}")
     map_format = config.get("map_format", "csv")
     if map_format not in ("csv", "binary"):
-        raise ConfigError("map_format must be 'csv' or 'binary'")
+        raise ConfigError(
+            f"config field 'map_format' must be 'csv' or 'binary', got {map_format!r}")
     imap = _read("map", map_path, structures.load_map_csv if map_format == "csv"
                  else structures.load_map_binary)
     seg = _read("segmentation", seg_path,

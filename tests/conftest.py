@@ -11,7 +11,8 @@ The LP oracles (``build_program``, ``solve_l1``, ``monomial_orbits``,
 the library replaced by exact scans: the full-powerset program and both
 families' orbit programs, solved by HiGHS and proven by an exact
 primal/dual check.  ``monomial_fraction_scan`` and
-``fit_exponential_grid_loop`` are the earlier monomial scan and offset
+``binomial_vertex_scan`` are the exact scans the library replaced by
+closed forms, and ``fit_exponential_grid_loop`` is the earlier offset
 grid search.  The pointwise error oracles (``deletion_error_oracle``,
 ``insertion_error_oracle`` and their grouped forms) are the library's
 earlier subset errors, each probe built by hand and evaluated by a
@@ -307,6 +308,50 @@ def certified_optimum(d: int, counts, targets, weights) -> float:
             f"dual {dual}, dual feasible {feasible}"
         )
     return float(primal)
+
+
+def binomial_vertex_scan(d: int) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+    """Exact minimum of the equal-thirds binomial's insertion program and a
+    minimiser ``(a1, a2)``: the common attribution of the outer parts and
+    that of the shared part.
+
+    With parts of size m, a subset with part sizes (k1, k2, k3) has weight
+    C(m,k1) C(m,k2) C(m,k3), attribution sum ``k . a`` and target
+    ``1[k1 = k2 = m] + 1[k2 = k3 = m]``.  The objective is convex and
+    symmetric under swapping the outer parts, so some optimum has
+    ``a3 = a1``; there the rows merge on ``(k1 + k3, k2, target)``.  The
+    merged objective is piecewise linear in two unknowns and coercive (the
+    rows (1, 0) and (0, 1) are present), so it attains its minimum at a
+    crossing of two non-parallel rows ``c_i . a = t_i``.  Each crossing is
+    ``a = p / D`` by Cramer's rule, with objective ``N / D`` where
+    ``N = sum_r w_r |t_r D - c_r . p|``, all in integers.
+    """
+    m = d // 3
+    merged: dict[tuple[int, int, int], int] = {}
+    for k1, k2, k3 in itertools.product(range(m + 1), repeat=3):
+        key = (k1 + k3, k2, int(k1 == k2 == m) + int(k2 == k3 == m))
+        merged[key] = merged.get(key, 0) + comb(m, k1) * comb(m, k2) * comb(m, k3)
+    s, k, t, w = np.array([(*key, weight) for key, weight in merged.items()],
+                          dtype=np.int64).T
+    i, j = np.triu_indices(s.size, 1)
+    crossings = np.column_stack([
+        t[i] * k[j] - k[i] * t[j],
+        s[i] * t[j] - t[i] * s[j],
+        s[i] * k[j] - k[i] * s[j],
+    ])
+    crossings = crossings[crossings[:, 2] != 0]
+    # one row per distinct point: p1, p2 and D > 0 in lowest terms
+    crossings *= np.sign(crossings[:, 2:])
+    crossings //= np.gcd.reduce(crossings, axis=1, keepdims=True)
+    crossings = np.unique(crossings, axis=0)
+    # |D| <= 4m^2, |p1| <= 4m and |p2| <= 8m, so each |t D - c . p| is at
+    # most 24 m^2 and N at most 24 m^2 2^d (the weights sum to 8^m): about
+    # 2.6e12 at d = 30, far inside int64
+    totals = np.abs(crossings @ np.stack([-s, -k, t])) @ w
+    best = min(range(totals.size),
+               key=lambda n: Fraction(int(totals[n]), int(crossings[n, 2])))
+    p1, p2, q = map(int, crossings[best])
+    return Fraction(int(totals[best]), q), (Fraction(p1, q), Fraction(p2, q))
 
 
 def monomial_fraction_scan(d: int) -> float:

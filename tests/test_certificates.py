@@ -1,12 +1,13 @@
 """Certificate routes against independent oracles and frozen values: each
-family's exact scan against its orbit LP and the full-powerset LP (the LP
-oracles live in conftest), the binomial scan also against a plane scan and
-the unreduced orbit program, the verifications, which run the
-subset-error engine of ``faithfulness``, against the hand-built per-subset
-error oracles in conftest, and the vectorised offset grid against a
-loop.  The certificates in turn bound that engine: no attribution's
-total error beats them, the scans' minimisers attain them, and exact
-Shapley values and leave-one-out occlusion pay more."""
+family's closed form against its exact scan at every d the CLI accepts,
+its orbit LP and the full-powerset LP (the scan and LP oracles live in
+conftest), the binomial also against a plane scan and the unreduced orbit
+program, the verifications, which run the subset-error engine of
+``faithfulness``, against the hand-built per-subset error oracles in
+conftest, and the vectorised offset grid against a loop.  The
+certificates in turn bound that engine: no attribution's total error
+beats them, the scans' minimisers attain them, and exact Shapley values
+and leave-one-out occlusion pay more."""
 
 import math
 from fractions import Fraction
@@ -34,6 +35,7 @@ from sumparts.faithfulness import total_powerset_error
 from conftest import (
     L1Program,
     binomial_orbits,
+    binomial_vertex_scan,
     build_program,
     certified_optimum,
     fit_exponential_grid_loop,
@@ -235,10 +237,11 @@ class TestMonomialMinimum:
             assert monomial_scan_minimum(d) == \
                 certified_optimum(d, *monomial_orbits(d))
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, certificates.SCAN_DIMENSION_LIMIT))
-    def test_integer_scan_matches_fraction_scan(self, d):
-        assert monomial_scan_minimum(d) == monomial_fraction_scan(d)
+    def test_closed_form_matches_fraction_scan(self):
+        # every d the CLI and the range guard accept, d = 1..60
+        assert certificates.SCAN_DIMENSION_LIMIT == 60
+        for d in range(1, certificates.SCAN_DIMENSION_LIMIT + 1):
+            assert monomial_scan_minimum(d) == monomial_fraction_scan(d)
 
     def test_frozen_values(self):
         for d, expected in MONOMIAL_MINIMA.items():
@@ -249,14 +252,6 @@ class TestMonomialMinimum:
     def test_strictly_increasing(self):
         values = [monomial_scan_minimum(d) for d in range(2, 11)]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_exact_minima(self):
-        # up to the scan's limit, d = 60, the exact minima equal
-        # C(d, floor(d/2)) - 1; the scan runs in exact arithmetic
-        assert certificates.SCAN_DIMENSION_LIMIT == 60
-        for d in range(2, certificates.SCAN_DIMENSION_LIMIT + 1):
-            expected = float(comb(d, d // 2) - 1)
-            assert monomial_scan_minimum(d) == expected
 
     def test_orbit_route_matches_full_powerset_lp(self):
         for d in range(2, 11):
@@ -298,22 +293,20 @@ class TestBinomialMinimum:
             assert binomial_scan_minimum(d) == certified_optimum(d, *binomial_orbits(d // 3))
 
     def test_minimiser_attains_minimum_on_unreduced_program(self):
-        # the scan merges the outer parts' rows; the full (m+1)^3 orbit
-        # program at (a1, a2, a1) must give the same value, exactly
+        # the vertex scan merges the outer parts' rows; the full (m+1)^3
+        # orbit program at (a1, a2, a1) must give the same value, exactly
         for d in range(3, 22, 3):
-            value, (a1, a2) = certificates._binomial_scan(d)
+            value, (a1, a2) = binomial_vertex_scan(d)
             counts, targets, weights = binomial_orbits(d // 3)
             total = sum(w * abs(t - (k1 + k3) * a1 - k2 * a2)
                         for (k1, k2, k3), t, w in zip(counts, targets, weights))
             assert total == value
             assert float(value) == binomial_scan_minimum(d)
 
-    def test_closed_form_past_the_old_lp_cap(self):
-        # the zero attribution is optimal from d = 6 on; d = 18..30 were
-        # beyond the LP route's cap of 15
-        assert binomial_scan_minimum(3) == 2.0
-        for d in range(6, BINOMIAL_DIMENSION_LIMIT + 1, 3):
-            assert binomial_scan_minimum(d) == 2.0 * 2.0 ** (d // 3)
+    def test_closed_form_matches_vertex_scan(self):
+        # every d the CLI accepts; d = 18..30 lie beyond the orbit LP checks
+        for d in range(3, BINOMIAL_DIMENSION_LIMIT + 1, 3):
+            assert binomial_scan_minimum(d) == float(binomial_vertex_scan(d)[0])
 
     def test_capacity_guard(self):
         with pytest.raises(ValueError, match="capped at d=30"):
@@ -548,7 +541,7 @@ class TestCertificatesBoundTheEngine:
 
     @pytest.mark.parametrize("d", (3, 6, 9, 12))
     def test_binomial_minimiser_attains_the_certificate(self, d):
-        value, (a1, a2) = certificates._binomial_scan(d)
+        value, (a1, a2) = binomial_vertex_scan(d)
         m = d // 3
         alpha = np.array([a1] * m + [a2] * m + [a1] * m, dtype=np.float64)
         assert all(Fraction(float(a)) == a for a in (a1, a2))

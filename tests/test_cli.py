@@ -283,16 +283,27 @@ class TestCertify:
         results = json.loads((out / "results.json").read_text())
         assert results["points"] == [[6, 0.0, 0.0]]
 
-    def test_unknown_corollary_kind_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["nope", 7, ["binomial"]], ids=repr)
+    @pytest.mark.parametrize("dimensions", [[3], [0]], ids=repr)
+    def test_unknown_corollary_kind_rejected(self, tmp_path, capsys, monkeypatch, kind,
+                                             dimensions):
+        """An unknown kind was refused by ``PolynomialSpec`` in words that
+        named neither the field nor the family, and with ``dimensions: [0]``
+        the dimension rule spoke first, quoting the unknown kind."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify did work before checking its kind")
+
+        monkeypatch.setattr(certificates, "verify_corollary_grouped", refuse)
         config = write_config(
             tmp_path / "c.json",
-            {"family": "corollary", "kind": "nope", "dimensions": [3]},
+            {"family": "corollary", "kind": kind, "dimensions": dimensions},
         )
         out = tmp_path / "out"
         assert run(["certify", "--config", config, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert "'nope'" in err and "'monomial'" in err and "'binomial'" in err
-        assert not (out / "results.json").exists()
+        assert capsys.readouterr().err == (
+            "error: config field 'kind' of the corollary family must be 'monomial' or "
+            f"'binomial', got {kind!r}\n")
+        assert not any(out.iterdir())
 
     def test_binomial_narrow_window_reports_fit_without_gate(self, tmp_path):
         config = write_config(
@@ -1156,18 +1167,25 @@ class TestConfigHandling:
             ("train", {"heads": 2.0}, "heads"),
             ("train", {"segments": "2"}, "segments"),
             ("train", {"seed": 1.0}, "seed"),
+            ("train", {"steps": -1}, "steps"),
+            ("train", {"heads": 0}, "heads"),
+            ("train", {"segments": 0}, "segments"),
+            ("train", {"segments": 9}, "segments"),
             ("certify", {"family": "monomial", "d_min": 2.0}, "d_min"),
             ("certify", {"family": "monomial", "d_max": True}, "d_max"),
             ("certify", {"family": "binomial", "dimensions": [3, 6.5]}, "dimensions"),
             ("certify", {"family": "lemma", "dimensions": [False]}, "dimensions"),
             ("certify", {"family": "corollary", "dimensions": 6}, "dimensions"),
             ("label", {"seed": True}, "seed"),
+            ("label", {"map_format": "png"}, "map_format"),
         ]
     ])
     def test_integer_fields_reject_other_values(self, tmp_path, capsys, command,
                                                 fields, key):
-        """Integer fields take JSON integers only: ``int()`` would truncate
-        a float and read a bool as 0 or 1."""
+        """Integer fields take JSON integers in their range only: ``int()``
+        would truncate a float and read a bool as 0 or 1, and ``segments``
+        above the dataset's 8 features, ``heads: 0`` and a bad
+        ``map_format`` were refused in words that did not name the field."""
         dataset = tmp_path / "blobs.csv"
         features, labels = write_blobs_csv(dataset, n_per_class=3)
         seg = Segmentation.contiguous(features.shape[1], 2)
@@ -1190,7 +1208,7 @@ class TestConfigHandling:
         assert run([command, "--config", config, "--out", out]) == 2
         err = capsys.readouterr().err
         assert f"config field {key!r}" in err and repr(fields[key]) in err
-        assert not (out / "results.json").exists()
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command, key", [
         ("train", "dataset"), ("eval", "checkpoint"), ("eval", "dataset"),
