@@ -1,10 +1,11 @@
 """Experiment runner: ``certify``, ``train``, ``eval``, and ``label``.
 
-Every command reads a strict JSON config (unknown keys rejected), takes
-``--out`` for the artifact directory, and lets flags override scalar
-config fields.  Artifacts are written atomically with sorted keys and
-fixed float formatting, so a rerun of the same config is byte-identical.
-Diagnostics go to stderr.  Exit codes:
+Every command reads a strict JSON config (unknown keys rejected), lets
+flags override scalar config fields, and returns its exit code and its
+artifacts.  ``main`` creates ``--out`` and writes them there only when the
+command exits 0 or 1, atomically, with sorted keys and fixed float
+formatting, so a rerun of the same config is byte-identical.  Diagnostics
+go to stderr.  Exit codes:
 
 - 0: the command ran and every internal tolerance gate passed;
 - 1: a gate failed;
@@ -199,7 +200,7 @@ def _load_config(command: str, path: str, overrides: dict) -> dict:
     return config
 
 
-def cmd_certify(config: dict, out_dir: Path) -> int:
+def cmd_certify(config: dict) -> tuple[int, dict]:
     family = config.get("family")
     if not isinstance(family, str) or family not in _CERTIFY_KEYS:
         raise ConfigError("certify family must be one of monomial/binomial/lemma/corollary")
@@ -231,8 +232,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         fit = certificates.fit_exponential(points, with_offset=with_offset)
         result["points"] = [[d, v] for d, v in points]
         result["fit"] = dataclasses.asdict(fit)
-        write_csv_atomic(out_dir / "curves.csv", ["d", "value", "fitted"],
-                         [(d, v, float(fit.predict(d))) for d, v in points])
+        curves = ["d", "value", "fitted"], [(d, v, float(fit.predict(d))) for d, v in points]
         # the published slope tolerance is calibrated on the reference
         # window; narrower runs report the fit without gating on it
         if window <= set(dims):
@@ -247,10 +247,7 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         points = [(d, certificates.verify_lemma_monomial_insertion(d)) for d in dims]
         result["points"] = [[d, v] for d, v in points]
         gates["total_is_one"] = all(v == 1.0 for _, v in points)
-        write_csv_atomic(
-            out_dir / "curves.csv", ["d", "value", "fitted"],
-            [(d, v, 1.0) for d, v in points],
-        )
+        curves = ["d", "value", "fitted"], [(d, v, 1.0) for d, v in points]
     else:
         kind = config.get("kind", "binomial")
         if kind not in ("monomial", "binomial"):
@@ -265,14 +262,10 @@ def cmd_certify(config: dict, out_dir: Path) -> int:
         gates["grouped_errors_zero"] = all(
             md == 0.0 and mi == 0.0 for _, md, mi in rows
         )
-        write_csv_atomic(
-            out_dir / "curves.csv", ["d", "max_deletion", "max_insertion"],
-            rows,
-        )
+        curves = ["d", "max_deletion", "max_insertion"], rows
 
     result["gates"] = gates
-    write_json_atomic(out_dir / "results.json", result)
-    return 0 if all(gates.values()) else 1
+    return 0 if all(gates.values()) else 1, {"results.json": result, "curves.csv": curves}
 
 
 def _load_dataset(path):
@@ -392,7 +385,7 @@ def _restore_checkpoint(path):
     return seg, gen, sel, backbone
 
 
-def cmd_train(config: dict, out_dir: Path) -> int:
+def cmd_train(config: dict) -> tuple[int, dict]:
     learning_rate = _number(config, "learning_rate", 0.1)
     if learning_rate <= 0:
         raise ConfigError(
@@ -412,26 +405,17 @@ def cmd_train(config: dict, out_dir: Path) -> int:
         heads=_integer(config, "heads", 2, least=1),
     )
     result = train(features, labels, seg, backbone, train_config)
-    accuracy = training_accuracy(
-        features, labels, seg, result.gen_params, result.sel_params, backbone
-    )
-    write_json_atomic(
-        out_dir / "checkpoint.json",
-        _checkpoint_dict(seg, result.gen_params, result.sel_params, backbone, config),
-    )
-    write_csv_atomic(
-        out_dir / "loss_history.csv", ["step", "loss"],
-        list(enumerate(result.loss_history)),
-    )
-    write_json_atomic(
-        out_dir / "results.json",
-        {"training_accuracy": accuracy, "steps": train_config.steps,
-         "final_loss": result.loss_history[-1] if result.loss_history else None},
-    )
-    return 0
+    gen, sel, history = result.gen_params, result.sel_params, result.loss_history
+    accuracy = training_accuracy(features, labels, seg, gen, sel, backbone)
+    return 0, {
+        "checkpoint.json": _checkpoint_dict(seg, gen, sel, backbone, config),
+        "loss_history.csv": (["step", "loss"], list(enumerate(history))),
+        "results.json": {"training_accuracy": accuracy, "steps": train_config.steps,
+                         "final_loss": history[-1] if history else None},
+    }
 
 
-def cmd_eval(config: dict, out_dir: Path) -> int:
+def cmd_eval(config: dict) -> tuple[int, dict]:
     checkpoint, dataset = _path(config, "checkpoint"), _path(config, "dataset")
     metrics = config.get(
         "metrics",
@@ -495,16 +479,12 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
         if values:
             report[name] = {"mean": float(np.mean(values)), "per_case": values}
 
-    write_json_atomic(out_dir / "results.json", report)
-    write_csv_atomic(
-        out_dir / "curves.csv",
-        ["metric", "example", "class", "fraction", "probability"],
-        curve_rows,
-    )
-    return 0
+    return 0, {"results.json": report,
+               "curves.csv": (["metric", "example", "class", "fraction", "probability"],
+                              curve_rows)}
 
 
-def cmd_label(config: dict, out_dir: Path) -> int:
+def cmd_label(config: dict) -> tuple[int, dict]:
     map_path, seg_path = _path(config, "map"), _path(config, "segmentation")
     checkpoint = _path(config, "checkpoint")
     cluster_sigma = _number(config, "cluster_sigma", 3.0)
@@ -517,13 +497,12 @@ def cmd_label(config: dict, out_dir: Path) -> int:
             f"config field 'map_format' must be 'csv' or 'binary', got {map_format!r}")
     imap = _read("map", map_path, structures.load_map_csv if map_format == "csv"
                  else structures.load_map_binary)
-    seg = _read("segmentation", seg_path,
-                lambda p: structures.load_segmentation_csv(p, imap.values.shape))
-    ckpt_seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
-    if ckpt_seg.n_features != seg.n_features or ckpt_seg.n_segments != seg.n_segments:
-        raise ConfigError(
-            "checkpoint was trained for a different map/segmentation shape"
-        )
+    grid = _read("segmentation", seg_path,
+                 lambda p: structures.load_segmentation_csv(p, imap.values.shape))
+    seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
+    if not np.array_equal(grid.assignment, seg.assignment):
+        raise ConfigError(f"segmentation {seg_path} does not give the segment "
+                          f"assignment of checkpoint {checkpoint}")
 
     attribution = sop_forward(imap.flat, seg, gen, sel, backbone)
     intensities, kinds = structures.label_groups(imap, attribution.groups, cluster_sigma)
@@ -532,14 +511,9 @@ def cmd_label(config: dict, out_dir: Path) -> int:
     histogram = {"cluster_sigma": cluster_sigma,
                  **structures.score_mass_by_label([kinds], [attribution])}
 
-    score_headers = [f"score_class_{k}" for k in range(attribution.n_classes)]
-    write_csv_atomic(
-        out_dir / "labels.csv",
-        ["group", "intensity", "label"] + score_headers,
-        rows,
-    )
-    write_json_atomic(out_dir / "results.json", histogram)
-    return 0
+    header = ["group", "intensity", "label"] + [f"score_class_{k}"
+                                                for k in range(attribution.n_classes)]
+    return 0, {"labels.csv": (header, rows), "results.json": histogram}
 
 
 _COMMANDS = {
@@ -565,20 +539,26 @@ def main(argv=None) -> int:
                          help="override the config seed")
     args = parser.parse_args(argv)
 
+    out_dir = Path(args.out)
     try:
         config = _load_config(args.command, args.config, {"seed": args.seed})
-        out_dir = Path(args.out)
+        code, artifacts = _COMMANDS[args.command](config)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-        return _COMMANDS[args.command](config, out_dir)
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for name, content in artifacts.items():
+        if name.endswith(".csv"):
+            write_csv_atomic(out_dir / name, *content)
+        else:
+            write_json_atomic(out_dir / name, content)
+    return code
 
 
 if __name__ == "__main__":

@@ -167,20 +167,34 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
     """Full-batch gradient descent with a fixed step size.
 
     Records the loss at the parameters of every step, in order.  Aborts
-    with ``FloatingPointError`` if the loss turns non-finite.
+    with ``FloatingPointError``, naming the first step whose parameters
+    fail and the learning rate, if a step overflows, divides by zero or
+    makes a NaN, or if the model's forward pass fails at the parameters of
+    the last update, which no step takes a loss at.
     """
     gen, sel = init_params(seg, backbone, config)
+    inputs, labels = _check_labels(inputs, labels, sel.n_classes)
     history: list[float] = []
-    for step in range(config.steps):
-        loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
-        if not np.isfinite(loss):
-            raise FloatingPointError(
-                f"loss became non-finite at step {step} "
-                f"(lr={config.learning_rate}, last finite losses: {history[-3:]})"
-            )
-        history.append(float(loss))
-        gen, sel = _from_trainable({name: array - config.learning_rate * grads[name]
-                                    for name, array in _trainable(gen, sel).items()})
+    # numpy raises where a step first makes an inf or a NaN, ahead of the ops'
+    # input checks and the model's score checks that would fail on it later
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(config.steps):
+                loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
+                if not np.isfinite(loss):
+                    raise FloatingPointError(f"loss {loss}")
+                history.append(float(loss))
+                gen, sel = _from_trainable({name: array - config.learning_rate * grads[name]
+                                            for name, array in _trainable(gen, sel).items()})
+            if config.steps:
+                try:
+                    predict(inputs, seg, gen, sel, backbone)
+                except ValueError as exc:
+                    raise FloatingPointError(exc) from exc
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"loss became non-finite at step {len(history)} (lr={config.learning_rate}, "
+            f"{exc}; last finite losses: {history[-3:]})") from exc
     return TrainResult(gen_params=gen, sel_params=sel, loss_history=history)
 
 

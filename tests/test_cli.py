@@ -159,7 +159,7 @@ class TestCertify:
                     "--out", out]) == 2
         assert capsys.readouterr().err == (
             f"error: config field 'dimensions' of the {rule}, got {config['dimensions']!r}\n")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("config, fields", [
         ({"family": "monomial", "d_min": 9, "d_max": 4}, ["'d_min'", "'d_max'", "d_min=9"]),
@@ -303,7 +303,7 @@ class TestCertify:
         assert capsys.readouterr().err == (
             "error: config field 'kind' of the corollary family must be 'monomial' or "
             f"'binomial', got {kind!r}\n")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_binomial_narrow_window_reports_fit_without_gate(self, tmp_path):
         config = write_config(
@@ -321,6 +321,7 @@ class TestCertify:
         config = write_config(tmp_path / "c.json", {"family": "binomial"})
         out = tmp_path / "out"
         assert run(["certify", "--config", config, "--out", out]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["curves.csv", "results.json"]
         results = json.loads((out / "results.json").read_text())
         assert results["points"][0] == [3, 2.0]
         assert results["points"][-1] == [15, 64.0]
@@ -397,6 +398,32 @@ class TestTrain:
         )
         assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 3
         assert capsys.readouterr().err.startswith("error: loss became non-finite")
+
+    @pytest.mark.parametrize("steps", [50, 1])
+    @pytest.mark.parametrize("rate", [1e12, 1e50, 1e100, 1e150, 1e200, 1e300])
+    def test_every_diverging_run_exits_3(self, tmp_path, capsys, rate, steps):
+        """These runs exited 2, as for a bad config, and numpy printed
+        RuntimeWarnings first, which the pytest settings make errors: a
+        forward pass that overflowed failed the ops' input checks, and the
+        parameters of a last update that broke the model failed the score
+        checks of the accuracy after it."""
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(12, 16))
+        labels = (features[:, :4].sum(axis=1) > 0).astype(int)
+        dataset = tmp_path / "maps.csv"
+        np.savetxt(dataset, np.column_stack([features, labels]), delimiter=",")
+        config = write_config(
+            tmp_path / "t.json",
+            {"dataset": str(dataset), "steps": steps, "learning_rate": rate,
+             "segments": 4, "heads": 2, "seed": 5},
+        )
+        out = tmp_path / "out"
+        assert run(["train", "--config", config, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: loss became non-finite at step ") and \
+            err.count("\n") == 1, err
+        assert f"lr={rate}" in err
+        assert not out.exists()
 
     def test_malformed_dataset_is_reported(self, tmp_path, capsys):
         dataset = tmp_path / "bad.csv"
@@ -854,15 +881,11 @@ class TestLabel:
     @pytest.fixture
     def map_setup(self, tmp_path):
         rng = np.random.default_rng(0)
-        # 4x4 maps, 4 quadrant segments from file
-        seg_grid = np.array([
-            [0, 0, 1, 1],
-            [0, 0, 1, 1],
-            [2, 2, 3, 3],
-            [2, 2, 3, 3],
-        ])
+        # 4x4 maps; train splits the 16 pixels into 4 contiguous runs, the
+        # map's rows, and the segmentation file gives the same strips
         seg_path = tmp_path / "seg.csv"
-        np.savetxt(seg_path, seg_grid, fmt="%d", delimiter=",")
+        np.savetxt(seg_path, np.repeat(np.arange(4), 4).reshape(4, 4), fmt="%d",
+                   delimiter=",")
 
         maps = rng.normal(size=(12, 16))
         labels = (maps[:, :4].sum(axis=1) > 0).astype(int)
@@ -931,6 +954,30 @@ class TestLabel:
         assert "config field 'cluster_sigma' must be non-negative, got -1" in \
             capsys.readouterr().err
         assert not (out / "labels.csv").exists()
+
+    def test_segmentation_must_give_the_checkpoints_assignment(self, tmp_path, capsys,
+                                                               monkeypatch, map_setup):
+        """2x2 tiles give as many pixels and segments as the checkpoint's
+        row strips, and were accepted: the map was pooled over segments the
+        checkpoint was not trained on."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("label ran the model on a foreign segmentation")
+
+        monkeypatch.setattr(cli, "sop_forward", refuse)
+        map_path, _, checkpoint = map_setup
+        tiles = tmp_path / "tiles.csv"
+        np.savetxt(tiles, [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]],
+                   fmt="%d", delimiter=",")
+        config = write_config(
+            tmp_path / "l.json",
+            {"map": str(map_path), "segmentation": str(tiles), "checkpoint": str(checkpoint)},
+        )
+        out = tmp_path / "out"
+        assert run(["label", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: segmentation {tiles} does not give the segment assignment of "
+            f"checkpoint {checkpoint}\n")
+        assert not out.exists()
 
     def test_shape_mismatch(self, tmp_path, map_setup):
         map_path, _, checkpoint = map_setup
@@ -1022,7 +1069,7 @@ class TestInputFiles:
         prefix = "cannot read" if problem == "missing" else "malformed"
         assert err.startswith(f"error: {prefix} {noun} {bad}: "), err
         assert err.count("\n") == 1, err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_missing_map_prints_no_traceback(self, tmp_path, small_label):
         config = self.label_config(tmp_path, small_label, map=tmp_path / "none.csv")
@@ -1153,6 +1200,36 @@ class TestConfigHandling:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.json"]
         assert (tmp_path / "afile").read_text() == ""
 
+    @pytest.mark.parametrize("command, fields", [
+        ("certify", {"family": "corollary", "kind": "nope", "dimensions": [3]}),
+        ("train", {"dataset": "blobs.csv", "learning_rate": 0, "seed": 1}),
+        ("eval", {"checkpoint": "checkpoint.json", "dataset": "blobs.csv", "metrics": 5}),
+        ("label", {"map": "map.csv", "segmentation": "seg.csv",
+                   "checkpoint": "checkpoint.json", "cluster_sigma": -1}),
+    ], ids=["certify", "train", "eval", "label"])
+    def test_refused_config_creates_no_output_directory(self, tmp_path, capsys, command,
+                                                        fields):
+        """``main`` made ``--out`` before the command read its config, so
+        every refused config left an empty directory behind."""
+        config = write_config(tmp_path / "c.json", fields)
+        assert run([command, "--config", config, "--out", tmp_path / "out" / "sub"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_commands_return_their_artifacts(self, tmp_path, monkeypatch):
+        """A command takes its config alone and writes nothing; ``main``
+        writes the artifacts it returns."""
+        for command in cli._COMMANDS.values():
+            assert list(inspect.signature(command).parameters) == ["config"]
+        monkeypatch.chdir(tmp_path)
+        code, artifacts = cli.cmd_certify({"family": "lemma", "dimensions": [1, 2]})
+        assert list(tmp_path.iterdir()) == []
+        assert (code, artifacts) == (0, {
+            "results.json": {"family": "lemma", "points": [[1, 1.0], [2, 1.0]],
+                             "gates": {"total_is_one": True}},
+            "curves.csv": (["d", "value", "fitted"], [(1, 1.0, 1.0), (2, 1.0, 1.0)]),
+        })
+
     @pytest.mark.parametrize("command, fields, key", [
         pytest.param(command, fields, key,
                      id=f"{command}-{key}={fields[key]!r}".replace(" ", ""))
@@ -1208,7 +1285,7 @@ class TestConfigHandling:
         assert run([command, "--config", config, "--out", out]) == 2
         err = capsys.readouterr().err
         assert f"config field {key!r}" in err and repr(fields[key]) in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [
         ("train", "dataset"), ("eval", "checkpoint"), ("eval", "dataset"),
@@ -1312,7 +1389,8 @@ class TestColdStart:
         dataset = tmp_path / "maps.csv"
         np.savetxt(dataset, np.column_stack([maps, labels]), delimiter=",")
         np.savetxt(tmp_path / "map.csv", rng.normal(size=(4, 4)), delimiter=",")
-        np.savetxt(tmp_path / "seg.csv", np.repeat(np.repeat([[0, 1], [2, 3]], 2, 0), 2, 1),
+        # the map's rows: train's 4 contiguous segments of the 16 pixels
+        np.savetxt(tmp_path / "seg.csv", np.repeat(np.arange(4), 4).reshape(4, 4),
                    fmt="%d", delimiter=",")
         checkpoint = str(tmp_path / "train" / "checkpoint.json")
         write_config(tmp_path / "train.json", {"dataset": str(dataset), "steps": 2,
