@@ -455,23 +455,25 @@ def cmd_eval(config: dict) -> tuple[int, dict]:
     curve_rows = []
     aggregates: dict[str, list[float]] = {m: [] for m in metrics if m != "accuracy"}
 
-    if "accuracy" in metrics:
-        report["accuracy"] = training_accuracy(features, labels, seg, gen, sel, backbone)
-
     def model(rows):
         return softmax(predict(rows, seg, gen, sel, backbone))
 
-    for index, x in enumerate(features):
-        attribution = sop_forward(x, seg, gen, sel, backbone)
-        results = faithfulness.evaluate(model, x, attribution.groups, attribution.scores,
-                                        classes, list(aggregates), step)
-        for k, result in zip(classes, results):
+    try:
+        if "accuracy" in metrics:
+            report["accuracy"] = training_accuracy(features, labels, seg, gen, sel, backbone)
+        attributions = [sop_forward(x, seg, gen, sel, backbone) for x in features]
+        results = faithfulness.evaluate_examples(
+            model, features, [a.groups for a in attributions], [a.scores for a in attributions],
+            classes, list(aggregates), step)
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint {checkpoint}: {exc}") from exc
+    for index, example in enumerate(results):
+        for k, result in zip(classes, example):
             for name, value in result.items():
                 if isinstance(value, faithfulness.PerturbationReport):
                     curve_rows.extend(
-                        (name, index, k, float(f), float(p))
-                        for f, p in zip(value.fractions, value.probabilities)
-                    )
+                        (name, index, k, f, p) for f, p in
+                        zip(value.fractions.tolist(), value.probabilities.tolist()))
                     value = value.auc
                 aggregates[name].append(value)
 
@@ -504,7 +506,10 @@ def cmd_label(config: dict) -> tuple[int, dict]:
         raise ConfigError(f"segmentation {seg_path} does not give the segment "
                           f"assignment of checkpoint {checkpoint}")
 
-    attribution = sop_forward(imap.flat, seg, gen, sel, backbone)
+    try:
+        attribution = sop_forward(imap.flat, seg, gen, sel, backbone)
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint {checkpoint}: {exc}") from exc
     intensities, kinds = structures.label_groups(imap, attribution.groups, cluster_sigma)
     rows = [(g, intensities[g], kinds[g], *map(float, scores))
             for g, scores in enumerate(attribution.scores)]

@@ -15,13 +15,14 @@ keep-matrix.  The builders :func:`ranked_keep`, :func:`grouped_keep` and
 :func:`rationale_keep` return the keep-matrices of the curves and of the
 rationale metrics, and :meth:`PerturbationReport.from_curve` turns one
 value per probe into a report.  One engine evaluates the keep matrices of
-an input, in one model call on their distinct rows.  :func:`evaluate`
-drives it with a batched model for every metric and class of one example,
-as ``sumparts eval`` does per example; the per-vector functions reach it
-through an adapter that calls a one-vector model once per probe.  The
-subset errors, pointwise and over the powerset, here and in the lemma and
-corollary checks of :mod:`sumparts.certificates`, have one definition:
-``_subset_errors``, over a boolean subset matrix."""
+one or more inputs, in one model call on each input's distinct rows.
+:func:`evaluate` drives it with a batched model for every metric and class
+of one example, and :func:`evaluate_examples` for many examples at once,
+as ``sumparts eval`` does for all of its examples; the per-vector
+functions reach it through an adapter that calls a one-vector model once
+per probe.  The subset errors, pointwise and over the powerset, here and in
+the lemma and corollary checks of :mod:`sumparts.certificates`, have one
+definition: ``_subset_errors``, over a boolean subset matrix."""
 
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ __all__ = [
     "comprehensiveness",
     "sufficiency",
     "evaluate",
+    "evaluate_examples",
     "METRICS",
     "sparsity",
     "flatten_grouped",
@@ -121,29 +123,47 @@ def _as_subset(subset, d: int) -> np.ndarray:
 
 
 def _probe(model: Callable, x: np.ndarray, keeps: list) -> list[np.ndarray]:
+    """:func:`_probe_examples` of the one input ``x``: one array per matrix
+    of ``keeps``."""
+    return _probe_examples(model, [x], [keeps])[0]
+
+
+def _probe_examples(model: Callable, inputs, keeps) -> list[list[np.ndarray]]:
     """One call of ``model``, which maps a (P, d) stack of probes to P
     results, for the probes ``np.where(keep, x, 0.0)`` of every matrix in
-    ``keeps``; returns one array per matrix, its results in row order."""
+    ``keeps[i]`` at ``x = inputs[i]``, for every i; returns, for each input,
+    one array per matrix, its results in row order."""
     # x, the zero input, the rationale rows and the curve endpoints repeat
-    # across keep matrices: evaluate each distinct row once.  A row's result
-    # must not depend on the stack it comes in (``model.predict`` with an
-    # identity backbone does not), so the gathered values are the per-row
-    # ones bit for bit.  A lone matrix is evaluated as it is: a curve's rows
-    # never repeat (the three rationale rows only for an empty or full
-    # rationale), a powerset's rows never do, and deduplicating costs about
-    # 30 us per example.  Each packed row is sorted as one opaque byte
-    # string; np.unique(axis=0) sorts one field per byte and costs 4 to 7
-    # times as much.
-    keep = keeps[0] if len(keeps) == 1 else np.vstack(keeps)
-    if keep.shape[1] != x.size:
-        raise ValueError(f"keep masks have width {keep.shape[1]}, input has {x.size}")
-    first = inverse = slice(None)
-    if len(keeps) > 1:
-        packed = np.packbits(keep, axis=-1)
-        _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
-                                      return_index=True, return_inverse=True)
-    values = np.asarray(model(np.where(keep[first], x, 0.0)), dtype=np.float64)[inverse]
-    return [values[end - len(k):end] for k, end in zip(keeps, accumulate(map(len, keeps)))]
+    # across the keep matrices of an input: evaluate each distinct row of an
+    # input once.  A row's result must not depend on the stack it comes in
+    # (``model.predict`` with an identity backbone does not), so the gathered
+    # values are the per-row ones bit for bit.  A lone matrix is evaluated
+    # as it is: a curve's rows never repeat (the three rationale rows only
+    # for an empty or full rationale), a powerset's rows never do, and
+    # deduplicating costs about 30 us per input.  Each packed row is sorted
+    # as one opaque byte string; np.unique(axis=0) sorts one field per byte
+    # and costs 4 to 7 times as much.
+    probes, gathers = [], []
+    for x, matrices in zip(inputs, keeps):
+        keep = matrices[0] if len(matrices) == 1 else np.vstack(matrices)
+        if keep.shape[1] != x.size:
+            raise ValueError(f"keep masks have width {keep.shape[1]}, input has {x.size}")
+        first = inverse = slice(None)
+        if len(matrices) > 1:
+            packed = np.packbits(keep, axis=-1)
+            _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                          return_index=True, return_inverse=True)
+        probes.append(np.where(keep[first], x, 0.0))
+        gathers.append((inverse, matrices))
+    values = np.asarray(model(probes[0] if len(probes) == 1 else np.vstack(probes)),
+                        dtype=np.float64)
+    results = []
+    ends = list(accumulate(map(len, probes)))
+    for rows, (inverse, matrices) in zip(np.split(values, ends[:-1]), gathers):
+        rows = rows[inverse]
+        results.append([rows[end - len(k):end]
+                        for k, end in zip(matrices, accumulate(map(len, matrices)))])
+    return results
 
 
 def _per_row(model: Callable) -> Callable:
@@ -297,12 +317,13 @@ def grouped_keep(groups, scores, direction: str) -> tuple[np.ndarray, np.ndarray
         raise ValueError("need at least one group")
     if scores.shape != (supports.shape[0],):
         raise ValueError("scores must hold one value per group")
-    covered = [np.zeros(supports.shape[1], dtype=bool)]
-    for g in np.argsort(-scores, kind="stable"):
-        if (supports[g] & ~covered[-1]).any():
-            covered.append(covered[-1] | supports[g])
-    covered = np.array(covered)
-    return covered.sum(axis=1) / covered.shape[1], _directed(covered, direction)
+    # the coverage after each group, highest score first; a row is kept
+    # where the coverage grows
+    cumulative = np.logical_or.accumulate(supports[np.argsort(-scores, kind="stable")])
+    counts = np.count_nonzero(cumulative, axis=1)
+    grows = np.diff(counts, prepend=0) > 0
+    covered = np.vstack([np.zeros((1, supports.shape[1]), dtype=bool), cumulative[grows]])
+    return np.append(0, counts[grows]) / supports.shape[1], _directed(covered, direction)
 
 
 def rationale_keep(rationale) -> np.ndarray:
@@ -390,24 +411,11 @@ def sparsity(groups, scores) -> float:
     return float(member_fractions.mean())
 
 
-def evaluate(model: Callable, x, groups, scores, classes, metrics,
-             step: int = 1) -> list[dict]:
-    """Every requested metric of one example, for each class in ``classes``.
-
-    ``model`` maps a (P, d) stack of probes to (P, K) class probabilities,
-    row by row.  It is called once, on the distinct probe rows of all
-    classes, or not at all when no metric needs a probe.  ``groups`` (G, d)
-    and ``scores`` (G, K) attribute ``x``; class k ranks features by
-    ``flatten_grouped(groups, scores[:, k])``, and its rationale is where
-    that is positive.  Returns one dict per class: each requested curve of
-    ``_CURVES`` as a report, then sparsity, comprehensiveness and
-    sufficiency as floats, in this order whatever the order of ``metrics``.
-    """
-    x = _as_input(x)
+def _example_plan(groups, scores, classes, metrics, step: int):
+    """The keep matrices of one example's metrics, and the function that
+    turns their probe values, in the same order, into :func:`evaluate`'s
+    per-class dicts."""
     scores = np.asarray(scores, dtype=np.float64)
-    unknown = [m for m in metrics if m not in METRICS]
-    if unknown:
-        raise ValueError(f"unknown metrics {unknown}; known: {list(METRICS)}")
     if any(not 0 <= k < scores.shape[1] for k in classes):
         raise ValueError(f"class indices {classes} out of range for {scores.shape[1]} classes")
     rationale = "comprehensiveness" in metrics or "sufficiency" in metrics
@@ -423,20 +431,64 @@ def evaluate(model: Callable, x, groups, scores, classes, metrics,
         if rationale:
             keeps.append(rationale_keep(alpha > 0))
         plans.append((k, curves))
-    values = iter(_probe(model, x, keeps) if keeps else ())
 
-    results = []
-    for k, curves in plans:
-        result = {name: PerturbationReport.from_curve(name, fractions, next(values)[:, k])
-                  for name, (fractions, _) in curves.items()}
-        if "sparsity" in metrics:
-            result["sparsity"] = sparsity(groups, scores[:, k])
-        if rationale:
-            full, without, only = next(values)[:, k].tolist()
-            drops = {"comprehensiveness": full - without, "sufficiency": full - only}
-            result.update((name, drops[name]) for name in drops if name in metrics)
-        results.append(result)
-    return results
+    def finish(values) -> list[dict]:
+        values = iter(values)
+        results = []
+        for k, curves in plans:
+            result = {name: PerturbationReport.from_curve(name, fractions, next(values)[:, k])
+                      for name, (fractions, _) in curves.items()}
+            if "sparsity" in metrics:
+                result["sparsity"] = sparsity(groups, scores[:, k])
+            if rationale:
+                full, without, only = next(values)[:, k].tolist()
+                drops = {"comprehensiveness": full - without, "sufficiency": full - only}
+                result.update((name, drops[name]) for name in drops if name in metrics)
+            results.append(result)
+        return results
+
+    return keeps, finish
+
+
+def evaluate(model: Callable, x, groups, scores, classes, metrics,
+             step: int = 1) -> list[dict]:
+    """Every requested metric of one example, for each class in ``classes``.
+
+    ``model`` maps a (P, d) stack of probes to (P, K) class probabilities,
+    row by row.  It is called once, on the distinct probe rows of all
+    classes, or not at all when no metric needs a probe.  ``groups`` (G, d)
+    and ``scores`` (G, K) attribute ``x``; class k ranks features by
+    ``flatten_grouped(groups, scores[:, k])``, and its rationale is where
+    that is positive.  Returns one dict per class: each requested curve of
+    ``_CURVES`` as a report, then sparsity, comprehensiveness and
+    sufficiency as floats, in this order whatever the order of ``metrics``.
+    This is :func:`evaluate_examples` on one example.
+    """
+    return evaluate_examples(model, [x], [groups], [scores], classes, metrics, step)[0]
+
+
+def evaluate_examples(model: Callable, inputs, groups, scores, classes, metrics,
+                      step: int = 1) -> list[list[dict]]:
+    """:func:`evaluate` of every example ``inputs[n]``, attributed by
+    ``groups[n]`` and ``scores[n]``: one list of per-class dicts per
+    example, in order.
+
+    ``model`` is called once, on the distinct probe rows of each example,
+    stacked in example order, or not at all when no metric needs a probe.
+    That stack holds, summed over the examples, each example's number of
+    distinct probe rows times d float64s.
+    """
+    unknown = [m for m in metrics if m not in METRICS]
+    if unknown:
+        raise ValueError(f"unknown metrics {unknown}; known: {list(METRICS)}")
+    if not len(inputs) == len(groups) == len(scores):
+        raise ValueError(f"need one groups and one scores array per input, got "
+                         f"{len(inputs)} inputs, {len(groups)} and {len(scores)}")
+    plans = [_example_plan(g, s, classes, metrics, step) for g, s in zip(groups, scores)]
+    keeps = [keeps for keeps, _ in plans]
+    values = (_probe_examples(model, [_as_input(x) for x in inputs], keeps) if any(keeps)
+              else keeps)
+    return [finish(v) for (_, finish), v in zip(plans, values)]
 
 
 def flatten_grouped(groups, scores) -> np.ndarray:

@@ -9,10 +9,10 @@ so the explanation reconstructs the prediction exactly.
 
 The forward arithmetic accepts a leading batch axis: :func:`sop_forward`
 explains one input, and :func:`predict` runs the same arithmetic on a
-(B, d) stack of inputs, with one backbone call for all B * G masked
-inputs.  With a backbone that embeds each row alone, such as the
-identity backbone, each row of ``predict`` equals the ``sop_forward``
-prediction of that row bit for bit.
+(B, d) stack of inputs, in blocks of ``PREDICT_BLOCK_ROWS`` rows, with one
+backbone call for each block's rows * G masked inputs.  With a backbone
+that embeds each row alone, such as the identity backbone, each row of
+``predict`` equals the ``sop_forward`` prediction of that row bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ __all__ = [
     "sop_forward",
     "predict",
 ]
+
+# input rows per block of :func:`predict`, which bounds its working memory:
+# the (rows, G, d) masks and masked inputs and the (rows, G, h) selector keys
+# of one block are written into buffers that every block of a call reuses
+PREDICT_BLOCK_ROWS = 64
 
 
 def _as_float_matrix(a, name: str) -> np.ndarray:
@@ -297,7 +302,18 @@ def segment_pool(x: np.ndarray, seg: Segmentation) -> np.ndarray:
     return _segment_sums(x, seg) / np.bincount(seg.assignment, minlength=seg.n_segments)
 
 
-def _generate(x, seg: Segmentation, params: GroupGenParams) -> dict:
+def _buffer(buffers: dict | None, name: str, shape: tuple) -> np.ndarray | None:
+    """Where to write the intermediate ``name`` of ``shape``: ``None`` (a
+    fresh array) without ``buffers``, else the leading ``shape[0]`` rows of
+    the buffer kept under ``name``, allocated at the first, largest block."""
+    if buffers is None:
+        return None
+    if name not in buffers:
+        buffers[name] = np.empty(shape)
+    return buffers[name][:shape[0]]
+
+
+def _generate(x, seg: Segmentation, params: GroupGenParams, buffers=None) -> dict:
     """Generator intermediates, from the pooled input to the group masks."""
     if params.n_segments != seg.n_segments:
         raise ValueError(
@@ -308,13 +324,16 @@ def _generate(x, seg: Segmentation, params: GroupGenParams) -> dict:
     keys = params.w_k * pooled[..., None, None, :]
     raw = queries @ np.swapaxes(keys, -1, -2) / np.sqrt(seg.n_segments)
     seg_weights = sparsemax(raw).reshape(raw.shape[:-3] + (-1, seg.n_segments))
+    # take keeps the (..., G, d) masks C-ordered, unlike fancy indexing; the
+    # Segmentation has checked every index, and "clip" writes straight into
+    # ``out`` where "raise" would fill a temporary first
+    masks = np.take(seg_weights, seg.assignment, axis=-1, mode="clip",
+                    out=_buffer(buffers, "masks", seg_weights.shape[:-1] + (seg.n_features,)))
     return {"pooled": pooled, "queries": queries, "keys": keys, "raw": raw,
-            "seg_weights": seg_weights,                 # (..., G, m)
-            # take keeps the (..., G, d) masks C-ordered, unlike fancy indexing
-            "masks": np.take(seg_weights, seg.assignment, axis=-1)}
+            "seg_weights": seg_weights, "masks": masks}  # (..., G, m), (..., G, d)
 
 
-def _select(z, params: GroupSelectParams) -> dict:
+def _select(z, params: GroupSelectParams, buffers=None) -> dict:
     """Selector intermediates, from the group embeddings to the partial logits."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if z.shape[-2] < 1:
@@ -322,7 +341,7 @@ def _select(z, params: GroupSelectParams) -> dict:
     if z.shape[-1] != params.h:
         raise ValueError(f"embeddings have width {z.shape[-1]}, expected {params.h}")
     queries = params.classifier @ params.w_q.T          # (K, h)
-    keys = z @ params.w_k.T                             # (..., G, h)
+    keys = np.matmul(z, params.w_k.T, out=_buffer(buffers, "sel_keys", z.shape))  # (..., G, h)
     affinities = keys @ queries.T / np.sqrt(params.h)   # (..., G, K)
     scores = np.swapaxes(sparsemax(np.swapaxes(affinities, -1, -2)), -1, -2)
     return {"sel_queries": queries, "sel_keys": keys, "affinities": affinities,
@@ -330,14 +349,18 @@ def _select(z, params: GroupSelectParams) -> dict:
 
 
 def _forward(x, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectParams,
-             backbone: Backbone) -> dict:
+             backbone: Backbone, buffers=None) -> dict:
     """The one forward pass, on one input or a (..., d) stack: every
     intermediate that the backward pass reads, keyed by name, ending with
-    ``prediction``."""
+    ``prediction``.  Given a ``buffers`` dict, the masks, the masked inputs
+    and the selector keys are written into buffers kept there, which the
+    first call allocates at its stack size, and are returned as views of
+    them, valid until the next call with that dict; a later stack must be
+    no larger."""
     x = np.asarray(x, dtype=np.float64)
-    cache = _generate(x, seg, gen)
-    cache["z"] = embed_groups(x, cache["masks"], backbone)
-    cache.update(_select(cache["z"], sel))
+    cache = _generate(x, seg, gen, buffers)
+    cache["z"] = embed_groups(x, cache["masks"], backbone, _buffers=buffers)
+    cache.update(_select(cache["z"], sel, buffers))
     cache["prediction"] = (cache["scores"] * cache["partial_logits"]).sum(axis=-2)
     return cache
 
@@ -354,18 +377,20 @@ def generate_groups(x, seg: Segmentation, params: GroupGenParams) -> np.ndarray:
     return _generate(x, seg, params)["masks"]
 
 
-def embed_groups(x, masks, backbone: Backbone) -> np.ndarray:
+def embed_groups(x, masks, backbone: Backbone, *, _buffers=None) -> np.ndarray:
     """Embed each masked input ``mask * x`` through the backbone.
 
     Takes one input (d,) with its masks (G, d), or a (..., d) stack with
     masks (..., G, d).  Every masked input goes to the backbone in one
-    (N, d) call; the result has shape (..., G, h).
+    (N, d) call; the result has shape (..., G, h).  ``_buffers`` is
+    :func:`_forward`'s.
     """
     x = np.asarray(x, dtype=np.float64)
     masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
     if x.ndim < 1 or masks.shape[-1] != x.shape[-1]:
         raise ValueError(f"masks have width {masks.shape[-1]}, input has shape {x.shape}")
-    masked = masks * x[..., None, :]
+    masked = np.multiply(masks, x[..., None, :],
+                         out=_buffer(_buffers, "masked", masks.shape))
     n = int(np.prod(masked.shape[:-1]))
     z = np.asarray(backbone.embed(masked.reshape(n, x.shape[-1])), dtype=np.float64)
     if z.shape != (n, backbone.h):
@@ -407,17 +432,26 @@ def predict(inputs, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectPara
             backbone: Backbone) -> np.ndarray:
     """Predictions for a (B, d) stack of inputs, as a (B, n_classes) array.
 
-    Runs the forward arithmetic of :func:`sop_forward` on the whole stack
-    and checks the masks and scores as a :class:`GroupedAttribution` would.
-    Row b equals ``sop_forward(inputs[b], ...).prediction`` bit for bit
-    whenever the backbone's embedding of a row does not depend on the
-    size of the stack it comes in, as for the identity backbone; a BLAS
-    matrix product such as ``linear_backbone``'s may round differently
-    for different stack sizes.
+    Runs the forward arithmetic of :func:`sop_forward` on blocks of
+    ``PREDICT_BLOCK_ROWS`` rows of the stack, through intermediates that
+    every block reuses, so the working memory follows the block size and
+    not B.  Each block's masks and scores are checked as a
+    :class:`GroupedAttribution` would check them.  Row b equals
+    ``sop_forward(inputs[b], ...).prediction`` bit for bit whenever the
+    backbone's embedding of a row does not depend on the size of the stack
+    it comes in, as for the identity backbone; a BLAS matrix product such
+    as ``linear_backbone``'s may round differently for different block
+    sizes.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ValueError(f"inputs must be a non-empty (B, d) stack, got shape {inputs.shape}")
-    cache = _forward(inputs, seg, gen, sel, backbone)
-    _check_masks_and_scores(cache["masks"], cache["scores"])
-    return cache["prediction"]
+    predictions = np.empty((inputs.shape[0], sel.n_classes))
+    buffers: dict = {}
+    for start in range(0, inputs.shape[0], PREDICT_BLOCK_ROWS):
+        rows = slice(start, start + PREDICT_BLOCK_ROWS)
+        cache = _forward(inputs[rows], seg, gen, sel, backbone, buffers)
+        # every segment holds a feature, so the masks span the segment weights' range
+        _check_masks_and_scores(cache["seg_weights"], cache["scores"])
+        predictions[rows] = cache["prediction"]
+    return predictions

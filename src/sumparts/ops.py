@@ -51,7 +51,9 @@ def sparsemax(v) -> np.ndarray:
     exactly zero.
 
     Returns an array of the same shape whose rows have entries in [0, 1]
-    summing to 1.
+    summing to 1.  Raises ``ValueError`` for a row in which rounding leaves
+    no entry passing the support test (k = 0), as happens when its entries
+    are so large that subtracting 1 does not change their sum.
     """
     v = _as_rows(v, "v")
     if v.shape[-1] == 1:
@@ -60,6 +62,10 @@ def sparsemax(v) -> np.ndarray:
     cssv = np.cumsum(u, axis=-1) - 1.0
     ind = np.arange(1, v.shape[-1] + 1)
     k = np.count_nonzero(u - cssv / ind > 0, axis=-1)[..., None]
+    if not k.all():
+        largest = np.abs(u[k[..., 0] == 0]).max()
+        raise ValueError(f"sparsemax cannot project a row of v whose entries reach "
+                         f"{largest:.3g}: no entry passes the support test")
     tau = np.take_along_axis(cssv, k - 1, axis=-1) / k
     return np.clip(v - tau, 0.0, 1.0)
 

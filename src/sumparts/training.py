@@ -169,8 +169,8 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
     Records the loss at the parameters of every step, in order.  Aborts
     with ``FloatingPointError``, naming the first step whose parameters
     fail and the learning rate, if a step overflows, divides by zero or
-    makes a NaN, or if the model's forward pass fails at the parameters of
-    the last update, which no step takes a loss at.
+    makes a NaN, or if the model's forward pass refuses the parameters of
+    an update (the last one included, which no step takes a loss at).
     """
     gen, sel = init_params(seg, backbone, config)
     inputs, labels = _check_labels(inputs, labels, sel.n_classes)
@@ -187,11 +187,13 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
                 gen, sel = _from_trainable({name: array - config.learning_rate * grads[name]
                                             for name, array in _trainable(gen, sel).items()})
             if config.steps:
-                try:
-                    predict(inputs, seg, gen, sel, backbone)
-                except ValueError as exc:
-                    raise FloatingPointError(exc) from exc
-    except FloatingPointError as exc:
+                predict(inputs, seg, gen, sel, backbone)
+    except (FloatingPointError, ValueError) as exc:
+        # a ValueError is the model refusing the parameters of an update, such
+        # as selector rows too large for sparsemax; the initial ones are the
+        # caller's
+        if isinstance(exc, ValueError) and not history:
+            raise
         raise FloatingPointError(
             f"loss became non-finite at step {len(history)} (lr={config.learning_rate}, "
             f"{exc}; last finite losses: {history[-3:]})") from exc

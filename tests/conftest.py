@@ -24,6 +24,8 @@ the per-feature baselines the certificates are set against.
 finite-difference checks.  ``label_group_oracle`` is the library's earlier one-group
 structure label, the map's sigma and the group's mean intensity
 recomputed for every group, kept to check ``label_groups`` against.
+``grouped_keep_loop`` is the library's earlier grouped curve builder, one
+group at a time, kept to check the cumulative-OR ``grouped_keep`` against.
 """
 
 import itertools
@@ -465,6 +467,20 @@ def label_group_oracle(imap, mask, cluster_sigma=3.0):
     else:
         kind = "other"
     return intensity, kind
+
+
+def grouped_keep_loop(groups, scores, direction):
+    """Fractions and keep-masks of a grouped curve, built one group at a
+    time, highest score first: a group adds a row when its support covers a
+    feature that no earlier group covered."""
+    supports = np.atleast_2d(np.asarray(groups, dtype=np.float64)) > 0
+    covered = [np.zeros(supports.shape[1], dtype=bool)]
+    for g in np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable"):
+        if (supports[g] & ~covered[-1]).any():
+            covered.append(covered[-1] | supports[g])
+    covered = np.array(covered)
+    return (covered.sum(axis=1) / covered.shape[1],
+            covered if direction == "insertion" else ~covered)
 
 
 def make_blobs(n_per_class=30, d=8, noise=0.5, seed=123):

@@ -25,6 +25,7 @@ from sumparts.cli import (
     main,
 )
 from sumparts.model import (
+    PREDICT_BLOCK_ROWS,
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
@@ -777,8 +778,10 @@ class TestEvalOracle:
             rows = (out / "curves.csv").read_text().splitlines()
             assert sum(r.startswith("grouped_insertion,0,0,") for r in rows) > 2
 
-    def test_one_predict_call_per_example_on_distinct_rows(self, tmp_path, monkeypatch,
-                                                            sparse_model):
+    def test_one_predict_call_evaluates_each_distinct_example_row_once(
+            self, tmp_path, monkeypatch, sparse_model):
+        """The probes of every example reach one ``predict`` call, and each
+        distinct (example, probe row) pair is in it exactly once."""
         dataset, checkpoint = sparse_model
         calls = []
 
@@ -787,15 +790,34 @@ class TestEvalOracle:
             return predict(inputs, *model)
 
         monkeypatch.setattr(cli, "predict", recording_predict)
+        classes = [0, 1, 2, 1]
         config = write_config(
             tmp_path / "e.json",
             {"checkpoint": str(checkpoint), "dataset": str(dataset),
-             "metrics": ALL_METRICS, "classes": [0, 1, 2, 1], "seed": 3},
+             "metrics": ALL_METRICS, "classes": classes, "seed": 3},
         )
         assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 0
-        assert len(calls) == 9
-        for inputs in calls:
-            assert np.unique(inputs, axis=0).shape[0] == inputs.shape[0]
+        assert len(calls) == 1
+
+        seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
+        features, _ = _load_dataset(dataset)
+        expected = []
+        for x in features:
+            attribution = sop_forward(x, seg, gen, sel, backbone)
+            keeps = []
+            for k in classes:
+                groups, scores = attribution.groups, attribution.scores[:, k]
+                alpha = faithfulness.flatten_grouped(groups, scores)
+                ranking = faithfulness.ranking_from_attribution(alpha)
+                for direction in ("insertion", "deletion"):
+                    keeps.append(faithfulness.ranked_keep(ranking, 1, direction)[1])
+                    keeps.append(faithfulness.grouped_keep(groups, scores, direction)[1])
+                keeps.append(faithfulness.rationale_keep(alpha > 0))
+            # x has no zero entry, so distinct keep rows give distinct probes
+            assert np.all(x != 0.0)
+            expected.extend({np.where(keep, x, 0.0).tobytes() for keep in np.vstack(keeps)})
+        assert sorted(row.tobytes() for row in calls[0]) == sorted(expected)
+        assert len(expected) > PREDICT_BLOCK_ROWS
 
 
 class TestCheckpointRoundTrip:
@@ -875,6 +897,40 @@ class TestCheckpointValidation:
         assert err.startswith(f"error: checkpoint {checkpoint}")
         for text in expected:
             assert text in err
+
+    @pytest.mark.parametrize("command", ["eval", "label"])
+    def test_checkpoint_the_model_refuses_is_named(self, tmp_path, capsys, command):
+        """Selector weights of 1e15 * I make selector rows so large that no
+        entry passes sparsemax's support test.  The refusal names the
+        checkpoint, with no numpy warning before it (both commands used to
+        print a division-by-zero warning and a score-check message that
+        named no file)."""
+        rng = np.random.default_rng(3)
+        features, labels = rng.normal(size=(6, 8)), np.arange(6) % 2
+        dataset = tmp_path / "data.csv"
+        np.savetxt(dataset, np.column_stack([features, labels]), delimiter=",")
+        backbone = class_mean_identity_backbone(features, labels)
+        seg = Segmentation.contiguous(8, 4)
+        gen = GroupGenParams(w_q=np.zeros((2, 4, 4)), w_k=np.zeros((2, 4, 4)))
+        sel = GroupSelectParams(w_q=1e15 * np.eye(8), w_k=1e15 * np.eye(8),
+                                classifier=backbone.classifier)
+        checkpoint = tmp_path / "checkpoint.json"
+        write_json_atomic(checkpoint, _checkpoint_dict(seg, gen, sel, backbone, {"seed": 1}))
+        if command == "eval":
+            inputs = {"dataset": dataset}
+        else:
+            inputs = {"map": tmp_path / "map.csv", "segmentation": tmp_path / "seg.csv"}
+            np.savetxt(inputs["map"], features[0].reshape(2, 4), delimiter=",")
+            np.savetxt(inputs["segmentation"], seg.assignment.reshape(2, 4), fmt="%d",
+                       delimiter=",")
+        config = write_config(tmp_path / "c.json", {
+            "checkpoint": str(checkpoint), **{k: str(v) for k, v in inputs.items()}})
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {checkpoint}: sparsemax cannot project "
+                              "a row of v") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestLabel:

@@ -16,6 +16,7 @@ from conftest import (
     deletion_error_oracle,
     grouped_deletion_error_oracle,
     grouped_insertion_error_oracle,
+    grouped_keep_loop,
     insertion_error_oracle,
     iter_powerset,
 )
@@ -25,11 +26,13 @@ from sumparts.faithfulness import (
     _per_row,
     _powerset_errors,
     _probe,
+    _probe_examples,
     _subset_errors,
     comprehensiveness,
     deletion_curve,
     deletion_error,
     evaluate,
+    evaluate_examples,
     flatten_grouped,
     grouped_curve,
     grouped_deletion_error,
@@ -504,6 +507,24 @@ class TestKeepMaskEngine:
         np.testing.assert_array_equal(curve.probabilities, values)
         np.testing.assert_array_equal(grouped_keep(groups, scores, direction)[0], fractions)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(["insertion", "deletion"]))
+    def test_grouped_keep_matches_group_loop(self, data, direction):
+        """Tied scores, empty supports and repeated supports, drawn from a
+        small pool of support rows."""
+        d = data.draw(st.integers(1, 9))
+        row = st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0]), min_size=d, max_size=d)
+        pool = data.draw(st.lists(row, min_size=1, max_size=3)) + [[0.0] * d]
+        groups = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+        scores = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                             min_size=len(groups), max_size=len(groups))))
+        fractions, keep = grouped_keep(groups, scores, direction)
+        expected_fractions, expected_keep = grouped_keep_loop(groups, scores, direction)
+        np.testing.assert_array_equal(fractions, expected_fractions)
+        assert fractions.dtype == expected_fractions.dtype
+        np.testing.assert_array_equal(keep, expected_keep)
+        assert keep.dtype == bool and keep.flags.c_contiguous
+
     @settings(max_examples=100, deadline=None)
     @given(_input_and_attribution(max_d=8))
     def test_rationale_metrics_match_oracle(self, case):
@@ -577,6 +598,36 @@ class TestProbe:
             received = [tuple(row) for row in calls[0] != 0.0]
             assert len(set(received)) == len(received)
             assert set(received) == {tuple(row) for keep in keeps for row in keep}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_inputs_share_one_call_each_with_its_distinct_rows(self, data):
+        d = data.draw(st.integers(1, 12))
+        pool = data.draw(st.lists(st.lists(st.booleans(), min_size=d, max_size=d),
+                                  min_size=1, max_size=4))
+        matrix = st.lists(st.sampled_from(pool), min_size=1, max_size=5)
+        n = data.draw(st.integers(1, 4))
+        inputs = [np.array(data.draw(st.lists(_ENTRY.filter(bool), min_size=d, max_size=d)))
+                  for _ in range(n)]
+        keeps = [[np.array(m) for m in data.draw(st.lists(matrix, min_size=1, max_size=3))]
+                 for _ in range(n)]
+        model, calls = recording(stack_model)
+        values = _probe_examples(model, inputs, keeps)
+        assert len(calls) == 1 and len(values) == n
+        start = 0
+        for x, matrices, got in zip(inputs, keeps, values):
+            assert len(got) == len(matrices)
+            for keep, v in zip(matrices, got):
+                np.testing.assert_array_equal(v, stack_model(np.where(keep, x, 0.0)))
+            # the input's block of the call: its distinct rows, or a lone matrix as it is
+            rows = {tuple(row) for keep in matrices for row in keep}
+            count = len(matrices[0]) if len(matrices) == 1 else len(rows)
+            block = calls[0][start:start + count]
+            start += count
+            if len(matrices) > 1:
+                assert {tuple(row) for row in block != 0.0} == rows
+            np.testing.assert_array_equal(block, np.where(block != 0.0, x, 0.0))
+        assert start == len(calls[0])
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width 2, input has 3"):
@@ -670,6 +721,22 @@ class TestEvaluate:
         assert evaluate(refuse, x, groups, scores, [0, 2], ["sparsity"]) == [
             {"sparsity": sparsity(groups, scores[:, k])} for k in (0, 2)]
         assert evaluate(refuse, x, groups, scores, [0], []) == [{}]
+
+    def test_examples_share_one_call(self, case):
+        """Several examples in one call give each example's own results."""
+        model, x, groups, scores = case
+        inputs = [x, 2.0 * x, x[::-1]]
+        attributions = [(groups, scores), (groups[::-1], scores[::-1]), (groups, scores)]
+        calls = []
+        results = evaluate_examples(lambda rows: calls.append(rows) or model(rows), inputs,
+                                    [g for g, _ in attributions], [s for _, s in attributions],
+                                    [0, 2], ALL_EXAMPLE_METRICS, 2)
+        assert len(calls) == 1
+        assert len(results) == len(inputs)
+        for v, (g, s), got in zip(inputs, attributions, results):
+            _assert_same_results(got, evaluate(model, v, g, s, [0, 2], ALL_EXAMPLE_METRICS, 2))
+        with pytest.raises(ValueError, match="one groups and one scores array per input"):
+            evaluate_examples(model, inputs, [groups], [scores], [0], ["insertion"])
 
     def test_validation(self, case):
         model, x, groups, scores = case

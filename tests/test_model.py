@@ -4,6 +4,7 @@ batched forward (``predict``, stacked ``segment_pool``) against per-row
 calls."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from sumparts import model, ops
 
 from sumparts.model import (
+    PREDICT_BLOCK_ROWS,
     Backbone,
     GroupedAttribution,
     GroupGenParams,
@@ -425,3 +427,68 @@ class TestBatchedForward:
             predict(inputs, seg, gen, sel, backbone)
         with pytest.raises(ValueError, match=message):
             sop_forward(inputs[0], seg, gen, sel, backbone)
+
+    @pytest.mark.parametrize("rows", [1, PREDICT_BLOCK_ROWS - 1, PREDICT_BLOCK_ROWS,
+                                      PREDICT_BLOCK_ROWS + 1, 2 * PREDICT_BLOCK_ROWS + 3])
+    def test_blocked_predict_equals_per_row_sop_forward(self, rows):
+        rng = np.random.default_rng(rows)
+        d, m, heads = 12, 4, 2
+        # an unordered assignment, so that the masks gather segments out of order
+        seg = Segmentation(assignment=rng.permutation(np.arange(d) % m), n_segments=m)
+        identity = identity_backbone(rng.normal(size=(3, d)))
+        embedded = []
+        backbone = Backbone(embed=lambda x: embedded.append(x.shape[0]) or identity.embed(x),
+                            classifier=identity.classifier)
+        gen = GroupGenParams.random(m, heads, rng, std=2.0)
+        sel = GroupSelectParams.random(backbone, rng, std=0.5)
+        inputs = rng.normal(size=(rows, d))
+        inputs[::5] = 0.0
+        expected = [sop_forward(x, seg, gen, sel, backbone).prediction for x in inputs]
+        embedded.clear()
+        np.testing.assert_array_equal(predict(inputs, seg, gen, sel, backbone), expected)
+        assert embedded == [min(PREDICT_BLOCK_ROWS, rows - start) * heads * m
+                            for start in range(0, rows, PREDICT_BLOCK_ROWS)]
+
+    @pytest.mark.parametrize("block, broken, message", [
+        (0, lambda w: w - 0.5, "mask entries"),
+        (1, lambda w: w + 1.0, "scores must lie"),
+        (1, lambda w: 0.5 * w, "must sum to 1"),
+    ])
+    def test_broken_invariant_in_the_last_row_of_the_last_block(self, monkeypatch, block,
+                                                               broken, message):
+        seg, gen, sel, backbone = golden_params()
+        inputs = np.random.default_rng(6).normal(size=(2 * PREDICT_BLOCK_ROWS + 3,
+                                                       seg.n_features))
+        calls = []
+
+        def sparsemax(v):
+            # two calls per block: its generator rows, then its selector rows
+            calls.append(v)
+            w = ops.sparsemax(v)
+            if len(calls) == 5 + block:
+                w[-1] = broken(w[-1])
+            return w
+
+        monkeypatch.setattr(model, "sparsemax", sparsemax)
+        with pytest.raises(ValueError, match=message):
+            predict(inputs, seg, gen, sel, backbone)
+        assert len(calls) == 6 and calls[-1].shape[0] == 3
+
+    def test_predict_memory_follows_the_block_size(self):
+        """2,000 rows of the shape of the ``eval-blobs`` benchmark (d = 64,
+        8 segments, 2 heads, 3 classes); one forward over the whole stack
+        peaked at 61 MB."""
+        rng = np.random.default_rng(0)
+        d, m = 64, 8
+        seg = Segmentation.contiguous(d, m)
+        backbone = identity_backbone(rng.normal(size=(3, d)))
+        gen = GroupGenParams.random(m, 2, rng, std=2.0)
+        sel = GroupSelectParams.random(backbone, rng, std=0.02)
+        inputs = rng.normal(size=(2000, d))
+        tracemalloc.start()
+        try:
+            predict(inputs, seg, gen, sel, backbone)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000

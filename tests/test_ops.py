@@ -98,6 +98,16 @@ class TestSparsemax:
         assert np.count_nonzero(sparsemax(v) == 0.0) >= 1
         assert np.all(softmax(v) > 0.0)
 
+    def test_row_with_no_support_is_refused(self):
+        """At 1e17 subtracting 1 leaves every partial sum unchanged, so no
+        entry passes the support test (k = 0), where the threshold divided
+        by zero.  One such row in a stack refuses the stack."""
+        big = np.full(4, 1e17)
+        with pytest.raises(ValueError, match=r"entries reach 1e\+17: no entry passes"):
+            sparsemax(big)
+        with pytest.raises(ValueError, match="no entry passes the support test"):
+            sparsemax(np.stack([[0.5, 0.2, -1.0, 0.0], -big]))
+
     def test_errors(self):
         with pytest.raises(ValueError):
             sparsemax([])
