@@ -386,6 +386,7 @@ def _restore_checkpoint(path):
 
 
 def cmd_train(config: dict) -> tuple[int, dict]:
+    seed = _integer(config, "seed", least=0)
     learning_rate = _number(config, "learning_rate", 0.1)
     if learning_rate <= 0:
         raise ConfigError(
@@ -401,7 +402,7 @@ def cmd_train(config: dict) -> tuple[int, dict]:
     train_config = TrainConfig(
         steps=_integer(config, "steps", 200, least=0),
         learning_rate=learning_rate,
-        seed=config["seed"],
+        seed=seed,
         heads=_integer(config, "heads", 2, least=1),
     )
     result = train(features, labels, seg, backbone, train_config)
@@ -432,6 +433,8 @@ def cmd_eval(config: dict) -> tuple[int, dict]:
     classes = _integer_list(config, "classes", [0])
     if not classes:
         raise ConfigError("config field 'classes' must name at least one class, got []")
+    if len(set(classes)) < len(classes):
+        raise ConfigError(f"config field 'classes' must not repeat a class, got {classes!r}")
     seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
     features, labels = _load_dataset(dataset)
     if features.shape[1] != seg.n_features:
@@ -557,6 +560,11 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's refusal of an array larger than memory, such as a "heads"
+        # of 10**15: the config asks for more than the machine has
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     for name, content in artifacts.items():
         if name.endswith(".csv"):

@@ -40,9 +40,10 @@ __all__ = [
     "predict",
 ]
 
-# input rows per block of :func:`predict`, which bounds its working memory:
-# the (rows, G, d) masks and masked inputs and the (rows, G, h) selector keys
-# of one block are written into buffers that every block of a call reuses
+# input rows per block of :func:`predict` and of a training step
+# (``training.loss_and_gradients``), which bounds their working memory: the
+# (rows, G, d) masks and masked inputs and the (rows, G, h) selector keys of
+# one block are written into buffers that every block reuses
 PREDICT_BLOCK_ROWS = 64
 
 
@@ -354,9 +355,10 @@ def _forward(x, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectParams,
     intermediate that the backward pass reads, keyed by name, ending with
     ``prediction``.  Given a ``buffers`` dict, the masks, the masked inputs
     and the selector keys are written into buffers kept there, which the
-    first call allocates at its stack size, and are returned as views of
-    them, valid until the next call with that dict; a later stack must be
-    no larger."""
+    first call allocates at its stack size; the masks and selector keys are
+    returned as views of them and the masked inputs stay under
+    ``buffers["masked"]``, valid until the next call with that dict; a later
+    stack must be no larger."""
     x = np.asarray(x, dtype=np.float64)
     cache = _generate(x, seg, gen, buffers)
     cache["z"] = embed_groups(x, cache["masks"], backbone, _buffers=buffers)

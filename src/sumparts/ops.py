@@ -70,7 +70,7 @@ def sparsemax(v) -> np.ndarray:
     return np.clip(v - tau, 0.0, 1.0)
 
 
-def sparsemax_vjp(v, upstream) -> np.ndarray:
+def sparsemax_vjp(v, upstream, *, projection=None) -> np.ndarray:
     """Apply the transposed sparsemax Jacobian at each last-axis row of ``v``
     to the matching row of ``upstream``.
 
@@ -79,15 +79,17 @@ def sparsemax_vjp(v, upstream) -> np.ndarray:
     support mean from the support entries of ``upstream`` and zeroes the
     rest.  At points where the support set changes the projection is not
     differentiable; the Jacobian of the current support (a valid generalized
-    Jacobian) is used.
+    Jacobian) is used.  A caller that holds ``sparsemax(v)`` already, as a
+    backward pass does from its forward, passes it as ``projection`` so
+    that it is not worked out again.
     """
     v = _as_rows(v, "v")
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != v.shape:
-        raise ValueError(
-            f"upstream shape {upstream.shape} does not match v shape {v.shape}"
-        )
-    support = sparsemax(v) > 0
+    projection = sparsemax(v) if projection is None else np.asarray(projection)
+    if upstream.shape != v.shape or projection.shape != v.shape:
+        raise ValueError(f"upstream shape {upstream.shape} or projection shape "
+                         f"{projection.shape} does not match v shape {v.shape}")
+    support = projection > 0
     masked = np.where(support, upstream, 0.0)
     mean = masked.sum(axis=-1, keepdims=True) / support.sum(axis=-1, keepdims=True)
     return np.where(support, upstream - mean, 0.0)

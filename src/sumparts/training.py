@@ -8,11 +8,13 @@ explains.  Gradients are derived by hand and flow through both sparsemax
 blocks via their exact generalized Jacobians, and through the backbone
 via its ``embed_vjp`` hook, which training requires.
 
-Each step makes one forward pass and one backward pass on the whole (B, d)
-stack, so the backward memory grows with B * G * d: the (B, G, d) masks and
-masked inputs, the (B, G, h) embeddings, and their gradients.  Each
-example's gradient is still formed alone and the B of them are added in
-row order, so a step gives the result of a per-example loop.
+Each step makes one forward pass and one backward pass on each block of
+``PREDICT_BLOCK_ROWS`` rows of the (B, d) stack, as ``predict`` does.  The
+block's (rows, G, d) and (rows, G, h) stacks are written into buffers that
+every block and every step of ``train`` reuse, so the working memory follows
+the block size and not B.  Each example's gradient is still formed alone
+and the B of them are added in row order, so a step gives the result of a
+per-example loop.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
+    PREDICT_BLOCK_ROWS,
     Backbone,
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
+    _buffer,
     _forward,
     _segment_sums,
     predict,
@@ -106,60 +110,67 @@ def _check_labels(inputs, labels, n_classes: int) -> tuple[np.ndarray, np.ndarra
 
 
 def loss_and_gradients(inputs, labels, seg: Segmentation, gen: GroupGenParams,
-                       sel: GroupSelectParams, backbone: Backbone):
+                       sel: GroupSelectParams, backbone: Backbone, *, _buffers=None):
     """Mean cross-entropy of softmax(prediction) over the batch, with its
     gradient for every trainable parameter, from one forward and one
-    backward pass on the whole stack.  Per-example losses and gradients are
-    added in row order, as a loop over the examples would add them.  The
-    backbone must have an ``embed_vjp`` hook."""
+    backward pass on each block of ``PREDICT_BLOCK_ROWS`` rows.  Per-example
+    losses and gradients are added in row order, as a loop over the
+    examples would add them.  The backbone must have an ``embed_vjp`` hook.
+    ``_buffers`` is :func:`_forward`'s, which ``train`` keeps across its
+    steps on one stack."""
     if backbone.embed_vjp is None:
         raise ValueError("training needs the backbone's embed_vjp gradient hook, "
                          "and this backbone has none")
     inputs, labels = _check_labels(inputs, labels, sel.n_classes)
     n = inputs.shape[0]
-    cache = _forward(inputs, seg, gen, sel, backbone)
-    probs = softmax(cache["prediction"])                              # (B, K)
+    buffers = {} if _buffers is None else _buffers
     # the loss and every gradient are running totals that start at zero and
     # add the examples in row order, so they keep the bits (and the signs of
-    # zeros) of a per-example loop
-    total_loss = sum((-np.log(p[label]) for p, label in zip(probs, labels)), 0.0)
-    d_pred = ((probs - np.eye(sel.n_classes)[labels]) / n)[:, None, :]
+    # zeros) of a per-example loop; numpy's reductions would add in another order
+    total_loss = 0.0
+    grads = {name: np.zeros_like(array) for name, array in _trainable(gen, sel).items()}
+    product = np.empty_like(sel.w_q)                                 # (h, h) scratch
+    sel_scale, gen_scale = np.sqrt(sel.h), np.sqrt(seg.n_segments)
+    for start in range(0, n, PREDICT_BLOCK_ROWS):
+        rows = slice(start, start + PREDICT_BLOCK_ROWS)
+        x = inputs[rows]                                              # (b, d)
+        cache = _forward(x, seg, gen, sel, backbone, buffers)
+        probs = softmax(cache["prediction"])                          # (b, K)
+        total_loss = sum((-np.log(p[label]) for p, label in zip(probs, labels[rows])),
+                         total_loss)
+        d_pred = ((probs - np.eye(sel.n_classes)[labels[rows]]) / n)[:, None, :]
 
-    z = cache.pop("z")                                                # (B, G, h)
-    d_scores = d_pred * cache["partial_logits"]
-    d_logits = d_pred * cache["scores"]
-    d_aff = np.swapaxes(sparsemax_vjp(np.swapaxes(cache["affinities"], -1, -2),
-                                      np.swapaxes(d_scores, -1, -2)), -1, -2)
-
-    sel_scale = np.sqrt(sel.h)
-    d_sel_keys = d_aff @ cache["sel_queries"] / sel_scale           # (B, G, h)
-    d_sel_queries = np.swapaxes(d_aff, -1, -2) @ cache.pop("sel_keys") / sel_scale
-    # the (h, h) products are formed one example at a time
-    grads = {
-        "sel_w_q": sum((q.T @ sel.classifier for q in d_sel_queries), np.zeros_like(sel.w_q)),
-        "sel_w_k": sum((k.T @ z_i for k, z_i in zip(d_sel_keys, z)), np.zeros_like(sel.w_k)),
-        "classifier": sum(d_sel_queries @ sel.w_q + np.swapaxes(d_logits, -1, -2) @ z,
-                          np.zeros_like(sel.classifier)),
-    }
-    # each (B, G, ...) stack is dropped once used: together they set the peak memory
-    del z
-    d_z = d_sel_keys @ sel.w_k + d_logits @ sel.classifier          # (B, G, h)
-    del d_sel_keys
-    masked = cache.pop("masks") * inputs[:, None, :]                 # (B, G, d)
-    d_masked = np.asarray(backbone.embed_vjp(masked.reshape(-1, seg.n_features),
-                                             d_z.reshape(-1, sel.h)),
-                          dtype=np.float64).reshape(masked.shape)
-    del masked, d_z
-    d_seg_weights = _segment_sums(d_masked * inputs[:, None, :], seg)  # (B, G, m)
-    raw = cache["raw"]                                               # (B, heads, m, m)
-    d_raw = sparsemax_vjp(raw, d_seg_weights.reshape(raw.shape))
-    gen_scale = np.sqrt(seg.n_segments)
-    d_queries = d_raw @ cache["keys"] / gen_scale
-    d_keys = np.swapaxes(d_raw, -1, -2) @ cache["queries"] / gen_scale
-    pooled = cache["pooled"][:, None, None, :]
-    grads["gen_w_q"] = sum(d_queries * pooled, np.zeros_like(gen.w_q))
-    grads["gen_w_k"] = sum(d_keys * pooled, np.zeros_like(gen.w_k))
-    return total_loss / n, {name: grads[name] for name in _trainable(gen, sel)}
+        z = cache["z"]                                                # (b, G, h)
+        d_scores = d_pred * cache["partial_logits"]
+        d_logits = d_pred * cache["scores"]
+        d_aff = np.swapaxes(sparsemax_vjp(np.swapaxes(cache["affinities"], -1, -2),
+                                          np.swapaxes(d_scores, -1, -2),
+                                          projection=np.swapaxes(cache["scores"], -1, -2)),
+                            -1, -2)
+        d_sel_queries = np.swapaxes(d_aff, -1, -2) @ cache["sel_keys"] / sel_scale
+        # the forward's buffers that the backward no longer reads take its stacks
+        d_sel_keys = np.matmul(d_aff, cache["sel_queries"], out=cache["sel_keys"])
+        d_sel_keys /= sel_scale                                       # (b, G, h)
+        for q, k, z_i in zip(d_sel_queries, d_sel_keys, z):
+            grads["sel_w_q"] += np.matmul(q.T, sel.classifier, out=product)
+            grads["sel_w_k"] += np.matmul(k.T, z_i, out=product)
+        grads["classifier"] = sum(d_sel_queries @ sel.w_q + np.swapaxes(d_logits, -1, -2) @ z,
+                                  grads["classifier"])
+        d_z = np.matmul(d_sel_keys, sel.w_k, out=_buffer(buffers, "d_z", z.shape))
+        d_z += np.matmul(d_logits, sel.classifier, out=d_sel_keys)    # (b, G, h)
+        masked = buffers["masked"][:x.shape[0]]                       # (b, G, d)
+        d_masked = np.asarray(backbone.embed_vjp(masked.reshape(-1, seg.n_features),
+                                                 d_z.reshape(-1, sel.h)),
+                              dtype=np.float64).reshape(masked.shape)
+        d_masks = np.multiply(d_masked, x[:, None, :], out=cache["masks"])
+        raw = cache["raw"]                                            # (b, heads, m, m)
+        d_raw = sparsemax_vjp(raw, _segment_sums(d_masks, seg).reshape(raw.shape),
+                              projection=cache["seg_weights"].reshape(raw.shape))
+        pooled = cache["pooled"][:, None, None, :]
+        grads["gen_w_q"] = sum(d_raw @ cache["keys"] / gen_scale * pooled, grads["gen_w_q"])
+        grads["gen_w_k"] = sum(np.swapaxes(d_raw, -1, -2) @ cache["queries"] / gen_scale
+                               * pooled, grads["gen_w_k"])
+    return total_loss / n, grads
 
 
 def train(inputs, labels, seg: Segmentation, backbone: Backbone,
@@ -175,12 +186,14 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
     gen, sel = init_params(seg, backbone, config)
     inputs, labels = _check_labels(inputs, labels, sel.n_classes)
     history: list[float] = []
+    buffers: dict = {}
     # numpy raises where a step first makes an inf or a NaN, ahead of the ops'
     # input checks and the model's score checks that would fail on it later
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(config.steps):
-                loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
+                loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone,
+                                                 _buffers=buffers)
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"loss {loss}")
                 history.append(float(loss))

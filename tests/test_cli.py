@@ -386,6 +386,40 @@ class TestTrain:
         assert a["seed"] == 7 and b["seed"] == 8
         assert a["w_q"] != b["w_q"]
 
+    @pytest.mark.parametrize("config_seed, flag", [(-1, []), (7, ["--seed", "-1"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_is_refused_before_the_dataset(self, tmp_path, capsys,
+                                                         config_seed, flag):
+        """numpy refused it with ``expected non-negative integer``, which
+        named no field, after the dataset had been read (here it does not
+        exist)."""
+        config = write_config(
+            tmp_path / "t.json",
+            {"dataset": str(tmp_path / "nope.csv"), "steps": 1, "seed": config_seed},
+        )
+        out = tmp_path / "out"
+        assert run(["train", "--config", config, "--out", out, *flag]) == 2
+        assert capsys.readouterr().err == \
+            "error: config field 'seed' must be at least 0, got -1\n"
+        assert not out.exists()
+
+    def test_arrays_too_large_to_allocate_are_refused(self, tmp_path):
+        """A numpy ``_ArrayMemoryError`` ended in a traceback with exit 1,
+        the code of a failed gate.  10**15 heads of 2 x 2 weights ask for
+        28 PiB, which numpy refuses before it allocates anything."""
+        dataset = tmp_path / "blobs.csv"
+        write_blobs_csv(dataset, n_per_class=2)
+        config = write_config(
+            tmp_path / "t.json",
+            {"dataset": str(dataset), "steps": 1, "segments": 2, "heads": 10**15, "seed": 1},
+        )
+        out = tmp_path / "out"
+        done = run_process(["train", "--config", config, "--out", out])
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: out of memory: Unable to allocate ")
+        assert done.stderr.count("\n") == 1 and done.stdout == ""
+        assert not out.exists()
+
     @pytest.mark.filterwarnings(
         "ignore:overflow", "ignore:invalid value", "ignore:divide by zero"
     )
@@ -639,17 +673,20 @@ class TestEval:
 
     @pytest.mark.parametrize("field, value, message", [
         ("classes", [], "config field 'classes' must name at least one class, got []"),
+        ("classes", [0, 0], "config field 'classes' must not repeat a class, got [0, 0]"),
         ("step", 0, "config field 'step' must be at least 1, got 0"),
         ("step", -2, "config field 'step' must be at least 1, got -2"),
-    ], ids=["no-classes", "step-0", "step-negative"])
+    ], ids=["no-classes", "repeated-class", "step-0", "step-negative"])
     @pytest.mark.parametrize("metrics", [["insertion"], ["sparsity"]],
                              ids=["ranked-curve", "no-probes"])
     def test_classes_and_step_checked_before_the_checkpoint(self, tmp_path, capsys,
                                                              trained, field, value,
                                                              message, metrics):
-        """An empty class list wrote a report with no per-class metric, and a
-        step below 1 failed only when a ranked curve was requested.  Both are
-        refused before the checkpoint is opened (here it does not exist)."""
+        """An empty class list wrote a report with no per-class metric, a
+        repeated class reported its curves and ``per_case`` values twice,
+        over-weighting it in ``mean``, and a step below 1 failed only when a
+        ranked curve was requested.  All are refused before the checkpoint is
+        opened (here it does not exist)."""
         dataset, _ = trained
         config = write_config(
             tmp_path / "e.json",
@@ -730,7 +767,6 @@ ORACLE_CASES = {
     "all_reversed_step3": (ALL_METRICS[::-1], 3, [2, 0]),
     "two": (["sufficiency", "grouped_deletion"], 2, [1]),
     "no_probes": (["accuracy", "sparsity"], 1, [0]),
-    "repeated_class": (ALL_METRICS, 1, [1, 1]),
     "one_curve": (["deletion"], 1, [2]),
     "grouped_pair": (["grouped_insertion", "grouped_deletion"], 1, [0]),
 }
@@ -790,7 +826,7 @@ class TestEvalOracle:
             return predict(inputs, *model)
 
         monkeypatch.setattr(cli, "predict", recording_predict)
-        classes = [0, 1, 2, 1]
+        classes = [0, 1, 2]
         config = write_config(
             tmp_path / "e.json",
             {"checkpoint": str(checkpoint), "dataset": str(dataset),

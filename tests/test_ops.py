@@ -166,6 +166,13 @@ class TestLastAxis:
         )
 
     @settings(max_examples=100, deadline=None)
+    @given(_rows_and_upstream())
+    def test_vjp_given_the_projection_changes_no_bit(self, case):
+        v, upstream = case
+        assert sparsemax_vjp(v, upstream, projection=sparsemax(v)).tobytes() == \
+            sparsemax_vjp(v, upstream).tobytes()
+
+    @settings(max_examples=100, deadline=None)
     @given(_ROWS)
     def test_rows_on_simplex(self, v):
         for p in (sparsemax(v), softmax(v)):
@@ -205,6 +212,8 @@ class TestLastAxis:
             sparsemax_vjp([[1.0, 2.0], [np.nan, 0.0]], np.zeros((2, 2)))
         with pytest.raises(ValueError, match="does not match"):
             sparsemax_vjp(np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="projection shape .3,. does not match"):
+            sparsemax_vjp(np.zeros((2, 3)), np.zeros((2, 3)), projection=np.zeros(3))
         with pytest.raises(ValueError, match="scalar"):
             sparsemax(1.0)
 
