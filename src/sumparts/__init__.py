@@ -8,12 +8,10 @@ from .model import (
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
-    embed_groups,
     generate_groups,
     identity_backbone,
     linear_backbone,
     predict,
-    select_groups,
     sop_forward,
 )
 from .ops import (

@@ -345,6 +345,10 @@ def _restore_checkpoint(path):
         sizes[key] = value
 
     def array(key, dims, dtype=np.float64):
+        """The field at ``key`` as an array of ``dims``; with ``dtype=None``
+        one of integers, inferred, not cast (int64 would truncate 0.9 to 0
+        and read true as 1), else one of finite floats (``json`` reads
+        ``NaN`` and ``Infinity``)."""
         shape = tuple(sizes[dim] for dim in dims)
         try:
             value = np.array(_checkpoint_field(ckpt, path, key), dtype=dtype)
@@ -352,6 +356,11 @@ def _restore_checkpoint(path):
             raise ConfigError(
                 f"checkpoint {path}: field {key!r} is not a numeric array: {exc}"
             ) from exc
+        if dtype is None and value.dtype.kind != "i":
+            raise ConfigError(f"checkpoint {path}: field {key!r} must hold integers, "
+                              f"got {value.dtype} entries")
+        if dtype is not None and not np.isfinite(value).all():
+            raise ConfigError(f"checkpoint {path}: field {key!r} holds a non-finite entry")
         if value.size != int(np.prod(shape)):
             raise ConfigError(
                 f"checkpoint {path}: field {key!r} has {value.size} entries, expected "
@@ -365,11 +374,7 @@ def _restore_checkpoint(path):
     if sizes["h"] != sizes["d"]:
         raise ConfigError(f"checkpoint {path}: an identity backbone needs h == d, "
                           f"got h={sizes['h']} and d={sizes['d']}")
-    # inferred, not cast: int64 would truncate 0.9 to 0 and read true as 1
     assignment = array("segment_assignment", ("d",), None)
-    if assignment.dtype.kind != "i":
-        raise ConfigError(f"checkpoint {path}: field 'segment_assignment' must hold "
-                          f"integers, got {assignment.dtype} entries")
     gen_shape = ("heads", "n_segments", "n_segments")
     w_q, w_k = array("w_q", gen_shape), array("w_k", gen_shape)
     sel_w_q, sel_w_k = array("sel_w_q", ("h", "h")), array("sel_w_k", ("h", "h"))
@@ -406,12 +411,13 @@ def cmd_train(config: dict) -> tuple[int, dict]:
         heads=_integer(config, "heads", 2, least=1),
     )
     result = train(features, labels, seg, backbone, train_config)
-    gen, sel, history = result.gen_params, result.sel_params, result.loss_history
-    accuracy = training_accuracy(features, labels, seg, gen, sel, backbone)
+    history = result.loss_history
     return 0, {
-        "checkpoint.json": _checkpoint_dict(seg, gen, sel, backbone, config),
+        "checkpoint.json": _checkpoint_dict(seg, result.gen_params, result.sel_params,
+                                            backbone, config),
         "loss_history.csv": (["step", "loss"], list(enumerate(history))),
-        "results.json": {"training_accuracy": accuracy, "steps": train_config.steps,
+        "results.json": {"training_accuracy": result.training_accuracy,
+                         "steps": train_config.steps,
                          "final_loss": history[-1] if history else None},
     }
 

@@ -1,4 +1,4 @@
-"""Grouped-attribution wrapper around a black-box predictor.
+"""Grouped-attribution wrapper around a frozen linear predictor.
 
 The wrapper decomposes a prediction into a weighted sum of per-group
 partial logits: a group generator builds sparse masks over input segments,
@@ -7,18 +7,23 @@ scores to the groups.  The prediction is ``sum_i score_i * partial_logit_i``
 computed on the same arithmetic path stored in the returned attribution,
 so the explanation reconstructs the prediction exactly.
 
-The forward arithmetic accepts a leading batch axis: :func:`sop_forward`
-explains one input, and :func:`predict` runs the same arithmetic on a
-(B, d) stack of inputs, in blocks of ``PREDICT_BLOCK_ROWS`` rows, with one
-backbone call for each block's rows * G masked inputs.  With a backbone
-that embeds each row alone, such as the identity backbone, each row of
-``predict`` equals the ``sop_forward`` prediction of that row bit for bit.
+The backbone is linear and each mask is constant on each segment, so the
+selector's affinities and partial logits of a group are segment-weighted
+sums of per-segment projections of the input: with ``seg_weights`` the
+(G, m) segment weights of the groups, they are ``seg_weights @ R`` and
+``seg_weights @ P``, where R and P sum the input, weighted by the selector
+folded through the backbone onto the input, over each segment.  The
+forward pass works in that segment space and never forms a masked input or
+a group embedding; only :func:`sop_forward` and :func:`generate_groups`
+build the (G, d) masks, which are the explanation.  :func:`predict` runs
+the same arithmetic on a (B, d) stack, in blocks of ``PREDICT_BLOCK_ROWS``
+rows, and each of its rows equals the ``sop_forward`` prediction of that
+row bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,16 +39,14 @@ __all__ = [
     "identity_backbone",
     "segment_pool",
     "generate_groups",
-    "embed_groups",
-    "select_groups",
     "sop_forward",
     "predict",
 ]
 
 # input rows per block of :func:`predict` and of a training step
-# (``training.loss_and_gradients``), which bounds their working memory: the
-# (rows, G, d) masks and masked inputs and the (rows, G, h) selector keys of
-# one block are written into buffers that every block reuses
+# (``training.loss_and_gradients``), which bounds their working memory: a
+# block's largest arrays are the (rows, 2 * n_classes, d) products of its
+# inputs with the folded selector, and the segment bins of their sums
 PREDICT_BLOCK_ROWS = 64
 
 
@@ -58,53 +61,60 @@ def _as_float_matrix(a, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Backbone:
-    """Black-box map from a stack of (masked) inputs to their embeddings.
+    """Frozen linear embedding with a classifier over it.
 
-    ``embed`` maps an (N, d) stack to the (N, h) stack of its rows'
-    embeddings and must be deterministic and act on each row alone.
+    ``weights`` is the (h, d) matrix of the embedding ``weights @ x`` of an
+    input x, or ``None`` for the identity embedding (h = d).
     ``classifier`` holds one weight row per class over the embedding, so
-    plain logits are ``embed(x) @ classifier.T`` and ``h`` is its width.
-    ``embed_vjp`` maps ``(x, upstream)`` of shapes (N, d) and (N, h) to the
-    (N, d) stack whose row i is the gradient of
-    ``upstream[i] . embed(x)[i]`` with respect to ``x[i]``.  Training needs
-    it; the forward pass, and so inference, does not.
+    plain logits are ``classifier @ (weights @ x)`` and ``h`` is its width.
     """
 
-    embed: Callable[[np.ndarray], np.ndarray]
     classifier: np.ndarray
-    embed_vjp: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "classifier", _as_float_matrix(self.classifier, "classifier"))
+        classifier = _as_float_matrix(self.classifier, "classifier")
+        object.__setattr__(self, "classifier", classifier)
+        if self.weights is not None:
+            weights = _as_float_matrix(self.weights, "weights")
+            if weights.shape[0] != classifier.shape[1]:
+                raise ValueError(f"classifier has {classifier.shape[1]} columns, expected "
+                                 f"h={weights.shape[0]} (the rows of weights)")
+            object.__setattr__(self, "weights", weights)
 
     @property
     def h(self) -> int:
         return self.classifier.shape[1]
 
     @property
+    def n_features(self) -> int:
+        """The input width d."""
+        return self.h if self.weights is None else self.weights.shape[1]
+
+    @property
     def n_classes(self) -> int:
         return self.classifier.shape[0]
 
+    def embed(self, rows: np.ndarray) -> np.ndarray:
+        """``rows @ weights.T``: the embeddings of the rows of an (n, d)
+        stack, as (n, h)."""
+        return rows if self.weights is None else rows @ self.weights.T
+
+    def embed_transpose(self, rows: np.ndarray) -> np.ndarray:
+        """``rows @ weights``: each row of an (n, h) stack of weights over the
+        embedding as the same weights over the input, (n, d)."""
+        return rows if self.weights is None else rows @ self.weights
+
 
 def linear_backbone(weights, classifier) -> Backbone:
-    """Backbone with ``embed(x) = weights @ x`` per row and an exact
-    gradient hook."""
-    weights = _as_float_matrix(weights, "weights")
-    backbone = Backbone(embed=lambda x: x @ weights.T, classifier=classifier,
-                        embed_vjp=lambda x, upstream: upstream @ weights)
-    if backbone.h != weights.shape[0]:
-        raise ValueError(f"classifier has {backbone.h} columns, expected "
-                         f"h={weights.shape[0]} (the rows of weights)")
-    return backbone
+    """Backbone with the embedding ``weights @ x``; weights have a row per
+    classifier column."""
+    return Backbone(classifier=classifier, weights=weights)
 
 
 def identity_backbone(classifier) -> Backbone:
     """Backbone whose embedding is the input itself (h = d)."""
-    return Backbone(
-        embed=lambda x: np.asarray(x, dtype=np.float64),
-        classifier=classifier,
-        embed_vjp=lambda x, upstream: np.asarray(upstream, dtype=np.float64),
-    )
+    return Backbone(classifier=classifier)
 
 
 @dataclass(frozen=True)
@@ -165,6 +175,9 @@ class GroupGenParams:
             raise ValueError(f"w_k shape {w_k.shape} differs from w_q {w_q.shape}")
         if w_q.shape[0] < 1:
             raise ValueError("need at least one head")
+        for name, w in (("w_q", w_q), ("w_k", w_k)):
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"{name} contains non-finite entries")
         object.__setattr__(self, "w_q", w_q)
         object.__setattr__(self, "w_k", w_k)
 
@@ -303,19 +316,9 @@ def segment_pool(x: np.ndarray, seg: Segmentation) -> np.ndarray:
     return _segment_sums(x, seg) / np.bincount(seg.assignment, minlength=seg.n_segments)
 
 
-def _buffer(buffers: dict | None, name: str, shape: tuple) -> np.ndarray | None:
-    """Where to write the intermediate ``name`` of ``shape``: ``None`` (a
-    fresh array) without ``buffers``, else the leading ``shape[0]`` rows of
-    the buffer kept under ``name``, allocated at the first, largest block."""
-    if buffers is None:
-        return None
-    if name not in buffers:
-        buffers[name] = np.empty(shape)
-    return buffers[name][:shape[0]]
-
-
-def _generate(x, seg: Segmentation, params: GroupGenParams, buffers=None) -> dict:
-    """Generator intermediates, from the pooled input to the group masks."""
+def _generate(x, seg: Segmentation, params: GroupGenParams) -> dict:
+    """Generator intermediates, from the pooled input to the segment weights
+    of the groups."""
     if params.n_segments != seg.n_segments:
         raise ValueError(
             f"params cover {params.n_segments} segments, segmentation has {seg.n_segments}"
@@ -325,45 +328,50 @@ def _generate(x, seg: Segmentation, params: GroupGenParams, buffers=None) -> dic
     keys = params.w_k * pooled[..., None, None, :]
     raw = queries @ np.swapaxes(keys, -1, -2) / np.sqrt(seg.n_segments)
     seg_weights = sparsemax(raw).reshape(raw.shape[:-3] + (-1, seg.n_segments))
-    # take keeps the (..., G, d) masks C-ordered, unlike fancy indexing; the
-    # Segmentation has checked every index, and "clip" writes straight into
-    # ``out`` where "raise" would fill a temporary first
-    masks = np.take(seg_weights, seg.assignment, axis=-1, mode="clip",
-                    out=_buffer(buffers, "masks", seg_weights.shape[:-1] + (seg.n_features,)))
     return {"pooled": pooled, "queries": queries, "keys": keys, "raw": raw,
-            "seg_weights": seg_weights, "masks": masks}  # (..., G, m), (..., G, d)
+            "seg_weights": seg_weights}                 # (..., G, m)
 
 
-def _select(z, params: GroupSelectParams, buffers=None) -> dict:
-    """Selector intermediates, from the group embeddings to the partial logits."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.shape[-2] < 1:
-        raise ValueError("need at least one group embedding")
-    if z.shape[-1] != params.h:
-        raise ValueError(f"embeddings have width {z.shape[-1]}, expected {params.h}")
-    queries = params.classifier @ params.w_q.T          # (K, h)
-    keys = np.matmul(z, params.w_k.T, out=_buffer(buffers, "sel_keys", z.shape))  # (..., G, h)
-    affinities = keys @ queries.T / np.sqrt(params.h)   # (..., G, K)
-    scores = np.swapaxes(sparsemax(np.swapaxes(affinities, -1, -2)), -1, -2)
-    return {"sel_queries": queries, "sel_keys": keys, "affinities": affinities,
-            "scores": scores, "partial_logits": z @ params.classifier.T}
+def _masks(seg_weights: np.ndarray, seg: Segmentation) -> np.ndarray:
+    """The (..., G, d) group masks: each segment weight on every feature of
+    its segment."""
+    return np.take(seg_weights, seg.assignment, axis=-1)
 
 
-def _forward(x, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectParams,
-             backbone: Backbone, buffers=None) -> dict:
+def _fold(seg: Segmentation, sel: GroupSelectParams, backbone: Backbone) -> np.ndarray:
+    """The selector folded through the backbone onto the input: the (2K, d)
+    matrix whose row k weighs the features into class k's affinity,
+    ``(C w_q.T) w_k A / sqrt(h)``, and whose row K + k weighs them into its
+    partial logit, ``C A`` (A the backbone weights, C the selector's
+    classifier).  A group's affinities and partial logits are these rows
+    applied to its masked input."""
+    if backbone.h != sel.h:
+        raise ValueError(f"selector has width {sel.h}, backbone embeds into {backbone.h}")
+    if backbone.n_features != seg.n_features:
+        raise ValueError(f"backbone takes {backbone.n_features} input features, "
+                         f"segmentation covers {seg.n_features}")
+    queries = sel.classifier @ sel.w_q.T                # (K, h)
+    return backbone.embed_transpose(
+        np.vstack([queries @ sel.w_k / np.sqrt(sel.h), sel.classifier]))
+
+
+def _forward(x, seg: Segmentation, gen: GroupGenParams, folded: np.ndarray) -> dict:
     """The one forward pass, on one input or a (..., d) stack: every
     intermediate that the backward pass reads, keyed by name, ending with
-    ``prediction``.  Given a ``buffers`` dict, the masks, the masked inputs
-    and the selector keys are written into buffers kept there, which the
-    first call allocates at its stack size; the masks and selector keys are
-    returned as views of them and the masked inputs stay under
-    ``buffers["masked"]``, valid until the next call with that dict; a later
-    stack must be no larger."""
+    ``prediction``.  ``folded`` is :func:`_fold`'s matrix, which a caller
+    that runs many blocks works out once."""
     x = np.asarray(x, dtype=np.float64)
-    cache = _generate(x, seg, gen, buffers)
-    cache["z"] = embed_groups(x, cache["masks"], backbone, _buffers=buffers)
-    cache.update(_select(cache["z"], sel, buffers))
-    cache["prediction"] = (cache["scores"] * cache["partial_logits"]).sum(axis=-2)
+    cache = _generate(x, seg, gen)
+    k = folded.shape[0] // 2
+    # R, then P, as (..., 2K, m): per segment, the sums of the input's
+    # features weighted by each folded row
+    projections = _segment_sums(x[..., None, :] * folded, seg)
+    both = cache["seg_weights"] @ np.swapaxes(projections, -1, -2)  # (..., G, 2K)
+    affinities, partial_logits = both[..., :k], both[..., k:]
+    scores = np.swapaxes(sparsemax(np.swapaxes(affinities, -1, -2)), -1, -2)
+    cache.update(projections=projections, affinities=affinities, scores=scores,
+                 partial_logits=partial_logits,
+                 prediction=(scores * partial_logits).sum(axis=-2))
     return cache
 
 
@@ -376,56 +384,25 @@ def generate_groups(x, seg: Segmentation, params: GroupGenParams) -> np.ndarray:
     ``n_segments * heads`` rows becomes one mask, with the segment weight
     broadcast to all features of that segment.
     """
-    return _generate(x, seg, params)["masks"]
-
-
-def embed_groups(x, masks, backbone: Backbone, *, _buffers=None) -> np.ndarray:
-    """Embed each masked input ``mask * x`` through the backbone.
-
-    Takes one input (d,) with its masks (G, d), or a (..., d) stack with
-    masks (..., G, d).  Every masked input goes to the backbone in one
-    (N, d) call; the result has shape (..., G, h).  ``_buffers`` is
-    :func:`_forward`'s.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
-    if x.ndim < 1 or masks.shape[-1] != x.shape[-1]:
-        raise ValueError(f"masks have width {masks.shape[-1]}, input has shape {x.shape}")
-    masked = np.multiply(masks, x[..., None, :],
-                         out=_buffer(_buffers, "masked", masks.shape))
-    n = int(np.prod(masked.shape[:-1]))
-    z = np.asarray(backbone.embed(masked.reshape(n, x.shape[-1])), dtype=np.float64)
-    if z.shape != (n, backbone.h):
-        raise ValueError(
-            f"backbone embed returned shape {z.shape}, expected ({n}, {backbone.h})"
-        )
-    return z.reshape(masked.shape[:-1] + (backbone.h,))
-
-
-def select_groups(z, params: GroupSelectParams) -> tuple[np.ndarray, np.ndarray]:
-    """Score groups per class with sparse attention and compute partial logits.
-
-    For class k the query is the projected class weight ``w_q @ C_k`` and
-    group i keys in with ``w_k @ z_i``; the affinity column is sparsemaxed
-    over groups.  Partial logits are the plain per-group class logits
-    ``C_k . z_i``.  Returns ``(scores, partial_logits)``, both
-    (G, n_classes).
-    """
-    cache = _select(z, params)
-    return cache["scores"], cache["partial_logits"]
+    return _masks(_generate(x, seg, params)["seg_weights"], seg)
 
 
 def sop_forward(x, seg: Segmentation, gen_params: GroupGenParams,
                 sel_params: GroupSelectParams, backbone: Backbone) -> GroupedAttribution:
     """Full forward pass: generate groups, embed, select, and predict.
 
-    The returned attribution's prediction is exactly
-    ``(scores * partial_logits).sum(axis=0)``.
+    For class k the selector's query is the projected class weight
+    ``w_q @ C_k`` and group i keys in with ``w_k @ z_i``, where z_i is the
+    embedding of the masked input; each class's affinity column is
+    sparsemaxed over the groups.  Partial logits are the plain per-group
+    class logits ``C_k . z_i``.  The returned attribution's prediction is
+    exactly ``(scores * partial_logits).sum(axis=0)``.
     """
     if np.ndim(x) != 1:
         raise ValueError(f"sop_forward explains one input vector, got shape {np.shape(x)}")
-    cache = _forward(x, seg, gen_params, sel_params, backbone)
-    return GroupedAttribution(groups=cache["masks"], scores=cache["scores"],
+    cache = _forward(x, seg, gen_params, _fold(seg, sel_params, backbone))
+    return GroupedAttribution(groups=_masks(cache["seg_weights"], seg),
+                              scores=cache["scores"],
                               partial_logits=cache["partial_logits"],
                               prediction=cache["prediction"])
 
@@ -435,24 +412,20 @@ def predict(inputs, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectPara
     """Predictions for a (B, d) stack of inputs, as a (B, n_classes) array.
 
     Runs the forward arithmetic of :func:`sop_forward` on blocks of
-    ``PREDICT_BLOCK_ROWS`` rows of the stack, through intermediates that
-    every block reuses, so the working memory follows the block size and
-    not B.  Each block's masks and scores are checked as a
-    :class:`GroupedAttribution` would check them.  Row b equals
-    ``sop_forward(inputs[b], ...).prediction`` bit for bit whenever the
-    backbone's embedding of a row does not depend on the size of the stack
-    it comes in, as for the identity backbone; a BLAS matrix product such
-    as ``linear_backbone``'s may round differently for different block
-    sizes.
+    ``PREDICT_BLOCK_ROWS`` rows of the stack, so the working memory follows
+    the block size and not B, and builds no masks.  Each block's segment
+    weights and scores are checked as a :class:`GroupedAttribution` checks
+    masks and scores.  Row b equals ``sop_forward(inputs[b], ...).prediction``
+    bit for bit.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ValueError(f"inputs must be a non-empty (B, d) stack, got shape {inputs.shape}")
+    folded = _fold(seg, sel, backbone)
     predictions = np.empty((inputs.shape[0], sel.n_classes))
-    buffers: dict = {}
     for start in range(0, inputs.shape[0], PREDICT_BLOCK_ROWS):
         rows = slice(start, start + PREDICT_BLOCK_ROWS)
-        cache = _forward(inputs[rows], seg, gen, sel, backbone, buffers)
+        cache = _forward(inputs[rows], seg, gen, folded)
         # every segment holds a feature, so the masks span the segment weights' range
         _check_masks_and_scores(cache["seg_weights"], cache["scores"])
         predictions[rows] = cache["prediction"]

@@ -32,7 +32,9 @@ def format_float(x: float) -> str:
 
 def round_floats(obj):
     """Recursively round floats (and numpy scalars/arrays) to 9 significant
-    digits, converting numpy containers to plain Python types."""
+    digits, converting numpy containers to plain Python types.  A list of
+    plain floats, such as a flattened weight matrix, is rounded in one
+    comprehension."""
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -40,10 +42,12 @@ def round_floats(obj):
     if isinstance(obj, (float, np.floating)):
         return float(format_float(obj))
     if isinstance(obj, np.ndarray):
-        return [round_floats(v) for v in obj.tolist()]
+        return round_floats(obj.tolist())
     if isinstance(obj, dict):
         return {str(k): round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {float}:
+            return [float(format(v, ".9g")) for v in obj]
         return [round_floats(v) for v in obj]
     return obj
 

@@ -5,21 +5,21 @@ selector query/key projections, and the value weights (initialized from
 the backbone classifier) are updated.  The forward pass is the model's
 own, so the loss is computed on the arithmetic path that ``sop_forward``
 explains.  Gradients are derived by hand and flow through both sparsemax
-blocks via their exact generalized Jacobians, and through the backbone
-via its ``embed_vjp`` hook, which training requires.
+blocks via their exact generalized Jacobians.
 
-Each step makes one forward pass and one backward pass on each block of
-``PREDICT_BLOCK_ROWS`` rows of the (B, d) stack, as ``predict`` does.  The
-block's (rows, G, d) and (rows, G, h) stacks are written into buffers that
-every block and every step of ``train`` reuse, so the working memory follows
-the block size and not B.  Each example's gradient is still formed alone
-and the B of them are added in row order, so a step gives the result of a
-per-example loop.
+The backward pass works in the forward's segment space: the gradient of a
+block's segment weights is ``d_affinities R^T + d_partial_logits P^T``, and
+the gradient of the selector folded onto the input, a (2K, d) matrix, is
+summed over the batch.  It goes back through the linear backbone once per
+step, and the (h, h) gradients of the selector projections are rank-K
+products of the result.  Each step runs on blocks of
+``PREDICT_BLOCK_ROWS`` rows of the (B, d) stack, as ``predict`` does, so its
+working memory follows the block size and not B.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,8 @@ from .model import (
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
-    _buffer,
+    _fold,
     _forward,
-    _segment_sums,
     predict,
 )
 from .ops import softmax, sparsemax_vjp
@@ -66,9 +65,13 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """The final parameters, the loss at each step's parameters, and the
+    training accuracy of the final parameters."""
+
     gen_params: GroupGenParams
     sel_params: GroupSelectParams
-    loss_history: list[float] = field(default_factory=list)
+    loss_history: list[float]
+    training_accuracy: float
 
 
 def init_params(seg: Segmentation, backbone: Backbone,
@@ -110,97 +113,84 @@ def _check_labels(inputs, labels, n_classes: int) -> tuple[np.ndarray, np.ndarra
 
 
 def loss_and_gradients(inputs, labels, seg: Segmentation, gen: GroupGenParams,
-                       sel: GroupSelectParams, backbone: Backbone, *, _buffers=None):
+                       sel: GroupSelectParams, backbone: Backbone):
     """Mean cross-entropy of softmax(prediction) over the batch, with its
     gradient for every trainable parameter, from one forward and one
-    backward pass on each block of ``PREDICT_BLOCK_ROWS`` rows.  Per-example
-    losses and gradients are added in row order, as a loop over the
-    examples would add them.  The backbone must have an ``embed_vjp`` hook.
-    ``_buffers`` is :func:`_forward`'s, which ``train`` keeps across its
-    steps on one stack."""
-    if backbone.embed_vjp is None:
-        raise ValueError("training needs the backbone's embed_vjp gradient hook, "
-                         "and this backbone has none")
+    backward pass on each block of ``PREDICT_BLOCK_ROWS`` rows."""
     inputs, labels = _check_labels(inputs, labels, sel.n_classes)
-    n = inputs.shape[0]
-    buffers = {} if _buffers is None else _buffers
-    # the loss and every gradient are running totals that start at zero and
-    # add the examples in row order, so they keep the bits (and the signs of
-    # zeros) of a per-example loop; numpy's reductions would add in another order
+    n, k = inputs.shape[0], sel.n_classes
+    folded = _fold(seg, sel, backbone)                                # (2K, d)
+    # running totals from zero, so that an entry that no example moves is +0
     total_loss = 0.0
-    grads = {name: np.zeros_like(array) for name, array in _trainable(gen, sel).items()}
-    product = np.empty_like(sel.w_q)                                 # (h, h) scratch
-    sel_scale, gen_scale = np.sqrt(sel.h), np.sqrt(seg.n_segments)
+    d_folded = np.zeros_like(folded)
+    d_gen = {"gen_w_q": np.zeros_like(gen.w_q), "gen_w_k": np.zeros_like(gen.w_k)}
+    gen_scale = np.sqrt(seg.n_segments)
     for start in range(0, n, PREDICT_BLOCK_ROWS):
         rows = slice(start, start + PREDICT_BLOCK_ROWS)
         x = inputs[rows]                                              # (b, d)
-        cache = _forward(x, seg, gen, sel, backbone, buffers)
+        cache = _forward(x, seg, gen, folded)
         probs = softmax(cache["prediction"])                          # (b, K)
-        total_loss = sum((-np.log(p[label]) for p, label in zip(probs, labels[rows])),
-                         total_loss)
-        d_pred = ((probs - np.eye(sel.n_classes)[labels[rows]]) / n)[:, None, :]
+        total_loss += float(-np.log(probs[np.arange(x.shape[0]), labels[rows]]).sum())
+        d_pred = ((probs - np.eye(k)[labels[rows]]) / n)[:, None, :]
 
-        z = cache["z"]                                                # (b, G, h)
-        d_scores = d_pred * cache["partial_logits"]
-        d_logits = d_pred * cache["scores"]
         d_aff = np.swapaxes(sparsemax_vjp(np.swapaxes(cache["affinities"], -1, -2),
-                                          np.swapaxes(d_scores, -1, -2),
+                                          np.swapaxes(d_pred * cache["partial_logits"], -1, -2),
                                           projection=np.swapaxes(cache["scores"], -1, -2)),
                             -1, -2)
-        d_sel_queries = np.swapaxes(d_aff, -1, -2) @ cache["sel_keys"] / sel_scale
-        # the forward's buffers that the backward no longer reads take its stacks
-        d_sel_keys = np.matmul(d_aff, cache["sel_queries"], out=cache["sel_keys"])
-        d_sel_keys /= sel_scale                                       # (b, G, h)
-        for q, k, z_i in zip(d_sel_queries, d_sel_keys, z):
-            grads["sel_w_q"] += np.matmul(q.T, sel.classifier, out=product)
-            grads["sel_w_k"] += np.matmul(k.T, z_i, out=product)
-        grads["classifier"] = sum(d_sel_queries @ sel.w_q + np.swapaxes(d_logits, -1, -2) @ z,
-                                  grads["classifier"])
-        d_z = np.matmul(d_sel_keys, sel.w_k, out=_buffer(buffers, "d_z", z.shape))
-        d_z += np.matmul(d_logits, sel.classifier, out=d_sel_keys)    # (b, G, h)
-        masked = buffers["masked"][:x.shape[0]]                       # (b, G, d)
-        d_masked = np.asarray(backbone.embed_vjp(masked.reshape(-1, seg.n_features),
-                                                 d_z.reshape(-1, sel.h)),
-                              dtype=np.float64).reshape(masked.shape)
-        d_masks = np.multiply(d_masked, x[:, None, :], out=cache["masks"])
+        d_both = np.concatenate([d_aff, d_pred * cache["scores"]], axis=-1)  # (b, G, 2K)
+        seg_weights = cache["seg_weights"]                            # (b, G, m)
+        # projection [c, s] sums x_j * folded[c, j] over the features j of segment s
+        d_projections = np.swapaxes(d_both, -1, -2) @ seg_weights     # (b, 2K, m)
+        d_folded += np.einsum("bj,bcj->cj", x, d_projections[..., seg.assignment])
+        d_seg_weights = d_both @ cache["projections"]                 # (b, G, m)
         raw = cache["raw"]                                            # (b, heads, m, m)
-        d_raw = sparsemax_vjp(raw, _segment_sums(d_masks, seg).reshape(raw.shape),
-                              projection=cache["seg_weights"].reshape(raw.shape))
+        d_raw = sparsemax_vjp(raw, d_seg_weights.reshape(raw.shape),
+                              projection=seg_weights.reshape(raw.shape))
         pooled = cache["pooled"][:, None, None, :]
-        grads["gen_w_q"] = sum(d_raw @ cache["keys"] / gen_scale * pooled, grads["gen_w_q"])
-        grads["gen_w_k"] = sum(np.swapaxes(d_raw, -1, -2) @ cache["queries"] / gen_scale
-                               * pooled, grads["gen_w_k"])
-    return total_loss / n, grads
+        d_gen["gen_w_q"] += (d_raw @ cache["keys"] * pooled).sum(axis=0) / gen_scale
+        d_gen["gen_w_k"] += (np.swapaxes(d_raw, -1, -2) @ cache["queries"] * pooled
+                             ).sum(axis=0) / gen_scale
+
+    # back through the backbone to the (K, h) selector rows that _fold maps
+    # onto the input: (C w_q.T) w_k / sqrt(h), then C
+    d_rows = backbone.embed(d_folded)                                 # (2K, h)
+    d_keys = d_rows[:k] / np.sqrt(sel.h)
+    d_queries = d_keys @ sel.w_k.T                                    # (K, h)
+    return total_loss / n, {
+        **d_gen,
+        "sel_w_q": d_queries.T @ sel.classifier,
+        "sel_w_k": (sel.classifier @ sel.w_q.T).T @ d_keys,
+        "classifier": d_queries @ sel.w_q + d_rows[k:],
+    }
 
 
 def train(inputs, labels, seg: Segmentation, backbone: Backbone,
           config: TrainConfig) -> TrainResult:
     """Full-batch gradient descent with a fixed step size.
 
-    Records the loss at the parameters of every step, in order.  Aborts
-    with ``FloatingPointError``, naming the first step whose parameters
-    fail and the learning rate, if a step overflows, divides by zero or
-    makes a NaN, or if the model's forward pass refuses the parameters of
-    an update (the last one included, which no step takes a loss at).
+    Records the loss at the parameters of every step, in order, and the
+    training accuracy of the final parameters, whose forward pass checks
+    them.  Aborts with ``FloatingPointError``, naming the first step whose
+    parameters fail and the learning rate, if a step overflows, divides by
+    zero or makes a NaN, or if the model's forward pass refuses the
+    parameters of an update (the last one included, which no step takes a
+    loss at).
     """
     gen, sel = init_params(seg, backbone, config)
     inputs, labels = _check_labels(inputs, labels, sel.n_classes)
     history: list[float] = []
-    buffers: dict = {}
     # numpy raises where a step first makes an inf or a NaN, ahead of the ops'
     # input checks and the model's score checks that would fail on it later
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(config.steps):
-                loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone,
-                                                 _buffers=buffers)
+                loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"loss {loss}")
                 history.append(float(loss))
                 gen, sel = _from_trainable({name: array - config.learning_rate * grads[name]
                                             for name, array in _trainable(gen, sel).items()})
-            if config.steps:
-                predict(inputs, seg, gen, sel, backbone)
+            accuracy = training_accuracy(inputs, labels, seg, gen, sel, backbone)
     except (FloatingPointError, ValueError) as exc:
         # a ValueError is the model refusing the parameters of an update, such
         # as selector rows too large for sparsemax; the initial ones are the
@@ -210,7 +200,8 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
         raise FloatingPointError(
             f"loss became non-finite at step {len(history)} (lr={config.learning_rate}, "
             f"{exc}; last finite losses: {history[-3:]})") from exc
-    return TrainResult(gen_params=gen, sel_params=sel, loss_history=history)
+    return TrainResult(gen_params=gen, sel_params=sel, loss_history=history,
+                       training_accuracy=accuracy)
 
 
 def training_accuracy(inputs, labels, seg: Segmentation, gen: GroupGenParams,

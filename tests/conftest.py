@@ -26,6 +26,11 @@ structure label, the map's sigma and the group's mean intensity
 recomputed for every group, kept to check ``label_groups`` against.
 ``grouped_keep_loop`` is the library's earlier grouped curve builder, one
 group at a time, kept to check the cumulative-OR ``grouped_keep`` against.
+``embed``, ``embed_vjp``, ``embed_groups`` and ``select_groups`` are the
+model's earlier stacked path, which embedded every masked input through the
+backbone and scored the (G, h) group embeddings, kept to check the
+segment-space forward and backward passes against.  ``round_floats_oracle``
+is the earlier per-item float rounding of ``serialize``.
 """
 
 import itertools
@@ -41,7 +46,8 @@ from sumparts import certificates
 from sumparts.certificates import ExponentialFit, PolynomialSpec, _log_linear_fit
 from sumparts.structures import INTENSITY_EPS
 from sumparts.model import Segmentation, identity_backbone, linear_backbone
-from sumparts.ops import powerset_matrix
+from sumparts.ops import powerset_matrix, sparsemax
+from sumparts.serialize import format_float
 
 
 # entries drawn from a few repeated values make ties in both sparsemax blocks
@@ -481,6 +487,68 @@ def grouped_keep_loop(groups, scores, direction):
     covered = np.array(covered)
     return (covered.sum(axis=1) / covered.shape[1],
             covered if direction == "insertion" else ~covered)
+
+
+def embed(backbone, rows):
+    """The backbone's embeddings of the rows of an (N, d) stack, (N, h):
+    ``rows @ weights.T``, or the rows themselves for the identity."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return rows if backbone.weights is None else rows @ backbone.weights.T
+
+
+def embed_vjp(backbone, upstream):
+    """Row i is the gradient of ``upstream[i] . embed(x)[i]`` with respect to
+    ``x[i]``: ``upstream @ weights``, or ``upstream`` for the identity."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    return upstream if backbone.weights is None else upstream @ backbone.weights
+
+
+def embed_groups(x, masks, backbone):
+    """Embed each masked input ``mask * x`` through the backbone: one input
+    (d,) with its masks (G, d), or a (..., d) stack with masks (..., G, d),
+    in one (N, d) ``embed`` call; the result has shape (..., G, h)."""
+    x = np.asarray(x, dtype=np.float64)
+    masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
+    if x.ndim < 1 or masks.shape[-1] != x.shape[-1]:
+        raise ValueError(f"masks have width {masks.shape[-1]}, input has shape {x.shape}")
+    masked = masks * x[..., None, :]
+    z = embed(backbone, masked.reshape(-1, x.shape[-1]))
+    return z.reshape(masked.shape[:-1] + (backbone.h,))
+
+
+def select_groups(z, params):
+    """Score groups per class with sparse attention and compute partial
+    logits.  For class k the query is the projected class weight
+    ``w_q @ C_k`` and group i keys in with ``w_k @ z_i``; the affinity column
+    is sparsemaxed over groups.  Partial logits are the plain per-group class
+    logits ``C_k . z_i``.  Returns ``(scores, partial_logits)``, both
+    (..., G, n_classes)."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if z.shape[-1] != params.h:
+        raise ValueError(f"embeddings have width {z.shape[-1]}, expected {params.h}")
+    queries = params.classifier @ params.w_q.T          # (K, h)
+    affinities = z @ params.w_k.T @ queries.T / np.sqrt(params.h)
+    scores = np.swapaxes(sparsemax(np.swapaxes(affinities, -1, -2)), -1, -2)
+    return scores, z @ params.classifier.T
+
+
+def round_floats_oracle(obj):
+    """Recursively round floats (and numpy scalars/arrays) to 9 significant
+    digits, converting numpy containers to plain Python types; one call and
+    one type dispatch per item."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(format_float(obj))
+    if isinstance(obj, np.ndarray):
+        return [round_floats_oracle(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): round_floats_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats_oracle(v) for v in obj]
+    return obj
 
 
 def make_blobs(n_per_class=30, d=8, noise=0.5, seed=123):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumparts import certificates, cli, faithfulness, structures
+from sumparts import certificates, cli, faithfulness, structures, training
 from sumparts.cli import (
     REPORT_SCHEMA,
     _checkpoint_dict,
@@ -459,6 +459,27 @@ class TestTrain:
             err.count("\n") == 1, err
         assert f"lr={rate}" in err
         assert not out.exists()
+
+    def test_one_forward_pass_checks_and_scores_the_final_parameters(self, tmp_path,
+                                                                     monkeypatch):
+        """``train`` checks the last update's parameters with one ``predict``
+        over the dataset, and the training accuracy comes from that pass; a
+        second, identical pass used to follow for the accuracy."""
+        dataset = tmp_path / "blobs.csv"
+        write_blobs_csv(dataset, n_per_class=6)
+        config = write_config(
+            tmp_path / "t.json",
+            {"dataset": str(dataset), "steps": 3, "segments": 2, "seed": 7},
+        )
+        calls = []
+
+        def counting_predict(inputs, *model):
+            calls.append(np.shape(inputs))
+            return predict(inputs, *model)
+
+        monkeypatch.setattr(training, "predict", counting_predict)
+        assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 0
+        assert calls == [(12, 8)]
 
     def test_malformed_dataset_is_reported(self, tmp_path, capsys):
         dataset = tmp_path / "bad.csv"
@@ -916,9 +937,12 @@ class TestCheckpointValidation:
          ["'segment_assignment' must hold integers, got bool entries"]),
         (lambda c: {**c, "segment_assignment": [0] * 4 + [1.0] * 4},
          ["'segment_assignment' must hold integers, got float64 entries"]),
+        (lambda c: {**c, "segment_assignment": "abc"},
+         ["'segment_assignment' must hold integers, got <U3 entries"]),
     ], ids=["only_d", "no_w_k", "no_backbone", "no_backbone_classifier", "float_heads",
             "ragged_w_q", "short_sel_w_k", "short_assignment", "assignment_range",
-            "float_assignment", "bool_assignment", "integral_float_assignment"])
+            "float_assignment", "bool_assignment", "integral_float_assignment",
+            "string_assignment"])
     def test_bad_checkpoint_names_the_field(self, tmp_path, capsys, initial,
                                             mutate, expected):
         dataset, ckpt = initial
@@ -933,6 +957,35 @@ class TestCheckpointValidation:
         assert err.startswith(f"error: checkpoint {checkpoint}")
         for text in expected:
             assert text in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("key", ["w_q", "w_k", "sel_w_q", "sel_w_k", "classifier",
+                                     "backbone.classifier"])
+    def test_non_finite_entry_names_its_field(self, tmp_path, capsys, initial, key, value):
+        """``json`` reads ``NaN`` and ``Infinity``.  Such an entry in ``w_q``
+        used to be reported as ``v contains non-finite entries``, and one in
+        ``sel_w_q`` or ``backbone.classifier`` under the model's own names
+        (``w_q``, ``classifier``)."""
+        dataset, ckpt = initial
+        *parents, name = key.split(".")
+        holder = ckpt
+        for part in parents:
+            holder = holder[part]
+        entries = holder[name]
+        while isinstance(entries[0], list):
+            entries = entries[0]
+        entries[-1] = value
+        checkpoint = tmp_path / "bad.json"
+        checkpoint.write_text(json.dumps(ckpt))
+        config = write_config(
+            tmp_path / "e.json",
+            {"checkpoint": str(checkpoint), "dataset": str(dataset), "seed": 3},
+        )
+        out = tmp_path / "out"
+        assert run(["eval", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            f"error: checkpoint {checkpoint}: field {key!r} holds a non-finite entry\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "label"])
     def test_checkpoint_the_model_refuses_is_named(self, tmp_path, capsys, command):

@@ -1,7 +1,8 @@
-"""Group generation, embedding, selection, and the forward pass, checked
-against a symbolically computed golden trace and analytic evaluations; the
-batched forward (``predict``, stacked ``segment_pool``) against per-row
-calls."""
+"""Group generation, the backbone, and the forward pass, checked against a
+symbolically computed golden trace and analytic evaluations; the earlier
+stacked path's embedding and selection (the oracles in ``conftest``) against
+the same; the batched forward (``predict``, stacked ``segment_pool``)
+against per-row calls."""
 
 import json
 import tracemalloc
@@ -16,22 +17,19 @@ from sumparts import model, ops
 
 from sumparts.model import (
     PREDICT_BLOCK_ROWS,
-    Backbone,
     GroupedAttribution,
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
-    embed_groups,
     generate_groups,
     identity_backbone,
     linear_backbone,
     predict,
     segment_pool,
-    select_groups,
     sop_forward,
 )
 
-from conftest import TIED_ENTRY
+from conftest import TIED_ENTRY, embed_groups, select_groups
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "forward_trace_golden.json").read_text()
@@ -120,6 +118,14 @@ class TestGenerateGroups:
         masks = generate_groups(np.zeros(4), seg, params)
         np.testing.assert_array_equal(masks, np.full((2, 4), 0.5))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["w_q", "w_k"])
+    def test_params_refuse_non_finite_weights(self, name, value):
+        weights = {"w_q": np.zeros((2, 3, 3)), "w_k": np.zeros((2, 3, 3))}
+        weights[name][1, 2, 0] = value
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            GroupGenParams(**weights)
+
     def test_segment_mismatch_error(self):
         seg = Segmentation.contiguous(4, 2)
         params = GroupGenParams.random(3, 1, np.random.default_rng(0))
@@ -147,14 +153,8 @@ class TestEmbedGroups:
         z = embed_groups(x, mask[None], backbone)
         np.testing.assert_allclose(z[0], weights @ (mask * x), atol=1e-12)
 
-    def test_wrong_embedding_width(self):
-        bad = Backbone(embed=lambda v: np.zeros(2), classifier=np.zeros((1, 3)))
-        with pytest.raises(ValueError):
-            embed_groups(np.zeros(4), np.ones((1, 4)), bad)
-
     def test_width_is_the_classifiers(self):
         classifier = np.zeros((2, 5))
-        assert Backbone(embed=lambda v: v, classifier=classifier).h == 5
         assert identity_backbone(classifier).h == 5
         assert linear_backbone(np.zeros((5, 7)), classifier).h == 5
 
@@ -235,6 +235,10 @@ class TestSopForward:
         np.testing.assert_allclose(scores, GOLDEN["scores"], atol=1e-9)
         np.testing.assert_allclose(logits, GOLDEN["partial_logits"], atol=1e-9)
         attribution = sop_forward(x, seg, gen, sel, backbone)
+        np.testing.assert_allclose(attribution.groups, GOLDEN["masks"], atol=1e-9)
+        np.testing.assert_allclose(attribution.scores, GOLDEN["scores"], atol=1e-9)
+        np.testing.assert_allclose(attribution.partial_logits, GOLDEN["partial_logits"],
+                                   atol=1e-9)
         np.testing.assert_allclose(
             attribution.prediction, GOLDEN["prediction"], atol=1e-9
         )
@@ -394,8 +398,7 @@ class TestBatchedForward:
         seg, gen, sel, backbone = golden_params()
         inputs = np.random.default_rng(4).normal(size=(5, seg.n_features))
         expected = [sop_forward(x, seg, gen, sel, backbone).prediction for x in inputs]
-        np.testing.assert_allclose(predict(inputs, seg, gen, sel, backbone), expected,
-                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(predict(inputs, seg, gen, sel, backbone), expected)
 
     def test_predict_rejects_non_stacks(self):
         seg, gen, sel, backbone = golden_params()
@@ -428,26 +431,26 @@ class TestBatchedForward:
         with pytest.raises(ValueError, match=message):
             sop_forward(inputs[0], seg, gen, sel, backbone)
 
-    @pytest.mark.parametrize("rows", [1, PREDICT_BLOCK_ROWS - 1, PREDICT_BLOCK_ROWS,
-                                      PREDICT_BLOCK_ROWS + 1, 2 * PREDICT_BLOCK_ROWS + 3])
-    def test_blocked_predict_equals_per_row_sop_forward(self, rows):
+    @pytest.mark.parametrize("rows, linear", [
+        pytest.param(rows, linear, id=f"{rows}-linear" if linear else str(rows))
+        for rows in (1, PREDICT_BLOCK_ROWS - 1, PREDICT_BLOCK_ROWS, PREDICT_BLOCK_ROWS + 1,
+                     2 * PREDICT_BLOCK_ROWS + 3)
+        for linear in (False, True)])
+    def test_blocked_predict_equals_per_row_sop_forward(self, rows, linear):
         rng = np.random.default_rng(rows)
         d, m, heads = 12, 4, 2
         # an unordered assignment, so that the masks gather segments out of order
         seg = Segmentation(assignment=rng.permutation(np.arange(d) % m), n_segments=m)
-        identity = identity_backbone(rng.normal(size=(3, d)))
-        embedded = []
-        backbone = Backbone(embed=lambda x: embedded.append(x.shape[0]) or identity.embed(x),
-                            classifier=identity.classifier)
+        if linear:
+            backbone = linear_backbone(rng.normal(size=(7, d)), rng.normal(size=(3, 7)))
+        else:
+            backbone = identity_backbone(rng.normal(size=(3, d)))
         gen = GroupGenParams.random(m, heads, rng, std=2.0)
         sel = GroupSelectParams.random(backbone, rng, std=0.5)
         inputs = rng.normal(size=(rows, d))
         inputs[::5] = 0.0
         expected = [sop_forward(x, seg, gen, sel, backbone).prediction for x in inputs]
-        embedded.clear()
         np.testing.assert_array_equal(predict(inputs, seg, gen, sel, backbone), expected)
-        assert embedded == [min(PREDICT_BLOCK_ROWS, rows - start) * heads * m
-                            for start in range(0, rows, PREDICT_BLOCK_ROWS)]
 
     @pytest.mark.parametrize("block, broken, message", [
         (0, lambda w: w - 0.5, "mask entries"),
@@ -492,3 +495,22 @@ class TestBatchedForward:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+    def test_predict_memory_at_map_size(self):
+        """256 rows at d = 1,024 with 16 segments, 2 heads and 2 classes,
+        the size of 32 x 32 maps; a forward through the (rows, G, d) masked
+        inputs peaked at 53 MB."""
+        rng = np.random.default_rng(1)
+        d, m = 1024, 16
+        seg = Segmentation.contiguous(d, m)
+        backbone = identity_backbone(rng.normal(size=(2, d)))
+        gen = GroupGenParams.random(m, 2, rng, std=2.0)
+        sel = GroupSelectParams.random(backbone, rng, std=0.02)
+        inputs = rng.normal(size=(256, d))
+        tracemalloc.start()
+        try:
+            predict(inputs, seg, gen, sel, backbone)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000

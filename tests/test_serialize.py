@@ -1,6 +1,8 @@
 """CSV writer: the row-at-a-time formatter against the earlier per-cell
-writer, on rows of mixed cell types and special float values."""
+writer, on rows of mixed cell types and special float values; JSON float
+rounding against the earlier per-item rounding."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -8,7 +10,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumparts.serialize import format_float, write_csv_atomic
+from sumparts.serialize import format_float, stable_json_dumps, write_csv_atomic
+
+from conftest import round_floats_oracle
 
 
 def csv_text_oracle(header, rows) -> str:
@@ -86,3 +90,30 @@ class TestWriteCsv:
     def test_accepts_iterators_of_lists(self):
         rows = iter([[0, 1.25], [1, float("nan")]])
         assert _written(["step", "loss"], rows) == "step,loss\n0,1.25\n1,nan\n"
+
+
+# JSON values as the commands' artifacts hold them: plain and numpy scalars,
+# numpy arrays, and lists, tuples and dicts of them, flat lists of plain
+# floats among them
+_JSON_LEAF = st.one_of(
+    st.none(), st.text(max_size=4), st.booleans(), st.booleans().map(np.bool_),
+    st.integers(-10**20, 10**20), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    _FLOAT, _FLOAT.map(np.float64), st.floats(width=32).map(np.float32),
+)
+_JSON_VALUE = st.recursive(
+    st.one_of(_JSON_LEAF, st.lists(_FLOAT, max_size=8),
+              st.lists(_FLOAT, max_size=8).map(np.array),
+              st.lists(st.integers(-5, 5), max_size=8).map(np.array)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestRoundFloats:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUE)
+    def test_json_text_matches_per_item_oracle(self, value):
+        assert stable_json_dumps(value) == \
+            json.dumps(round_floats_oracle(value), sort_keys=True, indent=2) + "\n"

@@ -1,7 +1,7 @@
 """Training loop: analytic gradients against finite differences and
-against the earlier per-row forward/backward pass, the update against a
-per-name loop, determinism, and convergence on the separable blobs
-fixture."""
+against the earlier per-example forward/backward pass through the stacked
+path, the update against a per-name loop, determinism, and convergence on
+the separable blobs fixture."""
 
 import tracemalloc
 
@@ -14,11 +14,11 @@ from sumparts import training
 
 from sumparts.model import (
     PREDICT_BLOCK_ROWS,
-    Backbone,
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
     identity_backbone,
+    linear_backbone,
     segment_pool,
     sop_forward,
 )
@@ -37,6 +37,8 @@ from sumparts.training import (
 from conftest import (
     TIED_ENTRY,
     class_mean_identity_backbone,
+    embed,
+    embed_vjp,
     make_blobs,
     pack_gradients,
     sparsemax_row,
@@ -50,11 +52,7 @@ def d4_fixture():
     seg = Segmentation.contiguous(4, 2)
     weights = rng.normal(size=(3, 4))
     classifier = rng.normal(size=(2, 3))
-    backbone = Backbone(
-        embed=lambda v: v @ weights.T,
-        classifier=classifier,
-        embed_vjp=lambda v, upstream: upstream @ weights,
-    )
+    backbone = linear_backbone(weights, classifier)
     config = TrainConfig(steps=0, learning_rate=0.1, seed=11, heads=2, init_std=0.6)
     gen, sel = init_params(seg, backbone, config)
     inputs = rng.normal(size=(5, 4))
@@ -74,7 +72,8 @@ def blobs_fixture():
 
 
 def forward_oracle(x, seg, gen, sel, backbone):
-    """The earlier training forward pass, one sparsemax row at a time."""
+    """The earlier training forward pass, through the masked inputs and
+    their embeddings, one sparsemax row at a time."""
     pooled = segment_pool(x, seg)
     m = seg.n_segments
     gen_scale = np.sqrt(m)
@@ -86,7 +85,7 @@ def forward_oracle(x, seg, gen, sel, backbone):
     )                                                   # (G, m)
     masks = seg_weights[:, seg.assignment]              # (G, d)
     masked = masks * x[None, :]
-    z = np.asarray(backbone.embed(masked), dtype=np.float64)  # one (G, d) stack
+    z = embed(backbone, masked)                         # (G, h)
     sel_queries = sel.classifier @ sel.w_q.T            # (K, h)
     sel_keys = z @ sel.w_k.T                            # (G, h)
     sel_scale = np.sqrt(sel.h)
@@ -106,8 +105,7 @@ def forward_oracle(x, seg, gen, sel, backbone):
 
 
 def backward_oracle(x, seg, gen, sel, backbone, cache, d_pred):
-    """The earlier hand-derived backward pass, one VJP row at a time.
-    Needs a backbone with an ``embed_vjp`` hook."""
+    """The earlier hand-derived backward pass, one VJP row at a time."""
     m = seg.n_segments
     z = cache["z"]
     scores = cache["scores"]
@@ -129,7 +127,7 @@ def backward_oracle(x, seg, gen, sel, backbone, cache, d_pred):
     d_z = d_sel_keys @ sel.w_k + d_logits @ sel.classifier            # (G, h)
 
     d_masked = np.vstack(
-        [backbone.embed_vjp(cache["masked"][g], d_z[g]) for g in range(z.shape[0])]
+        [embed_vjp(backbone, d_z[g]) for g in range(z.shape[0])]
     )
     d_masks = d_masked * x[None, :]
     d_seg_weights = np.vstack(
@@ -152,11 +150,9 @@ def backward_oracle(x, seg, gen, sel, backbone, cache, d_pred):
     }
 
 
-def loss_and_gradients_oracle(inputs, labels, seg, gen, sel, backbone, *, _buffers=None):
+def loss_and_gradients_oracle(inputs, labels, seg, gen, sel, backbone):
     """The earlier per-example loop: every gradient a running total that
-    starts at zero and adds one example's gradient at a time.  It takes and
-    ignores the buffers that ``train`` passes, so that it can stand in for
-    ``loss_and_gradients`` there."""
+    starts at zero and adds one example's gradient at a time."""
     n = inputs.shape[0]
     total_loss = 0.0
     grads = {
@@ -191,6 +187,16 @@ def train_oracle(inputs, labels, seg, backbone, config):
     return gen, sel, history
 
 
+def assert_close_to_oracle(actual, expected, err_msg=""):
+    """``|actual - expected| <= 1e-12 * max(1, max |expected|)`` entrywise: the
+    segment-space passes add in another order than the oracle's."""
+    actual, expected = np.asarray(actual, np.float64), np.asarray(expected, np.float64)
+    assert actual.shape == expected.shape, err_msg
+    scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12 * scale,
+                               err_msg=err_msg)
+
+
 def assert_same_bits(actual, expected, err_msg=""):
     """Equal to the last bit, the sign of a zero included."""
     actual, expected = np.asarray(actual, np.float64), np.asarray(expected, np.float64)
@@ -210,16 +216,15 @@ class TestSingleForwardPath:
         loss_ref, grads_ref = loss_and_gradients_oracle(
             inputs, labels, seg, gen, sel, backbone
         )
-        assert loss == loss_ref
+        assert_close_to_oracle(loss, loss_ref)
         for key, ref in grads_ref.items():
-            scale = max(1.0, float(np.abs(ref).max()))
-            np.testing.assert_allclose(grads[key], ref, rtol=0.0, atol=1e-12 * scale)
+            assert_close_to_oracle(grads[key], ref, err_msg=key)
         for x in inputs:
             attribution = sop_forward(x, seg, gen, sel, backbone)
             cache = forward_oracle(x, seg, gen, sel, backbone)
             np.testing.assert_array_equal(attribution.groups, cache["masks"])
-            np.testing.assert_array_equal(attribution.scores, cache["scores"])
-            np.testing.assert_array_equal(attribution.prediction, cache["prediction"])
+            assert_close_to_oracle(attribution.scores, cache["scores"])
+            assert_close_to_oracle(attribution.prediction, cache["prediction"])
 
     def test_blobs_fixture_has_partial_supports(self):
         seg, backbone, gen, sel, inputs, _ = blobs_fixture()
@@ -231,19 +236,23 @@ class TestSingleForwardPath:
 @st.composite
 def _identity_batch(draw):
     """A random identity-backbone model with a labelled (B, d) stack that
-    has all-zero rows and tied entries.  Both sparsemax blocks get rows of
-    at most 7 entries: numpy adds fewer than 8 entries in order, so the
-    oracle's mean over the support and the library's support sum over the
-    whole row agree bit for bit."""
-    d = draw(st.integers(1, 10))
-    m = draw(st.integers(1, min(d, 7)))
-    heads = draw(st.integers(1, 7 // m))
+    has all-zero rows and tied entries, with up to 16 groups over up to 32
+    features.  The selector weights are drawn at a standard deviation over
+    sqrt(h): where the groups are identical (one segment, or zero generator
+    weights) the affinity part of the selector and classifier gradients is
+    exactly zero, and either float64 path returns its rounding noise
+    amplified by about std^2 * h, which at std 3 and h >= 7 reaches 1e-12 of
+    the gradient, beyond the tolerance of the comparison."""
+    d = draw(st.integers(1, 32))
+    m = draw(st.integers(1, min(d, 16)))
+    heads = draw(st.integers(1, 16 // m))
     k = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     seg = Segmentation.contiguous(d, m)
     backbone = identity_backbone(rng.normal(size=(k, d)))
     gen = GroupGenParams.random(m, heads, rng, std=draw(st.sampled_from([0.0, 1.0, 3.0])))
-    sel = GroupSelectParams.random(backbone, rng, std=draw(st.sampled_from([0.0, 1.0, 3.0])))
+    sel = GroupSelectParams.random(backbone, rng,
+                                   std=draw(st.sampled_from([0.0, 1.0, 3.0])) / np.sqrt(d))
     b = draw(st.integers(1, 12))
     zeros = draw(st.integers(0, min(2, b - 1)))
     rows = draw(st.lists(st.lists(TIED_ENTRY, min_size=d, max_size=d),
@@ -262,10 +271,10 @@ class TestBatchedGradients:
         loss_ref, grads_ref = loss_and_gradients_oracle(
             inputs, labels, seg, gen, sel, backbone
         )
-        assert_same_bits(loss, loss_ref)
+        assert_close_to_oracle(loss, loss_ref)
         assert grads.keys() == grads_ref.keys()
         for key, ref in grads_ref.items():
-            assert_same_bits(grads[key], ref, err_msg=key)
+            assert_close_to_oracle(grads[key], ref, err_msg=key)
 
     def test_zero_gradients_are_positive_zeros(self):
         """One segment: the generator's sparsemax rows have one entry, so
@@ -307,30 +316,22 @@ class TestBatchedGradients:
                                       PREDICT_BLOCK_ROWS + 1, 2 * PREDICT_BLOCK_ROWS + 3])
     def test_blocks_equal_per_example_oracle(self, rows):
         """Stacks that end inside, at and past block boundaries, with
-        all-zero rows and tied entries.  Sparsemax rows of at most 7 entries,
-        as in ``_identity_batch``, so that the oracle agrees bit for bit."""
+        all-zero rows and tied entries."""
         rng = np.random.default_rng(rows)
         d, m, heads = 7, 3, 2
         seg = Segmentation(assignment=rng.permutation(np.arange(d) % m), n_segments=m)
-        identity = identity_backbone(rng.normal(size=(3, d)))
-        embedded = []
-        backbone = Backbone(
-            embed=identity.embed, classifier=identity.classifier,
-            embed_vjp=lambda x, up: embedded.append(x.shape[0]) or identity.embed_vjp(x, up))
+        backbone = identity_backbone(rng.normal(size=(3, d)))
         gen = GroupGenParams.random(m, heads, rng, std=1.0)
         sel = GroupSelectParams.random(backbone, rng, std=1.0)
         inputs = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.5], size=(rows, d))
         inputs[::5] = 0.0
         labels = rng.integers(0, 3, size=rows)
         loss_ref, grads_ref = loss_and_gradients_oracle(inputs, labels, seg, gen, sel, backbone)
-        embedded.clear()
         loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
-        assert_same_bits(loss, loss_ref)
+        assert_close_to_oracle(loss, loss_ref)
         assert grads.keys() == grads_ref.keys()
         for key, ref in grads_ref.items():
-            assert_same_bits(grads[key], ref, err_msg=key)
-        assert embedded == [min(PREDICT_BLOCK_ROWS, rows - start) * heads * m
-                            for start in range(0, rows, PREDICT_BLOCK_ROWS)]
+            assert_close_to_oracle(grads[key], ref, err_msg=key)
 
     def test_step_memory_follows_the_block_size(self):
         """One step on 2,000 rows of the shape of the ``train-blobs``
@@ -351,6 +352,27 @@ class TestBatchedGradients:
             tracemalloc.stop()
         assert peak < 5_000_000
 
+    def test_step_memory_at_map_size(self):
+        """One step on 256 rows at d = 1,024 with 16 segments, 2 heads and 2
+        classes, the size of 32 x 32 maps, holds little besides the two
+        (h, h) selector gradients it returns; a step through the
+        (rows, G, d) masked inputs and per-example (h, h) products peaked at
+        112 MB."""
+        rng = np.random.default_rng(1)
+        d, m = 1024, 16
+        seg = Segmentation.contiguous(d, m)
+        backbone = identity_backbone(rng.normal(size=(2, d)))
+        gen = GroupGenParams.random(m, 2, rng, std=2.0)
+        sel = GroupSelectParams.random(backbone, rng, std=0.02)
+        inputs, labels = rng.normal(size=(256, d)), rng.integers(0, 2, size=256)
+        tracemalloc.start()
+        try:
+            loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * d * d * 8 + 4_000_000
+
     def test_train_matches_oracle_driven_loop(self, monkeypatch):
         features, labels = make_blobs(n_per_class=6, seed=4)
         seg = Segmentation.contiguous(8, 3)
@@ -359,11 +381,12 @@ class TestBatchedGradients:
         result = train(features, labels, seg, backbone, config)
         monkeypatch.setattr(training, "loss_and_gradients", loss_and_gradients_oracle)
         reference = train(features, labels, seg, backbone, config)
-        assert result.loss_history == reference.loss_history
+        assert_close_to_oracle(result.loss_history, reference.loss_history)
         assert len(set(result.loss_history)) == 3
         for name in ("gen_params", "sel_params"):
             for key, value in vars(getattr(result, name)).items():
-                assert_same_bits(value, getattr(getattr(reference, name), key), err_msg=key)
+                assert_close_to_oracle(value, getattr(getattr(reference, name), key),
+                                       err_msg=key)
 
 
 class TestGradients:
@@ -379,22 +402,6 @@ class TestGradients:
         numeric = finite_diff_grad(loss_of, pack_params(gen, sel), 1e-6)
         scale = max(1.0, float(np.abs(numeric).max()))
         assert np.abs(analytic - numeric).max() / scale <= 1e-4
-
-    def test_backbone_without_gradient_hook_is_refused(self):
-        """Training backpropagates only through ``embed_vjp``; a backbone
-        without it is refused before any forward pass, by the gradient and
-        by the training loop alike."""
-        seg, backbone, _, gen, sel, inputs, labels = d4_fixture()
-
-        def embed(v):
-            raise AssertionError("the forward pass ran")
-
-        no_hook = Backbone(embed=embed, classifier=backbone.classifier)
-        with pytest.raises(ValueError, match="embed_vjp"):
-            loss_and_gradients(inputs, labels, seg, gen, sel, no_hook)
-        config = TrainConfig(steps=1, learning_rate=0.1, seed=11)
-        with pytest.raises(ValueError, match="embed_vjp"):
-            train(inputs, labels, seg, no_hook, config)
 
     def test_pack_round_trips_bit_for_bit(self):
         seg, backbone, gen, sel, _, _ = blobs_fixture()
