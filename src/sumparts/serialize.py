@@ -47,7 +47,7 @@ def round_floats(obj):
         return {str(k): round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         if set(map(type, obj)) == {float}:
-            return [float(format(v, ".9g")) for v in obj]
+            return [float(format_float(v)) for v in obj]
         return [round_floats(v) for v in obj]
     return obj
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumparts import model, ops
+from sumparts.training import loss_and_gradients
 
 from sumparts.model import (
     PREDICT_BLOCK_ROWS,
@@ -408,6 +409,28 @@ class TestBatchedForward:
             predict(np.empty((0, seg.n_features)), seg, gen, sel, backbone)
         with pytest.raises(ValueError):
             sop_forward(np.ones((2, seg.n_features)), seg, gen, sel, backbone)
+
+    @pytest.mark.parametrize("call", [
+        lambda x, *model: sop_forward(x[0], *model),
+        lambda x, *model: predict(x, *model),
+        lambda x, *model: loss_and_gradients(x, np.zeros(len(x), np.int64), *model),
+    ], ids=["sop_forward", "predict", "loss_and_gradients"])
+    @pytest.mark.parametrize("mismatch, message", [
+        ("selector", "^selector has width 3, backbone embeds into 4$"),
+        ("backbone", "^backbone takes 5 input features, segmentation covers 4$"),
+    ], ids=["selector", "backbone"])
+    def test_refuses_mismatched_widths(self, call, mismatch, message):
+        rng = np.random.default_rng(6)
+        seg = Segmentation.contiguous(4, 2)
+        gen = GroupGenParams.random(2, 1, rng, std=1.0)
+        if mismatch == "selector":
+            backbone = identity_backbone(rng.normal(size=(2, 4)))
+            sel = GroupSelectParams.random(identity_backbone(rng.normal(size=(2, 3))), rng)
+        else:
+            backbone = linear_backbone(rng.normal(size=(3, 5)), rng.normal(size=(2, 3)))
+            sel = GroupSelectParams.random(backbone, rng)
+        with pytest.raises(ValueError, match=message):
+            call(rng.normal(size=(3, 4)), seg, gen, sel, backbone)
 
     @pytest.mark.parametrize("block, broken, message", [
         (0, lambda w: w - 0.5, "mask entries"),          # generator rows below 0
