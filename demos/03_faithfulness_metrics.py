@@ -3,9 +3,11 @@
 A linear model admits a per-feature attribution with zero deletion and
 insertion error over the whole powerset; a product of features does not.
 Progressive insertion/deletion curves summarize attribution quality by
-the area under the model-probability curve.  The per-vector functions call
-a model once per probe; ``evaluate`` computes every metric of one example
-from one call of a batched model, on the distinct probes of all classes.
+the area under the model-probability curve.  Every model is a stack model:
+it maps a (P, d) array of probes to one value per probe, or to (P, K)
+class probabilities, and each metric calls it once.  ``evaluate_examples``
+computes every metric of many examples from one call, on the distinct
+probes of all classes.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ import numpy as np
 from sumparts.faithfulness import (
     comprehensiveness,
     deletion_curve,
-    evaluate,
+    evaluate_examples,
     flatten_grouped,
     grouped_curve,
     insertion_curve,
@@ -26,14 +28,14 @@ from sumparts.faithfulness import (
 # linear model: attribution theta_i * x_i is perfectly faithful
 theta = np.array([1.0, 2.0, -3.0, 4.0])
 x = np.array([2.0, -1.0, 1.0, 3.0])
-linear = lambda v: float(theta @ v)  # noqa: E731
+linear = lambda rows: (rows * theta).sum(axis=-1)  # noqa: E731
 alpha = theta * x
 print("linear model, alpha = theta * x")
 print("  total deletion error :", total_powerset_error(linear, x, alpha, "deletion"))
 print("  total insertion error:", total_powerset_error(linear, x, alpha, "insertion"))
 
 # product model: every per-feature attribution fails some subset
-product = lambda v: float(np.prod(v))  # noqa: E731
+product = lambda rows: np.prod(rows, axis=-1)  # noqa: E731
 ones = np.ones(4)
 best_uniform = np.full(4, 1.0 / 2.0)
 print("\nproduct model at the all-ones input")
@@ -43,7 +45,7 @@ print("  uniform attribution, deletion:",
       total_powerset_error(product, ones, best_uniform, "deletion"))
 
 # insertion/deletion curves for a probability-like model
-prob_model = lambda v: float(1.0 / (1.0 + np.exp(-theta @ v / 4.0)))  # noqa: E731
+prob_model = lambda rows: 1.0 / (1.0 + np.exp(-linear(rows) / 4.0))  # noqa: E731
 ranking = ranking_from_attribution(alpha)
 ins = insertion_curve(prob_model, x, ranking)
 dele = deletion_curve(prob_model, x, ranking)
@@ -60,30 +62,30 @@ print("  grouped insertion AUC:",
       round(grouped_curve(prob_model, x, groups, scores, "insertion").auc, 4))
 print("  sparsity (mean active fraction):", sparsity(groups, scores))
 
-# rationale-style metrics: drop when removed vs kept alone
-vector_model = lambda v: np.array([prob_model(v), 1.0 - prob_model(v)])  # noqa: E731
-rationale = np.array([1.0, 0.0, 0.0, 1.0])
-print("\nrationale metrics for class 0")
-print("  comprehensiveness:", round(comprehensiveness(vector_model, x, rationale, 0), 4))
-print("  sufficiency      :", round(sufficiency(vector_model, x, rationale, 0), 4))
 
-# the batched engine: the same model on a (P, d) stack of probes, every
-# metric of both classes from one call
-def batched_model(rows):
-    p = 1.0 / (1.0 + np.exp(-rows @ theta / 4.0))
+# rationale-style metrics: drop when removed vs kept alone, on the
+# probabilities of both classes
+def class_model(rows):
+    p = prob_model(rows)
     return np.column_stack([p, 1.0 - p])
 
 
+rationale = np.array([1.0, 0.0, 0.0, 1.0])
+print("\nrationale metrics for class 0")
+print("  comprehensiveness:", round(comprehensiveness(class_model, x, rationale, 0), 4))
+print("  sufficiency      :", round(sufficiency(class_model, x, rationale, 0), 4))
+
+# every metric of both classes of the example from one model call
 class_scores = np.column_stack([scores, scores[::-1]])
-results = evaluate(batched_model, x, groups, class_scores, [0, 1],
-                   ["grouped_insertion", "sparsity", "comprehensiveness", "sufficiency"])
+results = evaluate_examples(
+    class_model, [x], [groups], [class_scores], [0, 1],
+    ["grouped_insertion", "sparsity", "comprehensiveness", "sufficiency"])[0]
 print("\nbatched engine, one model call")
 for k, result in enumerate(results):
     print(f"  class {k}: grouped insertion AUC",
           round(result["grouped_insertion"].auc, 4),
           " comprehensiveness", round(result["comprehensiveness"], 4),
           " sufficiency", round(result["sufficiency"], 4))
-per_vector = grouped_curve(prob_model, x, groups, scores, "insertion")
-print("  class 0 grouped insertion equals the per-vector curve:",
-      np.array_equal(results[0]["grouped_insertion"].probabilities,
-                     per_vector.probabilities))
+alone = grouped_curve(prob_model, x, groups, scores, "insertion")
+print("  class 0 grouped insertion equals the grouped_curve of class 0:",
+      np.array_equal(results[0]["grouped_insertion"].probabilities, alone.probabilities))

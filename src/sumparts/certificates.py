@@ -145,9 +145,9 @@ def verify_lemma_monomial_insertion(d: int, x=None) -> float:
 
     At the all-ones input only the full subset errs (by exactly 1); at any
     input with a zero feature every subset has zero model output, so the
-    total is 0.  Evaluated exhaustively, for d <= 20, by the subset errors
-    that define :func:`sumparts.faithfulness.insertion_error`; the zero
-    attribution credits no group.
+    total is 0.  Evaluated exhaustively, for d <= 20, by
+    :func:`sumparts.faithfulness.subset_errors`; the zero attribution
+    credits no group.
     """
     spec = PolynomialSpec.monomial(d)
     x = np.ones(d) if x is None else np.asarray(x, dtype=np.float64)
@@ -165,9 +165,8 @@ def verify_corollary_grouped(spec: PolynomialSpec) -> tuple[float, float]:
     The groups are the polynomial's term supports, each with score 1: for a
     monomial the single group of all features, for a binomial each
     product's support.  They are evaluated against every subset of the
-    powerset at the all-ones input, both kinds in one walk, by the subset
-    errors that define :func:`sumparts.faithfulness.grouped_deletion_error`
-    and :func:`sumparts.faithfulness.grouped_insertion_error`.
+    powerset at the all-ones input, both kinds in one walk, by
+    :func:`sumparts.faithfulness.subset_errors`.
     Returns ``(max grouped deletion error, max grouped insertion error)``,
     both expected to be exactly 0, for d <= 20.
     """

@@ -268,6 +268,14 @@ def cmd_certify(config: dict) -> tuple[int, dict]:
     return 0 if all(gates.values()) else 1, {"results.json": result, "curves.csv": curves}
 
 
+def _dataset_line(path, bad) -> int:
+    """The file line of the first data row where the boolean ``bad`` holds;
+    as np.loadtxt does, count the lines with text before any # comment."""
+    with open(path) as fh:
+        rows = [n for n, line in enumerate(fh, 1) if line.split("#", 1)[0].strip()]
+    return rows[np.argmax(bad)]
+
+
 def _load_dataset(path):
     data = _read("dataset", path, lambda p: np.loadtxt(p, delimiter=",", ndmin=2))
     if data.shape[1] < 2:
@@ -279,10 +287,7 @@ def _load_dataset(path):
     for bad, problem in ((~np.isfinite(features).all(axis=1), "a feature is not finite"),
                          (~integral, "label is not an integer in [0, 2^63)")):
         if bad.any():
-            # as np.loadtxt does, count the lines with text before any # comment
-            with open(path) as fh:
-                rows = [n for n, line in enumerate(fh, 1) if line.split("#", 1)[0].strip()]
-            raise ConfigError(f"dataset {path} line {rows[np.argmax(bad)]}: {problem}")
+            raise ConfigError(f"dataset {path} line {_dataset_line(path, bad)}: {problem}")
     return features, labels.astype(np.int64)
 
 
@@ -453,6 +458,13 @@ def cmd_eval(config: dict) -> tuple[int, dict]:
                 f"eval class index {k} is out of range for a checkpoint with "
                 f"{sel.n_classes} classes"
             )
+    # only the accuracy reads the labels
+    unknown = labels >= sel.n_classes
+    if "accuracy" in metrics and unknown.any():
+        raise ConfigError(
+            f"dataset {dataset} line {_dataset_line(dataset, unknown)}: label "
+            f"{labels[np.argmax(unknown)]} is not a class of checkpoint {checkpoint} "
+            f"({sel.n_classes} classes)")
 
     report: dict = {"metadata": {
         "checkpoint": checkpoint,

@@ -1,6 +1,6 @@
 """Perturbation-based faithfulness metrics.
 
-Covers per-feature and grouped deletion/insertion errors (pointwise and
+Covers per-feature and grouped deletion/insertion errors (per subset and
 summed over the full powerset), progressive insertion/deletion curves with
 trapezoidal AUC, comprehensiveness/sufficiency, attribution sparsity, and
 flattening of grouped attributions to per-feature scores.
@@ -10,19 +10,21 @@ set to 0.  Group membership of a real-valued mask is its strict support
 ``mask > 0`` (sparsemax produces exact zeros, so the support is
 well-defined).
 
-Every probe is ``np.where(keep, x, 0.0)`` for one row of a boolean
-keep-matrix.  The builders :func:`ranked_keep`, :func:`grouped_keep` and
+Every model here is a stack model: it maps a (P, d) array of probes to a
+(P,) array of values, or to (P, K) class probabilities for
+:func:`comprehensiveness`, :func:`sufficiency` and
+:func:`evaluate_examples`, row by row.  Every probe is
+``np.where(keep, x, 0.0)`` for one row of a boolean keep-matrix.  The
+builders :func:`ranked_keep`, :func:`grouped_keep` and
 :func:`rationale_keep` return the keep-matrices of the curves and of the
 rationale metrics, and :meth:`PerturbationReport.from_curve` turns one
 value per probe into a report.  One engine evaluates the keep matrices of
-one or more inputs, in one model call on each input's distinct rows.
-:func:`evaluate` drives it with a batched model for every metric and class
-of one example, and :func:`evaluate_examples` for many examples at once,
-as ``sumparts eval`` does for all of its examples; the per-vector
-functions reach it through an adapter that calls a one-vector model once
-per probe.  The subset errors, pointwise and over the powerset, here and in
-the lemma and corollary checks of :mod:`sumparts.certificates`, have one
-definition: ``_subset_errors``, over a boolean subset matrix."""
+one or more inputs, in one model call on each input's distinct rows;
+:func:`evaluate_examples` drives it for every metric and class of many
+examples at once, as ``sumparts eval`` does for all of its examples.  The
+subset errors, per subset and over the powerset, here and in the lemma and
+corollary checks of :mod:`sumparts.certificates`, have one definition:
+:func:`subset_errors`, over a boolean subset matrix."""
 
 from __future__ import annotations
 
@@ -39,17 +41,13 @@ __all__ = [
     "ranked_keep",
     "grouped_keep",
     "rationale_keep",
-    "deletion_error",
-    "insertion_error",
+    "subset_errors",
     "total_powerset_error",
-    "grouped_deletion_error",
-    "grouped_insertion_error",
     "insertion_curve",
     "deletion_curve",
     "grouped_curve",
     "comprehensiveness",
     "sufficiency",
-    "evaluate",
     "evaluate_examples",
     "METRICS",
     "sparsity",
@@ -113,15 +111,6 @@ def _as_input(x) -> np.ndarray:
     return x
 
 
-def _as_subset(subset, d: int) -> np.ndarray:
-    idx = np.asarray(list(subset), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= d):
-        raise ValueError(f"subset indices must lie in [0, {d})")
-    if idx.size != np.unique(idx).size:
-        raise ValueError("subset contains repeated indices")
-    return idx
-
-
 def _probe(model: Callable, x: np.ndarray, keeps: list) -> list[np.ndarray]:
     """:func:`_probe_examples` of the one input ``x``: one array per matrix
     of ``keeps``."""
@@ -166,31 +155,32 @@ def _probe_examples(model: Callable, inputs, keeps) -> list[list[np.ndarray]]:
     return results
 
 
-def _per_row(model: Callable) -> Callable:
-    """A stack model over the one-vector ``model``: ``float(model(v))`` for
-    each row v, in row order."""
-    return lambda rows: np.array([float(model(v)) for v in rows])
-
-
-def _subset_errors(model: Callable, x: np.ndarray, members: np.ndarray, supports,
-                   scores, kind: str) -> np.ndarray:
+def subset_errors(model: Callable, x, members, groups, scores, kind: str) -> np.ndarray:
     """Deletion or insertion error ``|change - credit|`` of each subset in
     the boolean (P, d) ``members``, under the stack ``model`` at ``x``.
 
     Deleting a subset changes the output by ``model(x) - model(x with the
     subset zeroed)``, inserting it by ``model(the subset on a zero
-    baseline) - model(0)``.  The credit sums the scores of the groups of the
-    boolean (G, d) ``supports`` that the subset hits (deletion) or covers
-    (insertion); ``supports=None`` means one group per feature.  The
-    subsets' probes reach ``model`` as one lone matrix, so a powerset is
-    never deduplicated.
+    baseline) - model(0)``.  The credit sums the scores of the groups that
+    the subset hits (deletion) or covers (insertion); a group is the
+    support ``> 0`` of one row of the (G, d) ``groups``, and
+    ``groups=None`` means one group per feature.  ``model`` is called
+    twice: on the reference row, and on the subsets' probes as one lone
+    matrix, so a powerset is never deduplicated.
     """
-    deletion = kind == "deletion"
-    scores = np.asarray(scores, dtype=np.float64)
+    if kind not in ("deletion", "insertion"):
+        raise ValueError(f"kind must be 'deletion' or 'insertion', got {kind!r}")
+    x = _as_input(x)
+    members = np.asarray(members)
+    if members.dtype != bool or members.ndim != 2:
+        raise ValueError("members must be a boolean (P, d) matrix")
+    supports = None if groups is None else np.atleast_2d(np.asarray(groups)) > 0
     if supports is not None and supports.shape[1] != x.size:
         raise ValueError(f"group masks have width {supports.shape[1]}, input has {x.size}")
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (x.size if supports is None else len(supports),):
         raise ValueError(f"scores have shape {scores.shape}, expected one per group")
+    deletion = kind == "deletion"
     reference = _probe(model, x, [np.full((1, x.size), deletion)])[0][0]
     values = _probe(model, x, [~members if deletion else members])[0]
     change = reference - values if deletion else values - reference
@@ -203,37 +193,14 @@ def _subset_errors(model: Callable, x: np.ndarray, members: np.ndarray, supports
     return np.abs(change - np.where(credited, scores, 0.0).sum(axis=1))
 
 
-def _powerset_errors(model: Callable, x: np.ndarray, supports, scores, kinds: tuple):
-    """:func:`_subset_errors` of every subset of the features, as one array
+def _powerset_errors(model: Callable, x: np.ndarray, groups, scores, kinds: tuple):
+    """:func:`subset_errors` of every subset of the features, as one array
     per kind of ``kinds`` for each block of :func:`sumparts.ops.powerset_blocks`
     (binary counting, bit i = feature i), for d <= ``POWERSET_LIMIT``."""
     if x.size > POWERSET_LIMIT:
         raise ValueError(f"powerset enumeration capped at d={POWERSET_LIMIT}, got {x.size}")
-    if not set(kinds) <= {"deletion", "insertion"}:
-        raise ValueError(f"each kind must be 'deletion' or 'insertion', got {kinds!r}")
     for members in powerset_blocks(x.size):
-        yield tuple(_subset_errors(model, x, members, supports, scores, kind) for kind in kinds)
-
-
-def _subset_error(f: Callable, x, groups, scores, subset, kind: str) -> float:
-    """:func:`_subset_errors` of one subset, given as indices, under the
-    one-vector model ``f``; ``groups=None`` means one group per feature."""
-    x = _as_input(x)
-    members = np.zeros((1, x.size), dtype=bool)
-    members[0, _as_subset(subset, x.size)] = True
-    supports = (None if groups is None
-                else np.atleast_2d(np.asarray(groups, dtype=np.float64)) > 0)
-    return float(_subset_errors(_per_row(f), x, members, supports, scores, kind)[0])
-
-
-def deletion_error(f: Callable, x, alpha, subset) -> float:
-    """|f(x) - f(x with subset zeroed) - sum of alpha over subset|."""
-    return _subset_error(f, x, None, alpha, subset, "deletion")
-
-
-def insertion_error(f: Callable, x, alpha, subset) -> float:
-    """|f(subset of x on a zero baseline) - f(0) - sum of alpha over subset|."""
-    return _subset_error(f, x, None, alpha, subset, "insertion")
+        yield tuple(subset_errors(model, x, members, groups, scores, kind) for kind in kinds)
 
 
 def total_powerset_error(f: Callable, x, alpha, kind: str) -> float:
@@ -245,25 +212,7 @@ def total_powerset_error(f: Callable, x, alpha, kind: str) -> float:
     is a masked row sum.
     """
     return sum(float(errors.sum())
-               for (errors,) in _powerset_errors(_per_row(f), _as_input(x), None, alpha, (kind,)))
-
-
-def grouped_deletion_error(f: Callable, x, groups, scores, subset) -> float:
-    """Grouped analogue of :func:`deletion_error`.
-
-    A group contributes its score when the deletion removes any of its
-    members, i.e. when the group's support intersects the deleted subset.
-    """
-    return _subset_error(f, x, groups, scores, subset, "deletion")
-
-
-def grouped_insertion_error(f: Callable, x, groups, scores, subset) -> float:
-    """Grouped analogue of :func:`insertion_error`.
-
-    A group contributes its score once all of its members are inserted,
-    i.e. when the group's support is a subset of the inserted features.
-    """
-    return _subset_error(f, x, groups, scores, subset, "insertion")
+               for (errors,) in _powerset_errors(f, _as_input(x), None, alpha, (kind,)))
 
 
 def ranking_from_attribution(alpha) -> np.ndarray:
@@ -334,7 +283,7 @@ def rationale_keep(rationale) -> np.ndarray:
 
 
 def _curve(model: Callable, x, metric: str, fractions, keep) -> PerturbationReport:
-    values = _probe(_per_row(model), _as_input(x), [keep])[0]
+    values = _probe(model, _as_input(x), [keep])[0]
     return PerturbationReport.from_curve(metric, fractions, values)
 
 
@@ -368,17 +317,14 @@ def _check_rationale(rationale, d: int) -> np.ndarray:
 def _rationale_drop(model: Callable, x, rationale, class_index: int, row: int) -> float:
     """Class probability at ``x`` minus that at row ``row`` of the
     rationale probes."""
-    x = _as_input(x)
-
-    def probability(v):
-        probs = np.asarray(model(v), dtype=np.float64)
-        if not 0 <= class_index < probs.size:
-            raise ValueError(
-                f"class index {class_index} out of range for {probs.size} classes")
-        return probs[class_index]
-
     keep = rationale_keep(rationale)[[0, row]]
-    full, probe = _probe(_per_row(probability), x, [keep])[0]
+    probs = _probe(model, _as_input(x), [keep])[0]
+    if probs.ndim != 2:
+        raise ValueError(f"model must give (P, K) class probabilities, got shape {probs.shape}")
+    if not 0 <= class_index < probs.shape[1]:
+        raise ValueError(
+            f"class index {class_index} out of range for {probs.shape[1]} classes")
+    full, probe = probs[:, class_index]
     return float(full - probe)
 
 
@@ -413,8 +359,8 @@ def sparsity(groups, scores) -> float:
 
 def _example_plan(groups, scores, classes, metrics, step: int):
     """The keep matrices of one example's metrics, and the function that
-    turns their probe values, in the same order, into :func:`evaluate`'s
-    per-class dicts."""
+    turns their probe values, in the same order, into the per-class dicts
+    of :func:`evaluate_examples`."""
     scores = np.asarray(scores, dtype=np.float64)
     if any(not 0 <= k < scores.shape[1] for k in classes):
         raise ValueError(f"class indices {classes} out of range for {scores.shape[1]} classes")
@@ -450,33 +396,22 @@ def _example_plan(groups, scores, classes, metrics, step: int):
     return keeps, finish
 
 
-def evaluate(model: Callable, x, groups, scores, classes, metrics,
-             step: int = 1) -> list[dict]:
-    """Every requested metric of one example, for each class in ``classes``.
-
-    ``model`` maps a (P, d) stack of probes to (P, K) class probabilities,
-    row by row.  It is called once, on the distinct probe rows of all
-    classes, or not at all when no metric needs a probe.  ``groups`` (G, d)
-    and ``scores`` (G, K) attribute ``x``; class k ranks features by
-    ``flatten_grouped(groups, scores[:, k])``, and its rationale is where
-    that is positive.  Returns one dict per class: each requested curve of
-    ``_CURVES`` as a report, then sparsity, comprehensiveness and
-    sufficiency as floats, in this order whatever the order of ``metrics``.
-    This is :func:`evaluate_examples` on one example.
-    """
-    return evaluate_examples(model, [x], [groups], [scores], classes, metrics, step)[0]
-
-
 def evaluate_examples(model: Callable, inputs, groups, scores, classes, metrics,
                       step: int = 1) -> list[list[dict]]:
-    """:func:`evaluate` of every example ``inputs[n]``, attributed by
-    ``groups[n]`` and ``scores[n]``: one list of per-class dicts per
-    example, in order.
+    """Every requested metric of each example ``inputs[n]``, for each class
+    in ``classes``: one list of per-class dicts per example, in order.
 
-    ``model`` is called once, on the distinct probe rows of each example,
-    stacked in example order, or not at all when no metric needs a probe.
-    That stack holds, summed over the examples, each example's number of
-    distinct probe rows times d float64s.
+    ``model`` maps a (P, d) stack of probes to (P, K) class probabilities,
+    row by row.  It is called once, on the distinct probe rows of each
+    example, stacked in example order, or not at all when no metric needs a
+    probe.  That stack holds, summed over the examples, each example's
+    number of distinct probe rows times d float64s.  ``groups[n]`` (G, d)
+    and ``scores[n]`` (G, K) attribute ``inputs[n]``; class k ranks
+    features by ``flatten_grouped(groups[n], scores[n][:, k])``, and its
+    rationale is where that is positive.  Each dict holds each requested
+    curve of ``_CURVES`` as a report, then sparsity, comprehensiveness and
+    sufficiency as floats, in this order whatever the order of
+    ``metrics``.
     """
     unknown = [m for m in metrics if m not in METRICS]
     if unknown:

@@ -148,7 +148,14 @@ def powerset_matrix(d: int) -> np.ndarray:
 
 def powerset_blocks(d: int):
     """The rows of :func:`powerset_matrix`, in order, in blocks of
-    ``POWERSET_BLOCK_ROWS``."""
-    members = powerset_matrix(d)
-    for start in range(0, members.shape[0], POWERSET_BLOCK_ROWS):
-        yield members[start:start + POWERSET_BLOCK_ROWS]
+    ``POWERSET_BLOCK_ROWS``.
+
+    Each block is filled from its own row range, a column at a time, so
+    the whole matrix never exists.
+    """
+    for start in range(0, 1 << d, POWERSET_BLOCK_ROWS):
+        rows = np.arange(start, min(start + POWERSET_BLOCK_ROWS, 1 << d), dtype=np.uint32)
+        members = np.empty((rows.size, d), dtype=bool)
+        for i in range(d):
+            members[:, i] = (rows >> i) & 1
+        yield members

@@ -188,8 +188,12 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"loss {loss}")
                 history.append(float(loss))
-                gen, sel = _from_trainable({name: array - config.learning_rate * grads[name]
-                                            for name, array in _trainable(gen, sel).items()})
+                # in place, so a step holds no (h, h) temporary; negation is
+                # exact, so each entry is array - lr * grad to the bit
+                for name, array in _trainable(gen, sel).items():
+                    grads[name] *= -config.learning_rate
+                    grads[name] += array
+                gen, sel = _from_trainable({name: grads[name] for name in _trainable(gen, sel)})
             accuracy = training_accuracy(inputs, labels, seg, gen, sel, backbone)
     except (FloatingPointError, ValueError) as exc:
         # a ValueError is the model refusing the parameters of an update, such

@@ -15,9 +15,9 @@ primal/dual check.  ``monomial_fraction_scan`` and
 closed forms, and ``fit_exponential_grid_loop`` is the earlier offset
 grid search.  The pointwise error oracles (``deletion_error_oracle``,
 ``insertion_error_oracle`` and their grouped forms) are the library's
-earlier subset errors, each probe built by hand and evaluated by a
-one-vector model, kept to check the keep-matrix subset-error engine and
-the certificate verifiers against.  ``shapley_values`` gives the exact
+earlier subset errors, each probe built by hand and passed to the model
+as one vector, kept to check ``faithfulness.subset_errors`` and the
+certificate verifiers against.  ``shapley_values`` gives the exact
 Shapley attribution and ``occlusion_values`` the leave-one-out occlusion,
 the per-feature baselines the certificates are set against.
 ``pack_gradients`` flattens ``loss_and_gradients``' gradients for the

@@ -222,7 +222,7 @@ def test_criterion_08_training_sanity():
 
 
 def test_criterion_09_metric_coherence():
-    constant = lambda x: 0.42  # noqa: E731
+    constant = lambda rows: np.full(len(rows), 0.42)  # noqa: E731
     x = np.arange(1.0, 7.0)
     ranking = np.arange(6)
     const_ok = (
@@ -234,7 +234,7 @@ def test_criterion_09_metric_coherence():
 
     rng = np.random.default_rng(5)
     theta = rng.normal(size=5)
-    model = lambda v: float(theta @ v)  # noqa: E731
+    model = lambda rows: (rows * theta).sum(axis=-1)  # noqa: E731
     xr = rng.normal(size=5)
     scores = rng.uniform(size=5)
     grouped = grouped_curve(model, xr, np.eye(5), scores, "insertion")
@@ -248,7 +248,7 @@ def test_criterion_09_metric_coherence():
     theta_int = np.array([1.0, 2.0, -3.0, 4.0, 2.0, -1.0])
     x_int = np.array([2.0, -1.0, 1.0, 3.0, 0.0, 5.0])
     alpha = theta_int * x_int
-    linear = lambda v: float(theta_int @ v)  # noqa: E731
+    linear = lambda rows: (rows * theta_int).sum(axis=-1)  # noqa: E731
     linear_ok = (
         total_powerset_error(linear, x_int, alpha, "deletion") == 0.0
         and total_powerset_error(linear, x_int, alpha, "insertion") == 0.0

@@ -632,20 +632,32 @@ class TestEval:
 
     def test_dataset_label_out_of_range(self, tmp_path, capsys, trained):
         """The accuracy checks the dataset's labels against the checkpoint's
-        class count, so a label of 2 for a 2-class checkpoint is an error."""
+        class count, so a label of 4 for a 2-class checkpoint is an error
+        that names the dataset line (after a comment line) and the
+        checkpoint."""
         _, checkpoint = trained
-        dataset = tmp_path / "three_labels.csv"
+        dataset = tmp_path / "five_labels.csv"
         features, labels = make_blobs(n_per_class=6, seed=123)
-        labels[-1] = 2
-        np.savetxt(dataset, np.column_stack([features, labels]), delimiter=",")
+        labels[4] = 4
+        np.savetxt(dataset, np.column_stack([features, labels]), delimiter=",",
+                   header="features, label")
         config = write_config(
             tmp_path / "e.json",
             {"checkpoint": str(checkpoint), "dataset": str(dataset),
              "metrics": ["accuracy"], "seed": 3},
         )
         assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
-        assert "labels must lie in [0, n_classes) = [0, 2)" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "results.json").exists()
+        assert capsys.readouterr().err == (
+            f"error: dataset {dataset} line 6: label 4 is not a class of checkpoint "
+            f"{checkpoint} (2 classes)\n")
+        assert not (tmp_path / "out").exists()
+        # without the accuracy no metric reads the labels
+        config = write_config(
+            tmp_path / "s.json",
+            {"checkpoint": str(checkpoint), "dataset": str(dataset),
+             "metrics": ["sparsity"], "seed": 3},
+        )
+        assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 0
 
     def test_non_finite_feature_names_the_line(self, tmp_path, capsys, trained):
         _, checkpoint = trained
@@ -729,13 +741,15 @@ class TestEval:
 
 
 def eval_oracle(checkpoint, dataset, metrics, step, classes, out_dir):
-    """The earlier ``eval``: the per-vector faithfulness functions driven by
-    a per-row ``sop_forward`` model, one forward per probe."""
+    """The earlier ``eval``: the faithfulness functions of one curve or
+    rationale metric at a time, driven by a stack model that runs one
+    ``sop_forward`` per probe."""
     seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
     features, labels = _load_dataset(dataset)
 
-    def probabilities(v):
-        return softmax(sop_forward(v, seg, gen, sel, backbone).prediction)
+    def probabilities(rows):
+        return np.array([softmax(sop_forward(v, seg, gen, sel, backbone).prediction)
+                         for v in rows])
 
     report = {"metadata": {
         "checkpoint": str(checkpoint), "dataset": str(dataset), "classes": classes,
@@ -750,7 +764,7 @@ def eval_oracle(checkpoint, dataset, metrics, step, classes, out_dir):
     for index, x in enumerate(features):
         attribution = sop_forward(x, seg, gen, sel, backbone)
         for k in classes:
-            prob = lambda v, k=k: float(probabilities(v)[k])  # noqa: E731
+            prob = lambda rows, k=k: probabilities(rows)[:, k]  # noqa: E731
             groups, scores = attribution.groups, attribution.scores[:, k]
             alpha = faithfulness.flatten_grouped(groups, scores)
             ranking = faithfulness.ranking_from_attribution(alpha)

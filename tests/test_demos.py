@@ -1,8 +1,9 @@
 """Smoke runs of the demos that reach code with no other non-test caller,
 or that drive a whole layer end to end: ``sparsemax_vjp`` and sparsemax
 attention rows (demo 01), training and the exact reconstruction
-(demo 02), the per-vector ``total_powerset_error`` and curves beside the
-batched ``faithfulness.evaluate`` (demo 03),
+(demo 02), ``total_powerset_error``, the curves and the rationale
+metrics on stack models, beside ``faithfulness.evaluate_examples``
+(demo 03),
 every certificate family with its exponential fit, beside the
 Shapley and occlusion baselines (demo 04), and
 structure labeling (demo 05).  Each demo runs with numpy's

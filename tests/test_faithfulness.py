@@ -1,9 +1,13 @@
-"""Perturbation metrics: pointwise and powerset errors, curves, and the
+"""Perturbation metrics: subset and powerset errors, curves, and the
 grouped variants, checked against direct evaluations and closed forms.  The
 earlier one-probe-at-a-time versions of the keep-mask functions are kept
-here as oracles, the subset-error engine is checked against the hand-built
-pointwise errors in conftest, and the batched ``evaluate`` is checked
-against the per-vector functions."""
+here as oracles, ``subset_errors`` is checked against the hand-built
+per-subset errors in conftest, and ``evaluate_examples`` against the curve
+and rationale functions driven one probe at a time.
+
+Every model here is a stack model built from elementwise operations and
+last-axis reductions only, so a row's value is the same bits whether the
+model gets it alone, as the oracles pass it, or in a stack."""
 
 from math import comb
 
@@ -23,38 +27,52 @@ from conftest import (
 from sumparts import ops
 from sumparts.faithfulness import (
     PerturbationReport,
-    _per_row,
     _powerset_errors,
     _probe,
     _probe_examples,
-    _subset_errors,
     comprehensiveness,
     deletion_curve,
-    deletion_error,
-    evaluate,
     evaluate_examples,
     flatten_grouped,
     grouped_curve,
-    grouped_deletion_error,
-    grouped_insertion_error,
     grouped_keep,
     insertion_curve,
-    insertion_error,
     ranked_keep,
     ranking_from_attribution,
     rationale_keep,
     sparsity,
+    subset_errors,
     sufficiency,
     total_powerset_error,
 )
 
 
 def monomial(x):
-    return float(np.prod(x))
+    """The product of the features, of one vector or of each row."""
+    return np.prod(x, axis=-1)
 
 
 def linear_model(theta):
-    return lambda x: float(np.asarray(theta) @ x)
+    return lambda x: (np.asarray(x) * theta).sum(axis=-1)
+
+
+def constant_model(value):
+    return lambda rows: np.full(len(rows), value)
+
+
+def subset_members(subsets, d):
+    """The boolean (P, d) membership matrix of subsets given as index lists."""
+    members = np.zeros((len(subsets), d), dtype=bool)
+    for row, subset in zip(members, subsets):
+        row[subset] = True
+    return members
+
+
+def errors_of(f, x, groups, scores, subsets, kind):
+    """``subset_errors`` of the subsets, given as index lists, as a list."""
+    x = np.asarray(x, dtype=np.float64)
+    return subset_errors(f, x, subset_members(subsets, x.size), groups, scores,
+                         kind).tolist()
 
 
 def total_powerset_error_oracle(f, x, alpha, kind):
@@ -107,7 +125,8 @@ def rationale_oracle(model, x, r, k):
 
 
 def recording(model):
-    """``model`` that also records every probe it is called on."""
+    """``model`` that also records every probe, or stack of probes, it is
+    called on."""
     probes = []
 
     def call(v):
@@ -131,42 +150,48 @@ def _input_and_attribution(draw, max_d=6):
 
 def smooth_model(x):
     """A non-linear scalar model with no structure the metrics could exploit."""
-    return float(np.tanh(x @ np.linspace(-1.0, 1.5, x.size)) + 0.3 * np.prod(x))
+    x = np.asarray(x)
+    weights = np.linspace(-1.0, 1.5, x.shape[-1])
+    return np.tanh((x * weights).sum(axis=-1)) + 0.3 * np.prod(x, axis=-1)
 
 
-class TestPointwiseErrors:
+class TestSubsetErrors:
     def test_linear_model_zero_deletion(self):
         theta = np.array([2.0, -1.0, 3.0])
         x = np.array([1.0, 4.0, -2.0])
         alpha = theta * x
         f = linear_model(theta)
-        for subset in ([], [0], [1, 2], [0, 1, 2]):
-            assert deletion_error(f, x, alpha, subset) <= 1e-12
-            assert insertion_error(f, x, alpha, subset) <= 1e-12
+        subsets = [[], [0], [1, 2], [0, 1, 2]]
+        for kind in ("deletion", "insertion"):
+            assert max(errors_of(f, x, None, alpha, subsets, kind)) <= 1e-12
 
     def test_empty_subset_is_zero(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=4)
         alpha = rng.normal(size=4)
-        assert deletion_error(monomial, x, alpha, []) == 0.0
-        assert insertion_error(monomial, x, alpha, []) == 0.0
+        for kind in ("deletion", "insertion"):
+            assert errors_of(monomial, x, None, alpha, [[]], kind) == [0.0]
 
     def test_monomial_direct_case(self):
         # d=2, x=(1,1), alpha=(1,1), delete both: |1 - 0 - 2| = 1
-        assert deletion_error(monomial, [1.0, 1.0], [1.0, 1.0], [0, 1]) == 1.0
+        assert errors_of(monomial, [1.0, 1.0], None, [1.0, 1.0], [[0, 1]], "deletion") == [1.0]
 
     def test_monomial_zero_attribution_insertion(self):
         x = np.ones(3)
         alpha = np.zeros(3)
-        for subset in ([], [0], [0, 1], [1, 2]):
-            assert insertion_error(monomial, x, alpha, subset) == 0.0
-        assert insertion_error(monomial, x, alpha, [0, 1, 2]) == 1.0
+        subsets = [[], [0], [0, 1], [1, 2], [0, 1, 2]]
+        assert errors_of(monomial, x, None, alpha, subsets, "insertion") == [0.0] * 4 + [1.0]
 
-    def test_subset_validation(self):
-        with pytest.raises(ValueError):
-            deletion_error(monomial, [1.0, 1.0], [0.0, 0.0], [2])
-        with pytest.raises(ValueError):
-            insertion_error(monomial, [1.0, 1.0], [0.0, 0.0], [0, 0])
+    def test_members_and_kind_validation(self):
+        x, alpha = np.ones(2), np.zeros(2)
+        with pytest.raises(ValueError, match="width 3, input has 2"):
+            subset_errors(monomial, x, np.ones((1, 3), bool), None, alpha, "deletion")
+        with pytest.raises(ValueError, match="boolean"):
+            subset_errors(monomial, x, np.ones((1, 2), int), None, alpha, "insertion")
+        with pytest.raises(ValueError, match="boolean"):
+            subset_errors(monomial, x, np.ones(2, bool), None, alpha, "insertion")
+        with pytest.raises(ValueError, match="kind must be"):
+            subset_errors(monomial, x, np.ones((1, 2), bool), None, alpha, "both")
 
 
 class TestTotalPowersetError:
@@ -233,10 +258,10 @@ class TestTotalPowersetError:
 
     def test_reference_is_evaluated_once(self):
         for kind, reference in (("deletion", np.ones(3)), ("insertion", np.zeros(3))):
-            f, probes = recording(monomial)
+            f, calls = recording(monomial)
             total_powerset_error(f, np.ones(3), np.zeros(3), kind)
-            assert len(probes) == 1 + 2 ** 3
-            np.testing.assert_array_equal(probes[0], reference)
+            assert [len(rows) for rows in calls] == [1, 2 ** 3]
+            np.testing.assert_array_equal(calls[0], [reference])
 
     def test_capacity_guard(self):
         with pytest.raises(ValueError):
@@ -250,14 +275,13 @@ class TestGroupedErrors:
         groups = np.ones((1, 4))
         scores = np.ones(1)
         x = np.ones(4)
-        for subset in ([0], [1, 3], [0, 1, 2, 3]):
-            assert grouped_deletion_error(monomial, x, groups, scores, subset) == 0.0
-        assert grouped_deletion_error(monomial, x, groups, scores, []) == 0.0
+        subsets = [[0], [1, 3], [0, 1, 2, 3], []]
+        assert errors_of(monomial, x, groups, scores, subsets, "deletion") == [0.0] * 4
 
     def binomial_fixture(self):
         # d=3 singleton parts: p(x) = x0 x1 + x1 x2
         def p(x):
-            return float(x[0] * x[1] + x[1] * x[2])
+            return x[..., 0] * x[..., 1] + x[..., 1] * x[..., 2]
 
         groups = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         scores = np.ones(2)
@@ -266,17 +290,15 @@ class TestGroupedErrors:
     def test_binomial_deletion_hitting_shared_part(self):
         p, groups, scores = self.binomial_fixture()
         # deleting the shared feature kills both terms and both groups count
-        assert grouped_deletion_error(p, np.ones(3), groups, scores, [1]) == 0.0
+        assert errors_of(p, np.ones(3), groups, scores, [[1]], "deletion") == [0.0]
 
     def test_binomial_insertion_cases(self):
         p, groups, scores = self.binomial_fixture()
         x = np.ones(3)
-        assert grouped_insertion_error(p, x, groups, scores, [0, 1, 2]) == 0.0
-        assert grouped_insertion_error(p, x, groups, scores, []) == 0.0
-        # missing one element of the first part: second group inserted only
-        assert grouped_insertion_error(p, x, groups, scores, [1, 2]) == 0.0
-        # missing elements of the shared part: nothing counts
-        assert grouped_insertion_error(p, x, groups, scores, [0, 2]) == 0.0
+        # everything, nothing; missing one element of the first part: the
+        # second group is inserted only; missing the shared part: nothing counts
+        subsets = [[0, 1, 2], [], [1, 2], [0, 2]]
+        assert errors_of(p, x, groups, scores, subsets, "insertion") == [0.0] * 4
 
 
 @st.composite
@@ -299,31 +321,27 @@ def _subset_error_case(draw, max_d=8, entry=_ENTRY):
 def _pairs_model(x):
     """x0 + x0 x1 + x1 x2 + ...: products of neighbouring features, so a
     subset's grouped errors depend on how it meets each pair."""
-    return float(np.sum(x[:-1] * x[1:])) + float(x[0])
+    return np.sum(x[..., :-1] * x[..., 1:], axis=-1) + x[..., 0]
 
 
 class TestSubsetErrorEngine:
-    """``_subset_errors`` and the public pointwise errors built on it,
-    against the hand-built per-subset oracles of conftest."""
+    """``subset_errors`` against the hand-built per-subset oracles of
+    conftest, with real-valued group masks and with their boolean
+    supports, as the certificate checks pass them."""
 
     def _check(self, f, case, exact):
         x, alpha, groups, scores, subsets = case
-        members = np.zeros((len(subsets), x.size), dtype=bool)
-        for row, subset in zip(members, subsets):
-            row[subset] = True
-        model = _per_row(f)
-        for kind, supports, weights, public, oracle, args in (
-            ("deletion", None, alpha, deletion_error, deletion_error_oracle, (alpha,)),
-            ("insertion", None, alpha, insertion_error, insertion_error_oracle, (alpha,)),
-            ("deletion", groups > 0, scores, grouped_deletion_error,
-             grouped_deletion_error_oracle, (groups, scores)),
-            ("insertion", groups > 0, scores, grouped_insertion_error,
-             grouped_insertion_error_oracle, (groups, scores)),
+        for kind, masks, weights, oracle, args in (
+            ("deletion", [None], alpha, deletion_error_oracle, (alpha,)),
+            ("insertion", [None], alpha, insertion_error_oracle, (alpha,)),
+            ("deletion", [groups, groups > 0], scores, grouped_deletion_error_oracle,
+             (groups, scores)),
+            ("insertion", [groups, groups > 0], scores, grouped_insertion_error_oracle,
+             (groups, scores)),
         ):
             expected = [oracle(f, x, *args, s) for s in subsets]
-            engine = _subset_errors(model, x, members, supports, weights, kind).tolist()
-            pointwise = [public(f, x, *args, s) for s in subsets]
-            for got in (engine, pointwise):
+            for mask in masks:
+                got = errors_of(f, x, mask, weights, subsets, kind)
                 if exact:
                     assert got == expected
                 else:
@@ -341,30 +359,26 @@ class TestSubsetErrorEngine:
     def test_exact_on_integer_fixtures(self, case, name):
         # integer entries keep every model value and credit sum exact
         f = {"monomial": monomial, "pairs": _pairs_model,
-             "linear": lambda v: float(np.arange(1.0, v.size + 1) @ v)}[name]
+             "linear": lambda v: (v * np.arange(1.0, v.shape[-1] + 1)).sum(axis=-1)}[name]
         self._check(f, case, exact=True)
 
     def test_no_groups_credit_nothing(self):
         x = np.array([1.0, 2.0, 3.0])
-        members = np.array([[False, False, False], [True, False, True],
-                            [True, True, True]])
-        model = _per_row(monomial)
-        got = _subset_errors(model, x, members, np.zeros((0, 3), dtype=bool),
-                             np.zeros(0), "insertion")
-        assert got.tolist() == [0.0, 0.0, 6.0]
+        got = errors_of(monomial, x, np.zeros((0, 3), dtype=bool), np.zeros(0),
+                        [[], [0, 2], [0, 1, 2]], "insertion")
+        assert got == [0.0, 0.0, 6.0]
 
     def test_groups_and_scores_must_match(self):
-        model = _per_row(monomial)
         x = np.ones(3)
-        members = np.ones((1, 3), dtype=bool)
+        members = subset_members([[0]], 3)
         with pytest.raises(ValueError, match="group masks have width 4, input has 3"):
-            grouped_deletion_error(monomial, x, np.ones((2, 4)), np.ones(2), [0])
+            subset_errors(monomial, x, members, np.ones((2, 4)), np.ones(2), "deletion")
         with pytest.raises(ValueError, match="one per group"):
-            _subset_errors(model, x, members, None, np.zeros(2), "deletion")
+            subset_errors(monomial, x, members, None, np.zeros(2), "deletion")
         with pytest.raises(ValueError, match="one per group"):
-            grouped_insertion_error(monomial, x, np.ones((2, 3)), np.ones(1), [0])
+            subset_errors(monomial, x, members, np.ones((2, 3)), np.ones(1), "insertion")
         with pytest.raises(ValueError, match="one per group"):
-            deletion_error(monomial, x, 0.5, [0])
+            subset_errors(monomial, x, members, None, 0.5, "deletion")
 
 
 class TestPowersetErrors:
@@ -381,10 +395,10 @@ class TestPowersetErrors:
             scores = np.array([0.5, -1.0, 2.0])
         else:
             supports, scores = None, np.arange(5.0)
-        model = _per_row(smooth_model)
+        model = smooth_model
         blocks = [block for (block,) in _powerset_errors(model, x, supports, scores, (kind,))]
         assert [len(block) for block in blocks] == [8] * 4
-        whole = _subset_errors(model, x, ops.powerset_matrix(5), supports, scores, kind)
+        whole = subset_errors(model, x, ops.powerset_matrix(5), supports, scores, kind)
         np.testing.assert_array_equal(np.concatenate(blocks), whole)
 
     @pytest.mark.parametrize("grouped", [False, True])
@@ -393,7 +407,7 @@ class TestPowersetErrors:
         x = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
         supports = np.array([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0]]) > 0 if grouped else None
         scores = np.array([0.5, -1.0]) if grouped else np.arange(5.0)
-        model = _per_row(smooth_model)
+        model = smooth_model
         kinds = ("deletion", "insertion", "deletion")
         blocks = list(_powerset_errors(model, x, supports, scores, kinds))
         assert [len(block) for block in blocks] == [3] * 4
@@ -403,7 +417,7 @@ class TestPowersetErrors:
                 np.testing.assert_array_equal(block[position], single)
 
     def test_capacity_and_kind(self):
-        model = _per_row(monomial)
+        model = monomial
         with pytest.raises(ValueError, match="capped at d=20, got 21"):
             next(_powerset_errors(model, np.ones(21), None, np.zeros(21), ("deletion",)))
         with pytest.raises(ValueError, match="kind must be"):
@@ -412,7 +426,7 @@ class TestPowersetErrors:
 
 class TestCurves:
     def test_constant_model_auc(self):
-        model = lambda x: 0.37  # noqa: E731
+        model = constant_model(0.37)
         x = np.arange(1.0, 7.0)
         ranking = np.arange(6)
         for curve in (
@@ -422,7 +436,7 @@ class TestCurves:
             assert curve.auc == 0.37
 
     def test_single_step_curve_is_two_points(self):
-        model = lambda x: float(x.sum() / 10.0)  # noqa: E731
+        model = lambda rows: rows.sum(axis=-1) / 10.0  # noqa: E731
         x = np.array([1.0, 2.0, 3.0])
         curve = insertion_curve(model, x, np.arange(3), step=3)
         np.testing.assert_array_equal(curve.fractions, [0.0, 1.0])
@@ -431,7 +445,7 @@ class TestCurves:
     def test_true_ranking_beats_reversed(self):
         theta = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         x = np.ones(5)
-        model = lambda v: float(theta @ v)  # noqa: E731
+        model = linear_model(theta)
         good = insertion_curve(model, x, ranking_from_attribution(theta * x))
         bad = insertion_curve(model, x, ranking_from_attribution(-(theta * x)))
         assert good.auc >= bad.auc
@@ -440,14 +454,14 @@ class TestCurves:
         rng = np.random.default_rng(3)
         theta = rng.normal(size=4)
         x = rng.normal(size=4)
-        model = lambda v: float(theta @ v)  # noqa: E731
+        model = linear_model(theta)
         ranking = np.arange(4)
         ins = insertion_curve(model, x, ranking)
         dele = deletion_curve(model, x, ranking)
         assert ins.probabilities[-1] == dele.probabilities[0] == model(x)
 
     def test_ranking_validation(self):
-        model = lambda v: 0.0  # noqa: E731
+        model = constant_model(0.0)
         with pytest.raises(ValueError):
             insertion_curve(model, np.ones(3), [0, 1, 1])
         with pytest.raises(ValueError):
@@ -456,15 +470,16 @@ class TestCurves:
             insertion_curve(model, np.ones(3), [0, 1, 2], step=0)
 
 
-def _assert_probes_equal(actual, expected):
-    assert len(actual) == len(expected)
-    for a, b in zip(actual, expected):
-        np.testing.assert_array_equal(a, b)
+def _assert_probes_equal(calls, probes):
+    """One model call, on the oracle's probes stacked in its order."""
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.array(probes))
 
 
 class TestKeepMaskEngine:
-    """Builder, row loop and report against the earlier per-probe loops:
-    the same probes in the same order, and the same report bit for bit."""
+    """Builder, probe engine and report against the earlier per-probe
+    loops: the same probes in the same order, in one model call, and the
+    same report bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(_input_and_attribution(max_d=8), st.integers(1, 3),
@@ -531,14 +546,14 @@ class TestKeepMaskEngine:
         x, alpha = case
         r = (alpha > 0).astype(np.float64)
 
-        def vector_model(v):
+        def class_model(v):
             p = 1.0 / (1.0 + np.exp(-smooth_model(v)))
-            return np.array([p, 1.0 - p])
+            return np.stack([p, 1.0 - p], axis=-1)
 
         for k in (0, 1):
-            assert (comprehensiveness(vector_model, x, r, k),
-                    sufficiency(vector_model, x, r, k)) == rationale_oracle(
-                        vector_model, x, r, k)
+            assert (comprehensiveness(class_model, x, r, k),
+                    sufficiency(class_model, x, r, k)) == rationale_oracle(
+                        class_model, x, r, k)
         keep = rationale_keep(r)
         np.testing.assert_array_equal(keep, [np.ones(x.size, bool), r == 0, r == 1])
 
@@ -559,7 +574,7 @@ class TestKeepMaskEngine:
         with pytest.raises(ValueError):
             rationale_keep([0.0, 0.5])
         with pytest.raises(ValueError):
-            grouped_curve(lambda v: 0.0, np.ones(3), np.ones((1, 2)), np.ones(1),
+            grouped_curve(constant_model(0.0), np.ones(3), np.ones((1, 2)), np.ones(1),
                           "insertion")
 
 
@@ -662,9 +677,14 @@ ALL_EXAMPLE_METRICS = ["insertion", "deletion", "grouped_insertion", "grouped_de
                        "sparsity", "comprehensiveness", "sufficiency"]
 
 
+def one_example(model, x, groups, scores, *args):
+    """``evaluate_examples`` of the one example ``x``: its per-class dicts."""
+    return evaluate_examples(model, [x], [groups], [scores], *args)[0]
+
+
 class TestEvaluate:
-    """The batched engine on a non-SOP model, against the per-vector
-    functions driven by the same model one probe at a time."""
+    """The batched engine on a non-SOP model, against the curve and
+    rationale functions driven by the same model one probe at a time."""
 
     @pytest.fixture(params=[0, 1, 2])
     def case(self, request):
@@ -679,14 +699,15 @@ class TestEvaluate:
     def test_matches_per_vector_functions(self, case, step):
         model, x, groups, scores = case
         calls = []
-        results = evaluate(lambda rows: calls.append(rows) or model(rows), x, groups,
-                           scores, [0, 1, 2], ALL_EXAMPLE_METRICS, step)
+        results = one_example(lambda rows: calls.append(rows) or model(rows), x, groups,
+                              scores, [0, 1, 2], ALL_EXAMPLE_METRICS, step)
         assert len(calls) == 1
         assert np.unique(calls[0], axis=0).shape[0] == calls[0].shape[0]
+        # stack models that call the model on one probe at a time
+        vector = lambda rows: np.array([model(v[None])[0] for v in rows])  # noqa: E731
         expected = []
         for k in range(3):
-            prob = lambda v, k=k: float(model(v[None])[0, k])  # noqa: E731
-            vector = lambda v: model(v[None])[0]  # noqa: E731
+            prob = lambda rows, k=k: vector(rows)[:, k]  # noqa: E731
             alpha = flatten_grouped(groups, scores[:, k])
             ranking = ranking_from_attribution(alpha)
             rationale = (alpha > 0).astype(np.float64)
@@ -705,10 +726,11 @@ class TestEvaluate:
 
     def test_metric_order_and_repeated_classes(self, case):
         model, x, groups, scores = case
-        forward = evaluate(model, x, groups, scores, [1, 2], ALL_EXAMPLE_METRICS)
-        backward = evaluate(model, x, groups, scores, [1, 2, 1], ALL_EXAMPLE_METRICS[::-1])
+        forward = one_example(model, x, groups, scores, [1, 2], ALL_EXAMPLE_METRICS)
+        backward = one_example(model, x, groups, scores, [1, 2, 1],
+                               ALL_EXAMPLE_METRICS[::-1])
         _assert_same_results(backward, forward + forward[:1])
-        two = evaluate(model, x, groups, scores, [2], ["sufficiency", "grouped_deletion"])
+        two = one_example(model, x, groups, scores, [2], ["sufficiency", "grouped_deletion"])
         assert list(two[0]) == ["grouped_deletion", "sufficiency"]
         _assert_same_results(two, [{name: forward[1][name] for name in two[0]}])
 
@@ -718,9 +740,9 @@ class TestEvaluate:
         def refuse(rows):
             raise AssertionError("the model was called")
 
-        assert evaluate(refuse, x, groups, scores, [0, 2], ["sparsity"]) == [
+        assert one_example(refuse, x, groups, scores, [0, 2], ["sparsity"]) == [
             {"sparsity": sparsity(groups, scores[:, k])} for k in (0, 2)]
-        assert evaluate(refuse, x, groups, scores, [0], []) == [{}]
+        assert one_example(refuse, x, groups, scores, [0], []) == [{}]
 
     def test_examples_share_one_call(self, case):
         """Several examples in one call give each example's own results."""
@@ -734,23 +756,24 @@ class TestEvaluate:
         assert len(calls) == 1
         assert len(results) == len(inputs)
         for v, (g, s), got in zip(inputs, attributions, results):
-            _assert_same_results(got, evaluate(model, v, g, s, [0, 2], ALL_EXAMPLE_METRICS, 2))
+            _assert_same_results(got, one_example(model, v, g, s, [0, 2],
+                                                  ALL_EXAMPLE_METRICS, 2))
         with pytest.raises(ValueError, match="one groups and one scores array per input"):
             evaluate_examples(model, inputs, [groups], [scores], [0], ["insertion"])
 
     def test_validation(self, case):
         model, x, groups, scores = case
         with pytest.raises(ValueError, match="unknown metrics"):
-            evaluate(model, x, groups, scores, [0], ["accuracy"])
+            one_example(model, x, groups, scores, [0], ["accuracy"])
         with pytest.raises(ValueError, match=r"class indices \[0, 3\] out of range"):
-            evaluate(model, x, groups, scores, [0, 3], ["insertion"])
+            one_example(model, x, groups, scores, [0, 3], ["insertion"])
         with pytest.raises(ValueError, match="step"):
-            evaluate(model, x, groups, scores, [0], ["deletion"], step=0)
+            one_example(model, x, groups, scores, [0], ["deletion"], 0)
 
 
 class TestGroupedCurve:
     def test_all_features_group_equals_single_step_curve(self):
-        model = lambda v: float(v.sum() / 8.0)  # noqa: E731
+        model = lambda rows: rows.sum(axis=-1) / 8.0  # noqa: E731
         x = np.arange(1.0, 5.0)
         grouped = grouped_curve(model, x, np.ones((1, 4)), np.ones(1), "insertion")
         single = insertion_curve(model, x, np.arange(4), step=4)
@@ -759,7 +782,7 @@ class TestGroupedCurve:
         assert grouped.auc == single.auc
 
     def test_disjoint_cover_reaches_full_input(self):
-        model = lambda v: float(v @ v)  # noqa: E731
+        model = lambda rows: (rows * rows).sum(axis=-1)  # noqa: E731
         x = np.array([1.0, 2.0, 3.0, 4.0])
         groups = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
         curve = grouped_curve(model, x, groups, np.array([0.7, 0.3]), "insertion")
@@ -770,9 +793,9 @@ class TestGroupedCurve:
         # three overlapping groups on d=6: processed counts follow unions
         calls = []
 
-        def model(v):
-            calls.append(np.count_nonzero(v))
-            return 0.5
+        def model(rows):
+            calls.extend(np.count_nonzero(rows, axis=-1).tolist())
+            return np.full(len(rows), 0.5)
 
         x = np.ones(6)
         groups = np.array([
@@ -787,7 +810,7 @@ class TestGroupedCurve:
         np.testing.assert_allclose(curve.fractions, [0.0, 0.5, 4 / 6, 5 / 6])
 
     def test_fully_overlapped_group_adds_no_point(self):
-        model = lambda v: 0.1  # noqa: E731
+        model = constant_model(0.1)
         x = np.ones(3)
         groups = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
         curve = grouped_curve(model, x, groups, np.array([0.9, 0.1]), "insertion")
@@ -796,7 +819,7 @@ class TestGroupedCurve:
     def test_singleton_groups_equal_step_one_insertion(self):
         rng = np.random.default_rng(4)
         theta = rng.normal(size=5)
-        model = lambda v: float(theta @ v)  # noqa: E731
+        model = linear_model(theta)
         x = rng.normal(size=5)
         scores = rng.uniform(size=5)
         groups = np.eye(5)
@@ -808,22 +831,22 @@ class TestGroupedCurve:
         assert grouped.auc == single.auc
 
     def test_deletion_direction(self):
-        model = lambda v: float(v.sum())  # noqa: E731
+        model = lambda rows: rows.sum(axis=-1)  # noqa: E731
         x = np.ones(2)
         curve = grouped_curve(model, x, np.eye(2), np.array([0.8, 0.2]), "deletion")
         np.testing.assert_array_equal(curve.probabilities, [2.0, 1.0, 0.0])
 
     def test_empty_groups_error(self):
         with pytest.raises(ValueError):
-            grouped_curve(lambda v: 0.0, np.ones(2), np.empty((0, 2)), np.empty(0),
+            grouped_curve(constant_model(0.0), np.ones(2), np.empty((0, 2)), np.empty(0),
                           "insertion")
 
 
 class TestComprehensivenessSufficiency:
     def probs_model(self, theta):
         def m(x):
-            z = np.asarray(theta) @ x
-            return np.array([z, 1.0 - z])
+            z = (np.asarray(x) * theta).sum(axis=-1)
+            return np.stack([z, 1.0 - z], axis=-1)
 
         return m
 
@@ -867,8 +890,10 @@ class TestComprehensivenessSufficiency:
         m = self.probs_model(np.ones(3))
         with pytest.raises(ValueError):
             comprehensiveness(m, np.ones(3), np.array([0.0, 0.5, 1.0]), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="class index 7 out of range for 2 classes"):
             sufficiency(m, np.ones(3), np.ones(3), 7)
+        with pytest.raises(ValueError, match=r"\(P, K\) class probabilities, got shape \(2,\)"):
+            comprehensiveness(lambda rows: m(rows)[:, 0], np.ones(3), np.ones(3), 0)
 
 
 class TestSparsity:
@@ -925,7 +950,7 @@ class TestPairedRankingComparison:
     GOLDEN_MEAN_MARGIN = -0.16448879020950946
 
     def test_margin_matches_golden(self):
-        from sumparts.model import Segmentation, sop_forward
+        from sumparts.model import Segmentation, predict, sop_forward
         from sumparts.ops import softmax
         from sumparts.training import TrainConfig, train
 
@@ -946,10 +971,9 @@ class TestPairedRankingComparison:
             )
             k = labels[i]
 
-            def prob(v):
-                full = sop_forward(v, seg, result.gen_params, result.sel_params,
-                                   backbone)
-                return float(softmax(full.prediction)[k])
+            def prob(rows, k=k):
+                return softmax(predict(rows, seg, result.gen_params, result.sel_params,
+                                       backbone))[:, k]
 
             grouped = grouped_curve(
                 prob, x, attribution.groups, attribution.scores[:, k], "insertion"

@@ -187,14 +187,31 @@ def train_oracle(inputs, labels, seg, backbone, config):
     return gen, sel, history
 
 
-def assert_close_to_oracle(actual, expected, err_msg=""):
-    """``|actual - expected| <= 1e-12 * max(1, max |expected|)`` entrywise: the
-    segment-space passes add in another order than the oracle's."""
+# c of the oracle bound below; c * eps = 9.99e-13, so where the affinities
+# lie in [-1, 1] the bound is under the 1e-12 * max(1, max |expected|) it
+# replaced
+ORACLE_BOUND_C = 4500
+
+
+def oracle_affinity(inputs, seg, gen, sel, backbone) -> float:
+    """The largest |selector affinity| of the oracle's forward pass over a
+    stack."""
+    return max(float(np.abs(forward_oracle(x, seg, gen, sel, backbone)["affinities"]).max())
+               for x in inputs)
+
+
+def assert_close_to_oracle(actual, expected, err_msg="", affinity=1.0):
+    """``|actual - expected| <= c * eps * max(1, affinity) * max(1, max
+    |expected|)`` entrywise, with ``affinity`` the largest |selector
+    affinity| (:func:`oracle_affinity`).  The segment-space passes add in
+    another order than the oracle's, and both round each affinity to about
+    eps of its size, an error that sparsemax passes on to the scores
+    unscaled."""
     actual, expected = np.asarray(actual, np.float64), np.asarray(expected, np.float64)
     assert actual.shape == expected.shape, err_msg
     scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
-    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12 * scale,
-                               err_msg=err_msg)
+    bound = ORACLE_BOUND_C * np.finfo(np.float64).eps * max(1.0, affinity) * scale
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=bound, err_msg=err_msg)
 
 
 def assert_same_bits(actual, expected, err_msg=""):
@@ -216,15 +233,17 @@ class TestSingleForwardPath:
         loss_ref, grads_ref = loss_and_gradients_oracle(
             inputs, labels, seg, gen, sel, backbone
         )
-        assert_close_to_oracle(loss, loss_ref)
+        affinity = oracle_affinity(inputs, seg, gen, sel, backbone)
+        assert_close_to_oracle(loss, loss_ref, affinity=affinity)
         for key, ref in grads_ref.items():
-            assert_close_to_oracle(grads[key], ref, err_msg=key)
+            assert_close_to_oracle(grads[key], ref, err_msg=key, affinity=affinity)
         for x in inputs:
             attribution = sop_forward(x, seg, gen, sel, backbone)
             cache = forward_oracle(x, seg, gen, sel, backbone)
             np.testing.assert_array_equal(attribution.groups, cache["masks"])
-            assert_close_to_oracle(attribution.scores, cache["scores"])
-            assert_close_to_oracle(attribution.prediction, cache["prediction"])
+            assert_close_to_oracle(attribution.scores, cache["scores"], affinity=affinity)
+            assert_close_to_oracle(attribution.prediction, cache["prediction"],
+                                   affinity=affinity)
 
     def test_blobs_fixture_has_partial_supports(self):
         seg, backbone, gen, sel, inputs, _ = blobs_fixture()
@@ -237,14 +256,9 @@ class TestSingleForwardPath:
 def _identity_batch(draw):
     """A random identity-backbone model with a labelled (B, d) stack that
     has all-zero rows and tied entries, with up to 16 groups over up to 32
-    features.  The selector weights are drawn at a standard deviation of 0, 1
-    or 3, scaled down only where d * heads * m exceeds 70, so that every
-    model of up to 10 features and 7 groups is drawn unscaled.  Both float64
-    paths round each selector affinity to about 1e-16 of its size, and
-    sparsemax passes that error on to the scores unscaled.  It grows with
-    std^2 * d * heads * m; at the cap the float64 oracle's own error, against
-    a long-double evaluation, already comes to 1e-12 of the gradient, the
-    tolerance of the comparison."""
+    features.  The generator and selector weights are drawn at a standard
+    deviation of 0, 1 or 3 over the whole range; the oracle bound follows
+    the size of the selector affinities that this makes."""
     d = draw(st.integers(1, 32))
     m = draw(st.integers(1, min(d, 16)))
     heads = draw(st.integers(1, 16 // m))
@@ -253,9 +267,7 @@ def _identity_batch(draw):
     seg = Segmentation.contiguous(d, m)
     backbone = identity_backbone(rng.normal(size=(k, d)))
     gen = GroupGenParams.random(m, heads, rng, std=draw(st.sampled_from([0.0, 1.0, 3.0])))
-    cap = min(1.0, np.sqrt(70 / (d * heads * m)))
-    sel = GroupSelectParams.random(backbone, rng,
-                                   std=draw(st.sampled_from([0.0, 1.0, 3.0])) * cap)
+    sel = GroupSelectParams.random(backbone, rng, std=draw(st.sampled_from([0.0, 1.0, 3.0])))
     b = draw(st.integers(1, 12))
     zeros = draw(st.integers(0, min(2, b - 1)))
     rows = draw(st.lists(st.lists(TIED_ENTRY, min_size=d, max_size=d),
@@ -274,10 +286,11 @@ class TestBatchedGradients:
         loss_ref, grads_ref = loss_and_gradients_oracle(
             inputs, labels, seg, gen, sel, backbone
         )
-        assert_close_to_oracle(loss, loss_ref)
+        affinity = oracle_affinity(inputs, seg, gen, sel, backbone)
+        assert_close_to_oracle(loss, loss_ref, affinity=affinity)
         assert grads.keys() == grads_ref.keys()
         for key, ref in grads_ref.items():
-            assert_close_to_oracle(grads[key], ref, err_msg=key)
+            assert_close_to_oracle(grads[key], ref, err_msg=key, affinity=affinity)
 
     def test_zero_gradients_are_positive_zeros(self):
         """One segment: the generator's sparsemax rows have one entry, so
@@ -309,11 +322,10 @@ class TestBatchedGradients:
         loss_ref, grads_ref = loss_and_gradients_oracle(
             inputs, labels, seg, gen, sel, backbone
         )
-        assert abs(loss - loss_ref) <= 1e-12 * max(1.0, abs(loss_ref))
+        affinity = oracle_affinity(inputs, seg, gen, sel, backbone)
+        assert_close_to_oracle(loss, loss_ref, affinity=affinity)
         for key, ref in grads_ref.items():
-            scale = max(1.0, float(np.abs(ref).max()))
-            np.testing.assert_allclose(grads[key], ref, rtol=0.0, atol=1e-12 * scale,
-                                       err_msg=key)
+            assert_close_to_oracle(grads[key], ref, err_msg=key, affinity=affinity)
 
     @pytest.mark.parametrize("rows", [1, PREDICT_BLOCK_ROWS - 1, PREDICT_BLOCK_ROWS,
                                       PREDICT_BLOCK_ROWS + 1, 2 * PREDICT_BLOCK_ROWS + 3])
@@ -331,10 +343,11 @@ class TestBatchedGradients:
         labels = rng.integers(0, 3, size=rows)
         loss_ref, grads_ref = loss_and_gradients_oracle(inputs, labels, seg, gen, sel, backbone)
         loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
-        assert_close_to_oracle(loss, loss_ref)
+        affinity = oracle_affinity(inputs, seg, gen, sel, backbone)
+        assert_close_to_oracle(loss, loss_ref, affinity=affinity)
         assert grads.keys() == grads_ref.keys()
         for key, ref in grads_ref.items():
-            assert_close_to_oracle(grads[key], ref, err_msg=key)
+            assert_close_to_oracle(grads[key], ref, err_msg=key, affinity=affinity)
 
     def test_step_memory_follows_the_block_size(self):
         """One step on 2,000 rows of the shape of the ``train-blobs``
@@ -462,6 +475,24 @@ class TestTrainLoop:
         for before, after in ((gen, result.gen_params), (sel, result.sel_params)):
             for key, value in vars(before).items():
                 assert_same_bits(getattr(after, key), value, err_msg=key)
+
+    def test_step_memory_at_map_size(self):
+        """One ``train`` step on 64 rows at d = 1,024 with 16 segments holds
+        the two (h, h) selector projections and their two gradients, which
+        the update overwrites in place; the update ``array - lr * grad``
+        peaked at 59 MB, about seven (h, h) arrays."""
+        rng = np.random.default_rng(1)
+        d = 1024
+        seg = Segmentation.contiguous(d, 16)
+        backbone = identity_backbone(rng.normal(size=(2, d)))
+        inputs, labels = rng.normal(size=(64, d)), rng.integers(0, 2, size=64)
+        tracemalloc.start()
+        try:
+            train(inputs, labels, seg, backbone, TrainConfig(steps=1, learning_rate=0.1, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * d * d * 8 + 4_000_000
 
     def test_zero_learning_rate_keeps_parameters(self):
         features, labels = make_blobs(n_per_class=8, seed=5)
