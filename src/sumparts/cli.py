@@ -11,7 +11,8 @@ go to stderr.  Exit codes:
 - 1: a gate failed;
 - 2: a config, usage or input error (bad JSON, unknown keys, an unreadable
   or malformed config, dataset, checkpoint, map or segmentation file, an
-  ``--out`` directory that cannot be created);
+  ``--out`` directory that cannot be created or an artifact that cannot be
+  written there);
 - 3: a numerical failure, such as a training run whose loss diverges.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -96,71 +98,50 @@ class ConfigError(ValueError):
     pass
 
 
+def _field(config: dict, key: str, default=None, *rules):
+    """The value at ``key``, or ``default``, checked against ``(test,
+    words)`` rules in order: the first test that fails is a ConfigError
+    ``config field '<key>' <words>, got <value>``, with the value as read."""
+    value = config.get(key, default)
+    for test, words in rules:
+        if not test(value):
+            raise ConfigError(f"config field {key!r} {words}, got {value!r}")
+    return value
+
+
 def _is_integer(value) -> bool:
     # int() would truncate 1.7 to 1 and read ``true`` as 1
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _integer(config: dict, key: str, default=None, least=None) -> int:
-    """The JSON integer at ``key``, no less than ``least`` if given; a
-    float, a bool, anything else or a smaller integer is a ConfigError
-    naming the key and the value."""
-    value = config.get(key, default)
-    if not _is_integer(value):
-        raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"config field {key!r} must be at least {least}, got {value!r}")
-    return value
+def _at_least(least):
+    return (lambda value: value >= least), f"must be at least {least}"
 
 
-def _number(config: dict, key: str, default: float) -> float:
-    """The finite JSON number at ``key``, as a float; a bool, a string,
-    anything else, NaN or an infinity is a ConfigError naming the key and
-    the value."""
-    value = config.get(key, default)
-    # the range test is false for NaN, and exact for an int too large for
-    # ``float``, which would overflow there
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-            not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ConfigError(f"config field {key!r} must be a finite number, got {value!r}")
-    return float(value)
+_INTEGER = _is_integer, "must be an integer"
+_INTEGER_LIST = ((lambda value: isinstance(value, list) and all(map(_is_integer, value))),
+                 "must be a list of integers")
+# an int or a float, but no bool; the range test is false for NaN, and exact
+# for an int too large for ``float``, which would overflow there
+_NUMBER = ((lambda value: not isinstance(value, bool) and isinstance(value, (int, float))
+            and -sys.float_info.max <= value <= sys.float_info.max), "must be a finite number")
+# ``open(7)`` would take over file descriptor 7
+_PATH = (lambda value: isinstance(value, str)), "must be a path string"
 
 
-def _path(config: dict, key: str) -> str:
-    """The file path at ``key``; anything but a string is a ConfigError
-    naming the key (``open(7)`` would take over file descriptor 7)."""
-    value = config.get(key)
-    if not isinstance(value, str):
-        raise ConfigError(f"config field {key!r} must be a path string, got {value!r}")
-    return value
-
-
-def _integer_list(config: dict, key: str, default: list) -> list[int]:
-    """The list of JSON integers at ``key``, checked as in ``_integer``."""
-    value = config.get(key, default)
-    if not isinstance(value, list) or not all(map(_is_integer, value)):
-        raise ConfigError(
-            f"config field {key!r} must be a list of integers, got {value!r}")
-    return value
-
-
-def _dimensions(config: dict, default: list, family: str, limit: int, step: int = 1,
-                fewest: int = 1) -> list[int]:
-    """A certify family's ``dimensions``: a list of integers as in
-    ``_integer_list``, at least ``fewest`` long and with no entry repeated
-    (an empty list passes every gate on nothing, a fit needs three points,
-    and a repeated d fits a curve through fewer points than it shows), each
-    a positive multiple of ``step`` up to ``limit``, so that no entry fails
-    after the others have been worked out."""
-    dims = _integer_list(config, "dimensions", default)
-    if len(dims) < fewest or len(set(dims)) < len(dims):
-        raise ConfigError(f"config field 'dimensions' must be a list of {fewest} or more "
-                          f"distinct integers, got {dims!r}")
-    if not all(0 < d <= limit and d % step == 0 for d in dims):
-        what = "integers" if step == 1 else f"multiples of {step}"
-        raise ConfigError(f"config field 'dimensions' of the {family} must hold {what} "
-                          f"from {step} to {limit - limit % step}, got {dims!r}")
-    return dims
+def _dimensions(family: str, limit: int, step: int = 1, fewest: int = 1) -> tuple:
+    """The rules of a certify family's ``dimensions``: a list of integers, at
+    least ``fewest`` long and with no entry repeated (an empty list passes
+    every gate on nothing, a fit needs three points, and a repeated d fits a
+    curve through fewer points than it shows), each a positive multiple of
+    ``step`` up to ``limit``, so that no entry fails after the others have
+    been worked out."""
+    what = "integers" if step == 1 else f"multiples of {step}"
+    return (_INTEGER_LIST,
+            ((lambda dims: len(dims) >= fewest and len(set(dims)) == len(dims)),
+             f"must be a list of {fewest} or more distinct integers"),
+            ((lambda dims: all(0 < d <= limit and d % step == 0 for d in dims)),
+             f"of the {family} must hold {what} from {step} to {limit - limit % step}"))
 
 
 def _read(what: str, path: str, load):
@@ -196,14 +177,15 @@ def _load_config(command: str, path: str, overrides: dict) -> dict:
     if command == "train" and "seed" not in config:
         raise ConfigError("train requires a seed")
     if "seed" in config:
-        _integer(config, "seed")
+        _field(config, "seed", None, _INTEGER)
     return config
 
 
 def cmd_certify(config: dict) -> tuple[int, dict]:
-    family = config.get("family")
-    if not isinstance(family, str) or family not in _CERTIFY_KEYS:
-        raise ConfigError("certify family must be one of monomial/binomial/lemma/corollary")
+    # in a tuple, not the dict, which cannot hash a list value
+    family = _field(config, "family", None,
+                    ((lambda name: name in tuple(_CERTIFY_KEYS)),
+                     "must be one of monomial/binomial/lemma/corollary"))
     unread = sorted(set(config) - {"family", "seed"} - _CERTIFY_KEYS[family])
     if unread:
         raise ConfigError(f"certify family {family!r} does not read config keys {unread}")
@@ -213,20 +195,19 @@ def cmd_certify(config: dict) -> tuple[int, dict]:
     if family in _FITTED:
         window, target, with_offset, anchors = _FITTED[family]
         if family == "monomial":
-            d_min = _integer(config, "d_min", 2, least=2)
-            d_max = _integer(config, "d_max", 14)
-            if d_max > certificates.SCAN_DIMENSION_LIMIT:
-                raise ConfigError(
-                    f"config field 'd_max' must be at most {certificates.SCAN_DIMENSION_LIMIT}"
-                    f" for the monomial family, got {d_max}")
+            limit = certificates.SCAN_DIMENSION_LIMIT
+            d_min = _field(config, "d_min", 2, _INTEGER, _at_least(2))
+            d_max = _field(config, "d_max", 14, _INTEGER,
+                           ((lambda d: d <= limit),
+                            f"must be at most {limit} for the monomial family"))
             if d_max - d_min < 2:
                 raise ConfigError(
                     "config fields 'd_min' and 'd_max' must span 3 or more dimensions to "
                     f"fit, got d_min={d_min} and d_max={d_max}")
             dims, minimum = list(range(d_min, d_max + 1)), certificates.monomial_scan_minimum
         else:
-            dims = _dimensions(config, sorted(window), "binomial family",
-                               certificates.BINOMIAL_DIMENSION_LIMIT, step=3, fewest=3)
+            dims = _field(config, "dimensions", sorted(window), *_dimensions(
+                "binomial family", certificates.BINOMIAL_DIMENSION_LIMIT, step=3, fewest=3))
             minimum = certificates.binomial_scan_minimum
         points = [(d, minimum(d)) for d in dims]
         fit = certificates.fit_exponential(points, with_offset=with_offset)
@@ -242,19 +223,19 @@ def cmd_certify(config: dict) -> tuple[int, dict]:
             if d in values:
                 gates[f"anchor_d{d}"] = abs(values[d] - exact) <= ANCHOR_TOLERANCE
     elif family == "lemma":
-        dims = _dimensions(config, list(range(1, 17)), "lemma family",
-                           faithfulness.POWERSET_LIMIT)
+        dims = _field(config, "dimensions", list(range(1, 17)),
+                      *_dimensions("lemma family", faithfulness.POWERSET_LIMIT))
         points = [(d, certificates.verify_lemma_monomial_insertion(d)) for d in dims]
         result["points"] = [[d, v] for d, v in points]
         gates["total_is_one"] = all(v == 1.0 for _, v in points)
         curves = ["d", "value", "fitted"], [(d, v, 1.0) for d, v in points]
     else:
-        kind = config.get("kind", "binomial")
-        if kind not in ("monomial", "binomial"):
-            raise ConfigError("config field 'kind' of the corollary family must be "
-                              f"'monomial' or 'binomial', got {kind!r}")
-        dims = _dimensions(config, [6], f"corollary family (kind {kind!r})",
-                           faithfulness.POWERSET_LIMIT, step=3 if kind == "binomial" else 1)
+        kind = _field(config, "kind", "binomial",
+                      ((lambda kind: kind in ("monomial", "binomial")),
+                       "of the corollary family must be 'monomial' or 'binomial'"))
+        dims = _field(config, "dimensions", [6], *_dimensions(
+            f"corollary family (kind {kind!r})", faithfulness.POWERSET_LIMIT,
+            step=3 if kind == "binomial" else 1))
         specs = [certificates.PolynomialSpec(kind, d) for d in dims]
         rows = [(spec.d, *certificates.verify_corollary_grouped(spec)) for spec in specs]
         result["kind"] = kind
@@ -366,10 +347,11 @@ def _restore_checkpoint(path):
                               f"got {value.dtype} entries")
         if dtype is not None and not np.isfinite(value).all():
             raise ConfigError(f"checkpoint {path}: field {key!r} holds a non-finite entry")
-        if value.size != int(np.prod(shape)):
+        # math.prod, since np.prod wraps around in int64: (2^32, 2^16, 2^16) gives 0
+        if value.size != math.prod(shape):
             raise ConfigError(
                 f"checkpoint {path}: field {key!r} has {value.size} entries, expected "
-                f"{int(np.prod(shape))} for shape ({', '.join(dims)}) = {shape}"
+                f"{math.prod(shape)} for shape ({', '.join(dims)}) = {shape}"
             )
         return value.reshape(shape)
 
@@ -396,24 +378,21 @@ def _restore_checkpoint(path):
 
 
 def cmd_train(config: dict) -> tuple[int, dict]:
-    seed = _integer(config, "seed", least=0)
-    learning_rate = _number(config, "learning_rate", 0.1)
-    if learning_rate <= 0:
-        raise ConfigError(
-            f"config field 'learning_rate' must be positive, got {config['learning_rate']!r}")
-    dataset = _path(config, "dataset")
+    seed = _field(config, "seed", None, _INTEGER, _at_least(0))
+    learning_rate = float(_field(config, "learning_rate", 0.1, _NUMBER,
+                                 ((lambda rate: rate > 0), "must be positive")))
+    dataset = _field(config, "dataset", None, _PATH)
     features, labels = _load_dataset(dataset)
-    segments = _integer(config, "segments", 2, least=1)
-    if segments > features.shape[1]:
-        raise ConfigError(f"config field 'segments' must be at most the dataset's "
-                          f"{features.shape[1]} features, got {segments!r}")
-    seg = Segmentation.contiguous(features.shape[1], segments)
+    n_features = features.shape[1]
+    segments = _field(config, "segments", 2, _INTEGER, _at_least(1), (
+        (lambda m: m <= n_features), f"must be at most the dataset's {n_features} features"))
+    seg = Segmentation.contiguous(n_features, segments)
     backbone = _class_mean_backbone(features, labels, dataset)
     train_config = TrainConfig(
-        steps=_integer(config, "steps", 200, least=0),
+        steps=_field(config, "steps", 200, _INTEGER, _at_least(0)),
         learning_rate=learning_rate,
         seed=seed,
-        heads=_integer(config, "heads", 2, least=1),
+        heads=_field(config, "heads", 2, _INTEGER, _at_least(1)),
     )
     result = train(features, labels, seg, backbone, train_config)
     history = result.loss_history
@@ -428,36 +407,30 @@ def cmd_train(config: dict) -> tuple[int, dict]:
 
 
 def cmd_eval(config: dict) -> tuple[int, dict]:
-    checkpoint, dataset = _path(config, "checkpoint"), _path(config, "dataset")
-    metrics = config.get(
-        "metrics",
+    checkpoint = _field(config, "checkpoint", None, _PATH)
+    dataset = _field(config, "dataset", None, _PATH)
+    metrics = _field(
+        config, "metrics",
         ["accuracy", "insertion", "deletion", "grouped_insertion",
          "grouped_deletion", "sparsity"],
-    )
-    if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
-        raise ConfigError(
-            f"config field 'metrics' must be a list of metric names, got {metrics!r}")
-    unknown = [m for m in metrics if m not in EVAL_METRICS]
-    if unknown:
-        raise ConfigError(f"unknown eval metrics {unknown}; known: {list(EVAL_METRICS)}")
-    step = _integer(config, "step", 1, least=1)
-    classes = _integer_list(config, "classes", [0])
-    if not classes:
-        raise ConfigError("config field 'classes' must name at least one class, got []")
-    if len(set(classes)) < len(classes):
-        raise ConfigError(f"config field 'classes' must not repeat a class, got {classes!r}")
+        ((lambda names: isinstance(names, list) and all(isinstance(m, str) for m in names)),
+         "must be a list of metric names"),
+        ((lambda names: set(names) <= set(EVAL_METRICS)),
+         f"must name metrics from {list(EVAL_METRICS)}"))
+    step = _field(config, "step", 1, _INTEGER, _at_least(1))
+    classes = _field(config, "classes", [0], _INTEGER_LIST,
+                     ((lambda ks: len(ks) > 0), "must name at least one class"),
+                     ((lambda ks: len(set(ks)) == len(ks)), "must not repeat a class"))
     seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
     features, labels = _load_dataset(dataset)
     if features.shape[1] != seg.n_features:
         raise ConfigError(
             f"dataset has {features.shape[1]} features, checkpoint expects {seg.n_features}"
         )
-    for k in classes:
-        if not 0 <= k < sel.n_classes:
-            raise ConfigError(
-                f"eval class index {k} is out of range for a checkpoint with "
-                f"{sel.n_classes} classes"
-            )
+    # the classes once more, now that the checkpoint's class count is known
+    _field(config, "classes", [0],
+           ((lambda ks: all(0 <= k < sel.n_classes for k in ks)),
+            f"must name classes of checkpoint {checkpoint} ({sel.n_classes} classes)"))
     # only the accuracy reads the labels
     unknown = labels >= sel.n_classes
     if "accuracy" in metrics and unknown.any():
@@ -508,16 +481,13 @@ def cmd_eval(config: dict) -> tuple[int, dict]:
 
 
 def cmd_label(config: dict) -> tuple[int, dict]:
-    map_path, seg_path = _path(config, "map"), _path(config, "segmentation")
-    checkpoint = _path(config, "checkpoint")
-    cluster_sigma = _number(config, "cluster_sigma", 3.0)
-    if cluster_sigma < 0:
-        raise ConfigError(
-            f"config field 'cluster_sigma' must be non-negative, got {config['cluster_sigma']!r}")
-    map_format = config.get("map_format", "csv")
-    if map_format not in ("csv", "binary"):
-        raise ConfigError(
-            f"config field 'map_format' must be 'csv' or 'binary', got {map_format!r}")
+    map_path = _field(config, "map", None, _PATH)
+    seg_path = _field(config, "segmentation", None, _PATH)
+    checkpoint = _field(config, "checkpoint", None, _PATH)
+    cluster_sigma = float(_field(config, "cluster_sigma", 3.0, _NUMBER,
+                                 ((lambda sigma: sigma >= 0), "must be non-negative")))
+    map_format = _field(config, "map_format", "csv",
+                        ((lambda fmt: fmt in ("csv", "binary")), "must be 'csv' or 'binary'"))
     imap = _read("map", map_path, structures.load_map_csv if map_format == "csv"
                  else structures.load_map_binary)
     grid = _read("segmentation", seg_path,
@@ -585,10 +555,15 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     for name, content in artifacts.items():
-        if name.endswith(".csv"):
-            write_csv_atomic(out_dir / name, *content)
-        else:
-            write_json_atomic(out_dir / name, content)
+        try:
+            if name.endswith(".csv"):
+                write_csv_atomic(out_dir / name, *content)
+            else:
+                write_json_atomic(out_dir / name, content)
+        except OSError as exc:
+            # the artifacts written before this one stay
+            print(f"error: cannot write {out_dir / name}: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

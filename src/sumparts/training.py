@@ -61,6 +61,8 @@ class TrainConfig:
             raise ValueError("heads must be >= 1")
         if not np.isfinite(self.learning_rate):
             raise ValueError("learning_rate must be finite")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass

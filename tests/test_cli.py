@@ -216,7 +216,9 @@ class TestCertify:
     def test_unknown_family_is_refused(self, tmp_path, capsys, family):
         config = write_config(tmp_path / "c.json", {"family": family})
         assert run(["certify", "--config", config, "--out", tmp_path / "out"]) == 2
-        assert "certify family must be one of" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: config field 'family' must be one of monomial/binomial/lemma/corollary, "
+            f"got {family!r}\n")
 
     def test_monomial_d_min_below_two_is_refused(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", {"family": "monomial", "d_min": 1})
@@ -617,8 +619,8 @@ class TestEval:
         jsonschema.validate(report, REPORT_SCHEMA)
         assert "comprehensiveness" in report and "sufficiency" in report
 
-    @pytest.mark.parametrize("classes, index", [([5], 5), ([0, -1], -1)])
-    def test_class_index_out_of_range(self, tmp_path, capsys, trained, classes, index):
+    @pytest.mark.parametrize("classes", [[5], [0, -1]], ids=["class-5", "class-minus-1"])
+    def test_class_index_out_of_range(self, tmp_path, capsys, trained, classes):
         dataset, checkpoint = trained
         config = write_config(
             tmp_path / "e.json",
@@ -626,9 +628,9 @@ class TestEval:
              "metrics": ["insertion"], "classes": classes, "seed": 3},
         )
         assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
-        err = capsys.readouterr().err
-        assert f"class index {index} is out of range" in err
-        assert "with 2 classes" in err
+        assert capsys.readouterr().err == (
+            f"error: config field 'classes' must name classes of checkpoint {checkpoint} "
+            f"(2 classes), got {classes!r}\n")
 
     def test_dataset_label_out_of_range(self, tmp_path, capsys, trained):
         """The accuracy checks the dataset's labels against the checkpoint's
@@ -684,7 +686,7 @@ class TestEval:
         )
         assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
-        assert "'insertoin'" in err
+        assert "config field 'metrics'" in err and "'insertoin'" in err
         for name in ALL_METRICS:
             assert f"'{name}'" in err
         assert not (tmp_path / "out" / "results.json").exists()
@@ -953,10 +955,14 @@ class TestCheckpointValidation:
          ["'segment_assignment' must hold integers, got float64 entries"]),
         (lambda c: {**c, "segment_assignment": "abc"},
          ["'segment_assignment' must hold integers, got <U3 entries"]),
+        # np.prod of this shape wraps around to 0 in int64
+        (lambda c: {**c, "heads": 2 ** 32, "n_segments": 2 ** 16, "w_q": []},
+         ["'w_q' has 0 entries, expected 18446744073709551616 for shape "
+          "(heads, n_segments, n_segments) = (4294967296, 65536, 65536)"]),
     ], ids=["only_d", "no_w_k", "no_backbone", "no_backbone_classifier", "float_heads",
             "ragged_w_q", "short_sel_w_k", "short_assignment", "assignment_range",
             "float_assignment", "bool_assignment", "integral_float_assignment",
-            "string_assignment"])
+            "string_assignment", "overflowing_w_q"])
     def test_bad_checkpoint_names_the_field(self, tmp_path, capsys, initial,
                                             mutate, expected):
         dataset, ckpt = initial
@@ -1358,6 +1364,22 @@ class TestConfigHandling:
         assert done.stderr.count("\n") == 1 and done.stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.json"]
         assert (tmp_path / "afile").read_text() == ""
+
+    @pytest.mark.parametrize("blocked", ["results.json", "curves.csv"])
+    def test_artifact_that_cannot_be_written(self, tmp_path, blocked):
+        """A directory where an artifact goes ended in an ``IsADirectoryError``
+        traceback from the atomic rename, with exit 1.  The artifacts written
+        before it stay, and its temporary file is removed."""
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        config = write_config(tmp_path / "c.json", {"family": "lemma", "dimensions": [3]})
+        done = run_process(["certify", "--config", config, "--out", out])
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: cannot write {out / blocked}: ")
+        assert done.stderr.count("\n") == 1 and done.stdout == ""
+        written = ["results.json"] if blocked == "curves.csv" else []
+        assert sorted(p.name for p in out.iterdir()) == sorted([blocked, *written])
+        assert not any((out / blocked).iterdir())
 
     @pytest.mark.parametrize("command, fields", [
         ("certify", {"family": "corollary", "kind": "nope", "dimensions": [3]}),

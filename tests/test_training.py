@@ -494,19 +494,19 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert peak < 4 * d * d * 8 + 4_000_000
 
-    def test_zero_learning_rate_keeps_parameters(self):
-        features, labels = make_blobs(n_per_class=8, seed=5)
-        seg = Segmentation.contiguous(8, 2)
-        backbone = class_mean_identity_backbone(features, labels)
-        config = TrainConfig(steps=3, learning_rate=0.0, seed=21)
-        gen0, sel0 = init_params(seg, backbone, config)
-        result = train(features, labels, seg, backbone, config)
-        np.testing.assert_array_equal(result.gen_params.w_q, gen0.w_q)
-        np.testing.assert_array_equal(result.gen_params.w_k, gen0.w_k)
-        np.testing.assert_array_equal(result.sel_params.w_q, sel0.w_q)
-        np.testing.assert_array_equal(result.sel_params.w_k, sel0.w_k)
-        np.testing.assert_array_equal(result.sel_params.classifier, sel0.classifier)
-        assert len(result.loss_history) == 3
+    @pytest.mark.parametrize("fields, message", [
+        ({"steps": -1}, "steps must be >= 0"),
+        ({"heads": 0}, "heads must be >= 1"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite"),
+        ({"learning_rate": 0.0}, "learning_rate must be positive"),
+        ({"learning_rate": -1.0}, "learning_rate must be positive"),
+    ], ids=["steps-negative", "heads-0", "rate-nan", "rate-inf", "rate-0", "rate-negative"])
+    def test_config_refusals(self, fields, message):
+        """A zero rate leaves the parameters as they were and a negative one
+        climbs the loss, so neither is a training run."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**{"steps": 3, "learning_rate": 0.1, "seed": 21, **fields})
 
     def test_zero_steps_returns_initialization(self):
         features, labels = make_blobs(n_per_class=4, seed=6)
