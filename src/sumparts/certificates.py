@@ -195,46 +195,31 @@ class ExponentialFit:
         return np.exp(self.slope * d + self.intercept) + self.offset
 
 
-def _log_linear_fit(ds: np.ndarray, values: np.ndarray, offset: float) -> ExponentialFit:
-    shifted = values - offset
-    slope, intercept = np.polyfit(ds, np.log(shifted), 1)
-    fitted = np.exp(slope * ds + intercept) + offset
-    rae = float(np.mean(np.abs(fitted - values) / np.abs(values)))
-    return ExponentialFit(
-        slope=float(slope), intercept=float(intercept), offset=offset,
-        relative_abs_error=rae,
-    )
-
-
 def fit_exponential(points: Sequence[tuple[float, float]],
                     with_offset: bool = False) -> ExponentialFit:
     """Fit an exponential of the dimension to (d, value) points.
 
-    Least squares on ``(d, log(value - offset))``; with ``with_offset`` the
-    additive offset is grid-searched over [0, min value) at resolution 0.01
-    and the first grid point with the smallest relative absolute error wins.
+    Closed-form least squares on ``(d, log(value - offset))`` at every
+    candidate offset at once: 0, or with ``with_offset`` the grid over
+    [0, min value) in steps of 0.01.  The first offset with the least
+    relative absolute error wins.
     """
     ds = np.array([p[0] for p in points], dtype=np.float64)
     values = np.array([p[1] for p in points], dtype=np.float64)
-    if np.unique(ds).size < 3:
+    # np.unique would import numpy.ma (15 ms, 1.6 MB), which certify needs nowhere else
+    if np.count_nonzero(np.diff(np.sort(ds)) > 0) < 2:
         raise ValueError("need points at three or more distinct dimensions to fit")
-    if not with_offset:
-        if values.min() <= 0:
-            raise ValueError("values must be positive for a log-linear fit")
-        return _log_linear_fit(ds, values, 0.0)
-    offsets = np.arange(0.0, values.min(), 0.01)
+    if not with_offset and values.min() <= 0:
+        raise ValueError("values must be positive for a log-linear fit")
+    offsets = np.arange(0.0, values.min(), 0.01) if with_offset else np.zeros(1)
     if offsets.size == 0:
         raise ValueError("values must exceed at least one offset candidate")
-    # closed-form least squares at every offset at once; it differs from
-    # polyfit by rounding only, so the offsets within 1e-12 of the least
-    # error are refitted with polyfit, and the first least one in grid
-    # order wins, as one polyfit per offset would pick
     logs = np.log(values - offsets[:, None])
     centred = ds - ds.mean()
     slopes = logs @ centred / (centred @ centred)
     intercepts = logs.mean(axis=1) - slopes * ds.mean()
     fitted = np.exp(slopes[:, None] * ds + intercepts[:, None]) + offsets[:, None]
     errors = np.mean(np.abs(fitted - values) / np.abs(values), axis=1)
-    near = np.isclose(errors, errors.min(), rtol=1e-12, atol=1e-12)
-    return min((_log_linear_fit(ds, values, float(offset)) for offset in offsets[near]),
-               key=lambda fit: fit.relative_abs_error)
+    best = np.argmin(errors)
+    return ExponentialFit(slope=float(slopes[best]), intercept=float(intercepts[best]),
+                          offset=float(offsets[best]), relative_abs_error=float(errors[best]))

@@ -19,6 +19,7 @@ go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -377,6 +378,21 @@ def _restore_checkpoint(path):
     return seg, gen, sel, backbone
 
 
+@contextlib.contextmanager
+def _model_calls(checkpoint, what: str, path):
+    """Run a checkpoint's model on an input file, numpy raising where a step
+    overflows, divides by zero or makes a NaN; that failure, naming the input
+    too, and the model's refusal of a value are ConfigErrors naming the checkpoint."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(f"checkpoint {checkpoint}: floating-point failure on "
+                          f"{what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint {checkpoint}: {exc}") from exc
+
+
 def cmd_train(config: dict) -> tuple[int, dict]:
     seed = _field(config, "seed", None, _INTEGER, _at_least(0))
     learning_rate = float(_field(config, "learning_rate", 0.1, _NUMBER,
@@ -452,15 +468,13 @@ def cmd_eval(config: dict) -> tuple[int, dict]:
     def model(rows):
         return softmax(predict(rows, seg, gen, sel, backbone))
 
-    try:
+    with _model_calls(checkpoint, "dataset", dataset):
         if "accuracy" in metrics:
             report["accuracy"] = training_accuracy(features, labels, seg, gen, sel, backbone)
         attributions = [sop_forward(x, seg, gen, sel, backbone) for x in features]
         results = faithfulness.evaluate_examples(
             model, features, [a.groups for a in attributions], [a.scores for a in attributions],
             classes, list(aggregates), step)
-    except ValueError as exc:
-        raise ConfigError(f"checkpoint {checkpoint}: {exc}") from exc
     for index, example in enumerate(results):
         for k, result in zip(classes, example):
             for name, value in result.items():
@@ -497,11 +511,9 @@ def cmd_label(config: dict) -> tuple[int, dict]:
         raise ConfigError(f"segmentation {seg_path} does not give the segment "
                           f"assignment of checkpoint {checkpoint}")
 
-    try:
+    with _model_calls(checkpoint, "map", map_path):
         attribution = sop_forward(imap.flat, seg, gen, sel, backbone)
-    except ValueError as exc:
-        raise ConfigError(f"checkpoint {checkpoint}: {exc}") from exc
-    intensities, kinds = structures.label_groups(imap, attribution.groups, cluster_sigma)
+        intensities, kinds = structures.label_groups(imap, attribution.groups, cluster_sigma)
     rows = [(g, intensities[g], kinds[g], *map(float, scores))
             for g, scores in enumerate(attribution.scores)]
     histogram = {"cluster_sigma": cluster_sigma,

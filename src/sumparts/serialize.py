@@ -2,8 +2,8 @@
 
 All floats are rounded to 9 significant digits before writing and JSON
 keys are sorted, so reruns of the same computation produce byte-identical
-files on any platform.  Writes go to a temp file in the target directory
-followed by an atomic rename.
+files on any platform.  Writes go to a temp file in the target directory,
+given the mode ``open()`` would give it, followed by an atomic rename.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ __all__ = [
     "write_csv_atomic",
 ]
 
+_FLOAT_FORMAT = ".9g"
+
 
 def format_float(x: float) -> str:
     """Fixed 9-significant-digit text form of a float."""
-    return format(float(x), ".9g")
+    return format(float(x), _FLOAT_FORMAT)
 
 
 def round_floats(obj):
@@ -59,14 +61,17 @@ def stable_json_dumps(obj) -> str:
 def write_text_atomic(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # mkstemp's 0600 would survive os.replace; os.umask reads the umask only by setting it
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 
@@ -74,24 +79,21 @@ def write_json_atomic(path, obj) -> None:
     write_text_atomic(path, stable_json_dumps(obj))
 
 
-def _row_format(types: tuple) -> str:
-    """One ``%`` format string for a row with cells of these types:
-    ``%.9g`` is :func:`format_float`'s text for any float, and ``%s`` is
-    ``str`` for every other cell."""
-    return ",".join("%.9g" if issubclass(t, (float, np.floating)) else "%s" for t in types)
-
-
 def write_csv_atomic(path, header, rows) -> None:
     """Write rows of mixed str/number cells; floats use the fixed format.
 
     Each row takes one ``%`` formatting over a format string built from
-    its cell types and cached per type signature."""
+    its cell types and cached per type signature: ``%`` with the float
+    format is :func:`format_float`'s text for any float, and ``%s`` is
+    ``str`` for every other cell."""
     formats: dict[tuple, str] = {}
     lines = [",".join(header)]
     for row in rows:
         row = tuple(row)
         types = tuple(map(type, row))
         if types not in formats:
-            formats[types] = _row_format(types)
+            formats[types] = ",".join(
+                "%" + _FLOAT_FORMAT if issubclass(t, (float, np.floating)) else "%s"
+                for t in types)
         lines.append(formats[types] % row)
     write_text_atomic(path, "\n".join(lines) + "\n")

@@ -13,10 +13,10 @@ families' orbit programs, solved by HiGHS and proven by an exact
 primal/dual check.  ``monomial_fraction_scan`` and
 ``binomial_vertex_scan`` are the exact scans the library replaced by
 closed forms, and ``fit_exponential_grid_loop`` is the earlier offset
-grid search.  The pointwise error oracles (``deletion_error_oracle``,
-``insertion_error_oracle`` and their grouped forms) are the library's
-earlier subset errors, each probe built by hand and passed to the model
-as one vector, kept to check ``faithfulness.subset_errors`` and the
+grid search, one ``log_linear_polyfit`` per offset.  The pointwise error
+oracles (``deletion_error_oracle``, ``insertion_error_oracle`` and their
+grouped forms) are the library's earlier subset errors, each probe built
+by hand and passed to the model as one vector, kept to check ``faithfulness.subset_errors`` and the
 certificate verifiers against.  ``shapley_values`` gives the exact
 Shapley attribution and ``occlusion_values`` the leave-one-out occlusion,
 the per-feature baselines the certificates are set against.
@@ -43,7 +43,7 @@ import pytest
 from hypothesis import strategies as st
 
 from sumparts import certificates
-from sumparts.certificates import ExponentialFit, PolynomialSpec, _log_linear_fit
+from sumparts.certificates import ExponentialFit, PolynomialSpec
 from sumparts.structures import INTENSITY_EPS
 from sumparts.model import Segmentation, identity_backbone, linear_backbone
 from sumparts.ops import powerset_matrix, sparsemax
@@ -372,6 +372,17 @@ def monomial_fraction_scan(d: int) -> float:
     ))
 
 
+def log_linear_polyfit(ds, values, offset: float) -> ExponentialFit:
+    """``np.polyfit`` of ``log(value - offset)`` on d at one offset, with its
+    relative absolute error."""
+    slope, intercept = np.polyfit(ds, np.log(values - offset), 1)
+    fitted = np.exp(slope * ds + intercept) + offset
+    return ExponentialFit(
+        slope=float(slope), intercept=float(intercept), offset=offset,
+        relative_abs_error=float(np.mean(np.abs(fitted - values) / np.abs(values))),
+    )
+
+
 def fit_exponential_grid_loop(points) -> ExponentialFit:
     """Offset grid search with one polyfit per grid offset; the first
     offset with the smallest relative absolute error wins."""
@@ -379,7 +390,7 @@ def fit_exponential_grid_loop(points) -> ExponentialFit:
     values = np.array([p[1] for p in points], dtype=np.float64)
     best = None
     for offset in np.arange(0.0, values.min(), 0.01):
-        candidate = _log_linear_fit(ds, values, float(offset))
+        candidate = log_linear_polyfit(ds, values, float(offset))
         if best is None or candidate.relative_abs_error < best.relative_abs_error:
             best = candidate
     return best

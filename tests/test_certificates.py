@@ -30,7 +30,6 @@ from sumparts.certificates import (
     verify_corollary_grouped,
     verify_lemma_monomial_insertion,
 )
-from sumparts.certificates import _log_linear_fit
 from sumparts.faithfulness import total_powerset_error
 from conftest import (
     L1Program,
@@ -39,6 +38,7 @@ from conftest import (
     build_program,
     certified_optimum,
     fit_exponential_grid_loop,
+    log_linear_polyfit,
     grouped_deletion_error_oracle,
     grouped_insertion_error_oracle,
     insertion_error_oracle,
@@ -462,8 +462,13 @@ class TestExponentialFit:
             values += rng.uniform(0, 5)
             windows.append([(int(d), float(v)) for d, v in zip(ds, values)])
         for points in windows:
-            assert fit_exponential(points, with_offset=True) == \
+            fit, oracle = fit_exponential(points, with_offset=True), \
                 fit_exponential_grid_loop(points)
+            # closed-form least squares and polyfit differ by rounding only
+            assert fit.offset == oracle.offset
+            for name in ("slope", "intercept", "relative_abs_error"):
+                expected = getattr(oracle, name)
+                assert abs(getattr(fit, name) - expected) <= 1e-9 * abs(expected) + 1e-12
 
     def test_criterion_02_diagnosis(self):
         """The four slopes of the certified binomial points on the reference
@@ -479,7 +484,7 @@ class TestExponentialFit:
         without_d3 = fit_exponential(points[1:], with_offset=True)
         assert round(without_d3.slope, 4) == round(math.log(2) / 3, 4) == 0.2310
         ds, values = np.array(points, dtype=np.float64).T
-        extended = min((_log_linear_fit(ds, values, float(offset))
+        extended = min((log_linear_polyfit(ds, values, float(offset))
                         for offset in np.arange(-20.0, values.min(), 0.01)),
                        key=lambda fit: fit.relative_abs_error)
         assert round(extended.slope, 4) == 0.1823

@@ -63,6 +63,10 @@ def invocations(work: Path) -> list[tuple[str, str, dict]]:
     return [
         ("certify-monomial", "certify", {"family": "monomial", "d_min": 2, "d_max": 6}),
         ("certify-binomial", "certify", {"family": "binomial", "dimensions": [3, 6, 9]}),
+        # the README's ungated window: an exact exponential, so the fit's
+        # relative error is rounding noise under the 1e-12 floor
+        ("certify-binomial-wide", "certify",
+         {"family": "binomial", "dimensions": list(range(6, 31, 3))}),
         ("certify-lemma", "certify", {"family": "lemma", "dimensions": [1, 2, 3, 4, 5]}),
         ("certify-corollary-monomial", "certify",
          {"family": "corollary", "kind": "monomial", "dimensions": [1, 2, 3, 4]}),

@@ -1,16 +1,25 @@
 """CSV writer: the row-at-a-time formatter against the earlier per-cell
 writer, on rows of mixed cell types and special float values; JSON float
-rounding against the earlier per-item rounding."""
+rounding against the earlier per-item rounding; the mode of a written
+file under the process umask."""
 
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumparts.serialize import format_float, stable_json_dumps, write_csv_atomic
+from sumparts.serialize import (
+    format_float,
+    stable_json_dumps,
+    write_csv_atomic,
+    write_text_atomic,
+)
 
 from conftest import round_floats_oracle
 
@@ -117,3 +126,18 @@ class TestRoundFloats:
     def test_json_text_matches_per_item_oracle(self, value):
         assert stable_json_dumps(value) == \
             json.dumps(round_floats_oracle(value), sort_keys=True, indent=2) + "\n"
+
+
+class TestWriteTextAtomic:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        """The file gets the mode ``open()`` would give it, not mkstemp's
+        0600, and no temporary file stays beside it."""
+        previous = os.umask(umask)
+        try:
+            write_text_atomic(tmp_path / "results.json", "{}\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "results.json").stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
