@@ -8,6 +8,7 @@ from .model import (
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
+    explain,
     generate_groups,
     identity_backbone,
     linear_backbone,
@@ -15,7 +16,6 @@ from .model import (
     sop_forward,
 )
 from .ops import (
-    finite_diff_grad,
     softmax,
     sparsemax,
     sparsemax_vjp,

@@ -34,6 +34,7 @@ from .model import (
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
+    explain,
     identity_backbone,
     predict,
     sop_forward,
@@ -471,17 +472,15 @@ def cmd_eval(config: dict) -> tuple[int, dict]:
     with _model_calls(checkpoint, "dataset", dataset):
         if "accuracy" in metrics:
             report["accuracy"] = training_accuracy(features, labels, seg, gen, sel, backbone)
-        attributions = [sop_forward(x, seg, gen, sel, backbone) for x in features]
-        results = faithfulness.evaluate_examples(
-            model, features, [a.groups for a in attributions], [a.scores for a in attributions],
-            classes, list(aggregates), step)
+        groups, scores = explain(features, seg, gen, sel, backbone)
+        results = faithfulness.evaluate_examples(model, features, groups, scores, classes,
+                                                 list(aggregates), step)
     for index, example in enumerate(results):
         for k, result in zip(classes, example):
             for name, value in result.items():
                 if isinstance(value, faithfulness.PerturbationReport):
-                    curve_rows.extend(
-                        (name, index, k, f, p) for f, p in
-                        zip(value.fractions.tolist(), value.probabilities.tolist()))
+                    # one row per curve, one line per point
+                    curve_rows.append((name, index, k, value.fractions, value.probabilities))
                     value = value.auc
                 aggregates[name].append(value)
 

@@ -78,15 +78,8 @@ class PerturbationReport:
     def __post_init__(self):
         fractions = np.asarray(self.fractions, dtype=np.float64)
         probabilities = np.asarray(self.probabilities, dtype=np.float64)
-        if fractions.shape != probabilities.shape or fractions.ndim != 1:
-            raise ValueError("fractions and probabilities must be matching vectors")
-        if fractions.size < 2:
-            raise ValueError("a curve needs at least two points")
-        if fractions[0] < 0.0 or fractions[-1] > 1.0 or np.any(np.diff(fractions) <= 0):
-            raise ValueError("fractions must be strictly increasing within [0, 1]")
-        lo, hi = probabilities.min(), probabilities.max()
-        if not (lo - 1e-12 <= self.auc <= hi + 1e-12):
-            raise ValueError("AUC must lie within the curve's value range")
+        _check_curves(fractions, probabilities[None])
+        _check_aucs(probabilities.min(), probabilities.max(), self.auc)
         object.__setattr__(self, "fractions", fractions)
         object.__setattr__(self, "probabilities", probabilities)
 
@@ -94,14 +87,52 @@ class PerturbationReport:
     def from_curve(cls, metric: str, fractions, values) -> "PerturbationReport":
         """Report of the curve through ``(fractions[i], values[i])``, with
         its mean-height AUC."""
+        return cls.from_curves([metric], fractions, np.asarray(values, dtype=np.float64)[None])[0]
+
+    @classmethod
+    def from_curves(cls, metrics, fractions, values) -> list["PerturbationReport"]:
+        """Reports of curves through the same ``fractions``, one per metric
+        name and row of the (n, P) ``values``, with the AUCs of all rows
+        from one trapezoid pass.  Each row's AUC equals its
+        :meth:`from_curve` AUC bit for bit, and the checks of the reports
+        run once for the whole batch."""
         fractions = np.asarray(fractions, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
-        span = fractions[-1] - fractions[0]
-        auc = float(np.trapezoid(values, fractions) / span)
+        if values.ndim != 2 or values.shape[0] != len(metrics):
+            raise ValueError("values must hold one curve row per metric")
+        _check_curves(fractions, values)
+        lo, hi = values.min(axis=1), values.max(axis=1)
         # the exact mean height lies in [min, max]; clamp away rounding dust so
         # a constant curve yields exactly the constant
-        auc = min(max(auc, float(values.min())), float(values.max()))
-        return cls(metric=metric, fractions=fractions, probabilities=values, auc=auc)
+        aucs = np.minimum(np.maximum(
+            np.trapezoid(values, fractions, axis=-1) / (fractions[-1] - fractions[0]), lo), hi)
+        _check_aucs(lo, hi, aucs)
+        reports = []
+        for metric, row, auc in zip(metrics, values, aucs.tolist()):
+            # fields set as the dataclass __init__ sets them, the checks above done
+            report = object.__new__(cls)
+            for name, value in (("metric", metric), ("fractions", fractions),
+                                ("probabilities", row), ("auc", auc)):
+                object.__setattr__(report, name, value)
+            reports.append(report)
+        return reports
+
+
+def _check_curves(fractions: np.ndarray, values: np.ndarray) -> None:
+    """Each row of the (n, P) ``values`` a curve through ``fractions``:
+    at least two points, strictly increasing within [0, 1]."""
+    if fractions.ndim != 1 or values.shape[1:] != fractions.shape:
+        raise ValueError("fractions and probabilities must be matching vectors")
+    if fractions.size < 2:
+        raise ValueError("a curve needs at least two points")
+    if fractions[0] < 0.0 or fractions[-1] > 1.0 or np.any(np.diff(fractions) <= 0):
+        raise ValueError("fractions must be strictly increasing within [0, 1]")
+
+
+def _check_aucs(lo, hi, aucs) -> None:
+    """Each AUC within its curve's value range [lo, hi]."""
+    if not np.all((lo - 1e-12 <= aucs) & (aucs <= hi + 1e-12)):
+        raise ValueError("AUC must lie within the curve's value range")
 
 
 def _as_input(x) -> np.ndarray:
@@ -231,13 +262,8 @@ def _directed(covered: np.ndarray, direction: str) -> np.ndarray:
     raise ValueError(f"direction must be 'insertion' or 'deletion', got {direction!r}")
 
 
-def ranked_keep(ranking, step: int, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fractions and keep-masks of an insertion or deletion curve.
-
-    Row i covers the first ``counts[i]`` features of ``ranking``, with
-    counts 0, step, 2*step, ... and finally d.  Returns the covered
-    fraction of each row and the (P, d) boolean keep matrix.
-    """
+def _ranked_coverage(ranking, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fractions and covered features of the rows of a ranked curve."""
     ranking = np.asarray(ranking, dtype=np.int64)
     d = ranking.size
     if ranking.ndim != 1 or d == 0 or not np.array_equal(np.sort(ranking), np.arange(d)):
@@ -247,19 +273,22 @@ def ranked_keep(ranking, step: int, direction: str) -> tuple[np.ndarray, np.ndar
     counts = np.array(list(range(0, d, step)) + [d])
     rank = np.empty(d, dtype=np.int64)
     rank[ranking] = np.arange(d)
-    return counts / d, _directed(rank < counts[:, None], direction)
+    return counts / d, rank < counts[:, None]
 
 
-def grouped_keep(groups, scores, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fractions and keep-masks of a grouped curve, one group per step,
-    highest score first.
+def ranked_keep(ranking, step: int, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """Fractions and keep-masks of an insertion or deletion curve.
 
-    Row 0 covers nothing.  Each later row adds the support of the next
-    group; features covered by an earlier group are skipped, and a group
-    whose support adds nothing contributes no row.  The fraction counts
-    covered features, so it ends below 1 when the groups do not cover the
-    input.
+    Row i covers the first ``counts[i]`` features of ``ranking``, with
+    counts 0, step, 2*step, ... and finally d.  Returns the covered
+    fraction of each row and the (P, d) boolean keep matrix.
     """
+    fractions, covered = _ranked_coverage(ranking, step)
+    return fractions, _directed(covered, direction)
+
+
+def _grouped_coverage(groups, scores) -> tuple[np.ndarray, np.ndarray]:
+    """Fractions and covered features of the rows of a grouped curve."""
     supports = np.atleast_2d(np.asarray(groups, dtype=np.float64)) > 0
     scores = np.asarray(scores, dtype=np.float64)
     if supports.shape[0] == 0:
@@ -272,7 +301,21 @@ def grouped_keep(groups, scores, direction: str) -> tuple[np.ndarray, np.ndarray
     counts = np.count_nonzero(cumulative, axis=1)
     grows = np.diff(counts, prepend=0) > 0
     covered = np.vstack([np.zeros((1, supports.shape[1]), dtype=bool), cumulative[grows]])
-    return np.append(0, counts[grows]) / supports.shape[1], _directed(covered, direction)
+    return np.append(0, counts[grows]) / supports.shape[1], covered
+
+
+def grouped_keep(groups, scores, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """Fractions and keep-masks of a grouped curve, one group per step,
+    highest score first.
+
+    Row 0 covers nothing.  Each later row adds the support of the next
+    group; features covered by an earlier group are skipped, and a group
+    whose support adds nothing contributes no row.  The fraction counts
+    covered features, so it ends below 1 when the groups do not cover the
+    input.
+    """
+    fractions, covered = _grouped_coverage(groups, scores)
+    return fractions, _directed(covered, direction)
 
 
 def rationale_keep(rationale) -> np.ndarray:
@@ -358,42 +401,30 @@ def sparsity(groups, scores) -> float:
 
 
 def _example_plan(groups, scores, classes, metrics, step: int):
-    """The keep matrices of one example's metrics, and the function that
-    turns their probe values, in the same order, into the per-class dicts
-    of :func:`evaluate_examples`."""
+    """The keep matrices of one example's metrics, in probe order, and for
+    each class ``(k, curves)``: each requested pair of curves that shares a
+    coverage, as ``(names, fractions)``, one keep matrix per name."""
     scores = np.asarray(scores, dtype=np.float64)
     if any(not 0 <= k < scores.shape[1] for k in classes):
         raise ValueError(f"class indices {classes} out of range for {scores.shape[1]} classes")
-    rationale = "comprehensiveness" in metrics or "sufficiency" in metrics
     keeps, plans = [], []
     for k in classes:
         alpha = flatten_grouped(groups, scores[:, k])
-        ranking = ranking_from_attribution(alpha)
-        curves = {
-            name: (ranked_keep(ranking, step, name) if name in ("insertion", "deletion")
-                   else grouped_keep(groups, scores[:, k], name.removeprefix("grouped_")))
-            for name in _CURVES if name in metrics}
-        keeps.extend(keep for _, keep in curves.values())
-        if rationale:
+        curves = []
+        # each coverage is built once; deleting keeps what inserting does not
+        for names, coverage in (
+                (_CURVES[:2], lambda: _ranked_coverage(ranking_from_attribution(alpha), step)),
+                (_CURVES[2:], lambda: _grouped_coverage(groups, scores[:, k]))):
+            names = [name for name in names if name in metrics]
+            if names:
+                fractions, covered = coverage()
+                keeps.extend(covered if name.endswith("insertion") else ~covered
+                             for name in names)
+                curves.append((names, fractions))
+        if "comprehensiveness" in metrics or "sufficiency" in metrics:
             keeps.append(rationale_keep(alpha > 0))
         plans.append((k, curves))
-
-    def finish(values) -> list[dict]:
-        values = iter(values)
-        results = []
-        for k, curves in plans:
-            result = {name: PerturbationReport.from_curve(name, fractions, next(values)[:, k])
-                      for name, (fractions, _) in curves.items()}
-            if "sparsity" in metrics:
-                result["sparsity"] = sparsity(groups, scores[:, k])
-            if rationale:
-                full, without, only = next(values)[:, k].tolist()
-                drops = {"comprehensiveness": full - without, "sufficiency": full - only}
-                result.update((name, drops[name]) for name in drops if name in metrics)
-            results.append(result)
-        return results
-
-    return keeps, finish
+    return keeps, plans
 
 
 def evaluate_examples(model: Callable, inputs, groups, scores, classes, metrics,
@@ -411,7 +442,9 @@ def evaluate_examples(model: Callable, inputs, groups, scores, classes, metrics,
     rationale is where that is positive.  Each dict holds each requested
     curve of ``_CURVES`` as a report, then sparsity, comprehensiveness and
     sufficiency as floats, in this order whatever the order of
-    ``metrics``.
+    ``metrics``.  The reports of all curves with the same fractions, such
+    as every ranked curve of one width, come from one
+    :meth:`PerturbationReport.from_curves` batch.
     """
     unknown = [m for m in metrics if m not in METRICS]
     if unknown:
@@ -423,7 +456,34 @@ def evaluate_examples(model: Callable, inputs, groups, scores, classes, metrics,
     keeps = [keeps for keeps, _ in plans]
     values = (_probe_examples(model, [_as_input(x) for x in inputs], keeps) if any(keeps)
               else keeps)
-    return [finish(v) for (_, finish), v in zip(plans, values)]
+    results = []
+    # the curves of every example and class, by their fractions' bytes: the
+    # fractions and each curve's (dict, metric name, values)
+    batches: dict[bytes, tuple[np.ndarray, list]] = {}
+    for (_, plan), example_groups, example_scores, example_values in zip(
+            plans, groups, scores, values):
+        example_values = iter(example_values)
+        results.append([])
+        for k, curves in plan:
+            result = {}
+            for names, fractions in curves:
+                curves_here = batches.setdefault(fractions.tobytes(), (fractions, []))[1]
+                for name in names:
+                    result[name] = None
+                    curves_here.append((result, name, next(example_values)[:, k]))
+            if "sparsity" in metrics:
+                result["sparsity"] = sparsity(example_groups, np.asarray(example_scores)[:, k])
+            if "comprehensiveness" in metrics or "sufficiency" in metrics:
+                full, without, only = next(example_values)[:, k].tolist()
+                drops = {"comprehensiveness": full - without, "sufficiency": full - only}
+                result.update((name, drops[name]) for name in drops if name in metrics)
+            results[-1].append(result)
+    for fractions, batch in batches.values():
+        reports = PerturbationReport.from_curves([name for _, name, _ in batch], fractions,
+                                                 np.vstack([row for _, _, row in batch]))
+        for (result, name, _), report in zip(batch, reports):
+            result[name] = report
+    return results
 
 
 def flatten_grouped(groups, scores) -> np.ndarray:

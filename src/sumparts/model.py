@@ -18,7 +18,7 @@ a group embedding; only :func:`sop_forward` and :func:`generate_groups`
 build the (G, d) masks, which are the explanation.  :func:`predict` runs
 the same arithmetic on a (B, d) stack, in blocks of ``PREDICT_BLOCK_ROWS``
 rows, and each of its rows equals the ``sop_forward`` prediction of that
-row bit for bit.
+row bit for bit; :func:`explain` does so for the groups and scores.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "segment_pool",
     "generate_groups",
     "sop_forward",
+    "explain",
     "predict",
 ]
 
@@ -48,6 +49,12 @@ __all__ = [
 # block's largest arrays are the (rows, 2 * n_classes, d) products of its
 # inputs with the folded selector, and the segment bins of their sums
 PREDICT_BLOCK_ROWS = 64
+
+# most segment-bin entries a Segmentation keeps between calls (512 KB of
+# int64): a block of the benchmark's eval-blobs model needs 24,576, and the
+# 262,144 of a d = 1,024 block are built and freed per call, as bins kept
+# there would add to the peak of each training step
+SEGMENT_BINS_CACHED = 1 << 16
 
 
 def _as_float_matrix(a, name: str) -> np.ndarray:
@@ -125,9 +132,11 @@ class Segmentation:
     n_segments: int
 
     def __post_init__(self):
-        assignment = np.asarray(self.assignment, dtype=np.int64)
+        # a read-only copy, so the segment bins built from it stay valid
+        assignment = np.array(self.assignment, dtype=np.int64)
         if assignment.ndim != 1 or assignment.size == 0:
             raise ValueError("assignment must be a non-empty 1-D index array")
+        assignment.flags.writeable = False
         object.__setattr__(self, "assignment", assignment)
         if self.n_segments < 1:
             raise ValueError("n_segments must be >= 1")
@@ -292,6 +301,22 @@ class GroupedAttribution:
         return self.scores.shape[1]
 
 
+def _segment_bins(seg: Segmentation, n_rows: int) -> np.ndarray:
+    """The bins of ``n_rows`` rows' segment sums: entry ``r * d + j`` is
+    ``r * m + assignment[j]``.
+
+    Fewer rows' bins are the start of more rows' bins, so the longest built
+    is kept on ``seg``, up to ``SEGMENT_BINS_CACHED`` entries, and sliced.
+    """
+    size = n_rows * seg.n_features
+    bins = seg.__dict__.get("_bins")
+    if bins is None or bins.size < size:
+        bins = (np.arange(n_rows)[:, None] * seg.n_segments + seg.assignment).ravel()
+        if size <= SEGMENT_BINS_CACHED:
+            object.__setattr__(seg, "_bins", bins)  # a cache, not a field
+    return bins[:size]
+
+
 def _segment_sums(rows: np.ndarray, seg: Segmentation) -> np.ndarray:
     """Per-segment sums of every row of a (..., d) stack, as (..., m).
 
@@ -300,8 +325,8 @@ def _segment_sums(rows: np.ndarray, seg: Segmentation) -> np.ndarray:
     """
     m = seg.n_segments
     flat = rows.reshape(-1, seg.n_features)
-    bins = (np.arange(flat.shape[0])[:, None] * m + seg.assignment).ravel()
-    sums = np.bincount(bins, weights=flat.ravel(), minlength=flat.shape[0] * m)
+    sums = np.bincount(_segment_bins(seg, flat.shape[0]), weights=flat.ravel(),
+                       minlength=flat.shape[0] * m)
     return sums.reshape(rows.shape[:-1] + (m,))
 
 
@@ -407,6 +432,47 @@ def sop_forward(x, seg: Segmentation, gen_params: GroupGenParams,
                               prediction=cache["prediction"])
 
 
+def _as_stack(inputs) -> np.ndarray:
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[0] == 0:
+        raise ValueError(f"inputs must be a non-empty (B, d) stack, got shape {inputs.shape}")
+    return inputs
+
+
+def _block_forwards(inputs: np.ndarray, seg: Segmentation, gen: GroupGenParams,
+                    sel: GroupSelectParams, backbone: Backbone):
+    """The forward pass of each block of ``PREDICT_BLOCK_ROWS`` rows of a
+    (B, d) stack, as (row slice, cache), with the selector folded once and
+    each block's segment weights and scores checked as a
+    :class:`GroupedAttribution` checks masks and scores."""
+    folded = _fold(seg, sel, backbone)
+    for start in range(0, inputs.shape[0], PREDICT_BLOCK_ROWS):
+        rows = slice(start, start + PREDICT_BLOCK_ROWS)
+        cache = _forward(inputs[rows], seg, gen, folded)
+        # every segment holds a feature, so the masks span the segment weights' range
+        _check_masks_and_scores(cache["seg_weights"], cache["scores"])
+        yield rows, cache
+
+
+def explain(inputs, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectParams,
+            backbone: Backbone) -> tuple[np.ndarray, np.ndarray]:
+    """Groups and scores of every row of a (B, d) stack: the (B, G, d) masks
+    and the (B, G, n_classes) scores.
+
+    Runs :func:`predict`'s blocks and checks; ``groups[b]`` and ``scores[b]``
+    equal those of ``sop_forward(inputs[b], ...)`` bit for bit.  The masks
+    are the one array that grows with B, as a list of B attributions would.
+    """
+    inputs = _as_stack(inputs)
+    n_groups = gen.heads * seg.n_segments
+    groups = np.empty((inputs.shape[0], n_groups, seg.n_features))
+    scores = np.empty((inputs.shape[0], n_groups, sel.n_classes))
+    for rows, cache in _block_forwards(inputs, seg, gen, sel, backbone):
+        groups[rows] = _masks(cache["seg_weights"], seg)
+        scores[rows] = cache["scores"]
+    return groups, scores
+
+
 def predict(inputs, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectParams,
             backbone: Backbone) -> np.ndarray:
     """Predictions for a (B, d) stack of inputs, as a (B, n_classes) array.
@@ -418,15 +484,8 @@ def predict(inputs, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectPara
     masks and scores.  Row b equals ``sop_forward(inputs[b], ...).prediction``
     bit for bit.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] == 0:
-        raise ValueError(f"inputs must be a non-empty (B, d) stack, got shape {inputs.shape}")
-    folded = _fold(seg, sel, backbone)
+    inputs = _as_stack(inputs)
     predictions = np.empty((inputs.shape[0], sel.n_classes))
-    for start in range(0, inputs.shape[0], PREDICT_BLOCK_ROWS):
-        rows = slice(start, start + PREDICT_BLOCK_ROWS)
-        cache = _forward(inputs[rows], seg, gen, folded)
-        # every segment holds a feature, so the masks span the segment weights' range
-        _check_masks_and_scores(cache["seg_weights"], cache["scores"])
+    for rows, cache in _block_forwards(inputs, seg, gen, sel, backbone):
         predictions[rows] = cache["prediction"]
     return predictions

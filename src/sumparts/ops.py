@@ -1,5 +1,5 @@
-"""Dense numeric primitives: sparsemax, softmax, a central-difference
-gradient, and the membership rows of every subset of the features.
+"""Dense numeric primitives: sparsemax, softmax, and the membership rows
+of every subset of the features, in blocks.
 
 All functions are pure and operate on float64 numpy arrays.  ``sparsemax``,
 ``sparsemax_vjp`` and ``softmax`` act on every row along the last axis of
@@ -10,16 +10,12 @@ rows.  Inputs are validated at the boundary (shape, finiteness) and raise
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 __all__ = [
     "sparsemax",
     "sparsemax_vjp",
     "softmax",
-    "finite_diff_grad",
-    "powerset_matrix",
     "powerset_blocks",
 ]
 
@@ -58,16 +54,18 @@ def sparsemax(v) -> np.ndarray:
     v = _as_rows(v, "v")
     if v.shape[-1] == 1:
         return np.ones_like(v)
+    n = v.shape[-1]
     u = np.flip(np.sort(v, axis=-1), axis=-1)
     cssv = np.cumsum(u, axis=-1) - 1.0
-    ind = np.arange(1, v.shape[-1] + 1)
-    k = np.count_nonzero(u - cssv / ind > 0, axis=-1)[..., None]
+    k = np.count_nonzero(u - cssv / np.arange(1, n + 1) > 0, axis=-1)[..., None]
     if not k.all():
         largest = np.abs(u[k[..., 0] == 0]).max()
         raise ValueError(f"sparsemax cannot project a row of v whose entries reach "
                          f"{largest:.3g}: no entry passes the support test")
-    tau = np.take_along_axis(cssv, k - 1, axis=-1) / k
-    return np.clip(v - tau, 0.0, 1.0)
+    # cssv[..., k - 1] of each row, gathered from the flat array
+    tau = cssv.ravel()[np.arange(0, cssv.size, n) + (k.ravel() - 1)].reshape(k.shape) / k
+    out = v - tau
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def sparsemax_vjp(v, upstream, *, projection=None) -> np.ndarray:
@@ -107,48 +105,10 @@ def softmax(v) -> np.ndarray:
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function.
-
-    The tests' gradient oracle: evaluates
-    ``(f(x + step*e_i) - f(x - step*e_i)) / (2*step)`` per coordinate.
-    Raises if ``f`` returns a non-finite value at any probe.
-    """
-    x = np.array(x, dtype=np.float64)  # private copy; probed in place below
-    if not (np.isfinite(step) and step > 0):
-        raise ValueError(f"step must be a positive real, got {step}")
-    grad = np.zeros_like(x, dtype=np.float64)
-    flat = x.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = float(f(x))
-        flat[i] = orig - step
-        lo = float(f(x))
-        flat[i] = orig
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError(f"f evaluated to a non-finite value near coordinate {i}")
-        gflat[i] = (hi - lo) / (2.0 * step)
-    return grad
-
-
-def powerset_matrix(d: int) -> np.ndarray:
-    """Boolean (2^d, d) matrix whose row s holds the members of subset s.
-
-    Binary counting with bit i = feature i, so row order is reproducible.
-    Filled a column at a time so temporaries stay one column wide.
-    """
-    rows = np.arange(1 << d, dtype=np.uint32)
-    members = np.empty((rows.size, d), dtype=bool)
-    for i in range(d):
-        members[:, i] = (rows >> i) & 1
-    return members
-
-
 def powerset_blocks(d: int):
-    """The rows of :func:`powerset_matrix`, in order, in blocks of
-    ``POWERSET_BLOCK_ROWS``.
+    """The (2^d, d) boolean membership rows of every subset of the d
+    features, row s holding the members of subset s (binary counting, bit
+    i = feature i), in order, in blocks of ``POWERSET_BLOCK_ROWS``.
 
     Each block is filled from its own row range, a column at a time, so
     the whole matrix never exists.

@@ -85,15 +85,28 @@ def write_csv_atomic(path, header, rows) -> None:
     Each row takes one ``%`` formatting over a format string built from
     its cell types and cached per type signature: ``%`` with the float
     format is :func:`format_float`'s text for any float, and ``%s`` is
-    ``str`` for every other cell."""
+    ``str`` for every other cell.  A row whose cells include 1-D float
+    arrays of one length n stands for n lines, line i holding entry i of
+    each array and the row's other cells: it takes one ``%`` formatting,
+    of its line format repeated n times, with those other cells' text
+    built into the format."""
     formats: dict[tuple, str] = {}
-    lines = [",".join(header)]
+    chunks = [",".join(header) + "\n"]
     for row in rows:
         row = tuple(row)
         types = tuple(map(type, row))
+        if np.ndarray in types:
+            columns = [cell for cell in row if isinstance(cell, np.ndarray)]
+            line = ",".join(
+                "%" + _FLOAT_FORMAT if isinstance(cell, np.ndarray)
+                else (format_float(cell) if isinstance(cell, (float, np.floating))
+                      else str(cell)).replace("%", "%%")
+                for cell in row) + "\n"
+            chunks.append(line * len(columns[0]) % tuple(np.column_stack(columns).ravel().tolist()))
+            continue
         if types not in formats:
             formats[types] = ",".join(
                 "%" + _FLOAT_FORMAT if issubclass(t, (float, np.floating)) else "%s"
-                for t in types)
-        lines.append(formats[types] % row)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+                for t in types) + "\n"
+        chunks.append(formats[types] % row)
+    write_text_atomic(path, "".join(chunks))

@@ -74,7 +74,17 @@ class IntensityMap:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.size == 0:
             raise ValueError("map values must form a non-empty 2-D grid")
-        return cls(values=values - values.mean())
+        # finite entries near the float maximum can sum, or lie from their
+        # mean, past it; a non-finite entry is refused on construction
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = values.mean()
+            centred = values - mean
+        if np.all(np.isfinite(values)):
+            if not np.isfinite(mean):
+                raise ValueError("the map's mean intensity overflows float64")
+            if not np.all(np.isfinite(centred)):
+                raise ValueError("the map's mean-subtracted intensities overflow float64")
+        return cls(values=centred)
 
 
 def label_groups(imap: IntensityMap, groups, cluster_sigma: float = 3.0):

@@ -42,8 +42,6 @@ __all__ = [
     "loss_and_gradients",
     "train",
     "training_accuracy",
-    "pack_params",
-    "unpack_params",
 ]
 
 @dataclass(frozen=True)
@@ -217,20 +215,3 @@ def training_accuracy(inputs, labels, seg: Segmentation, gen: GroupGenParams,
     predictions = predict(inputs, seg, gen, sel, backbone)
     return int(np.count_nonzero(predictions.argmax(axis=1) == labels)) / inputs.shape[0]
 
-
-def pack_params(gen: GroupGenParams, sel: GroupSelectParams) -> np.ndarray:
-    """Flatten all trainable parameters into one vector (for gradient checks)."""
-    return np.concatenate([array.ravel() for array in _trainable(gen, sel).values()])
-
-
-def unpack_params(vec, template_gen: GroupGenParams,
-                  template_sel: GroupSelectParams) -> tuple[GroupGenParams, GroupSelectParams]:
-    """Inverse of :func:`pack_params` using the templates' shapes."""
-    vec = np.asarray(vec, dtype=np.float64)
-    templates = _trainable(template_gen, template_sel)
-    ends = np.cumsum([array.size for array in templates.values()])
-    if vec.shape != (ends[-1],):
-        raise ValueError(f"parameter vector has the wrong length: expected "
-                         f"{ends[-1]} entries, got shape {vec.shape}")
-    return _from_trainable({name: piece.reshape(array.shape) for (name, array), piece
-                            in zip(templates.items(), np.split(vec, ends[:-1]))})

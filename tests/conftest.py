@@ -31,6 +31,15 @@ model's earlier stacked path, which embedded every masked input through the
 backbone and scored the (G, h) group embeddings, kept to check the
 segment-space forward and backward passes against.  ``round_floats_oracle``
 is the earlier per-item float rounding of ``serialize``.
+``finite_diff_grad`` (a central-difference gradient), ``powerset_matrix``
+(the whole (2^d, d) powerset, which ``ops.powerset_blocks`` yields in
+blocks), and ``pack_params``/``unpack_params`` (every trainable parameter in
+one vector, for the finite-difference checks) are test helpers.
+``eval_oracle`` is the earlier ``eval``: one ``sop_forward`` per example and
+per probe, one curve at a time, each report from ``report_from_curve_oracle``
+(the earlier one-curve AUC, a 1-D trapezoid clamped in Python floats), and
+``curves.csv`` from ``csv_text_per_row``, the earlier writer that formats
+one row tuple at a time; they check the stacked ``eval`` path.
 """
 
 import itertools
@@ -42,12 +51,20 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sumparts import certificates
+from sumparts import certificates, faithfulness
 from sumparts.certificates import ExponentialFit, PolynomialSpec
+from sumparts.cli import _load_dataset, _restore_checkpoint
 from sumparts.structures import INTENSITY_EPS
-from sumparts.model import Segmentation, identity_backbone, linear_backbone
-from sumparts.ops import powerset_matrix, sparsemax
-from sumparts.serialize import format_float
+from sumparts.model import (
+    GroupGenParams,
+    GroupSelectParams,
+    Segmentation,
+    identity_backbone,
+    linear_backbone,
+    sop_forward,
+)
+from sumparts.ops import softmax, sparsemax
+from sumparts.serialize import _FLOAT_FORMAT, format_float, write_json_atomic
 
 
 # entries drawn from a few repeated values make ties in both sparsemax blocks
@@ -226,6 +243,69 @@ def occlusion_values(f, d):
     0/1 inputs."""
     ones = np.ones(d)
     return [int(v) for v in np.asarray(f(ones[None])) - np.asarray(f(ones - np.eye(d)))]
+
+
+def finite_diff_grad(f, x, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar function.
+
+    The tests' gradient oracle: evaluates
+    ``(f(x + step*e_i) - f(x - step*e_i)) / (2*step)`` per coordinate.
+    Raises if ``f`` returns a non-finite value at any probe.
+    """
+    x = np.array(x, dtype=np.float64)  # private copy; probed in place below
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a positive real, got {step}")
+    grad = np.zeros_like(x, dtype=np.float64)
+    flat = x.ravel()
+    gflat = grad.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = float(f(x))
+        flat[i] = orig - step
+        lo = float(f(x))
+        flat[i] = orig
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ValueError(f"f evaluated to a non-finite value near coordinate {i}")
+        gflat[i] = (hi - lo) / (2.0 * step)
+    return grad
+
+
+def powerset_matrix(d: int) -> np.ndarray:
+    """Boolean (2^d, d) matrix whose row s holds the members of subset s.
+
+    Binary counting with bit i = feature i, so row order is reproducible.
+    Filled a column at a time so temporaries stay one column wide.
+    """
+    rows = np.arange(1 << d, dtype=np.uint32)
+    members = np.empty((rows.size, d), dtype=bool)
+    for i in range(d):
+        members[:, i] = (rows >> i) & 1
+    return members
+
+
+def _trainable_arrays(gen, sel):
+    """The trainable arrays in the order of ``loss_and_gradients``'
+    gradient dict."""
+    return gen.w_q, gen.w_k, sel.w_q, sel.w_k, sel.classifier
+
+
+def pack_params(gen, sel) -> np.ndarray:
+    """Flatten all trainable parameters into one vector (for gradient checks)."""
+    return np.concatenate([array.ravel() for array in _trainable_arrays(gen, sel)])
+
+
+def unpack_params(vec, template_gen, template_sel):
+    """Inverse of :func:`pack_params` using the templates' shapes."""
+    vec = np.asarray(vec, dtype=np.float64)
+    templates = _trainable_arrays(template_gen, template_sel)
+    ends = np.cumsum([array.size for array in templates])
+    if vec.shape != (ends[-1],):
+        raise ValueError(f"parameter vector has the wrong length: expected "
+                         f"{ends[-1]} entries, got shape {vec.shape}")
+    w_q, w_k, sel_w_q, sel_w_k, classifier = (
+        piece.reshape(array.shape) for array, piece in zip(templates, np.split(vec, ends[:-1])))
+    return GroupGenParams(w_q, w_k), GroupSelectParams(sel_w_q, sel_w_k, classifier)
 
 
 def pack_gradients(grads):
@@ -560,6 +640,90 @@ def round_floats_oracle(obj):
     if isinstance(obj, (list, tuple)):
         return [round_floats_oracle(v) for v in obj]
     return obj
+
+
+def csv_text_per_row(header, rows) -> str:
+    """The earlier ``write_csv_atomic`` text: one ``%`` formatting per row
+    tuple, over a format cached per cell-type signature (the fixed float
+    format for floats, ``%s`` for every other cell)."""
+    formats = {}
+    lines = [",".join(header)]
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = ",".join(
+                "%" + _FLOAT_FORMAT if issubclass(t, (float, np.floating)) else "%s"
+                for t in types)
+        lines.append(formats[types] % row)
+    return "\n".join(lines) + "\n"
+
+
+def report_from_curve_oracle(metric, fractions, values):
+    """The earlier ``PerturbationReport.from_curve``: the mean height from a
+    1-D trapezoid over the one curve, clamped to the values' range in
+    Python floats."""
+    fractions = np.asarray(fractions, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    auc = float(np.trapezoid(values, fractions) / (fractions[-1] - fractions[0]))
+    auc = min(max(auc, float(values.min())), float(values.max()))
+    return faithfulness.PerturbationReport(metric=metric, fractions=fractions,
+                                           probabilities=values, auc=auc)
+
+
+def eval_oracle(checkpoint, dataset, metrics, step, classes, out_dir):
+    """The earlier ``eval``: one curve or rationale metric at a time, driven
+    by a stack model that runs one ``sop_forward`` per probe, its reports
+    from ``report_from_curve_oracle`` and its ``curves.csv`` from
+    ``csv_text_per_row``."""
+    seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
+    features, labels = _load_dataset(dataset)
+
+    def probabilities(rows):
+        return np.array([softmax(sop_forward(v, seg, gen, sel, backbone).prediction)
+                         for v in rows])
+
+    report = {"metadata": {
+        "checkpoint": str(checkpoint), "dataset": str(dataset), "classes": classes,
+        "step": step, "probability": "raw class probability (softmax of the prediction)",
+    }}
+    if "accuracy" in metrics:
+        hits = sum(int(np.argmax(sop_forward(x, seg, gen, sel, backbone).prediction) == y)
+                   for x, y in zip(features, labels))
+        report["accuracy"] = hits / features.shape[0]
+    aggregates = {m: [] for m in metrics if m != "accuracy"}
+    curve_rows = []
+    for index, x in enumerate(features):
+        attribution = sop_forward(x, seg, gen, sel, backbone)
+        for k in classes:
+            groups, scores = attribution.groups, attribution.scores[:, k]
+            alpha = faithfulness.flatten_grouped(groups, scores)
+            ranking = faithfulness.ranking_from_attribution(alpha)
+            for name in ("insertion", "deletion", "grouped_insertion", "grouped_deletion"):
+                if name in metrics:
+                    direction = name.removeprefix("grouped_")
+                    fractions, keep = (
+                        faithfulness.grouped_keep(groups, scores, direction)
+                        if name.startswith("grouped_")
+                        else faithfulness.ranked_keep(ranking, step, direction))
+                    curve = report_from_curve_oracle(
+                        name, fractions, probabilities(np.where(keep, x, 0.0))[:, k])
+                    aggregates[name].append(curve.auc)
+                    curve_rows.extend((name, index, k, float(f), float(p))
+                                      for f, p in zip(curve.fractions, curve.probabilities))
+            if "sparsity" in metrics:
+                aggregates["sparsity"].append(faithfulness.sparsity(groups, scores))
+            rationale = (alpha > 0).astype(np.float64)
+            for name, fn in (("comprehensiveness", faithfulness.comprehensiveness),
+                             ("sufficiency", faithfulness.sufficiency)):
+                if name in metrics:
+                    aggregates[name].append(fn(probabilities, x, rationale, k))
+    for name, values in aggregates.items():
+        if values:
+            report[name] = {"mean": float(np.mean(values)), "per_case": values}
+    write_json_atomic(out_dir / "results.json", report)
+    (out_dir / "curves.csv").write_text(csv_text_per_row(
+        ["metric", "example", "class", "fraction", "probability"], curve_rows))
 
 
 def make_blobs(n_per_class=30, d=8, noise=0.5, seed=123):

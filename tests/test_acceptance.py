@@ -30,24 +30,25 @@ from sumparts.model import (
     identity_backbone,
     sop_forward,
 )
-from sumparts.ops import finite_diff_grad, sparsemax, sparsemax_vjp
+from sumparts.ops import sparsemax, sparsemax_vjp
 from sumparts.structures import IntensityMap, label_groups, score_mass_by_label
 from sumparts.training import (
     TrainConfig,
     init_params,
     loss_and_gradients,
-    pack_params,
     train,
     training_accuracy,
-    unpack_params,
 )
 
 from conftest import (
     brute_force_simplex_projection,
     class_mean_identity_backbone,
+    finite_diff_grad,
     make_blobs,
     pack_gradients,
+    pack_params,
     projection_boundary_margin,
+    unpack_params,
 )
 
 

@@ -29,15 +29,21 @@ from sumparts.model import (
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
+    explain,
     identity_backbone,
     predict,
     sop_forward,
 )
 from sumparts.ops import softmax
-from sumparts.serialize import write_csv_atomic, write_json_atomic
+from sumparts.serialize import write_json_atomic
 from sumparts.training import TrainConfig, init_params
 
-from conftest import class_mean_identity_backbone, make_blobs
+from conftest import (
+    class_mean_identity_backbone,
+    eval_oracle,
+    make_blobs,
+    report_from_curve_oracle,
+)
 
 ALL_METRICS = ["accuracy", "insertion", "deletion", "grouped_insertion",
                "grouped_deletion", "sparsity", "comprehensiveness", "sufficiency"]
@@ -759,63 +765,6 @@ class TestEval:
         assert run(["eval", "--config", config, "--out", tmp_path / "out"]) == 2
 
 
-def eval_oracle(checkpoint, dataset, metrics, step, classes, out_dir):
-    """The earlier ``eval``: the faithfulness functions of one curve or
-    rationale metric at a time, driven by a stack model that runs one
-    ``sop_forward`` per probe."""
-    seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
-    features, labels = _load_dataset(dataset)
-
-    def probabilities(rows):
-        return np.array([softmax(sop_forward(v, seg, gen, sel, backbone).prediction)
-                         for v in rows])
-
-    report = {"metadata": {
-        "checkpoint": str(checkpoint), "dataset": str(dataset), "classes": classes,
-        "step": step, "probability": "raw class probability (softmax of the prediction)",
-    }}
-    if "accuracy" in metrics:
-        hits = sum(int(np.argmax(sop_forward(x, seg, gen, sel, backbone).prediction) == y)
-                   for x, y in zip(features, labels))
-        report["accuracy"] = hits / features.shape[0]
-    aggregates = {m: [] for m in metrics if m != "accuracy"}
-    curve_rows = []
-    for index, x in enumerate(features):
-        attribution = sop_forward(x, seg, gen, sel, backbone)
-        for k in classes:
-            prob = lambda rows, k=k: probabilities(rows)[:, k]  # noqa: E731
-            groups, scores = attribution.groups, attribution.scores[:, k]
-            alpha = faithfulness.flatten_grouped(groups, scores)
-            ranking = faithfulness.ranking_from_attribution(alpha)
-            curves = {
-                "insertion": lambda: faithfulness.insertion_curve(prob, x, ranking, step),
-                "deletion": lambda: faithfulness.deletion_curve(prob, x, ranking, step),
-                "grouped_insertion": lambda: faithfulness.grouped_curve(
-                    prob, x, groups, scores, "insertion"),
-                "grouped_deletion": lambda: faithfulness.grouped_curve(
-                    prob, x, groups, scores, "deletion"),
-            }
-            for name, make in curves.items():
-                if name in metrics:
-                    curve = make()
-                    aggregates[name].append(curve.auc)
-                    curve_rows.extend((name, index, k, float(f), float(p))
-                                      for f, p in zip(curve.fractions, curve.probabilities))
-            if "sparsity" in metrics:
-                aggregates["sparsity"].append(faithfulness.sparsity(groups, scores))
-            rationale = (alpha > 0).astype(np.float64)
-            for name, fn in (("comprehensiveness", faithfulness.comprehensiveness),
-                             ("sufficiency", faithfulness.sufficiency)):
-                if name in metrics:
-                    aggregates[name].append(fn(probabilities, x, rationale, k))
-    for name, values in aggregates.items():
-        if values:
-            report[name] = {"mean": float(np.mean(values)), "per_case": values}
-    write_json_atomic(out_dir / "results.json", report)
-    write_csv_atomic(out_dir / "curves.csv",
-                     ["metric", "example", "class", "fraction", "probability"], curve_rows)
-
-
 ORACLE_CASES = {
     "all": (ALL_METRICS, 1, [0, 1, 2]),
     "all_reversed_step3": (ALL_METRICS[::-1], 3, [2, 0]),
@@ -824,6 +773,92 @@ ORACLE_CASES = {
     "one_curve": (["deletion"], 1, [2]),
     "grouped_pair": (["grouped_insertion", "grouped_deletion"], 1, [0]),
 }
+
+
+CURVE_METRICS = ("insertion", "deletion", "grouped_insertion", "grouped_deletion")
+
+
+class TestStackedEval:
+    """``eval``'s stacked path against the per-example, per-curve and
+    per-row code it replaced, kept in ``conftest``: one ``explain`` call
+    against a ``sop_forward`` per example, the batched reports against one
+    ``report_from_curve_oracle`` per curve, and ``curves.csv`` against the
+    row writer of ``eval_oracle``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_per_example_path(self, data):
+        d = data.draw(st.integers(2, 11), label="d")
+        # d % m != 0 for many draws; with heads >= 2 there are more groups
+        # than segments, so some group adds no coverage to a grouped curve
+        m = data.draw(st.integers(1, min(d, 4)), label="m")
+        heads = data.draw(st.integers(1, 3), label="heads")
+        n_classes = data.draw(st.integers(1, 3), label="n_classes")
+        classes = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=1,
+                                     max_size=n_classes, unique=True), label="classes")
+        metrics = data.draw(st.lists(st.sampled_from(ALL_METRICS), min_size=1,
+                                     max_size=len(ALL_METRICS), unique=True), label="metrics")
+        step = data.draw(st.integers(1, 4), label="step")
+        n = data.draw(st.integers(1, 4), label="examples")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        seg = Segmentation(assignment=rng.permutation(np.arange(d) % m), n_segments=m)
+        backbone = identity_backbone(rng.normal(size=(n_classes, d)))
+        gen = GroupGenParams.random(m, heads, rng, std=2.0)
+        sel = GroupSelectParams.random(backbone, rng, std=0.5)
+        features, labels = rng.normal(size=(n, d)), rng.integers(0, n_classes, n)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            dataset, checkpoint = tmp / "data.csv", tmp / "checkpoint.json"
+            np.savetxt(dataset, np.column_stack([features, labels]), delimiter=",")
+            write_json_atomic(checkpoint, _checkpoint_dict(seg, gen, sel, backbone, {"seed": 1}))
+            seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
+            features, _ = _load_dataset(dataset)
+
+            attributions = [sop_forward(x, seg, gen, sel, backbone) for x in features]
+            groups, scores = explain(features, seg, gen, sel, backbone)
+            assert groups.tobytes() == np.array([a.groups for a in attributions]).tobytes()
+            assert scores.tobytes() == np.array([a.scores for a in attributions]).tobytes()
+
+            def model(rows):
+                return softmax(predict(rows, seg, gen, sel, backbone))
+
+            curves = [name for name in CURVE_METRICS if name in metrics]
+            results = faithfulness.evaluate_examples(model, features, groups, scores,
+                                                     classes, curves, step)
+            dropped = False
+            for x, attribution, example in zip(features, attributions, results):
+                for k, result in zip(classes, example):
+                    assert list(result) == curves
+                    alpha = faithfulness.flatten_grouped(attribution.groups,
+                                                         attribution.scores[:, k])
+                    for name, report in result.items():
+                        direction = name.removeprefix("grouped_")
+                        fractions, keep = (
+                            faithfulness.grouped_keep(attribution.groups,
+                                                      attribution.scores[:, k], direction)
+                            if name.startswith("grouped_") else faithfulness.ranked_keep(
+                                faithfulness.ranking_from_attribution(alpha), step, direction))
+                        expected = report_from_curve_oracle(
+                            name, fractions, model(np.where(keep, x, 0.0))[:, k])
+                        assert report.metric == name
+                        assert report.fractions.tobytes() == expected.fractions.tobytes()
+                        assert report.probabilities.tobytes() == \
+                            expected.probabilities.tobytes()
+                        assert np.float64(report.auc).tobytes() == \
+                            np.float64(expected.auc).tobytes()
+                        if name.startswith("grouped_"):
+                            dropped |= len(fractions) < attribution.n_groups + 1
+            assert dropped or heads == 1 or not {"grouped_insertion",
+                                                 "grouped_deletion"} & set(metrics)
+
+            out = tmp / "out"
+            config = write_config(tmp / "eval.json", {
+                "checkpoint": str(checkpoint), "dataset": str(dataset), "metrics": metrics,
+                "step": step, "classes": classes})
+            assert run(["eval", "--config", config, "--out", out]) == 0
+            eval_oracle(checkpoint, dataset, metrics, step, classes, tmp / "oracle")
+            for name in ("results.json", "curves.csv"):
+                assert (out / name).read_bytes() == (tmp / "oracle" / name).read_bytes()
 
 
 class TestEvalOracle:
@@ -1120,6 +1155,25 @@ class TestLabel:
         assert done.returncode == 2
         assert done.stderr == (f"error: checkpoint {checkpoint}: floating-point failure on "
                                f"map {huge}: overflow encountered in matmul\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_map_whose_mean_overflows_is_malformed(self, tmp_path, capsys, map_setup):
+        """A map of finite entries whose mean overflows float64 is refused as
+        malformed, in one line and before any RuntimeWarning (which this
+        suite's warning filter turns into an error); numpy's overflow
+        warning and ``map contains non-finite intensities`` used to say
+        otherwise."""
+        _, seg_path, checkpoint = map_setup
+        values = np.full((4, 4), 1.5e308)
+        values[0, 0] = 1.0e308
+        huge = tmp_path / "huge.csv"
+        np.savetxt(huge, values, delimiter=",")
+        config = write_config(
+            tmp_path / "l.json",
+            {"map": str(huge), "segmentation": str(seg_path), "checkpoint": str(checkpoint)})
+        assert run(["label", "--config", config, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed map {huge}: the map's mean intensity overflows float64\n")
         assert not (tmp_path / "out").exists()
 
     def test_cluster_set_grows_as_threshold_drops(self, tmp_path, map_setup):

@@ -23,6 +23,7 @@ from conftest import (
     grouped_keep_loop,
     insertion_error_oracle,
     iter_powerset,
+    powerset_matrix,
 )
 from sumparts import ops
 from sumparts.faithfulness import (
@@ -398,7 +399,7 @@ class TestPowersetErrors:
         model = smooth_model
         blocks = [block for (block,) in _powerset_errors(model, x, supports, scores, (kind,))]
         assert [len(block) for block in blocks] == [8] * 4
-        whole = subset_errors(model, x, ops.powerset_matrix(5), supports, scores, kind)
+        whole = subset_errors(model, x, powerset_matrix(5), supports, scores, kind)
         np.testing.assert_array_equal(np.concatenate(blocks), whole)
 
     @pytest.mark.parametrize("grouped", [False, True])

@@ -1,8 +1,8 @@
 """Group generation, the backbone, and the forward pass, checked against a
 symbolically computed golden trace and analytic evaluations; the earlier
 stacked path's embedding and selection (the oracles in ``conftest``) against
-the same; the batched forward (``predict``, stacked ``segment_pool``)
-against per-row calls."""
+the same; the batched forward (``predict``, ``explain``, stacked
+``segment_pool``) against per-row calls."""
 
 import json
 import tracemalloc
@@ -22,6 +22,7 @@ from sumparts.model import (
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
+    explain,
     generate_groups,
     identity_backbone,
     linear_backbone,
@@ -31,6 +32,20 @@ from sumparts.model import (
 )
 
 from conftest import TIED_ENTRY, embed_groups, select_groups
+
+def assert_stack_equals_per_row(inputs, seg, gen, sel, backbone):
+    """``predict`` and ``explain`` of the stack equal ``sop_forward`` of
+    each row, bit for bit."""
+    attributions = [sop_forward(x, seg, gen, sel, backbone) for x in inputs]
+    np.testing.assert_array_equal(predict(inputs, seg, gen, sel, backbone),
+                                  [a.prediction for a in attributions])
+    groups, scores = explain(inputs, seg, gen, sel, backbone)
+    assert groups.shape == (len(inputs),) + attributions[0].groups.shape
+    assert scores.shape == (len(inputs),) + attributions[0].scores.shape
+    for got, want in ((groups, [a.groups for a in attributions]),
+                      (scores, [a.scores for a in attributions])):
+        assert got.tobytes() == np.array(want).tobytes()
+
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "forward_trace_golden.json").read_text()
@@ -73,6 +88,28 @@ class TestSegmentation:
         np.testing.assert_allclose(
             segment_pool(np.array([1.0, 3.0, 2.0, 0.0]), seg), [2.0, 1.0]
         )
+
+    def test_pooling_slices_the_kept_segment_bins(self, monkeypatch):
+        """A stack pooled after a longer one slices the bins kept on the
+        segmentation; a stack past ``SEGMENT_BINS_CACHED`` keeps none; the
+        assignment the bins come from is read-only."""
+        assignment = np.array([1, 0, 1, 2, 0])
+        stack = np.random.default_rng(0).normal(size=(7, 5))
+        expected = [np.bincount(assignment, weights=x) / [2, 2, 1] for x in stack]
+        seg = Segmentation(assignment=assignment, n_segments=3)
+        for rows in (7, 3, 1, 7):
+            np.testing.assert_array_equal(segment_pool(stack[:rows], seg), expected[:rows])
+            assert seg.__dict__["_bins"].size == 35
+        monkeypatch.setattr(model, "SEGMENT_BINS_CACHED", 20)
+        seg = Segmentation(assignment=assignment, n_segments=3)
+        np.testing.assert_array_equal(segment_pool(stack, seg), expected)
+        assert "_bins" not in seg.__dict__
+        np.testing.assert_array_equal(segment_pool(stack[:4], seg), expected[:4])
+        assert seg.__dict__["_bins"].size == 20
+        with pytest.raises(ValueError, match="read-only"):
+            seg.assignment[0] = 2
+        assignment[0] = 2  # the caller's array stays the caller's
+        assert seg.assignment[0] == 1
 
 
 class TestGenerateGroups:
@@ -381,11 +418,7 @@ class TestBatchedForward:
     @settings(max_examples=150, deadline=None)
     @given(_stacked_model())
     def test_predict_equals_per_row_sop_forward(self, case):
-        seg, gen, sel, backbone, inputs = case
-        expected = np.array(
-            [sop_forward(x, seg, gen, sel, backbone).prediction for x in inputs]
-        )
-        np.testing.assert_array_equal(predict(inputs, seg, gen, sel, backbone), expected)
+        assert_stack_equals_per_row(*case[4:], *case[:4])
 
     @settings(max_examples=100, deadline=None)
     @given(_stacked_model(), st.integers(1, 3))
@@ -398,23 +431,24 @@ class TestBatchedForward:
     def test_linear_backbone_stack_matches_per_row(self):
         seg, gen, sel, backbone = golden_params()
         inputs = np.random.default_rng(4).normal(size=(5, seg.n_features))
-        expected = [sop_forward(x, seg, gen, sel, backbone).prediction for x in inputs]
-        np.testing.assert_array_equal(predict(inputs, seg, gen, sel, backbone), expected)
+        assert_stack_equals_per_row(inputs, seg, gen, sel, backbone)
 
     def test_predict_rejects_non_stacks(self):
         seg, gen, sel, backbone = golden_params()
-        with pytest.raises(ValueError):
-            predict(np.ones(seg.n_features), seg, gen, sel, backbone)
-        with pytest.raises(ValueError):
-            predict(np.empty((0, seg.n_features)), seg, gen, sel, backbone)
+        for stacked in (predict, explain):
+            with pytest.raises(ValueError, match="non-empty"):
+                stacked(np.ones(seg.n_features), seg, gen, sel, backbone)
+            with pytest.raises(ValueError, match="non-empty"):
+                stacked(np.empty((0, seg.n_features)), seg, gen, sel, backbone)
         with pytest.raises(ValueError):
             sop_forward(np.ones((2, seg.n_features)), seg, gen, sel, backbone)
 
     @pytest.mark.parametrize("call", [
         lambda x, *model: sop_forward(x[0], *model),
         lambda x, *model: predict(x, *model),
+        lambda x, *model: explain(x, *model),
         lambda x, *model: loss_and_gradients(x, np.zeros(len(x), np.int64), *model),
-    ], ids=["sop_forward", "predict", "loss_and_gradients"])
+    ], ids=["sop_forward", "predict", "explain", "loss_and_gradients"])
     @pytest.mark.parametrize("mismatch, message", [
         ("selector", "^selector has width 3, backbone embeds into 4$"),
         ("backbone", "^backbone takes 5 input features, segmentation covers 4$"),
@@ -449,8 +483,9 @@ class TestBatchedForward:
             return broken(w) if (len(calls) - 1) % 2 == block else w
 
         monkeypatch.setattr(model, "sparsemax", sparsemax)
-        with pytest.raises(ValueError, match=message):
-            predict(inputs, seg, gen, sel, backbone)
+        for call in (predict, explain):
+            with pytest.raises(ValueError, match=message):
+                call(inputs, seg, gen, sel, backbone)
         with pytest.raises(ValueError, match=message):
             sop_forward(inputs[0], seg, gen, sel, backbone)
 
@@ -472,8 +507,7 @@ class TestBatchedForward:
         sel = GroupSelectParams.random(backbone, rng, std=0.5)
         inputs = rng.normal(size=(rows, d))
         inputs[::5] = 0.0
-        expected = [sop_forward(x, seg, gen, sel, backbone).prediction for x in inputs]
-        np.testing.assert_array_equal(predict(inputs, seg, gen, sel, backbone), expected)
+        assert_stack_equals_per_row(inputs, seg, gen, sel, backbone)
 
     @pytest.mark.parametrize("block, broken, message", [
         (0, lambda w: w - 0.5, "mask entries"),
@@ -496,9 +530,11 @@ class TestBatchedForward:
             return w
 
         monkeypatch.setattr(model, "sparsemax", sparsemax)
-        with pytest.raises(ValueError, match=message):
-            predict(inputs, seg, gen, sel, backbone)
-        assert len(calls) == 6 and calls[-1].shape[0] == 3
+        for call in (predict, explain):
+            calls.clear()
+            with pytest.raises(ValueError, match=message):
+                call(inputs, seg, gen, sel, backbone)
+            assert len(calls) == 6 and calls[-1].shape[0] == 3
 
     def test_predict_memory_follows_the_block_size(self):
         """2,000 rows of the shape of the ``eval-blobs`` benchmark (d = 64,

@@ -12,9 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from sumparts import ops
 from sumparts.ops import (
-    finite_diff_grad,
     powerset_blocks,
-    powerset_matrix,
     softmax,
     sparsemax,
     sparsemax_vjp,
@@ -22,8 +20,10 @@ from sumparts.ops import (
 
 from conftest import (
     brute_force_simplex_projection,
+    finite_diff_grad,
     grid_simplex_projection,
     per_row,
+    powerset_matrix,
     projection_boundary_margin,
     softmax_row,
     sparsemax_row,

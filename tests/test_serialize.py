@@ -1,5 +1,6 @@
-"""CSV writer: the row-at-a-time formatter against the earlier per-cell
-writer, on rows of mixed cell types and special float values; JSON float
+"""CSV writer: the row-at-a-time formatter, and the one-format-per-row
+lines of rows with array cells, against the earlier per-cell writer, on
+rows of mixed cell types and special float values; JSON float
 rounding against the earlier per-item rounding; the mode of a written
 file under the process umask."""
 
@@ -95,6 +96,33 @@ class TestWriteCsv:
                 (np.bool_(False), np.float16(0.1))]
         assert _written(["a", "b"], rows) == (
             "a,b\n1,0.5\nTrue,0.5\na,0.100000001\n2,-0\nFalse,0.0999755859\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_array_cells_stand_for_one_line_per_entry(self, data):
+        """A row with 1-D float array cells of one length n writes the n
+        lines of its entries, the other cells repeated on each, a ``%`` in
+        them included."""
+        rows = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            cells = data.draw(st.lists(st.one_of(_CELL, st.sampled_from(["%", "%s", "5%%d"])),
+                                       max_size=4))
+            n = data.draw(st.integers(0, 5))
+            for _ in range(data.draw(st.integers(0, 2))):
+                column = np.array(data.draw(st.lists(_FLOAT, min_size=n, max_size=n)),
+                                  dtype=np.float64)
+                cells.insert(data.draw(st.integers(0, len(cells))), column)
+            rows.append(tuple(cells))
+        expanded = []
+        for row in rows:
+            arrays = [cell for cell in row if isinstance(cell, np.ndarray)]
+            if not arrays:
+                expanded.append(row)
+                continue
+            expanded += [tuple(cell[i] if isinstance(cell, np.ndarray) else cell
+                               for cell in row) for i in range(len(arrays[0]))]
+        header = [f"c{i}" for i in range(6)]
+        assert _written(header, rows) == csv_text_oracle(header, expanded)
 
     def test_accepts_iterators_of_lists(self):
         rows = iter([[0, 1.25], [1, float("nan")]])

@@ -54,6 +54,16 @@ class TestIntensityMap:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             IntensityMap.from_array(np.array([[np.nan, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite intensities"):
+            IntensityMap.from_array(np.array([[np.inf, -np.inf]]))
+
+    def test_refuses_finite_maps_that_overflow(self):
+        """Finite entries whose mean, or whose distance from it, passes the
+        float maximum are refused by name, without a RuntimeWarning."""
+        with pytest.raises(ValueError, match="mean intensity overflows float64"):
+            IntensityMap.from_array(np.full((2, 2), 1.5e308))
+        with pytest.raises(ValueError, match="mean-subtracted intensities overflow float64"):
+            IntensityMap.from_array(np.array([[1.79e308, -1.0e308], [-0.5e308, -0.5e308]]))
 
 
 class TestGroupIntensity:

@@ -23,15 +23,12 @@ from sumparts.model import (
     sop_forward,
 )
 from sumparts.ops import softmax
-from sumparts.ops import finite_diff_grad
 from sumparts.training import (
     TrainConfig,
     init_params,
     loss_and_gradients,
-    pack_params,
     train,
     training_accuracy,
-    unpack_params,
 )
 
 from conftest import (
@@ -39,10 +36,13 @@ from conftest import (
     class_mean_identity_backbone,
     embed,
     embed_vjp,
+    finite_diff_grad,
     make_blobs,
     pack_gradients,
+    pack_params,
     sparsemax_row,
     sparsemax_vjp_row,
+    unpack_params,
 )
 
 
