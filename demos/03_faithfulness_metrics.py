@@ -79,13 +79,27 @@ print("  sufficiency      :", round(sufficiency(class_model, x, rationale, 0), 4
 class_scores = np.column_stack([scores, scores[::-1]])
 results = evaluate_examples(
     class_model, [x], [groups], [class_scores], [0, 1],
-    ["grouped_insertion", "sparsity", "comprehensiveness", "sufficiency"])[0]
+    ["insertion", "grouped_insertion", "sparsity", "comprehensiveness", "sufficiency"])[0]
 print("\nbatched engine, one model call")
 for k, result in enumerate(results):
     print(f"  class {k}: grouped insertion AUC",
           round(result["grouped_insertion"].auc, 4),
           " comprehensiveness", round(result["comprehensiveness"], 4),
           " sufficiency", round(result["sufficiency"], 4))
-alone = grouped_curve(prob_model, x, groups, scores, "insertion")
-print("  class 0 grouped insertion equals the grouped_curve of class 0:",
-      np.array_equal(results[0]["grouped_insertion"].probabilities, alone.probabilities))
+
+# the per-example functions give the same reports and drops, bit for bit
+for k, result in enumerate(results):
+    class_k = lambda rows: class_model(rows)[:, k]  # noqa: E731
+    alpha_k = flatten_grouped(groups, class_scores[:, k])
+    for name, alone in (
+            ("insertion", insertion_curve(class_k, x, ranking_from_attribution(alpha_k))),
+            ("grouped_insertion",
+             grouped_curve(class_k, x, groups, class_scores[:, k], "insertion"))):
+        batched = result[name]
+        assert np.array_equal(batched.fractions, alone.fractions), (k, name)
+        assert np.array_equal(batched.probabilities, alone.probabilities), (k, name)
+        assert batched.auc == alone.auc, (k, name)
+    rationale_k = (alpha_k > 0).astype(np.float64)
+    assert result["comprehensiveness"] == comprehensiveness(class_model, x, rationale_k, k)
+    assert result["sufficiency"] == sufficiency(class_model, x, rationale_k, k)
+print("  equals the per-example curves and rationale metrics of both classes")

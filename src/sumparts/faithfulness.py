@@ -15,10 +15,11 @@ Every model here is a stack model: it maps a (P, d) array of probes to a
 :func:`comprehensiveness`, :func:`sufficiency` and
 :func:`evaluate_examples`, row by row.  Every probe is
 ``np.where(keep, x, 0.0)`` for one row of a boolean keep-matrix.  The
-builders :func:`ranked_keep`, :func:`grouped_keep` and
-:func:`rationale_keep` return the keep-matrices of the curves and of the
-rationale metrics, and :meth:`PerturbationReport.from_curve` turns one
-value per probe into a report.  One engine evaluates the keep matrices of
+builders :func:`ranked_coverage` and :func:`grouped_coverage` return the
+features each row of a curve covers, which insertion keeps and deletion
+zeroes; :func:`rationale_keep` returns the rationale metrics' keep rows,
+and :meth:`PerturbationReport.from_curve` turns one value per probe into
+a report.  One engine evaluates the keep matrices of
 one or more inputs, in one model call on each input's distinct rows;
 :func:`evaluate_examples` drives it for every metric and class of many
 examples at once, as ``sumparts eval`` does for all of its examples.  The
@@ -38,8 +39,8 @@ from .ops import powerset_blocks
 
 __all__ = [
     "PerturbationReport",
-    "ranked_keep",
-    "grouped_keep",
+    "ranked_coverage",
+    "grouped_coverage",
     "rationale_keep",
     "subset_errors",
     "total_powerset_error",
@@ -57,7 +58,8 @@ __all__ = [
 
 POWERSET_LIMIT = 20
 _CURVES = ("insertion", "deletion", "grouped_insertion", "grouped_deletion")
-METRICS = _CURVES + ("sparsity", "comprehensiveness", "sufficiency")
+_RATIONALE = ("comprehensiveness", "sufficiency")
+METRICS = _CURVES + ("sparsity",) + _RATIONALE
 
 
 @dataclass(frozen=True)
@@ -119,14 +121,17 @@ class PerturbationReport:
 
 
 def _check_curves(fractions: np.ndarray, values: np.ndarray) -> None:
-    """Each row of the (n, P) ``values`` a curve through ``fractions``:
-    at least two points, strictly increasing within [0, 1]."""
+    """Each row of the (n, P) ``values`` a curve of finite values through
+    ``fractions``: at least two points, strictly increasing within [0, 1].
+    Each test is written to pass, so that NaN fails it."""
     if fractions.ndim != 1 or values.shape[1:] != fractions.shape:
         raise ValueError("fractions and probabilities must be matching vectors")
     if fractions.size < 2:
         raise ValueError("a curve needs at least two points")
-    if fractions[0] < 0.0 or fractions[-1] > 1.0 or np.any(np.diff(fractions) <= 0):
+    if not (fractions[0] >= 0.0 and fractions[-1] <= 1.0 and np.all(np.diff(fractions) > 0)):
         raise ValueError("fractions must be strictly increasing within [0, 1]")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("curve values must be finite")
 
 
 def _check_aucs(lo, hi, aucs) -> None:
@@ -252,9 +257,10 @@ def ranking_from_attribution(alpha) -> np.ndarray:
     return np.argsort(-alpha, kind="stable")
 
 
-def _directed(covered: np.ndarray, direction: str) -> np.ndarray:
-    """Keep rows of a curve: the covered features when inserting, the rest
-    when deleting."""
+def _keep(metric: str, covered: np.ndarray) -> np.ndarray:
+    """Keep rows of a curve of ``metric``, whose rows cover ``covered``:
+    the covered features when inserting, the rest when deleting."""
+    direction = metric.removeprefix("grouped_")
     if direction == "insertion":
         return covered
     if direction == "deletion":
@@ -262,8 +268,13 @@ def _directed(covered: np.ndarray, direction: str) -> np.ndarray:
     raise ValueError(f"direction must be 'insertion' or 'deletion', got {direction!r}")
 
 
-def _ranked_coverage(ranking, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fractions and covered features of the rows of a ranked curve."""
+def ranked_coverage(ranking, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fractions and covered features of the rows of a ranked curve.
+
+    Row i covers the first ``counts[i]`` features of ``ranking``, with
+    counts 0, step, 2*step, ... and finally d.  Returns the covered
+    fraction of each row and the (P, d) boolean coverage matrix.
+    """
     ranking = np.asarray(ranking, dtype=np.int64)
     d = ranking.size
     if ranking.ndim != 1 or d == 0 or not np.array_equal(np.sort(ranking), np.arange(d)):
@@ -276,25 +287,29 @@ def _ranked_coverage(ranking, step: int) -> tuple[np.ndarray, np.ndarray]:
     return counts / d, rank < counts[:, None]
 
 
-def ranked_keep(ranking, step: int, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fractions and keep-masks of an insertion or deletion curve.
-
-    Row i covers the first ``counts[i]`` features of ``ranking``, with
-    counts 0, step, 2*step, ... and finally d.  Returns the covered
-    fraction of each row and the (P, d) boolean keep matrix.
-    """
-    fractions, covered = _ranked_coverage(ranking, step)
-    return fractions, _directed(covered, direction)
-
-
-def _grouped_coverage(groups, scores) -> tuple[np.ndarray, np.ndarray]:
-    """Fractions and covered features of the rows of a grouped curve."""
-    supports = np.atleast_2d(np.asarray(groups, dtype=np.float64)) > 0
+def _check_groups(groups, scores) -> tuple[np.ndarray, np.ndarray]:
+    """Float (G, d) group masks and (G,) scores, at least one group."""
+    groups = np.atleast_2d(np.asarray(groups, dtype=np.float64))
     scores = np.asarray(scores, dtype=np.float64)
-    if supports.shape[0] == 0:
+    if groups.shape[0] == 0:
         raise ValueError("need at least one group")
-    if scores.shape != (supports.shape[0],):
+    if scores.shape != (groups.shape[0],):
         raise ValueError("scores must hold one value per group")
+    return groups, scores
+
+
+def grouped_coverage(groups, scores) -> tuple[np.ndarray, np.ndarray]:
+    """Fractions and covered features of the rows of a grouped curve, one
+    group per step, highest score first.
+
+    Row 0 covers nothing.  Each later row adds the support of the next
+    group; features covered by an earlier group are skipped, and a group
+    whose support adds nothing contributes no row.  The fraction counts
+    covered features, so it ends below 1 when the groups do not cover the
+    input.
+    """
+    groups, scores = _check_groups(groups, scores)
+    supports = groups > 0
     # the coverage after each group, highest score first; a row is kept
     # where the coverage grows
     cumulative = np.logical_or.accumulate(supports[np.argsort(-scores, kind="stable")])
@@ -304,28 +319,18 @@ def _grouped_coverage(groups, scores) -> tuple[np.ndarray, np.ndarray]:
     return np.append(0, counts[grows]) / supports.shape[1], covered
 
 
-def grouped_keep(groups, scores, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fractions and keep-masks of a grouped curve, one group per step,
-    highest score first.
-
-    Row 0 covers nothing.  Each later row adds the support of the next
-    group; features covered by an earlier group are skipped, and a group
-    whose support adds nothing contributes no row.  The fraction counts
-    covered features, so it ends below 1 when the groups do not cover the
-    input.
-    """
-    fractions, covered = _grouped_coverage(groups, scores)
-    return fractions, _directed(covered, direction)
-
-
 def rationale_keep(rationale) -> np.ndarray:
     """Keep-masks of the rationale probes, as a (3, d) boolean matrix: the
     full input, the input without the rationale, and the rationale alone."""
-    r = _check_rationale(rationale, np.size(rationale)) > 0
+    r = np.asarray(rationale, dtype=np.float64)
+    if r.ndim != 1 or not np.all(np.isin(r, (0.0, 1.0))):
+        raise ValueError("rationale must be a binary mask over the features")
+    r = r > 0
     return np.array([np.ones_like(r), ~r, r])
 
 
-def _curve(model: Callable, x, metric: str, fractions, keep) -> PerturbationReport:
+def _curve(model: Callable, x, metric: str, fractions, covered) -> PerturbationReport:
+    keep = _keep(metric, covered)
     values = _probe(model, _as_input(x), [keep])[0]
     return PerturbationReport.from_curve(metric, fractions, values)
 
@@ -333,52 +338,49 @@ def _curve(model: Callable, x, metric: str, fractions, keep) -> PerturbationRepo
 def insertion_curve(model: Callable, x, ranking, step: int = 1) -> PerturbationReport:
     """Insert features onto a zero baseline in ranking order, ``step`` at a
     time, recording the model probability after every chunk."""
-    return _curve(model, x, "insertion", *ranked_keep(ranking, step, "insertion"))
+    return _curve(model, x, "insertion", *ranked_coverage(ranking, step))
 
 
 def deletion_curve(model: Callable, x, ranking, step: int = 1) -> PerturbationReport:
     """Delete features from the full input in ranking order; the x axis is
     the fraction deleted, so the curve starts at the unperturbed model."""
-    return _curve(model, x, "deletion", *ranked_keep(ranking, step, "deletion"))
+    return _curve(model, x, "deletion", *ranked_coverage(ranking, step))
 
 
 def grouped_curve(model: Callable, x, groups, scores,
                   direction: str) -> PerturbationReport:
     """Insert or delete one group per step, highest score first; the
-    probes are the rows of :func:`grouped_keep`."""
-    return _curve(model, x, f"grouped_{direction}",
-                  *grouped_keep(groups, scores, direction))
+    probes cover the rows of :func:`grouped_coverage`."""
+    return _curve(model, x, f"grouped_{direction}", *grouped_coverage(groups, scores))
 
 
-def _check_rationale(rationale, d: int) -> np.ndarray:
-    r = np.asarray(rationale, dtype=np.float64)
-    if r.shape != (d,) or not np.all(np.isin(r, (0.0, 1.0))):
-        raise ValueError("rationale must be a binary mask over the features")
-    return r
-
-
-def _rationale_drop(model: Callable, x, rationale, class_index: int, row: int) -> float:
-    """Class probability at ``x`` minus that at row ``row`` of the
-    rationale probes."""
-    keep = rationale_keep(rationale)[[0, row]]
-    probs = _probe(model, _as_input(x), [keep])[0]
-    if probs.ndim != 2:
-        raise ValueError(f"model must give (P, K) class probabilities, got shape {probs.shape}")
-    if not 0 <= class_index < probs.shape[1]:
+def _rationale_metrics(values: np.ndarray, class_index: int) -> tuple[float, float]:
+    """Class ``class_index``'s (comprehensiveness, sufficiency) from the
+    (3, K) values of the :func:`rationale_keep` probes: the value at the
+    full input minus that without the rationale, and minus that of the
+    rationale alone."""
+    if values.ndim != 2:
+        raise ValueError(f"model must give (P, K) class probabilities, got shape {values.shape}")
+    if not 0 <= class_index < values.shape[1]:
         raise ValueError(
-            f"class index {class_index} out of range for {probs.shape[1]} classes")
-    full, probe = probs[:, class_index]
-    return float(full - probe)
+            f"class index {class_index} out of range for {values.shape[1]} classes")
+    full, without, only = values[:, class_index].tolist()
+    return full - without, full - only
+
+
+def _rationale_probe(model: Callable, x, rationale, class_index: int) -> tuple[float, float]:
+    keep = rationale_keep(rationale)
+    return _rationale_metrics(_probe(model, _as_input(x), [keep])[0], class_index)
 
 
 def comprehensiveness(model: Callable, x, rationale, class_index: int) -> float:
     """Probability drop when the rationale features are removed."""
-    return _rationale_drop(model, x, rationale, class_index, 1)
+    return _rationale_probe(model, x, rationale, class_index)[0]
 
 
 def sufficiency(model: Callable, x, rationale, class_index: int) -> float:
     """Probability drop when only the rationale features are kept."""
-    return _rationale_drop(model, x, rationale, class_index, 2)
+    return _rationale_probe(model, x, rationale, class_index)[1]
 
 
 def sparsity(groups, scores) -> float:
@@ -387,12 +389,7 @@ def sparsity(groups, scores) -> float:
     Lower is sparser.  Groups with score exactly 0 are excluded from the
     average.
     """
-    groups = np.atleast_2d(np.asarray(groups, dtype=np.float64))
-    scores = np.asarray(scores, dtype=np.float64)
-    if groups.shape[0] == 0:
-        raise ValueError("need at least one group")
-    if scores.shape != (groups.shape[0],):
-        raise ValueError("scores must hold one value per group")
+    groups, scores = _check_groups(groups, scores)
     active = scores > 0
     if not active.any():
         raise ValueError("no group has positive score")
@@ -411,15 +408,14 @@ def _example_plan(groups, scores, classes, metrics, step: int):
     for k in classes:
         alpha = flatten_grouped(groups, scores[:, k])
         curves = []
-        # each coverage is built once; deleting keeps what inserting does not
+        # each coverage is built once, for both of its curves
         for names, coverage in (
-                (_CURVES[:2], lambda: _ranked_coverage(ranking_from_attribution(alpha), step)),
-                (_CURVES[2:], lambda: _grouped_coverage(groups, scores[:, k]))):
+                (_CURVES[:2], lambda: ranked_coverage(ranking_from_attribution(alpha), step)),
+                (_CURVES[2:], lambda: grouped_coverage(groups, scores[:, k]))):
             names = [name for name in names if name in metrics]
             if names:
                 fractions, covered = coverage()
-                keeps.extend(covered if name.endswith("insertion") else ~covered
-                             for name in names)
+                keeps.extend(_keep(name, covered) for name in names)
                 curves.append((names, fractions))
         if "comprehensiveness" in metrics or "sufficiency" in metrics:
             keeps.append(rationale_keep(alpha > 0))
@@ -474,9 +470,9 @@ def evaluate_examples(model: Callable, inputs, groups, scores, classes, metrics,
             if "sparsity" in metrics:
                 result["sparsity"] = sparsity(example_groups, np.asarray(example_scores)[:, k])
             if "comprehensiveness" in metrics or "sufficiency" in metrics:
-                full, without, only = next(example_values)[:, k].tolist()
-                drops = {"comprehensiveness": full - without, "sufficiency": full - only}
-                result.update((name, drops[name]) for name in drops if name in metrics)
+                drops = _rationale_metrics(next(example_values), k)
+                result.update((name, drop) for name, drop in zip(_RATIONALE, drops)
+                              if name in metrics)
             results[-1].append(result)
     for fractions, batch in batches.values():
         reports = PerturbationReport.from_curves([name for _, name, _ in batch], fractions,

@@ -248,12 +248,13 @@ class GroupSelectParams:
 def _check_masks_and_scores(masks: np.ndarray, scores: np.ndarray) -> None:
     """Mask entries and scores in [0, 1], every per-class score column
     (the second-to-last axis) summing to 1; on single attributions and on
-    stacks of them alike."""
-    if masks.min() < 0.0 or masks.max() > 1.0:
+    stacks of them alike.  Each test is written to pass, so that NaN fails
+    it."""
+    if not (masks.min() >= 0.0 and masks.max() <= 1.0):
         raise ValueError("mask entries must lie in [0, 1]")
-    if scores.min() < 0.0 or scores.max() > 1.0:
+    if not (scores.min() >= 0.0 and scores.max() <= 1.0):
         raise ValueError("scores must lie in [0, 1]")
-    if np.any(np.abs(scores.sum(axis=-2) - 1.0) > 1e-9):
+    if not np.all(np.abs(scores.sum(axis=-2) - 1.0) <= 1e-9):
         raise ValueError("each per-class score column must sum to 1")
 
 

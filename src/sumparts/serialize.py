@@ -82,31 +82,21 @@ def write_json_atomic(path, obj) -> None:
 def write_csv_atomic(path, header, rows) -> None:
     """Write rows of mixed str/number cells; floats use the fixed format.
 
-    Each row takes one ``%`` formatting over a format string built from
-    its cell types and cached per type signature: ``%`` with the float
-    format is :func:`format_float`'s text for any float, and ``%s`` is
-    ``str`` for every other cell.  A row whose cells include 1-D float
-    arrays of one length n stands for n lines, line i holding entry i of
-    each array and the row's other cells: it takes one ``%`` formatting,
-    of its line format repeated n times, with those other cells' text
-    built into the format."""
-    formats: dict[tuple, str] = {}
+    A row whose cells include 1-D float arrays of one length n stands for
+    n lines, line i holding entry i of each array and the row's other
+    cells; a row without arrays is one line.  A row takes one ``%``
+    formatting, of its line format repeated n times, with its other cells'
+    text built into the format: ``%`` with the float format is
+    :func:`format_float`'s text for any float, and every other cell is its
+    ``str``."""
     chunks = [",".join(header) + "\n"]
     for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        if np.ndarray in types:
-            columns = [cell for cell in row if isinstance(cell, np.ndarray)]
-            line = ",".join(
-                "%" + _FLOAT_FORMAT if isinstance(cell, np.ndarray)
-                else (format_float(cell) if isinstance(cell, (float, np.floating))
-                      else str(cell)).replace("%", "%%")
-                for cell in row) + "\n"
-            chunks.append(line * len(columns[0]) % tuple(np.column_stack(columns).ravel().tolist()))
-            continue
-        if types not in formats:
-            formats[types] = ",".join(
-                "%" + _FLOAT_FORMAT if issubclass(t, (float, np.floating)) else "%s"
-                for t in types) + "\n"
-        chunks.append(formats[types] % row)
+        columns = [cell for cell in row if isinstance(cell, np.ndarray)]
+        line = ",".join(
+            "%" + _FLOAT_FORMAT if isinstance(cell, np.ndarray)
+            else (format_float(cell) if isinstance(cell, (float, np.floating))
+                  else str(cell)).replace("%", "%%")
+            for cell in row) + "\n"
+        entries = np.column_stack(columns).ravel().tolist() if columns else []
+        chunks.append(line * (len(columns[0]) if columns else 1) % tuple(entries))
     write_text_atomic(path, "".join(chunks))

@@ -25,7 +25,8 @@ finite-difference checks.  ``label_group_oracle`` is the library's earlier one-g
 structure label, the map's sigma and the group's mean intensity
 recomputed for every group, kept to check ``label_groups`` against.
 ``grouped_keep_loop`` is the library's earlier grouped curve builder, one
-group at a time, kept to check the cumulative-OR ``grouped_keep`` against.
+group at a time, kept to check the cumulative-OR ``grouped_coverage``
+against.
 ``embed``, ``embed_vjp``, ``embed_groups`` and ``select_groups`` are the
 model's earlier stacked path, which embedded every masked input through the
 backbone and scored the (G, h) group embeddings, kept to check the
@@ -702,10 +703,11 @@ def eval_oracle(checkpoint, dataset, metrics, step, classes, out_dir):
             for name in ("insertion", "deletion", "grouped_insertion", "grouped_deletion"):
                 if name in metrics:
                     direction = name.removeprefix("grouped_")
-                    fractions, keep = (
-                        faithfulness.grouped_keep(groups, scores, direction)
+                    fractions, covered = (
+                        faithfulness.grouped_coverage(groups, scores)
                         if name.startswith("grouped_")
-                        else faithfulness.ranked_keep(ranking, step, direction))
+                        else faithfulness.ranked_coverage(ranking, step))
+                    keep = covered if direction == "insertion" else ~covered
                     curve = report_from_curve_oracle(
                         name, fractions, probabilities(np.where(keep, x, 0.0))[:, k])
                     aggregates[name].append(curve.auc)

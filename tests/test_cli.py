@@ -833,11 +833,12 @@ class TestStackedEval:
                                                          attribution.scores[:, k])
                     for name, report in result.items():
                         direction = name.removeprefix("grouped_")
-                        fractions, keep = (
-                            faithfulness.grouped_keep(attribution.groups,
-                                                      attribution.scores[:, k], direction)
-                            if name.startswith("grouped_") else faithfulness.ranked_keep(
-                                faithfulness.ranking_from_attribution(alpha), step, direction))
+                        fractions, covered = (
+                            faithfulness.grouped_coverage(attribution.groups,
+                                                          attribution.scores[:, k])
+                            if name.startswith("grouped_") else faithfulness.ranked_coverage(
+                                faithfulness.ranking_from_attribution(alpha), step))
+                        keep = covered if direction == "insertion" else ~covered
                         expected = report_from_curve_oracle(
                             name, fractions, model(np.where(keep, x, 0.0))[:, k])
                         assert report.metric == name
@@ -934,9 +935,9 @@ class TestEvalOracle:
                 groups, scores = attribution.groups, attribution.scores[:, k]
                 alpha = faithfulness.flatten_grouped(groups, scores)
                 ranking = faithfulness.ranking_from_attribution(alpha)
-                for direction in ("insertion", "deletion"):
-                    keeps.append(faithfulness.ranked_keep(ranking, 1, direction)[1])
-                    keeps.append(faithfulness.grouped_keep(groups, scores, direction)[1])
+                ranked = faithfulness.ranked_coverage(ranking, 1)[1]
+                grouped = faithfulness.grouped_coverage(groups, scores)[1]
+                keeps.extend([ranked, grouped, ~ranked, ~grouped])
                 keeps.append(faithfulness.rationale_keep(alpha > 0))
             # x has no zero entry, so distinct keep rows give distinct probes
             assert np.all(x != 0.0)

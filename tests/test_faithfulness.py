@@ -35,10 +35,10 @@ from sumparts.faithfulness import (
     deletion_curve,
     evaluate_examples,
     flatten_grouped,
+    grouped_coverage,
     grouped_curve,
-    grouped_keep,
     insertion_curve,
-    ranked_keep,
+    ranked_coverage,
     ranking_from_attribution,
     rationale_keep,
     sparsity,
@@ -497,9 +497,9 @@ class TestKeepMaskEngine:
         np.testing.assert_array_equal(curve.fractions, fractions)
         np.testing.assert_array_equal(curve.probabilities, values)
         assert curve.metric == direction
-        keep_fractions, keep = ranked_keep(ranking, step, direction)
-        np.testing.assert_array_equal(keep_fractions, fractions)
-        assert keep.dtype == bool and keep.shape == (len(fractions), x.size)
+        coverage_fractions, covered = ranked_coverage(ranking, step)
+        np.testing.assert_array_equal(coverage_fractions, fractions)
+        assert covered.dtype == bool and covered.shape == (len(fractions), x.size)
 
     @settings(max_examples=150, deadline=None)
     @given(_input_and_attribution(max_d=8), st.data(),
@@ -521,11 +521,11 @@ class TestKeepMaskEngine:
         _assert_probes_equal(probes, oracle_probes)
         np.testing.assert_array_equal(curve.fractions, fractions)
         np.testing.assert_array_equal(curve.probabilities, values)
-        np.testing.assert_array_equal(grouped_keep(groups, scores, direction)[0], fractions)
+        np.testing.assert_array_equal(grouped_coverage(groups, scores)[0], fractions)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data(), st.sampled_from(["insertion", "deletion"]))
-    def test_grouped_keep_matches_group_loop(self, data, direction):
+    @given(st.data())
+    def test_grouped_coverage_matches_group_loop(self, data):
         """Tied scores, empty supports and repeated supports, drawn from a
         small pool of support rows."""
         d = data.draw(st.integers(1, 9))
@@ -534,12 +534,12 @@ class TestKeepMaskEngine:
         groups = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
         scores = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                                              min_size=len(groups), max_size=len(groups))))
-        fractions, keep = grouped_keep(groups, scores, direction)
-        expected_fractions, expected_keep = grouped_keep_loop(groups, scores, direction)
+        fractions, covered = grouped_coverage(groups, scores)
+        expected_fractions, expected_covered = grouped_keep_loop(groups, scores, "insertion")
         np.testing.assert_array_equal(fractions, expected_fractions)
         assert fractions.dtype == expected_fractions.dtype
-        np.testing.assert_array_equal(keep, expected_keep)
-        assert keep.dtype == bool and keep.flags.c_contiguous
+        np.testing.assert_array_equal(covered, expected_covered)
+        assert covered.dtype == bool and covered.flags.c_contiguous
 
     @settings(max_examples=100, deadline=None)
     @given(_input_and_attribution(max_d=8))
@@ -565,13 +565,17 @@ class TestKeepMaskEngine:
 
     def test_builder_validation(self):
         with pytest.raises(ValueError):
-            ranked_keep([0, 2], 1, "insertion")
+            ranked_coverage([0, 2], 1)
         with pytest.raises(ValueError):
-            ranked_keep([], 1, "insertion")
+            ranked_coverage([], 1)
         with pytest.raises(ValueError):
-            ranked_keep([1, 0], 1, "sideways")
-        with pytest.raises(ValueError):
-            grouped_keep(np.ones((2, 3)), np.ones(3), "deletion")
+            ranked_coverage([1, 0], 0)
+        with pytest.raises(ValueError, match="one value per group"):
+            grouped_coverage(np.ones((2, 3)), np.ones(3))
+        with pytest.raises(ValueError,
+                           match="direction must be 'insertion' or 'deletion', got 'sideways'"):
+            grouped_curve(constant_model(0.0), np.ones(2), np.ones((1, 2)), np.ones(1),
+                          "sideways")
         with pytest.raises(ValueError):
             rationale_keep([0.0, 0.5])
         with pytest.raises(ValueError):
@@ -893,7 +897,7 @@ class TestComprehensivenessSufficiency:
             comprehensiveness(m, np.ones(3), np.array([0.0, 0.5, 1.0]), 0)
         with pytest.raises(ValueError, match="class index 7 out of range for 2 classes"):
             sufficiency(m, np.ones(3), np.ones(3), 7)
-        with pytest.raises(ValueError, match=r"\(P, K\) class probabilities, got shape \(2,\)"):
+        with pytest.raises(ValueError, match=r"\(P, K\) class probabilities, got shape \(3,\)"):
             comprehensiveness(lambda rows: m(rows)[:, 0], np.ones(3), np.ones(3), 0)
 
 
@@ -998,3 +1002,14 @@ class TestPerturbationReport:
                 metric="x", fractions=np.array([0.0, 1.0]),
                 probabilities=np.array([0.1, 0.2]), auc=0.9,
             )
+
+    def test_nan_fraction_is_refused(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PerturbationReport("m", [0.0, np.nan, 1.0], [0.2, 0.3, 0.4], 0.3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_refused(self, bad):
+        with pytest.raises(ValueError, match="curve values must be finite"):
+            PerturbationReport.from_curve("m", [0.0, 1.0], [bad, 0.5])
+        with pytest.raises(ValueError, match="curve values must be finite"):
+            PerturbationReport("m", [0.0, 1.0], [0.5, bad], 0.5)

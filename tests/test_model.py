@@ -395,6 +395,15 @@ class TestGroupedAttributionValidation:
                 prediction=np.array([0.8]),
             )
 
+    def test_rejects_nan_mask_entry(self):
+        with pytest.raises(ValueError, match=r"mask entries must lie in \[0, 1\]"):
+            GroupedAttribution(
+                groups=np.array([[np.nan, 0.5]]),
+                scores=np.array([[1.0]]),
+                partial_logits=np.array([[2.0]]),
+                prediction=np.array([2.0]),
+            )
+
 
 @st.composite
 def _stacked_model(draw):
