@@ -1,8 +1,8 @@
 """A grouped-attribution model end to end on synthetic blobs.
 
 The wrapper generates sparse feature groups with attention over segments,
-embeds each masked input through a frozen backbone, scores groups per
-class, and predicts with the weighted sum of partial logits.  The
+scores the masked inputs per class, and predicts with the weighted sum of
+partial logits from a frozen classifier's value weights.  The
 explanation reconstructs the prediction exactly, by construction.
 """
 
@@ -29,7 +29,7 @@ features = np.vstack([
 labels = np.array([0] * n + [1] * n)
 seg = Segmentation.contiguous(8, 2)
 
-# frozen "pretrained" backbone: identity embedding + class-mean classifier
+# frozen "pretrained" backbone: a class-mean classifier over the input
 classifier = np.vstack([features[labels == k].mean(axis=0) for k in (0, 1)])
 backbone = identity_backbone(classifier)
 

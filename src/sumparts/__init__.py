@@ -11,7 +11,6 @@ from .model import (
     explain,
     generate_groups,
     identity_backbone,
-    linear_backbone,
     predict,
     sop_forward,
 )

@@ -187,8 +187,9 @@ class ExponentialFit:
     relative_abs_error: float
 
     def __post_init__(self):
-        if self.relative_abs_error < 0:
-            raise ValueError("fit error cannot be negative")
+        # written to pass, so that NaN fails it
+        if not self.relative_abs_error >= 0:
+            raise ValueError(f"fit error must be at least 0, got {self.relative_abs_error}")
 
     def predict(self, d) -> np.ndarray:
         d = np.asarray(d, dtype=np.float64)
@@ -206,6 +207,8 @@ def fit_exponential(points: Sequence[tuple[float, float]],
     """
     ds = np.array([p[0] for p in points], dtype=np.float64)
     values = np.array([p[1] for p in points], dtype=np.float64)
+    if not (np.isfinite(ds).all() and np.isfinite(values).all()):
+        raise ValueError("points must have a finite dimension and value")
     # np.unique would import numpy.ma (15 ms, 1.6 MB), which certify needs nowhere else
     if np.count_nonzero(np.diff(np.sort(ds)) > 0) < 2:
         raise ValueError("need points at three or more distinct dimensions to fit")

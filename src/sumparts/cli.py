@@ -275,9 +275,9 @@ def _load_dataset(path):
 
 
 def _class_mean_backbone(features, labels, path):
-    """Identity-embedding backbone whose classifier rows are the per-class
-    feature means (a linear stand-in for a pretrained classifier); every
-    class up to the largest label needs an example."""
+    """Backbone whose classifier rows are the per-class feature means (a
+    linear stand-in for a pretrained classifier); every class up to the
+    largest label needs an example."""
     ordered = np.sort(labels)
     # np.unique would import numpy.ma (15 ms, 1 MB), which train needs nowhere else
     classes = ordered[np.diff(ordered, prepend=-1) > 0]

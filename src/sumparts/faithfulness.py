@@ -288,13 +288,18 @@ def ranked_coverage(ranking, step: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_groups(groups, scores) -> tuple[np.ndarray, np.ndarray]:
-    """Float (G, d) group masks and (G,) scores, at least one group."""
+    """Float (G, d) group masks and (G,) scores, at least one group, every
+    entry finite."""
     groups = np.atleast_2d(np.asarray(groups, dtype=np.float64))
     scores = np.asarray(scores, dtype=np.float64)
     if groups.shape[0] == 0:
         raise ValueError("need at least one group")
     if scores.shape != (groups.shape[0],):
         raise ValueError("scores must hold one value per group")
+    if not np.isfinite(groups).all():
+        raise ValueError("group masks must be finite")
+    if not np.isfinite(scores).all():
+        raise ValueError("group scores must be finite")
     return groups, scores
 
 

@@ -2,23 +2,23 @@
 
 The wrapper decomposes a prediction into a weighted sum of per-group
 partial logits: a group generator builds sparse masks over input segments,
-the backbone embeds each masked input, and a group selector assigns sparse
-scores to the groups.  The prediction is ``sum_i score_i * partial_logit_i``
+and a group selector assigns sparse scores to the groups, reading each
+masked input.  The prediction is ``sum_i score_i * partial_logit_i``
 computed on the same arithmetic path stored in the returned attribution,
 so the explanation reconstructs the prediction exactly.
 
-The backbone is linear and each mask is constant on each segment, so the
-selector's affinities and partial logits of a group are segment-weighted
-sums of per-segment projections of the input: with ``seg_weights`` the
-(G, m) segment weights of the groups, they are ``seg_weights @ R`` and
-``seg_weights @ P``, where R and P sum the input, weighted by the selector
-folded through the backbone onto the input, over each segment.  The
-forward pass works in that segment space and never forms a masked input or
-a group embedding; only :func:`sop_forward` and :func:`generate_groups`
-build the (G, d) masks, which are the explanation.  :func:`predict` runs
-the same arithmetic on a (B, d) stack, in blocks of ``PREDICT_BLOCK_ROWS``
-rows, and each of its rows equals the ``sop_forward`` prediction of that
-row bit for bit; :func:`explain` does so for the groups and scores.
+The selector is linear in the masked input and each mask is constant on
+each segment, so the selector's affinities and partial logits of a group
+are segment-weighted sums of per-segment projections of the input: with
+``seg_weights`` the (G, m) segment weights of the groups, they are
+``seg_weights @ R`` and ``seg_weights @ P``, where R and P sum the input,
+weighted by the selector folded onto the input, over each segment.  The
+forward pass works in that segment space and never forms a masked input;
+only :func:`sop_forward` and :func:`generate_groups` build the (G, d)
+masks, which are the explanation.  :func:`predict` runs the same
+arithmetic on a (B, d) stack, in blocks of ``PREDICT_BLOCK_ROWS`` rows,
+and each of its rows equals the ``sop_forward`` prediction of that row bit
+for bit; :func:`explain` does so for the groups and scores.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "GroupGenParams",
     "GroupSelectParams",
     "GroupedAttribution",
-    "linear_backbone",
     "identity_backbone",
     "segment_pool",
     "generate_groups",
@@ -66,61 +65,46 @@ def _as_float_matrix(a, name: str) -> np.ndarray:
     return a
 
 
+def _as_integers(a, name: str) -> np.ndarray:
+    """``a`` as int64, refusing what the cast would truncate or wrap: a
+    fraction, a non-finite or out-of-range float, a bool or a non-number."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold integers, got {a.dtype} entries")
+    # written to pass, so that NaN fails it
+    bad = ~((a == np.trunc(a)) & (np.abs(a) < 2.0 ** 63))
+    if bad.any():
+        raise ValueError(f"{name} must hold integers, got {float(a[bad].flat[0])}")
+    return a.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Backbone:
-    """Frozen linear embedding with a classifier over it.
+    """Frozen linear classifier over the input: one weight row per class,
+    so plain logits are ``classifier @ x`` and ``h`` is the input width d.
 
-    ``weights`` is the (h, d) matrix of the embedding ``weights @ x`` of an
-    input x, or ``None`` for the identity embedding (h = d).
-    ``classifier`` holds one weight row per class over the embedding, so
-    plain logits are ``classifier @ (weights @ x)`` and ``h`` is its width.
+    A linear embedding W (h x d) in front of it would add nothing: the
+    selector reaches the forward pass only folded onto the input
+    (:func:`_fold`), and a selector with value weights C folded through W
+    is the fold of one over the input with value weights ``C @ W``.
     """
 
     classifier: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        classifier = _as_float_matrix(self.classifier, "classifier")
-        object.__setattr__(self, "classifier", classifier)
-        if self.weights is not None:
-            weights = _as_float_matrix(self.weights, "weights")
-            if weights.shape[0] != classifier.shape[1]:
-                raise ValueError(f"classifier has {classifier.shape[1]} columns, expected "
-                                 f"h={weights.shape[0]} (the rows of weights)")
-            object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "classifier", _as_float_matrix(self.classifier, "classifier"))
 
     @property
     def h(self) -> int:
         return self.classifier.shape[1]
 
     @property
-    def n_features(self) -> int:
-        """The input width d."""
-        return self.h if self.weights is None else self.weights.shape[1]
-
-    @property
     def n_classes(self) -> int:
         return self.classifier.shape[0]
 
-    def embed(self, rows: np.ndarray) -> np.ndarray:
-        """``rows @ weights.T``: the embeddings of the rows of an (n, d)
-        stack, as (n, h)."""
-        return rows if self.weights is None else rows @ self.weights.T
-
-    def embed_transpose(self, rows: np.ndarray) -> np.ndarray:
-        """``rows @ weights``: each row of an (n, h) stack of weights over the
-        embedding as the same weights over the input, (n, d)."""
-        return rows if self.weights is None else rows @ self.weights
-
-
-def linear_backbone(weights, classifier) -> Backbone:
-    """Backbone with the embedding ``weights @ x``; weights have a row per
-    classifier column."""
-    return Backbone(classifier=classifier, weights=weights)
-
 
 def identity_backbone(classifier) -> Backbone:
-    """Backbone whose embedding is the input itself (h = d)."""
+    """Backbone with the (n_classes, d) classifier over the input."""
     return Backbone(classifier=classifier)
 
 
@@ -133,7 +117,7 @@ class Segmentation:
 
     def __post_init__(self):
         # a read-only copy, so the segment bins built from it stay valid
-        assignment = np.array(self.assignment, dtype=np.int64)
+        assignment = _as_integers(self.assignment, "assignment")
         if assignment.ndim != 1 or assignment.size == 0:
             raise ValueError("assignment must be a non-empty 1-D index array")
         assignment.flags.writeable = False
@@ -207,7 +191,7 @@ class GroupGenParams:
 
 @dataclass(frozen=True)
 class GroupSelectParams:
-    """Selector weights: query/key projections over the embedding plus the
+    """Selector weights: query/key projections over the input plus the
     per-class value weights (initialized from the backbone classifier)."""
 
     w_q: np.ndarray
@@ -365,20 +349,19 @@ def _masks(seg_weights: np.ndarray, seg: Segmentation) -> np.ndarray:
 
 
 def _fold(seg: Segmentation, sel: GroupSelectParams, backbone: Backbone) -> np.ndarray:
-    """The selector folded through the backbone onto the input: the (2K, d)
-    matrix whose row k weighs the features into class k's affinity,
-    ``(C w_q.T) w_k A / sqrt(h)``, and whose row K + k weighs them into its
-    partial logit, ``C A`` (A the backbone weights, C the selector's
-    classifier).  A group's affinities and partial logits are these rows
-    applied to its masked input."""
+    """The selector folded onto the input: the (2K, d) matrix whose row k
+    weighs the features into class k's affinity, ``(C w_q.T) w_k / sqrt(d)``,
+    and whose row K + k weighs them into its partial logit, ``C`` (C the
+    selector's classifier).  A group's affinities and partial logits are
+    these rows applied to its masked input."""
     if backbone.h != sel.h:
-        raise ValueError(f"selector has width {sel.h}, backbone embeds into {backbone.h}")
-    if backbone.n_features != seg.n_features:
-        raise ValueError(f"backbone takes {backbone.n_features} input features, "
+        raise ValueError(
+            f"selector has width {sel.h}, backbone takes {backbone.h} input features")
+    if backbone.h != seg.n_features:
+        raise ValueError(f"backbone takes {backbone.h} input features, "
                          f"segmentation covers {seg.n_features}")
-    queries = sel.classifier @ sel.w_q.T                # (K, h)
-    return backbone.embed_transpose(
-        np.vstack([queries @ sel.w_k / np.sqrt(sel.h), sel.classifier]))
+    queries = sel.classifier @ sel.w_q.T                # (K, d)
+    return np.vstack([queries @ sel.w_k / np.sqrt(sel.h), sel.classifier])
 
 
 def _forward(x, seg: Segmentation, gen: GroupGenParams, folded: np.ndarray) -> dict:
@@ -415,13 +398,13 @@ def generate_groups(x, seg: Segmentation, params: GroupGenParams) -> np.ndarray:
 
 def sop_forward(x, seg: Segmentation, gen_params: GroupGenParams,
                 sel_params: GroupSelectParams, backbone: Backbone) -> GroupedAttribution:
-    """Full forward pass: generate groups, embed, select, and predict.
+    """Full forward pass: generate groups, select, and predict.
 
     For class k the selector's query is the projected class weight
     ``w_q @ C_k`` and group i keys in with ``w_k @ z_i``, where z_i is the
-    embedding of the masked input; each class's affinity column is
-    sparsemaxed over the groups.  Partial logits are the plain per-group
-    class logits ``C_k . z_i``.  The returned attribution's prediction is
+    masked input; each class's affinity column is sparsemaxed over the
+    groups.  Partial logits are the plain per-group class logits
+    ``C_k . z_i``.  The returned attribution's prediction is
     exactly ``(scores * partial_logits).sum(axis=0)``.
     """
     if np.ndim(x) != 1:

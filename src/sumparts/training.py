@@ -10,9 +10,8 @@ blocks via their exact generalized Jacobians.
 The backward pass works in the forward's segment space: the gradient of a
 block's segment weights is ``d_affinities R^T + d_partial_logits P^T``, and
 the gradient of the selector folded onto the input, a (2K, d) matrix, is
-summed over the batch.  It goes back through the linear backbone once per
-step, and the (h, h) gradients of the selector projections are rank-K
-products of the result.  Each step runs on blocks of
+summed over the batch.  The (d, d) gradients of the selector projections
+are rank-K products of it.  Each step runs on blocks of
 ``PREDICT_BLOCK_ROWS`` rows of the (B, d) stack, as ``predict`` does, so its
 working memory follows the block size and not B.
 """
@@ -29,6 +28,7 @@ from .model import (
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
+    _as_integers,
     _fold,
     _forward,
     predict,
@@ -101,7 +101,7 @@ def _from_trainable(arrays: dict) -> tuple[GroupGenParams, GroupSelectParams]:
 def _check_labels(inputs, labels, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """The (B, d) input stack and its (B,) labels, each in [0, n_classes)."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _as_integers(labels, "labels")
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("dataset must be non-empty")
@@ -151,16 +151,14 @@ def loss_and_gradients(inputs, labels, seg: Segmentation, gen: GroupGenParams,
         d_gen["gen_w_k"] += (np.swapaxes(d_raw, -1, -2) @ cache["queries"] * pooled
                              ).sum(axis=0) / gen_scale
 
-    # back through the backbone to the (K, h) selector rows that _fold maps
-    # onto the input: (C w_q.T) w_k / sqrt(h), then C
-    d_rows = backbone.embed(d_folded)                                 # (2K, h)
-    d_keys = d_rows[:k] / np.sqrt(sel.h)
+    # d_folded is the gradient of _fold's rows: (C w_q.T) w_k / sqrt(d), then C
+    d_keys = d_folded[:k] / np.sqrt(sel.h)
     d_queries = d_keys @ sel.w_k.T                                    # (K, h)
     return total_loss / n, {
         **d_gen,
         "sel_w_q": d_queries.T @ sel.classifier,
         "sel_w_k": (sel.classifier @ sel.w_q.T).T @ d_keys,
-        "classifier": d_queries @ sel.w_q + d_rows[k:],
+        "classifier": d_queries @ sel.w_q + d_folded[k:],
     }
 
 

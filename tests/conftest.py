@@ -30,7 +30,10 @@ against.
 ``embed``, ``embed_vjp``, ``embed_groups`` and ``select_groups`` are the
 model's earlier stacked path, which embedded every masked input through the
 backbone and scored the (G, h) group embeddings, kept to check the
-segment-space forward and backward passes against.  ``round_floats_oracle``
+segment-space forward and backward passes against.  ``linear_backbone``
+builds the linear embedding the model dropped, and ``identity_twin`` the
+identity-backbone selector that folds onto the input as one over that
+embedding does.  ``round_floats_oracle``
 is the earlier per-item float rounding of ``serialize``.
 ``finite_diff_grad`` (a central-difference gradient), ``powerset_matrix``
 (the whole (2^d, d) powerset, which ``ops.powerset_blocks`` yields in
@@ -49,7 +52,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
-import pytest
 from hypothesis import strategies as st
 
 from sumparts import certificates, faithfulness
@@ -59,9 +61,7 @@ from sumparts.structures import INTENSITY_EPS
 from sumparts.model import (
     GroupGenParams,
     GroupSelectParams,
-    Segmentation,
     identity_backbone,
-    linear_backbone,
     sop_forward,
 )
 from sumparts.ops import softmax, sparsemax
@@ -581,18 +581,51 @@ def grouped_keep_loop(groups, scores, direction):
             covered if direction == "insertion" else ~covered)
 
 
+@dataclass(frozen=True)
+class LinearBackbone:
+    """The embedding ``weights @ x`` of an input, with (h, d) weights, and a
+    (K, h) classifier over it."""
+
+    weights: np.ndarray
+    classifier: np.ndarray
+
+    @property
+    def h(self) -> int:
+        return self.classifier.shape[1]
+
+
+def linear_backbone(weights, classifier) -> LinearBackbone:
+    return LinearBackbone(np.asarray(weights, dtype=np.float64),
+                          np.asarray(classifier, dtype=np.float64))
+
+
+def identity_twin(backbone: LinearBackbone, sel):
+    """The identity-backbone model whose selector folds onto the input as
+    ``sel`` over ``backbone``'s embedding W does: value weights ``C W``,
+    ``w_q = I_d`` and ``w_k = sqrt(d / h) pinv(C W) (C w_q.T w_k W)``, so
+    that the affinity rows ``C W w_k / sqrt(d)`` are ``C w_q.T w_k W /
+    sqrt(h)`` wherever C W has full row rank.  Returns ``(sel, backbone)``."""
+    h, d = backbone.weights.shape
+    folded = sel.classifier @ backbone.weights
+    w_k = np.sqrt(d / h) * np.linalg.pinv(folded) @ (
+        sel.classifier @ sel.w_q.T @ sel.w_k @ backbone.weights)
+    return (GroupSelectParams(w_q=np.eye(d), w_k=w_k, classifier=folded),
+            identity_backbone(backbone.classifier @ backbone.weights))
+
+
 def embed(backbone, rows):
     """The backbone's embeddings of the rows of an (N, d) stack, (N, h):
-    ``rows @ weights.T``, or the rows themselves for the identity."""
+    ``rows @ weights.T`` for a :class:`LinearBackbone`, else the rows."""
     rows = np.asarray(rows, dtype=np.float64)
-    return rows if backbone.weights is None else rows @ backbone.weights.T
+    return rows @ backbone.weights.T if isinstance(backbone, LinearBackbone) else rows
 
 
 def embed_vjp(backbone, upstream):
     """Row i is the gradient of ``upstream[i] . embed(x)[i]`` with respect to
-    ``x[i]``: ``upstream @ weights``, or ``upstream`` for the identity."""
+    ``x[i]``: ``upstream @ weights`` for a :class:`LinearBackbone`, else
+    ``upstream``."""
     upstream = np.asarray(upstream, dtype=np.float64)
-    return upstream if backbone.weights is None else upstream @ backbone.weights
+    return upstream @ backbone.weights if isinstance(backbone, LinearBackbone) else upstream
 
 
 def embed_groups(x, masks, backbone):
@@ -745,14 +778,3 @@ def class_mean_identity_backbone(features, labels):
         [features[labels == k].mean(axis=0) for k in range(n_classes)]
     )
     return identity_backbone(classifier)
-
-
-@pytest.fixture
-def toy_linear_setup():
-    """d=4, two segments, one head, hand-set weights; matches the golden
-    forward trace fixture."""
-    seg = Segmentation(assignment=np.array([0, 0, 1, 1]), n_segments=2)
-    weights = np.array([[1.0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
-    classifier = np.array([[1.0, 0, -1], [0, 2, 1]])
-    backbone = linear_backbone(weights, classifier)
-    return seg, weights, classifier, backbone

@@ -442,6 +442,18 @@ class TestExponentialFit:
         with pytest.raises(ValueError):
             fit_exponential([(1, -1.0), (2, 2.0), (3, 3.0)])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("with_offset", [False, True])
+    def test_refuses_non_finite_points(self, value, with_offset):
+        for points in ([(1, 1.0), (2, value), (3, 8.0)], [(1, 1.0), (value, 2.0), (3, 8.0)]):
+            with pytest.raises(ValueError, match="^points must have a finite dimension"):
+                fit_exponential(points, with_offset=with_offset)
+
+    @pytest.mark.parametrize("error", [-1e-12, np.nan])
+    def test_fit_refuses_negative_or_nan_error(self, error):
+        with pytest.raises(ValueError, match="fit error must be at least 0"):
+            ExponentialFit(slope=1.0, intercept=0.0, offset=0.0, relative_abs_error=error)
+
     @pytest.mark.parametrize("with_offset", [False, True])
     def test_fewer_than_three_distinct_dimensions_rejected(self, with_offset):
         for points in ([(6, 8.0)] * 3, [(3, 2.0), (6, 8.0), (6, 8.0), (3, 2.0)]):

@@ -572,6 +572,10 @@ class TestKeepMaskEngine:
             ranked_coverage([1, 0], 0)
         with pytest.raises(ValueError, match="one value per group"):
             grouped_coverage(np.ones((2, 3)), np.ones(3))
+        with pytest.raises(ValueError, match="^group masks must be finite$"):
+            grouped_coverage([[np.nan, 1.0]], [1.0])
+        with pytest.raises(ValueError, match="^group scores must be finite$"):
+            grouped_coverage([[0.0, 1.0], [1.0, 0.0]], [1.0, np.inf])
         with pytest.raises(ValueError,
                            match="direction must be 'insertion' or 'deletion', got 'sideways'"):
             grouped_curve(constant_model(0.0), np.ones(2), np.ones((1, 2)), np.ones(1),
@@ -920,6 +924,13 @@ class TestSparsity:
             sparsity(np.empty((0, 3)), np.empty(0))
         with pytest.raises(ValueError):
             sparsity(np.ones((1, 3)), np.zeros(1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_masks_and_scores(self, value):
+        with pytest.raises(ValueError, match="^group scores must be finite$"):
+            sparsity(np.eye(2), [value, 1.0])
+        with pytest.raises(ValueError, match="^group masks must be finite$"):
+            sparsity([[value, 1.0]], [1.0])
 
 
 class TestFlattenGrouped:

@@ -5,6 +5,7 @@ the same; the batched forward (``predict``, ``explain``, stacked
 ``segment_pool``) against per-row calls."""
 
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -25,13 +26,12 @@ from sumparts.model import (
     explain,
     generate_groups,
     identity_backbone,
-    linear_backbone,
     predict,
     segment_pool,
     sop_forward,
 )
 
-from conftest import TIED_ENTRY, embed_groups, select_groups
+from conftest import TIED_ENTRY, embed_groups, identity_twin, linear_backbone, select_groups
 
 def assert_stack_equals_per_row(inputs, seg, gen, sel, backbone):
     """``predict`` and ``explain`` of the stack equal ``sop_forward`` of
@@ -52,18 +52,21 @@ GOLDEN = json.loads(
 )
 
 
+def golden_linear():
+    """The golden trace's linear backbone (W 3x4) and its selector over the
+    embedding, ``w_q = w_k = I_3``."""
+    classifier = np.array(GOLDEN["classifier"], dtype=float)
+    backbone = linear_backbone(GOLDEN["backbone_weights"], classifier)
+    return backbone, GroupSelectParams(w_q=np.eye(3), w_k=np.eye(3), classifier=classifier)
+
+
 def golden_params():
+    """The golden trace's model, its selector as the identity twin."""
     seg = Segmentation(assignment=np.array(GOLDEN["segments"]), n_segments=2)
     gen = GroupGenParams(
         w_q=np.array(GOLDEN["gen_w_q"])[None], w_k=np.array(GOLDEN["gen_w_k"])[None]
     )
-    backbone = linear_backbone(
-        np.array(GOLDEN["backbone_weights"], dtype=float),
-        np.array(GOLDEN["classifier"], dtype=float),
-    )
-    sel = GroupSelectParams(
-        w_q=np.eye(3), w_k=np.eye(3), classifier=np.array(GOLDEN["classifier"], float)
-    )
+    sel, backbone = identity_twin(*golden_linear())
     return seg, gen, sel, backbone
 
 
@@ -82,6 +85,21 @@ class TestSegmentation:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Segmentation(assignment=np.array([0, 5]), n_segments=2)
+
+    @pytest.mark.parametrize("assignment, got", [
+        ([0.5, 1.7], "0.5"), ([0.0, np.nan], "nan"), ([0.0, np.inf], "inf"),
+        ([0.0, 2.0 ** 63], "9.223372036854776e+18"),
+        ([True, False], "bool entries"), (["0", "1"], "<U1 entries"),
+    ], ids=["fractions", "nan", "inf", "2^63", "bools", "strings"])
+    def test_refuses_non_integer_assignment(self, assignment, got):
+        message = re.escape(f"assignment must hold integers, got {got}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Segmentation(assignment=assignment, n_segments=2)
+
+    def test_integral_floats_are_read_as_integers(self):
+        seg = Segmentation(assignment=[1.0, 0.0, 1.0], n_segments=2)
+        assert seg.assignment.dtype == np.int64
+        np.testing.assert_array_equal(seg.assignment, [1, 0, 1])
 
     def test_pooling_is_segment_mean(self):
         seg = Segmentation(assignment=np.array([0, 0, 1, 1]), n_segments=2)
@@ -172,34 +190,27 @@ class TestGenerateGroups:
 
 
 class TestEmbedGroups:
-    def test_identity_masking(self, toy_linear_setup):
-        seg, weights, classifier, backbone = toy_linear_setup
+    def test_identity_masking(self):
+        backbone, _ = golden_linear()
         x = np.array([1.0, 3.0, 2.0, 0.0])
         z = embed_groups(x, np.ones((1, 4)), backbone)
-        np.testing.assert_array_equal(z[0], weights @ x)
+        np.testing.assert_array_equal(z[0], backbone.weights @ x)
 
-    def test_zero_mask(self, toy_linear_setup):
-        _, weights, _, backbone = toy_linear_setup
+    def test_zero_mask(self):
+        backbone, _ = golden_linear()
         z = embed_groups(np.array([1.0, 2.0, 3.0, 4.0]), np.zeros((1, 4)), backbone)
         np.testing.assert_array_equal(z[0], np.zeros(3))
 
-    def test_linear_backbone_matches_direct_evaluation(self, toy_linear_setup):
-        _, weights, _, backbone = toy_linear_setup
+    def test_linear_backbone_matches_direct_evaluation(self):
+        backbone, _ = golden_linear()
         rng = np.random.default_rng(8)
         x = rng.normal(size=4)
         mask = rng.uniform(size=4)
         z = embed_groups(x, mask[None], backbone)
-        np.testing.assert_allclose(z[0], weights @ (mask * x), atol=1e-12)
+        np.testing.assert_allclose(z[0], backbone.weights @ (mask * x), atol=1e-12)
 
     def test_width_is_the_classifiers(self):
-        classifier = np.zeros((2, 5))
-        assert identity_backbone(classifier).h == 5
-        assert linear_backbone(np.zeros((5, 7)), classifier).h == 5
-
-    @pytest.mark.parametrize("rows", [4, 6])
-    def test_linear_backbone_refuses_mismatched_weights(self, rows):
-        with pytest.raises(ValueError, match=f"classifier has 5 columns, expected h={rows}"):
-            linear_backbone(np.zeros((rows, 7)), np.zeros((2, 5)))
+        assert identity_backbone(np.zeros((2, 5))).h == 5
 
 
 class TestSelectGroups:
@@ -251,25 +262,28 @@ class TestSelectGroups:
 
 
 class TestSopForward:
-    def test_single_segment_equals_plain_classifier(self, toy_linear_setup):
-        _, weights, classifier, backbone = toy_linear_setup
+    def test_single_segment_equals_plain_classifier(self):
+        _, _, sel, backbone = golden_params()
         seg = Segmentation(assignment=np.zeros(4, dtype=int), n_segments=1)
         gen = GroupGenParams.random(1, 1, np.random.default_rng(0), std=1.0)
-        sel = GroupSelectParams(w_q=np.eye(3), w_k=np.eye(3), classifier=classifier)
         x = np.array([0.5, -1.0, 2.0, 1.5])
         attribution = sop_forward(x, seg, gen, sel, backbone)
         np.testing.assert_allclose(
-            attribution.prediction, classifier @ (weights @ x), atol=1e-12
+            attribution.prediction, backbone.classifier @ x, atol=1e-12
         )
 
     def test_golden_forward_trace(self):
+        """The embedding half checks the earlier stacked path (the oracles
+        in ``conftest``) on the trace's linear backbone; ``sop_forward``
+        runs its identity twin."""
         seg, gen, sel, backbone = golden_params()
         x = np.array(GOLDEN["x"])
         masks = generate_groups(x, seg, gen)
         np.testing.assert_allclose(masks, GOLDEN["masks"], atol=1e-9)
-        z = embed_groups(x, masks, backbone)
+        linear, linear_sel = golden_linear()
+        z = embed_groups(x, masks, linear)
         np.testing.assert_allclose(z, GOLDEN["embeddings"], atol=1e-9)
-        scores, logits = select_groups(z, sel)
+        scores, logits = select_groups(z, linear_sel)
         np.testing.assert_allclose(scores, GOLDEN["scores"], atol=1e-9)
         np.testing.assert_allclose(logits, GOLDEN["partial_logits"], atol=1e-9)
         attribution = sop_forward(x, seg, gen, sel, backbone)
@@ -297,6 +311,31 @@ class TestSopForward:
                 attribution.scores * attribution.partial_logits
             ).sum(axis=0)
             assert np.all(delta == 0.0)
+
+    def test_linear_embedding_has_an_identity_twin(self):
+        """A selector over any linear embedding W (h x d) with K <= min(d, h)
+        classes scores and predicts, through the earlier stacked path, as
+        its identity twin does through ``sop_forward`` and ``predict``."""
+        rng = np.random.default_rng(78)
+        for _ in range(50):
+            d, h = (int(v) for v in rng.integers(2, 9, size=2))
+            k = int(rng.integers(1, min(d, h) + 1))
+            m = int(rng.integers(1, min(d, 4) + 1))
+            seg = Segmentation.contiguous(d, m)
+            gen = GroupGenParams.random(m, int(rng.integers(1, 3)), rng, std=1.0)
+            linear = linear_backbone(rng.normal(size=(h, d)), rng.normal(size=(k, h)))
+            sel = GroupSelectParams.random(linear, rng, std=1.0)
+            x = rng.normal(size=d)
+            scores, logits = select_groups(embed_groups(x, generate_groups(x, seg, gen),
+                                                        linear), sel)
+            twin = identity_twin(linear, sel)
+            attribution = sop_forward(x, seg, gen, *twin)
+            for got, want in ((attribution.scores, scores),
+                              (attribution.partial_logits, logits),
+                              (predict(x[None], seg, gen, *twin)[0],
+                               (scores * logits).sum(axis=0))):
+                np.testing.assert_allclose(got, want, rtol=1e-9,
+                                           atol=1e-9 * np.abs(want).max())
 
     def test_dropping_a_group_shifts_prediction_by_its_term(self):
         seg, gen, sel, backbone = golden_params()
@@ -330,8 +369,8 @@ class TestSopForward:
             atol=1e-12,
         )
 
-    def test_linear_backbone_masked_sum_is_analytic(self, toy_linear_setup):
-        seg, weights, classifier, backbone = toy_linear_setup
+    def test_masked_sum_is_analytic(self):
+        seg, _, _, backbone = golden_params()
         rng = np.random.default_rng(12)
         gen = GroupGenParams.random(2, 2, rng, std=0.8)
         sel = GroupSelectParams.random(backbone, rng, std=0.8)
@@ -341,7 +380,7 @@ class TestSopForward:
         for k in range(attribution.n_classes):
             expected[k] = sum(
                 attribution.scores[g, k]
-                * (classifier[k] @ (weights @ (attribution.groups[g] * x)))
+                * (backbone.classifier[k] @ (attribution.groups[g] * x))
                 for g in range(attribution.n_groups)
             )
         np.testing.assert_allclose(attribution.prediction, expected, atol=1e-12)
@@ -437,11 +476,6 @@ class TestBatchedForward:
         expected = np.array([[segment_pool(x, seg) for x in rows] for rows in stack])
         np.testing.assert_array_equal(segment_pool(stack, seg), expected)
 
-    def test_linear_backbone_stack_matches_per_row(self):
-        seg, gen, sel, backbone = golden_params()
-        inputs = np.random.default_rng(4).normal(size=(5, seg.n_features))
-        assert_stack_equals_per_row(inputs, seg, gen, sel, backbone)
-
     def test_predict_rejects_non_stacks(self):
         seg, gen, sel, backbone = golden_params()
         for stacked in (predict, explain):
@@ -459,7 +493,7 @@ class TestBatchedForward:
         lambda x, *model: loss_and_gradients(x, np.zeros(len(x), np.int64), *model),
     ], ids=["sop_forward", "predict", "explain", "loss_and_gradients"])
     @pytest.mark.parametrize("mismatch, message", [
-        ("selector", "^selector has width 3, backbone embeds into 4$"),
+        ("selector", "^selector has width 3, backbone takes 4 input features$"),
         ("backbone", "^backbone takes 5 input features, segmentation covers 4$"),
     ], ids=["selector", "backbone"])
     def test_refuses_mismatched_widths(self, call, mismatch, message):
@@ -470,7 +504,7 @@ class TestBatchedForward:
             backbone = identity_backbone(rng.normal(size=(2, 4)))
             sel = GroupSelectParams.random(identity_backbone(rng.normal(size=(2, 3))), rng)
         else:
-            backbone = linear_backbone(rng.normal(size=(3, 5)), rng.normal(size=(2, 3)))
+            backbone = identity_backbone(rng.normal(size=(2, 5)))
             sel = GroupSelectParams.random(backbone, rng)
         with pytest.raises(ValueError, match=message):
             call(rng.normal(size=(3, 4)), seg, gen, sel, backbone)
@@ -498,20 +532,14 @@ class TestBatchedForward:
         with pytest.raises(ValueError, match=message):
             sop_forward(inputs[0], seg, gen, sel, backbone)
 
-    @pytest.mark.parametrize("rows, linear", [
-        pytest.param(rows, linear, id=f"{rows}-linear" if linear else str(rows))
-        for rows in (1, PREDICT_BLOCK_ROWS - 1, PREDICT_BLOCK_ROWS, PREDICT_BLOCK_ROWS + 1,
-                     2 * PREDICT_BLOCK_ROWS + 3)
-        for linear in (False, True)])
-    def test_blocked_predict_equals_per_row_sop_forward(self, rows, linear):
+    @pytest.mark.parametrize("rows", [1, PREDICT_BLOCK_ROWS - 1, PREDICT_BLOCK_ROWS,
+                                      PREDICT_BLOCK_ROWS + 1, 2 * PREDICT_BLOCK_ROWS + 3])
+    def test_blocked_predict_equals_per_row_sop_forward(self, rows):
         rng = np.random.default_rng(rows)
         d, m, heads = 12, 4, 2
         # an unordered assignment, so that the masks gather segments out of order
         seg = Segmentation(assignment=rng.permutation(np.arange(d) % m), n_segments=m)
-        if linear:
-            backbone = linear_backbone(rng.normal(size=(7, d)), rng.normal(size=(3, 7)))
-        else:
-            backbone = identity_backbone(rng.normal(size=(3, d)))
+        backbone = identity_backbone(rng.normal(size=(3, d)))
         gen = GroupGenParams.random(m, heads, rng, std=2.0)
         sel = GroupSelectParams.random(backbone, rng, std=0.5)
         inputs = rng.normal(size=(rows, d))
