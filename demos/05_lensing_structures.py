@@ -60,8 +60,7 @@ gen = GroupGenParams.random(4, 2, rng, std=1.0)
 sel = GroupSelectParams.random(backbone, rng, std=1.0)
 attribution = sop_forward(imap.flat, seg, gen, sel, backbone)
 _, kinds = label_groups(imap, attribution.groups, cluster_sigma=2.0)
-masses = score_mass_by_label([kinds], [attribution])
 print("\nscore mass by label (cluster cut at 2 sigma):")
-for target, kinds in masses["targets"].items():
-    parts = {kind: round(kinds[kind]["mean"], 3) for kind in kinds}
+for target, masses in score_mass_by_label(kinds, attribution).items():
+    parts = {kind: round(mass, 3) for kind, mass in masses.items()}
     print(f"  target {target}: {parts}")

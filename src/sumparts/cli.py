@@ -515,8 +515,12 @@ def cmd_label(config: dict) -> tuple[int, dict]:
         intensities, kinds = structures.label_groups(imap, attribution.groups, cluster_sigma)
     rows = [(g, intensities[g], kinds[g], *map(float, scores))
             for g, scores in enumerate(attribution.scores)]
+    masses = structures.score_mass_by_label(kinds, attribution)
+    # the artifact keeps its per-map list, which holds this one map
     histogram = {"cluster_sigma": cluster_sigma,
-                 **structures.score_mass_by_label([kinds], [attribution])}
+                 "targets": {k: {kind: {"per_map": [mass], "mean": mass}
+                                 for kind, mass in per_kind.items()}
+                             for k, per_kind in masses.items()}}
 
     header = ["group", "intensity", "label"] + [f"score_class_{k}"
                                                 for k in range(attribution.n_classes)]

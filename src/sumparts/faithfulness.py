@@ -254,6 +254,8 @@ def total_powerset_error(f: Callable, x, alpha, kind: str) -> float:
 def ranking_from_attribution(alpha) -> np.ndarray:
     """Feature order by descending attribution, ties broken by index."""
     alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.isfinite(alpha).all():
+        raise ValueError("attribution must be finite")
     return np.argsort(-alpha, kind="stable")
 
 
@@ -494,4 +496,7 @@ def flatten_grouped(groups, scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape[0] != groups.shape[0]:
         raise ValueError("scores must align with groups along the group axis")
+    # checked before the product, where an infinity times 0 would warn
+    if not (np.isfinite(groups).all() and np.isfinite(scores).all()):
+        raise ValueError("group masks and scores must be finite")
     return groups.T @ scores

@@ -98,10 +98,6 @@ class Backbone:
     def h(self) -> int:
         return self.classifier.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return self.classifier.shape[0]
-
 
 def identity_backbone(classifier) -> Backbone:
     """Backbone with the (n_classes, d) classifier over the input."""

@@ -127,51 +127,25 @@ def label_group(imap: IntensityMap, mask, cluster_sigma: float = 3.0):
     return SimpleNamespace(kind=kind)
 
 
-def score_mass_by_label(labels, attributions) -> dict:
-    """Aggregate attribution score mass per structure label, per target.
+def score_mass_by_label(kinds, attribution) -> dict:
+    """Share of each class's score mass on each structure label of one map.
 
-    ``labels`` holds each map's group kinds (from :func:`label_groups`) and
-    ``attributions`` the grouped attribution over that map.  For each target
-    class the scores of each map's groups are summed by label and normalized
-    by the map's total score mass, so the per-map masses sum to 1.  Returns
-    per-label per-map mass lists plus their means under
-    ``{"targets": {class: {label: {"per_map": [...], "mean": ...}}}}``.
+    ``kinds`` holds the map's group kinds (from :func:`label_groups`) and
+    ``attribution`` the grouped attribution over the map.  For each class k
+    the scores of the groups of each label are summed and divided by the
+    class's total score mass, so the masses of a class sum to 1.  Returns
+    ``{k: {label: mass}}``.
     """
-    labels = list(labels)
-    attributions = list(attributions)
-    if not labels or len(labels) != len(attributions):
-        raise ValueError("need one attribution per map, at least one pair")
-    n_classes = attributions[0].n_classes
-    masses = {
-        k: {kind: [] for kind in LABEL_KINDS} for k in range(n_classes)
-    }
-    for kinds, attribution in zip(labels, attributions):
-        if not isinstance(attribution, GroupedAttribution):
-            raise ValueError("attributions must be GroupedAttribution instances")
-        if len(kinds) != len(attribution.scores) or not set(kinds) <= set(LABEL_KINDS):
-            raise ValueError(f"need one label in {LABEL_KINDS} per group, got {kinds!r}")
-        for k in range(n_classes):
-            scores = attribution.scores[:, k]
-            total = scores.sum()
-            if total <= 0:
-                raise ValueError("scores for a map sum to zero; cannot normalize")
-            for kind in LABEL_KINDS:
-                mass = sum(
-                    float(s) for s, lab in zip(scores, kinds) if lab == kind
-                )
-                masses[k][kind].append(mass / total)
-    return {
-        "targets": {
-            str(k): {
-                kind: {
-                    "per_map": masses[k][kind],
-                    "mean": float(np.mean(masses[k][kind])),
-                }
-                for kind in LABEL_KINDS
-            }
-            for k in range(n_classes)
-        },
-    }
+    if not isinstance(attribution, GroupedAttribution):
+        raise ValueError("attribution must be a GroupedAttribution")
+    if len(kinds) != len(attribution.scores) or not set(kinds) <= set(LABEL_KINDS):
+        raise ValueError(f"need one label in {LABEL_KINDS} per group, got {kinds!r}")
+    masses = {}
+    for k, scores in enumerate(attribution.scores.T):
+        total = float(scores.sum())
+        masses[k] = {kind: sum(float(s) for s, lab in zip(scores, kinds) if lab == kind) / total
+                     for kind in LABEL_KINDS}
+    return masses
 
 
 def load_map_csv(path) -> IntensityMap:

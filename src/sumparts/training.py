@@ -86,16 +86,9 @@ def init_params(seg: Segmentation, backbone: Backbone,
 
 
 def _trainable(gen: GroupGenParams, sel: GroupSelectParams) -> dict[str, np.ndarray]:
-    """The trainable arrays by gradient name, in pack order."""
+    """The trainable arrays by gradient name."""
     return {"gen_w_q": gen.w_q, "gen_w_k": gen.w_k,
             "sel_w_q": sel.w_q, "sel_w_k": sel.w_k, "classifier": sel.classifier}
-
-
-def _from_trainable(arrays: dict) -> tuple[GroupGenParams, GroupSelectParams]:
-    """The params holding the arrays of a :func:`_trainable` mapping, which
-    lists each class's arrays in its field order."""
-    values = list(arrays.values())
-    return GroupGenParams(*values[:2]), GroupSelectParams(*values[2:])
 
 
 def _check_labels(inputs, labels, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +184,8 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
                 for name, array in _trainable(gen, sel).items():
                     grads[name] *= -config.learning_rate
                     grads[name] += array
-                gen, sel = _from_trainable({name: grads[name] for name in _trainable(gen, sel)})
+                gen = GroupGenParams(grads["gen_w_q"], grads["gen_w_k"])
+                sel = GroupSelectParams(grads["sel_w_q"], grads["sel_w_k"], grads["classifier"])
             accuracy = training_accuracy(inputs, labels, seg, gen, sel, backbone)
     except (FloatingPointError, ValueError) as exc:
         # a ValueError is the model refusing the parameters of an update, such

@@ -291,10 +291,8 @@ def test_criterion_10_structure_labeling():
             prediction=(scores * logits).sum(axis=0),
         )
         _, kinds = label_groups(imap, groups, 2.0)
-        out = score_mass_by_label([kinds], [attribution])
-        for target in out["targets"].values():
-            total = sum(target[kind]["per_map"][0] for kind in target)
-            worst_mass_gap = max(worst_mass_gap, abs(total - 1.0))
+        for masses in score_mass_by_label(kinds, attribution).values():
+            worst_mass_gap = max(worst_mass_gap, abs(sum(masses.values()) - 1.0))
     ok = monotone and worst_mass_gap <= 1e-9
     assert report(
         10, "structure labeling",

@@ -992,6 +992,7 @@ class TestCheckpointValidation:
         (lambda c: {**c, "backbone": {"kind": "identity"}},
          ["missing field 'backbone.classifier'"]),
         (lambda c: {**c, "heads": 1.5}, ["'heads' must be a positive integer"]),
+        (lambda c: {**c, "d": True}, ["field 'd' must be a positive integer, got True"]),
         (lambda c: {**c, "w_q": [c["w_q"][0][:-1]] + c["w_q"][1:]},
          ["'w_q' is not a numeric array"]),
         (lambda c: {**c, "sel_w_k": c["sel_w_k"][:-1]},
@@ -1013,7 +1014,7 @@ class TestCheckpointValidation:
          ["'w_q' has 0 entries, expected 18446744073709551616 for shape "
           "(heads, n_segments, n_segments) = (4294967296, 65536, 65536)"]),
     ], ids=["only_d", "no_w_k", "no_backbone", "no_backbone_classifier", "float_heads",
-            "ragged_w_q", "short_sel_w_k", "short_assignment", "assignment_range",
+            "bool_d", "ragged_w_q", "short_sel_w_k", "short_assignment", "assignment_range",
             "float_assignment", "bool_assignment", "integral_float_assignment",
             "string_assignment", "overflowing_w_q"])
     def test_bad_checkpoint_names_the_field(self, tmp_path, capsys, initial,

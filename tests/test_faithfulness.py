@@ -470,6 +470,12 @@ class TestCurves:
         with pytest.raises(ValueError):
             insertion_curve(model, np.ones(3), [0, 1, 2], step=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_ranking_refuses_non_finite_attribution(self, value):
+        """A NaN would otherwise rank last, read as the least important."""
+        with pytest.raises(ValueError, match="^attribution must be finite$"):
+            ranking_from_attribution([value, 1.0, 0.5])
+
 
 def _assert_probes_equal(calls, probes):
     """One model call, on the oracle's probes stacked in its order."""
@@ -952,6 +958,17 @@ class TestFlattenGrouped:
         groups = np.array([[1.0, 0.0], [0.0, 1.0]])
         scores = np.array([[0.9, 0.1], [0.1, 0.9]])
         np.testing.assert_allclose(flatten_grouped(groups, scores), scores)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_masks_and_scores(self, value):
+        """Refused before the product, where an infinite mask entry times a
+        zero score would make a NaN and a warning."""
+        with pytest.raises(ValueError, match="^group masks and scores must be finite$"):
+            flatten_grouped([[value, 1.0]], [1.0])
+        with pytest.raises(ValueError, match="^group masks and scores must be finite$"):
+            flatten_grouped([[value, 1.0]], [0.0])
+        with pytest.raises(ValueError, match="^group masks and scores must be finite$"):
+            flatten_grouped(np.eye(2), [[value, 0.5], [1.0, 0.5]])
 
 
 class TestPairedRankingComparison:

@@ -434,6 +434,17 @@ class TestGroupedAttributionValidation:
                 prediction=np.array([0.8]),
             )
 
+    def test_score_column_tolerance_is_1e_9(self):
+        """Every entry lies in [0, 1], but the column sums to 1 + 1e-8."""
+        scores = np.array([[0.5 + 1e-8], [0.5]])
+        with pytest.raises(ValueError, match="^each per-class score column must sum to 1$"):
+            GroupedAttribution(
+                groups=np.ones((2, 2)),
+                scores=scores,
+                partial_logits=np.ones((2, 1)),
+                prediction=scores.sum(axis=0),
+            )
+
     def test_rejects_nan_mask_entry(self):
         with pytest.raises(ValueError, match=r"mask entries must lie in \[0, 1\]"):
             GroupedAttribution(

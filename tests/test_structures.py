@@ -146,6 +146,13 @@ class TestLabelGroup:
         assert intensity != 0.0
         assert kind == "other"
 
+    def test_rounding_dust_bound_is_inclusive(self):
+        """A mean of exactly ``INTENSITY_EPS`` times max(1, sigma) below zero
+        is dust, not a void (here sigma is about 0.207, so the bound is
+        1e-12)."""
+        imap = IntensityMap(values=[[-1e-12, 0.5], [0.25, 0.0]])
+        assert label_one(imap, [1.0, 0.0, 0.0, 0.0]) == (-1e-12, "other")
+
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -196,10 +203,8 @@ class TestScoreMass:
         imap = map_from([[3.0, -1.0], [-1.0, -1.0]])
         mask = np.array([0.0, 1.0, 1.0, 1.0])
         attribution = attribution_with_scores(mask[None], np.ones((1, 1)))
-        out = score_mass_by_label([label_groups(imap, attribution.groups)[1]], [attribution])
-        assert out["targets"]["0"]["void"]["per_map"] == [1.0]
-        assert out["targets"]["0"]["void"]["mean"] == 1.0
-        assert out["targets"]["0"]["cluster"]["mean"] == 0.0
+        out = score_mass_by_label(label_groups(imap, attribution.groups)[1], attribution)
+        assert out == {0: {"void": 1.0, "cluster": 0.0, "other": 0.0}}
 
     def test_split_masses(self):
         values = np.zeros((3, 3))
@@ -210,16 +215,14 @@ class TestScoreMass:
         attribution = attribution_with_scores(
             np.vstack([dark, hot]), np.array([[0.6], [0.4]])
         )
-        out = score_mass_by_label([label_groups(imap, attribution.groups, 2.0)[1]],
-                                  [attribution])
-        assert out["targets"]["0"]["void"]["per_map"] == [0.6]
-        assert out["targets"]["0"]["cluster"]["per_map"] == [0.4]
+        out = score_mass_by_label(label_groups(imap, attribution.groups, 2.0)[1], attribution)
+        assert out[0]["void"] == 0.6
+        assert out[0]["cluster"] == 0.4
 
     def test_masses_sum_to_one_per_map(self):
         rng = np.random.default_rng(3)
         from sumparts.ops import sparsemax
 
-        maps, attributions = [], []
         for _ in range(20):
             imap = map_from(rng.normal(size=(3, 4)))
             groups = (rng.uniform(size=(4, 12)) > 0.5).astype(float)
@@ -227,19 +230,15 @@ class TestScoreMass:
             scores = np.column_stack(
                 [sparsemax(rng.normal(size=4)) for _ in range(2)]
             )
-            maps.append(imap)
-            attributions.append(attribution_with_scores(groups, scores))
-        out = score_mass_by_label(
-            [label_groups(m, a.groups)[1] for m, a in zip(maps, attributions)], attributions)
-        for target in out["targets"].values():
-            per_map = np.array([target[kind]["per_map"] for kind in target])
-            np.testing.assert_allclose(
-                per_map.sum(axis=0), np.ones(len(maps)), atol=1e-9
-            )
+            attribution = attribution_with_scores(groups, scores)
+            out = score_mass_by_label(label_groups(imap, groups)[1], attribution)
+            assert list(out) == [0, 1]
+            for masses in out.values():
+                assert abs(sum(masses.values()) - 1.0) <= 1e-9
 
-    def test_empty_input_error(self):
-        with pytest.raises(ValueError):
-            score_mass_by_label([], [])
+    def test_refuses_what_is_not_an_attribution(self):
+        with pytest.raises(ValueError, match="attribution must be a GroupedAttribution"):
+            score_mass_by_label(["void"], np.ones((1, 1)))
 
     @pytest.mark.parametrize("kinds", [["void", "supercluster"], ["void"],
                                        ["void", "other", "cluster"]],
@@ -247,7 +246,7 @@ class TestScoreMass:
     def test_one_known_label_per_group(self, kinds):
         attribution = attribution_with_scores(np.eye(2), np.full((2, 1), 0.5))
         with pytest.raises(ValueError, match="need one label in"):
-            score_mass_by_label([kinds], [attribution])
+            score_mass_by_label(kinds, attribution)
 
 
 class TestIngestion:
