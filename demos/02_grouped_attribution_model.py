@@ -11,7 +11,6 @@ import numpy as np
 from sumparts import (
     Segmentation,
     TrainConfig,
-    identity_backbone,
     sop_forward,
     train,
     training_accuracy,
@@ -29,22 +28,20 @@ features = np.vstack([
 labels = np.array([0] * n + [1] * n)
 seg = Segmentation.contiguous(8, 2)
 
-# frozen "pretrained" backbone: a class-mean classifier over the input
+# frozen "pretrained" backbone: a class-mean classifier over the input, passed
+# as its (n_classes, d) matrix; training starts the value weights from it
 classifier = np.vstack([features[labels == k].mean(axis=0) for k in (0, 1)])
-backbone = identity_backbone(classifier)
 
 # a wider init makes the attention rows visibly sparse from the start
 config = TrainConfig(steps=80, learning_rate=0.1, seed=7, heads=2, init_std=1.0)
-result = train(features, labels, seg, backbone, config)
-accuracy = training_accuracy(
-    features, labels, seg, result.gen_params, result.sel_params, backbone
-)
+result = train(features, labels, seg, classifier, config)
+accuracy = training_accuracy(features, labels, seg, result.gen_params, result.sel_params)
 print(f"training accuracy after {config.steps} steps: {accuracy:.3f}")
 print(f"loss: {result.loss_history[0]:.4f} -> {result.loss_history[-1]:.4f}")
 
 # inspect one explanation
 x = features[0]
-attribution = sop_forward(x, seg, result.gen_params, result.sel_params, backbone)
+attribution = sop_forward(x, seg, result.gen_params, result.sel_params, classifier)
 print(f"\ngroups: {attribution.n_groups} masks over {x.size} features")
 for g in range(attribution.n_groups):
     support = np.nonzero(attribution.groups[g] > 0)[0]

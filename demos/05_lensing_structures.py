@@ -15,7 +15,6 @@ from sumparts.model import (
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
-    identity_backbone,
     sop_forward,
 )
 from sumparts.structures import (
@@ -53,12 +52,13 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\nbinary round-trip max gap:",
           float(np.abs(reloaded.values - imap.values).max()))
 
-# score mass per structure type from a model over the map
+# score mass per structure type from a model over the map, its frozen
+# backbone a random (2, 64) classifier matrix
 seg = Segmentation(assignment=np.arange(64) // 16, n_segments=4)
-backbone = identity_backbone(rng.normal(size=(2, 64)))
+classifier = rng.normal(size=(2, 64))
 gen = GroupGenParams.random(4, 2, rng, std=1.0)
-sel = GroupSelectParams.random(backbone, rng, std=1.0)
-attribution = sop_forward(imap.flat, seg, gen, sel, backbone)
+sel = GroupSelectParams.random(classifier, rng, std=1.0)
+attribution = sop_forward(imap.flat, seg, gen, sel, classifier)
 _, kinds = label_groups(imap, attribution.groups, cluster_sigma=2.0)
 print("\nscore mass by label (cluster cut at 2 sigma):")
 for target, masses in score_mass_by_label(kinds, attribution).items():

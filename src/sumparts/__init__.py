@@ -3,7 +3,6 @@ perturbation faithfulness metrics and exact certificates of per-feature
 attribution error lower bounds."""
 
 from .model import (
-    Backbone,
     GroupedAttribution,
     GroupGenParams,
     GroupSelectParams,

@@ -35,7 +35,6 @@ from .model import (
     GroupSelectParams,
     Segmentation,
     explain,
-    identity_backbone,
     predict,
     sop_forward,
 )
@@ -275,9 +274,9 @@ def _load_dataset(path):
 
 
 def _class_mean_backbone(features, labels, path):
-    """Backbone whose classifier rows are the per-class feature means (a
-    linear stand-in for a pretrained classifier); every class up to the
-    largest label needs an example."""
+    """The (n_classes, d) backbone classifier whose rows are the per-class
+    feature means (a linear stand-in for a pretrained classifier); every
+    class up to the largest label needs an example."""
     ordered = np.sort(labels)
     # np.unique would import numpy.ma (15 ms, 1 MB), which train needs nowhere else
     classes = ordered[np.diff(ordered, prepend=-1) > 0]
@@ -286,13 +285,13 @@ def _class_mean_backbone(features, labels, path):
     if missing.size:
         raise ConfigError(f"dataset {path} has no example of class {missing[0]} "
                           f"(its largest label is {classes[-1]})")
-    return identity_backbone(np.vstack([features[labels == k].mean(axis=0) for k in classes]))
+    return np.vstack([features[labels == k].mean(axis=0) for k in classes])
 
 
-def _checkpoint_dict(seg, gen, sel, backbone, config):
+def _checkpoint_dict(seg, gen, sel, class_means, config):
     return {
         "d": seg.n_features,
-        "h": backbone.h,
+        "h": class_means.shape[1],
         "heads": gen.heads,
         "n_segments": seg.n_segments,
         "n_classes": sel.n_classes,
@@ -305,7 +304,7 @@ def _checkpoint_dict(seg, gen, sel, backbone, config):
         "classifier": sel.classifier.ravel().tolist(),
         "backbone": {
             "kind": "identity",
-            "classifier": backbone.classifier.ravel().tolist(),
+            "classifier": class_means.ravel().tolist(),
         },
     }
 
@@ -335,18 +334,23 @@ def _restore_checkpoint(path):
     def array(key, dims, dtype=np.float64):
         """The field at ``key`` as an array of ``dims``; with ``dtype=None``
         one of integers, inferred, not cast (int64 would truncate 0.9 to 0
-        and read true as 1), else one of finite floats (``json`` reads
-        ``NaN`` and ``Infinity``)."""
+        and read true as 1), with no JSON boolean among them, else one of
+        finite floats (``json`` reads ``NaN`` and ``Infinity``)."""
         shape = tuple(sizes[dim] for dim in dims)
         try:
-            value = np.array(_checkpoint_field(ckpt, path, key), dtype=dtype)
+            raw = _checkpoint_field(ckpt, path, key)
+            value = np.array(raw, dtype=dtype)
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"checkpoint {path}: field {key!r} is not a numeric array: {exc}"
             ) from exc
-        if dtype is None and value.dtype.kind != "i":
-            raise ConfigError(f"checkpoint {path}: field {key!r} must hold integers, "
-                              f"got {value.dtype} entries")
+        if dtype is None:
+            # booleans among integers are inferred as int64, True as 1
+            mixed = value.dtype.kind == "i" and any(
+                isinstance(entry, bool) for entry in np.array(raw, dtype=object).flat)
+            if value.dtype.kind != "i" or mixed:
+                raise ConfigError(f"checkpoint {path}: field {key!r} must hold integers, "
+                                  f"got {'bool' if mixed else value.dtype} entries")
         if dtype is not None and not np.isfinite(value).all():
             raise ConfigError(f"checkpoint {path}: field {key!r} holds a non-finite entry")
         # math.prod, since np.prod wraps around in int64: (2^32, 2^16, 2^16) gives 0
@@ -368,12 +372,12 @@ def _restore_checkpoint(path):
     w_q, w_k = array("w_q", gen_shape), array("w_k", gen_shape)
     sel_w_q, sel_w_k = array("sel_w_q", ("h", "h")), array("sel_w_k", ("h", "h"))
     classifier = array("classifier", ("n_classes", "h"))
-    backbone_classifier = array("backbone.classifier", ("n_classes", "d"))
+    # eval computes nothing from it, and label's sop_forward checks its width
+    backbone = array("backbone.classifier", ("n_classes", "d"))
     try:
         seg = Segmentation(assignment=assignment, n_segments=sizes["n_segments"])
         gen = GroupGenParams(w_q=w_q, w_k=w_k)
         sel = GroupSelectParams(w_q=sel_w_q, w_k=sel_w_k, classifier=classifier)
-        backbone = identity_backbone(backbone_classifier)
     except ValueError as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from exc
     return seg, gen, sel, backbone
@@ -404,18 +408,18 @@ def cmd_train(config: dict) -> tuple[int, dict]:
     segments = _field(config, "segments", 2, _INTEGER, _at_least(1), (
         (lambda m: m <= n_features), f"must be at most the dataset's {n_features} features"))
     seg = Segmentation.contiguous(n_features, segments)
-    backbone = _class_mean_backbone(features, labels, dataset)
+    class_means = _class_mean_backbone(features, labels, dataset)
     train_config = TrainConfig(
         steps=_field(config, "steps", 200, _INTEGER, _at_least(0)),
         learning_rate=learning_rate,
         seed=seed,
         heads=_field(config, "heads", 2, _INTEGER, _at_least(1)),
     )
-    result = train(features, labels, seg, backbone, train_config)
+    result = train(features, labels, seg, class_means, train_config)
     history = result.loss_history
     return 0, {
         "checkpoint.json": _checkpoint_dict(seg, result.gen_params, result.sel_params,
-                                            backbone, config),
+                                            class_means, config),
         "loss_history.csv": (["step", "loss"], list(enumerate(history))),
         "results.json": {"training_accuracy": result.training_accuracy,
                          "steps": train_config.steps,
@@ -433,12 +437,14 @@ def cmd_eval(config: dict) -> tuple[int, dict]:
         ((lambda names: isinstance(names, list) and all(isinstance(m, str) for m in names)),
          "must be a list of metric names"),
         ((lambda names: set(names) <= set(EVAL_METRICS)),
-         f"must name metrics from {list(EVAL_METRICS)}"))
+         f"must name metrics from {list(EVAL_METRICS)}"),
+        ((lambda names: len(names) > 0), "must name at least one metric"),
+        ((lambda names: len(set(names)) == len(names)), "must not repeat a metric"))
     step = _field(config, "step", 1, _INTEGER, _at_least(1))
     classes = _field(config, "classes", [0], _INTEGER_LIST,
                      ((lambda ks: len(ks) > 0), "must name at least one class"),
                      ((lambda ks: len(set(ks)) == len(ks)), "must not repeat a class"))
-    seg, gen, sel, backbone = _restore_checkpoint(checkpoint)
+    seg, gen, sel, _ = _restore_checkpoint(checkpoint)
     features, labels = _load_dataset(dataset)
     if features.shape[1] != seg.n_features:
         raise ConfigError(
@@ -467,12 +473,12 @@ def cmd_eval(config: dict) -> tuple[int, dict]:
     aggregates: dict[str, list[float]] = {m: [] for m in metrics if m != "accuracy"}
 
     def model(rows):
-        return softmax(predict(rows, seg, gen, sel, backbone))
+        return softmax(predict(rows, seg, gen, sel))
 
     with _model_calls(checkpoint, "dataset", dataset):
         if "accuracy" in metrics:
-            report["accuracy"] = training_accuracy(features, labels, seg, gen, sel, backbone)
-        groups, scores = explain(features, seg, gen, sel, backbone)
+            report["accuracy"] = training_accuracy(features, labels, seg, gen, sel)
+        groups, scores = explain(features, seg, gen, sel)
         results = faithfulness.evaluate_examples(model, features, groups, scores, classes,
                                                  list(aggregates), step)
     for index, example in enumerate(results):

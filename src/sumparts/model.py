@@ -5,7 +5,9 @@ partial logits: a group generator builds sparse masks over input segments,
 and a group selector assigns sparse scores to the groups, reading each
 masked input.  The prediction is ``sum_i score_i * partial_logit_i``
 computed on the same arithmetic path stored in the returned attribution,
-so the explanation reconstructs the prediction exactly.
+so the explanation reconstructs the prediction exactly.  The frozen
+predictor is its (n_classes, d) classifier matrix, which only starts the
+selector's value weights, so the forward pass takes no backbone.
 
 The selector is linear in the masked input and each mask is constant on
 each segment, so the selector's affinities and partial logits of a group
@@ -30,7 +32,6 @@ import numpy as np
 from .ops import sparsemax
 
 __all__ = [
-    "Backbone",
     "Segmentation",
     "GroupGenParams",
     "GroupSelectParams",
@@ -78,30 +79,16 @@ def _as_integers(a, name: str) -> np.ndarray:
     return a.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class Backbone:
-    """Frozen linear classifier over the input: one weight row per class,
-    so plain logits are ``classifier @ x`` and ``h`` is the input width d.
+def identity_backbone(classifier) -> np.ndarray:
+    """The frozen backbone, checked: its (n_classes, d) linear classifier
+    over the input, so plain logits are ``classifier @ x``.
 
     A linear embedding W (h x d) in front of it would add nothing: the
     selector reaches the forward pass only folded onto the input
     (:func:`_fold`), and a selector with value weights C folded through W
     is the fold of one over the input with value weights ``C @ W``.
     """
-
-    classifier: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "classifier", _as_float_matrix(self.classifier, "classifier"))
-
-    @property
-    def h(self) -> int:
-        return self.classifier.shape[1]
-
-
-def identity_backbone(classifier) -> Backbone:
-    """Backbone with the (n_classes, d) classifier over the input."""
-    return Backbone(classifier=classifier)
+    return _as_float_matrix(classifier, "classifier")
 
 
 @dataclass(frozen=True)
@@ -215,13 +202,14 @@ class GroupSelectParams:
         return self.classifier.shape[0]
 
     @classmethod
-    def random(cls, backbone: Backbone, rng: np.random.Generator,
+    def random(cls, classifier, rng: np.random.Generator,
                std: float = 0.02) -> "GroupSelectParams":
-        h = backbone.h
+        classifier = _as_float_matrix(classifier, "classifier")
+        h = classifier.shape[1]
         return cls(
             w_q=rng.normal(0.0, std, (h, h)),
             w_k=rng.normal(0.0, std, (h, h)),
-            classifier=backbone.classifier.copy(),
+            classifier=classifier.copy(),
         )
 
 
@@ -344,18 +332,14 @@ def _masks(seg_weights: np.ndarray, seg: Segmentation) -> np.ndarray:
     return np.take(seg_weights, seg.assignment, axis=-1)
 
 
-def _fold(seg: Segmentation, sel: GroupSelectParams, backbone: Backbone) -> np.ndarray:
+def _fold(seg: Segmentation, sel: GroupSelectParams) -> np.ndarray:
     """The selector folded onto the input: the (2K, d) matrix whose row k
     weighs the features into class k's affinity, ``(C w_q.T) w_k / sqrt(d)``,
     and whose row K + k weighs them into its partial logit, ``C`` (C the
     selector's classifier).  A group's affinities and partial logits are
     these rows applied to its masked input."""
-    if backbone.h != sel.h:
-        raise ValueError(
-            f"selector has width {sel.h}, backbone takes {backbone.h} input features")
-    if backbone.h != seg.n_features:
-        raise ValueError(f"backbone takes {backbone.h} input features, "
-                         f"segmentation covers {seg.n_features}")
+    if sel.h != seg.n_features:
+        raise ValueError(f"selector has width {sel.h}, segmentation covers {seg.n_features}")
     queries = sel.classifier @ sel.w_q.T                # (K, d)
     return np.vstack([queries @ sel.w_k / np.sqrt(sel.h), sel.classifier])
 
@@ -393,7 +377,7 @@ def generate_groups(x, seg: Segmentation, params: GroupGenParams) -> np.ndarray:
 
 
 def sop_forward(x, seg: Segmentation, gen_params: GroupGenParams,
-                sel_params: GroupSelectParams, backbone: Backbone) -> GroupedAttribution:
+                sel_params: GroupSelectParams, backbone) -> GroupedAttribution:
     """Full forward pass: generate groups, select, and predict.
 
     For class k the selector's query is the projected class weight
@@ -402,10 +386,17 @@ def sop_forward(x, seg: Segmentation, gen_params: GroupGenParams,
     groups.  Partial logits are the plain per-group class logits
     ``C_k . z_i``.  The returned attribution's prediction is
     exactly ``(scores * partial_logits).sum(axis=0)``.
+
+    ``backbone``, the classifier matrix, is only checked to be as wide as
+    the selector; it stays because the benchmark's train check
+    (``bench/workloads.py``) calls this five-argument form.
     """
     if np.ndim(x) != 1:
         raise ValueError(f"sop_forward explains one input vector, got shape {np.shape(x)}")
-    cache = _forward(x, seg, gen_params, _fold(seg, sel_params, backbone))
+    if np.shape(backbone)[-1] != sel_params.h:
+        raise ValueError(f"selector has width {sel_params.h}, "
+                         f"backbone takes {np.shape(backbone)[-1]} input features")
+    cache = _forward(x, seg, gen_params, _fold(seg, sel_params))
     return GroupedAttribution(groups=_masks(cache["seg_weights"], seg),
                               scores=cache["scores"],
                               partial_logits=cache["partial_logits"],
@@ -420,12 +411,12 @@ def _as_stack(inputs) -> np.ndarray:
 
 
 def _block_forwards(inputs: np.ndarray, seg: Segmentation, gen: GroupGenParams,
-                    sel: GroupSelectParams, backbone: Backbone):
+                    sel: GroupSelectParams):
     """The forward pass of each block of ``PREDICT_BLOCK_ROWS`` rows of a
     (B, d) stack, as (row slice, cache), with the selector folded once and
     each block's segment weights and scores checked as a
     :class:`GroupedAttribution` checks masks and scores."""
-    folded = _fold(seg, sel, backbone)
+    folded = _fold(seg, sel)
     for start in range(0, inputs.shape[0], PREDICT_BLOCK_ROWS):
         rows = slice(start, start + PREDICT_BLOCK_ROWS)
         cache = _forward(inputs[rows], seg, gen, folded)
@@ -434,8 +425,8 @@ def _block_forwards(inputs: np.ndarray, seg: Segmentation, gen: GroupGenParams,
         yield rows, cache
 
 
-def explain(inputs, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectParams,
-            backbone: Backbone) -> tuple[np.ndarray, np.ndarray]:
+def explain(inputs, seg: Segmentation, gen: GroupGenParams,
+            sel: GroupSelectParams) -> tuple[np.ndarray, np.ndarray]:
     """Groups and scores of every row of a (B, d) stack: the (B, G, d) masks
     and the (B, G, n_classes) scores.
 
@@ -447,14 +438,14 @@ def explain(inputs, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectPara
     n_groups = gen.heads * seg.n_segments
     groups = np.empty((inputs.shape[0], n_groups, seg.n_features))
     scores = np.empty((inputs.shape[0], n_groups, sel.n_classes))
-    for rows, cache in _block_forwards(inputs, seg, gen, sel, backbone):
+    for rows, cache in _block_forwards(inputs, seg, gen, sel):
         groups[rows] = _masks(cache["seg_weights"], seg)
         scores[rows] = cache["scores"]
     return groups, scores
 
 
-def predict(inputs, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectParams,
-            backbone: Backbone) -> np.ndarray:
+def predict(inputs, seg: Segmentation, gen: GroupGenParams,
+            sel: GroupSelectParams) -> np.ndarray:
     """Predictions for a (B, d) stack of inputs, as a (B, n_classes) array.
 
     Runs the forward arithmetic of :func:`sop_forward` on blocks of
@@ -466,6 +457,6 @@ def predict(inputs, seg: Segmentation, gen: GroupGenParams, sel: GroupSelectPara
     """
     inputs = _as_stack(inputs)
     predictions = np.empty((inputs.shape[0], sel.n_classes))
-    for rows, cache in _block_forwards(inputs, seg, gen, sel, backbone):
+    for rows, cache in _block_forwards(inputs, seg, gen, sel):
         predictions[rows] = cache["prediction"]
     return predictions

@@ -1,11 +1,12 @@
 """Gradient-descent training of the group generator and selector.
 
-The backbone stays frozen; only the generator query/key weights, the
-selector query/key projections, and the value weights (initialized from
-the backbone classifier) are updated.  The forward pass is the model's
-own, so the loss is computed on the arithmetic path that ``sop_forward``
-explains.  Gradients are derived by hand and flow through both sparsemax
-blocks via their exact generalized Jacobians.
+The backbone is a frozen linear classifier, passed to :func:`train` as its
+(n_classes, d) matrix only to start the selector's value weights from.  The
+generator query/key weights, the selector query/key projections and the
+value weights are updated.  The forward pass is the model's own, so the
+loss is computed on the arithmetic path that ``sop_forward`` explains.
+Gradients are derived by hand and flow through both sparsemax blocks via
+their exact generalized Jacobians.
 
 The backward pass works in the forward's segment space: the gradient of a
 block's segment weights is ``d_affinities R^T + d_partial_logits P^T``, and
@@ -24,7 +25,6 @@ import numpy as np
 
 from .model import (
     PREDICT_BLOCK_ROWS,
-    Backbone,
     GroupGenParams,
     GroupSelectParams,
     Segmentation,
@@ -74,14 +74,14 @@ class TrainResult:
     training_accuracy: float
 
 
-def init_params(seg: Segmentation, backbone: Backbone,
+def init_params(seg: Segmentation, classifier,
                 config: TrainConfig) -> tuple[GroupGenParams, GroupSelectParams]:
     """Seeded Gaussian init for the attention weights; value weights copied
-    from the backbone classifier.  Draw order is fixed so checkpoints
-    reproduce bit for bit per seed."""
+    from the (n_classes, d) backbone classifier.  Draw order is fixed so
+    checkpoints reproduce bit for bit per seed."""
     rng = np.random.default_rng(config.seed)
     gen = GroupGenParams.random(seg.n_segments, config.heads, rng, config.init_std)
-    sel = GroupSelectParams.random(backbone, rng, config.init_std)
+    sel = GroupSelectParams.random(classifier, rng, config.init_std)
     return gen, sel
 
 
@@ -106,13 +106,13 @@ def _check_labels(inputs, labels, n_classes: int) -> tuple[np.ndarray, np.ndarra
 
 
 def loss_and_gradients(inputs, labels, seg: Segmentation, gen: GroupGenParams,
-                       sel: GroupSelectParams, backbone: Backbone):
+                       sel: GroupSelectParams):
     """Mean cross-entropy of softmax(prediction) over the batch, with its
     gradient for every trainable parameter, from one forward and one
     backward pass on each block of ``PREDICT_BLOCK_ROWS`` rows."""
     inputs, labels = _check_labels(inputs, labels, sel.n_classes)
     n, k = inputs.shape[0], sel.n_classes
-    folded = _fold(seg, sel, backbone)                                # (2K, d)
+    folded = _fold(seg, sel)                                          # (2K, d)
     # running totals from zero, so that an entry that no example moves is +0
     total_loss = 0.0
     d_folded = np.zeros_like(folded)
@@ -155,7 +155,7 @@ def loss_and_gradients(inputs, labels, seg: Segmentation, gen: GroupGenParams,
     }
 
 
-def train(inputs, labels, seg: Segmentation, backbone: Backbone,
+def train(inputs, labels, seg: Segmentation, classifier,
           config: TrainConfig) -> TrainResult:
     """Full-batch gradient descent with a fixed step size.
 
@@ -167,7 +167,7 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
     parameters of an update (the last one included, which no step takes a
     loss at).
     """
-    gen, sel = init_params(seg, backbone, config)
+    gen, sel = init_params(seg, classifier, config)
     inputs, labels = _check_labels(inputs, labels, sel.n_classes)
     history: list[float] = []
     # numpy raises where a step first makes an inf or a NaN, ahead of the ops'
@@ -175,7 +175,7 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(config.steps):
-                loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel, backbone)
+                loss, grads = loss_and_gradients(inputs, labels, seg, gen, sel)
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"loss {loss}")
                 history.append(float(loss))
@@ -186,7 +186,7 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
                     grads[name] += array
                 gen = GroupGenParams(grads["gen_w_q"], grads["gen_w_k"])
                 sel = GroupSelectParams(grads["sel_w_q"], grads["sel_w_k"], grads["classifier"])
-            accuracy = training_accuracy(inputs, labels, seg, gen, sel, backbone)
+            accuracy = training_accuracy(inputs, labels, seg, gen, sel)
     except (FloatingPointError, ValueError) as exc:
         # a ValueError is the model refusing the parameters of an update, such
         # as selector rows too large for sparsemax; the initial ones are the
@@ -201,9 +201,9 @@ def train(inputs, labels, seg: Segmentation, backbone: Backbone,
 
 
 def training_accuracy(inputs, labels, seg: Segmentation, gen: GroupGenParams,
-                      sel: GroupSelectParams, backbone: Backbone) -> float:
+                      sel: GroupSelectParams) -> float:
     """Fraction of examples whose argmax prediction matches the label."""
     inputs, labels = _check_labels(inputs, labels, sel.n_classes)
-    predictions = predict(inputs, seg, gen, sel, backbone)
+    predictions = predict(inputs, seg, gen, sel)
     return int(np.count_nonzero(predictions.argmax(axis=1) == labels)) / inputs.shape[0]
 

@@ -30,11 +30,13 @@ against.
 ``embed``, ``embed_vjp``, ``embed_groups`` and ``select_groups`` are the
 model's earlier stacked path, which embedded every masked input through the
 backbone and scored the (G, h) group embeddings, kept to check the
-segment-space forward and backward passes against.  ``linear_backbone``
-builds the linear embedding the model dropped, and ``identity_twin`` the
-identity-backbone selector that folds onto the input as one over that
-embedding does.  ``round_floats_oracle``
-is the earlier per-item float rounding of ``serialize``.
+segment-space forward and backward passes against; a backbone there is
+either a ``LinearBackbone`` or, as in the model, its classifier matrix,
+whose embedding is the input itself.  ``linear_backbone`` builds the linear
+embedding the model dropped, and ``identity_twin`` the identity-backbone
+selector that folds onto the input as one over that embedding does.
+``round_floats_oracle`` is the earlier per-item float rounding of
+``serialize``.
 ``finite_diff_grad`` (a central-difference gradient), ``powerset_matrix``
 (the whole (2^d, d) powerset, which ``ops.powerset_blocks`` yields in
 blocks), and ``pack_params``/``unpack_params`` (every trainable parameter in
@@ -604,7 +606,8 @@ def identity_twin(backbone: LinearBackbone, sel):
     ``sel`` over ``backbone``'s embedding W does: value weights ``C W``,
     ``w_q = I_d`` and ``w_k = sqrt(d / h) pinv(C W) (C w_q.T w_k W)``, so
     that the affinity rows ``C W w_k / sqrt(d)`` are ``C w_q.T w_k W /
-    sqrt(h)`` wherever C W has full row rank.  Returns ``(sel, backbone)``."""
+    sqrt(h)`` wherever C W has full row rank.  Returns ``(sel, backbone)``,
+    the backbone as its classifier matrix ``C W``."""
     h, d = backbone.weights.shape
     folded = sel.classifier @ backbone.weights
     w_k = np.sqrt(d / h) * np.linalg.pinv(folded) @ (
@@ -638,7 +641,7 @@ def embed_groups(x, masks, backbone):
         raise ValueError(f"masks have width {masks.shape[-1]}, input has shape {x.shape}")
     masked = masks * x[..., None, :]
     z = embed(backbone, masked.reshape(-1, x.shape[-1]))
-    return z.reshape(masked.shape[:-1] + (backbone.h,))
+    return z.reshape(masked.shape[:-1] + (z.shape[-1],))
 
 
 def select_groups(z, params):

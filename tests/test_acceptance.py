@@ -187,7 +187,7 @@ def test_criterion_08_training_sanity():
     first = train(features, labels, seg, backbone, config)
     second = train(features, labels, seg, backbone, config)
     accuracy = training_accuracy(
-        features, labels, seg, first.gen_params, first.sel_params, backbone
+        features, labels, seg, first.gen_params, first.sel_params
     )
     deterministic = (
         np.array_equal(first.gen_params.w_q, second.gen_params.w_q)
@@ -204,12 +204,12 @@ def test_criterion_08_training_sanity():
     )
     inputs = rng.normal(size=(5, 4))
     targets = np.array([0, 1, 0, 1, 1])
-    _, grads = loss_and_gradients(inputs, targets, seg4, gen, sel, backbone4)
+    _, grads = loss_and_gradients(inputs, targets, seg4, gen, sel)
     analytic = pack_gradients(grads)
 
     def loss_of(vec):
         g, s = unpack_params(vec, gen, sel)
-        return loss_and_gradients(inputs, targets, seg4, g, s, backbone4)[0]
+        return loss_and_gradients(inputs, targets, seg4, g, s)[0]
 
     numeric = finite_diff_grad(loss_of, pack_params(gen, sel), 1e-6)
     rel_gap = float(np.abs(analytic - numeric).max() / max(1.0, np.abs(numeric).max()))

@@ -734,7 +734,11 @@ class TestEval:
         ("classes", [0, 0], "config field 'classes' must not repeat a class, got [0, 0]"),
         ("step", 0, "config field 'step' must be at least 1, got 0"),
         ("step", -2, "config field 'step' must be at least 1, got -2"),
-    ], ids=["no-classes", "repeated-class", "step-0", "step-negative"])
+        ("metrics", [], "config field 'metrics' must name at least one metric, got []"),
+        ("metrics", ["sparsity", "sparsity"],
+         "config field 'metrics' must not repeat a metric, got ['sparsity', 'sparsity']"),
+    ], ids=["no-classes", "repeated-class", "step-0", "step-negative", "no-metrics",
+            "repeated-metric"])
     @pytest.mark.parametrize("metrics", [["insertion"], ["sparsity"]],
                              ids=["ranked-curve", "no-probes"])
     def test_classes_and_step_checked_before_the_checkpoint(self, tmp_path, capsys,
@@ -743,8 +747,11 @@ class TestEval:
         """An empty class list wrote a report with no per-class metric, a
         repeated class reported its curves and ``per_case`` values twice,
         over-weighting it in ``mean``, and a step below 1 failed only when a
-        ranked curve was requested.  All are refused before the checkpoint is
-        opened (here it does not exist)."""
+        ranked curve was requested.  An empty metric list attributed the
+        whole dataset for a report of metadata only, and a repeated metric
+        was dropped without a word.  All are refused before the checkpoint
+        is opened (here it does not exist); a ``metrics`` case overrides the
+        parametrised metrics."""
         dataset, _ = trained
         config = write_config(
             tmp_path / "e.json",
@@ -815,12 +822,12 @@ class TestStackedEval:
             features, _ = _load_dataset(dataset)
 
             attributions = [sop_forward(x, seg, gen, sel, backbone) for x in features]
-            groups, scores = explain(features, seg, gen, sel, backbone)
+            groups, scores = explain(features, seg, gen, sel)
             assert groups.tobytes() == np.array([a.groups for a in attributions]).tobytes()
             assert scores.tobytes() == np.array([a.scores for a in attributions]).tobytes()
 
             def model(rows):
-                return softmax(predict(rows, seg, gen, sel, backbone))
+                return softmax(predict(rows, seg, gen, sel))
 
             curves = [name for name in CURVE_METRICS if name in metrics]
             results = faithfulness.evaluate_examples(model, features, groups, scores,
@@ -1007,6 +1014,9 @@ class TestCheckpointValidation:
          ["'segment_assignment' must hold integers, got bool entries"]),
         (lambda c: {**c, "segment_assignment": [0] * 4 + [1.0] * 4},
          ["'segment_assignment' must hold integers, got float64 entries"]),
+        # inferred as int64, true as 1, without the scan for booleans
+        (lambda c: {**c, "segment_assignment": [True] + [0] * 3 + [1] * 4},
+         ["'segment_assignment' must hold integers, got bool entries"]),
         (lambda c: {**c, "segment_assignment": "abc"},
          ["'segment_assignment' must hold integers, got <U3 entries"]),
         # np.prod of this shape wraps around to 0 in int64
@@ -1016,7 +1026,7 @@ class TestCheckpointValidation:
     ], ids=["only_d", "no_w_k", "no_backbone", "no_backbone_classifier", "float_heads",
             "bool_d", "ragged_w_q", "short_sel_w_k", "short_assignment", "assignment_range",
             "float_assignment", "bool_assignment", "integral_float_assignment",
-            "string_assignment", "overflowing_w_q"])
+            "mixed_bool_assignment", "string_assignment", "overflowing_w_q"])
     def test_bad_checkpoint_names_the_field(self, tmp_path, capsys, initial,
                                             mutate, expected):
         dataset, ckpt = initial
@@ -1076,7 +1086,7 @@ class TestCheckpointValidation:
         seg = Segmentation.contiguous(8, 4)
         gen = GroupGenParams(w_q=np.zeros((2, 4, 4)), w_k=np.zeros((2, 4, 4)))
         sel = GroupSelectParams(w_q=1e15 * np.eye(8), w_k=1e15 * np.eye(8),
-                                classifier=backbone.classifier)
+                                classifier=backbone)
         checkpoint = tmp_path / "checkpoint.json"
         write_json_atomic(checkpoint, _checkpoint_dict(seg, gen, sel, backbone, {"seed": 1}))
         if command == "eval":

@@ -1005,8 +1005,7 @@ class TestPairedRankingComparison:
             k = labels[i]
 
             def prob(rows, k=k):
-                return softmax(predict(rows, seg, result.gen_params, result.sel_params,
-                                       backbone))[:, k]
+                return softmax(predict(rows, seg, result.gen_params, result.sel_params))[:, k]
 
             grouped = grouped_curve(
                 prob, x, attribution.groups, attribution.scores[:, k], "insertion"

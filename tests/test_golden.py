@@ -156,6 +156,31 @@ def test_artifacts_match_the_golden_files(tmp_path):
     assert not problems, "\n".join(problems[:20])
 
 
+def test_eval_and_label_ignore_the_backbone_classifier_values(tmp_path):
+    """Every ``backbone.classifier`` entry of both trained checkpoints set to
+    7.5 leaves the ``eval`` and ``label`` artifacts byte-identical: both
+    commands check the field and compute nothing from its values.  Each
+    checkpoint is rewritten at its own path, so ``eval``'s metadata does not
+    move."""
+    run_all(tmp_path)
+    for trained in ("train-blobs", "train-maps"):
+        path = tmp_path / trained / "checkpoint.json"
+        ckpt = json.loads(path.read_text())
+        ckpt["backbone"]["classifier"] = [7.5] * len(ckpt["backbone"]["classifier"])
+        path.write_text(json.dumps(ckpt))
+    ran = []
+    for name, command, _ in invocations(tmp_path):
+        if command not in ("eval", "label"):
+            continue
+        out = tmp_path / "constant-backbone" / name
+        assert main([command, "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        original = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+        assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == original, name
+        ran.append(name)
+    assert ran == ["eval-blobs", "label-csv", "label-binary"]
+
+
 @pytest.mark.parametrize("fresh, golden, close", [
     (1.0 + 0.9e-9, 1.0, True), (1.0 + 1.1e-9, 1.0, False),
     (1.6e-18, 9.9e-13, True), (0.0, 1.1e-12, False), (1, True, False), ("a", "b", False),

@@ -37,9 +37,9 @@ def assert_stack_equals_per_row(inputs, seg, gen, sel, backbone):
     """``predict`` and ``explain`` of the stack equal ``sop_forward`` of
     each row, bit for bit."""
     attributions = [sop_forward(x, seg, gen, sel, backbone) for x in inputs]
-    np.testing.assert_array_equal(predict(inputs, seg, gen, sel, backbone),
+    np.testing.assert_array_equal(predict(inputs, seg, gen, sel),
                                   [a.prediction for a in attributions])
-    groups, scores = explain(inputs, seg, gen, sel, backbone)
+    groups, scores = explain(inputs, seg, gen, sel)
     assert groups.shape == (len(inputs),) + attributions[0].groups.shape
     assert scores.shape == (len(inputs),) + attributions[0].scores.shape
     for got, want in ((groups, [a.groups for a in attributions]),
@@ -209,8 +209,14 @@ class TestEmbedGroups:
         z = embed_groups(x, mask[None], backbone)
         np.testing.assert_allclose(z[0], backbone.weights @ (mask * x), atol=1e-12)
 
-    def test_width_is_the_classifiers(self):
-        assert identity_backbone(np.zeros((2, 5))).h == 5
+    def test_identity_backbone_is_the_checked_classifier(self):
+        classifier = identity_backbone([[0, 1, 2], [3, 4, 5]])
+        assert classifier.dtype == np.float64 and classifier.shape == (2, 3)
+        z = embed_groups(np.arange(3.0), np.ones((4, 3)), classifier)
+        np.testing.assert_array_equal(z, np.tile(np.arange(3.0), (4, 1)))
+        for bad, message in (([0.0, 1.0], "must be 2-D"), ([[np.nan]], "non-finite")):
+            with pytest.raises(ValueError, match=message):
+                identity_backbone(bad)
 
 
 class TestSelectGroups:
@@ -269,7 +275,7 @@ class TestSopForward:
         x = np.array([0.5, -1.0, 2.0, 1.5])
         attribution = sop_forward(x, seg, gen, sel, backbone)
         np.testing.assert_allclose(
-            attribution.prediction, backbone.classifier @ x, atol=1e-12
+            attribution.prediction, backbone @ x, atol=1e-12
         )
 
     def test_golden_forward_trace(self):
@@ -324,7 +330,7 @@ class TestSopForward:
             seg = Segmentation.contiguous(d, m)
             gen = GroupGenParams.random(m, int(rng.integers(1, 3)), rng, std=1.0)
             linear = linear_backbone(rng.normal(size=(h, d)), rng.normal(size=(k, h)))
-            sel = GroupSelectParams.random(linear, rng, std=1.0)
+            sel = GroupSelectParams.random(linear.classifier, rng, std=1.0)
             x = rng.normal(size=d)
             scores, logits = select_groups(embed_groups(x, generate_groups(x, seg, gen),
                                                         linear), sel)
@@ -332,7 +338,7 @@ class TestSopForward:
             attribution = sop_forward(x, seg, gen, *twin)
             for got, want in ((attribution.scores, scores),
                               (attribution.partial_logits, logits),
-                              (predict(x[None], seg, gen, *twin)[0],
+                              (predict(x[None], seg, gen, twin[0])[0],
                                (scores * logits).sum(axis=0))):
                 np.testing.assert_allclose(got, want, rtol=1e-9,
                                            atol=1e-9 * np.abs(want).max())
@@ -380,7 +386,7 @@ class TestSopForward:
         for k in range(attribution.n_classes):
             expected[k] = sum(
                 attribution.scores[g, k]
-                * (backbone.classifier[k] @ (attribution.groups[g] * x))
+                * (backbone[k] @ (attribution.groups[g] * x))
                 for g in range(attribution.n_groups)
             )
         np.testing.assert_allclose(attribution.prediction, expected, atol=1e-12)
@@ -491,34 +497,40 @@ class TestBatchedForward:
         seg, gen, sel, backbone = golden_params()
         for stacked in (predict, explain):
             with pytest.raises(ValueError, match="non-empty"):
-                stacked(np.ones(seg.n_features), seg, gen, sel, backbone)
+                stacked(np.ones(seg.n_features), seg, gen, sel)
             with pytest.raises(ValueError, match="non-empty"):
-                stacked(np.empty((0, seg.n_features)), seg, gen, sel, backbone)
+                stacked(np.empty((0, seg.n_features)), seg, gen, sel)
         with pytest.raises(ValueError):
             sop_forward(np.ones((2, seg.n_features)), seg, gen, sel, backbone)
 
     @pytest.mark.parametrize("call", [
-        lambda x, *model: sop_forward(x[0], *model),
+        lambda x, seg, gen, sel: sop_forward(x[0], seg, gen, sel, sel.classifier),
         lambda x, *model: predict(x, *model),
         lambda x, *model: explain(x, *model),
         lambda x, *model: loss_and_gradients(x, np.zeros(len(x), np.int64), *model),
     ], ids=["sop_forward", "predict", "explain", "loss_and_gradients"])
-    @pytest.mark.parametrize("mismatch, message", [
-        ("selector", "^selector has width 3, backbone takes 4 input features$"),
-        ("backbone", "^backbone takes 5 input features, segmentation covers 4$"),
-    ], ids=["selector", "backbone"])
-    def test_refuses_mismatched_widths(self, call, mismatch, message):
+    def test_refuses_a_selector_of_another_width(self, call):
         rng = np.random.default_rng(6)
         seg = Segmentation.contiguous(4, 2)
         gen = GroupGenParams.random(2, 1, rng, std=1.0)
-        if mismatch == "selector":
-            backbone = identity_backbone(rng.normal(size=(2, 4)))
-            sel = GroupSelectParams.random(identity_backbone(rng.normal(size=(2, 3))), rng)
-        else:
-            backbone = identity_backbone(rng.normal(size=(2, 5)))
-            sel = GroupSelectParams.random(backbone, rng)
-        with pytest.raises(ValueError, match=message):
-            call(rng.normal(size=(3, 4)), seg, gen, sel, backbone)
+        sel = GroupSelectParams.random(rng.normal(size=(2, 3)), rng)
+        with pytest.raises(ValueError, match="^selector has width 3, segmentation covers 4$"):
+            call(rng.normal(size=(3, 4)), seg, gen, sel)
+
+    def test_sop_forward_refuses_a_backbone_of_another_width(self):
+        """The backbone argument, which only ``sop_forward`` takes, is
+        checked against the selector; the selector then against the
+        segmentation."""
+        rng = np.random.default_rng(6)
+        seg = Segmentation.contiguous(4, 2)
+        gen = GroupGenParams.random(2, 1, rng, std=1.0)
+        for backbone_width, sel_width, message in (
+                (4, 3, "^selector has width 3, backbone takes 4 input features$"),
+                (5, 5, "^selector has width 5, segmentation covers 4$")):
+            sel = GroupSelectParams.random(rng.normal(size=(2, sel_width)), rng)
+            with pytest.raises(ValueError, match=message):
+                sop_forward(rng.normal(size=4), seg, gen, sel,
+                            identity_backbone(rng.normal(size=(2, backbone_width))))
 
     @pytest.mark.parametrize("block, broken, message", [
         (0, lambda w: w - 0.5, "mask entries"),          # generator rows below 0
@@ -539,7 +551,7 @@ class TestBatchedForward:
         monkeypatch.setattr(model, "sparsemax", sparsemax)
         for call in (predict, explain):
             with pytest.raises(ValueError, match=message):
-                call(inputs, seg, gen, sel, backbone)
+                call(inputs, seg, gen, sel)
         with pytest.raises(ValueError, match=message):
             sop_forward(inputs[0], seg, gen, sel, backbone)
 
@@ -581,7 +593,7 @@ class TestBatchedForward:
         for call in (predict, explain):
             calls.clear()
             with pytest.raises(ValueError, match=message):
-                call(inputs, seg, gen, sel, backbone)
+                call(inputs, seg, gen, sel)
             assert len(calls) == 6 and calls[-1].shape[0] == 3
 
     def test_predict_memory_follows_the_block_size(self):
@@ -597,7 +609,7 @@ class TestBatchedForward:
         inputs = rng.normal(size=(2000, d))
         tracemalloc.start()
         try:
-            predict(inputs, seg, gen, sel, backbone)
+            predict(inputs, seg, gen, sel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -616,7 +628,7 @@ class TestBatchedForward:
         inputs = rng.normal(size=(256, d))
         tracemalloc.start()
         try:
-            predict(inputs, seg, gen, sel, backbone)
+            predict(inputs, seg, gen, sel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
